@@ -14,8 +14,9 @@ capacity.
 
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -92,14 +93,20 @@ class UnitFormat:
     """
 
     value_capacity: int
+    payload_len: int = field(init=False, repr=False, compare=False)
+    unit_len: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def payload_len(self) -> int:
-        return _LEN_PREFIX + self.value_capacity
+    def __post_init__(self) -> None:
+        # read once per unit on the seal/open path, so fixed at construction
+        object.__setattr__(self, "payload_len", _LEN_PREFIX + self.value_capacity)
+        object.__setattr__(self, "unit_len", NONCE_LEN + self.payload_len + TAG_LEN)
 
-    @property
-    def unit_len(self) -> int:
-        return NONCE_LEN + self.payload_len + TAG_LEN
+
+@functools.lru_cache(maxsize=8)
+def _aead(key: bytes) -> AESGCM:
+    """One cipher per key: a session seals and opens thousands of units under
+    a handful of keys, and building the cipher costs more than using it."""
+    return AESGCM(key)
 
 
 def enc_unit(key: bytes, value: bytes, fmt: UnitFormat, rng: random.Random) -> bytes:
@@ -114,7 +121,7 @@ def enc_unit(key: bytes, value: bytes, fmt: UnitFormat, rng: random.Random) -> b
         + bytes(fmt.value_capacity - len(value))
     )
     nonce = rng.randbytes(NONCE_LEN)
-    return nonce + AESGCM(key).encrypt(nonce, payload, None)
+    return nonce + _aead(key).encrypt(nonce, payload, None)
 
 
 def dec_unit(key: bytes, unit: bytes, fmt: UnitFormat) -> bytes:
@@ -126,7 +133,7 @@ def dec_unit(key: bytes, unit: bytes, fmt: UnitFormat) -> bytes:
     if len(unit) != fmt.unit_len:
         raise DecryptFailure(f"unit length {len(unit)} != {fmt.unit_len}")
     try:
-        payload = AESGCM(key).decrypt(unit[:NONCE_LEN], unit[NONCE_LEN:], None)
+        payload = _aead(key).decrypt(unit[:NONCE_LEN], unit[NONCE_LEN:], None)
     except InvalidTag as exc:
         raise DecryptFailure("unit failed authentication") from exc
     n = int.from_bytes(payload[:_LEN_PREFIX], "big")

@@ -205,6 +205,7 @@ class RcContract:
         self.server_deposited = 0
         self.escrow = 0
         self.counters = Counters()
+        self.counters_posted = False
         self.queries: dict[int, bytes] = {}
         self.proofs: dict[int, bytes] = {}
         self.complaint_posts: dict[str, bytes] = {}
@@ -269,6 +270,8 @@ class RcContract:
                 raise WrongSender("no arbiter counters in the arbiterless variant")
             self._require(msg.sender, p.addr_arbiter, msg.kind)
             self._require_time(now, "K6")
+            if self.counters_posted:
+                raise DuplicateSlot("arbiter counters already posted")
         elif msg.kind is MsgKind.PAY:
             if msg.sender not in (p.addr_client, p.addr_server):
                 raise WrongSender("pay must come from a session party")
@@ -288,6 +291,7 @@ class RcContract:
             self.complaint_posts[msg.kind.value] = msg.payload
         elif msg.kind is MsgKind.COUNTERS:
             self.add_counters(Counters.unpack(msg.payload))
+            self.counters_posted = True
         elif msg.kind is MsgKind.PAY:
             self.pay_requests.append(now.label)
 

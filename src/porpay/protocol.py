@@ -758,11 +758,38 @@ def _opening_valid(
     )
 
 
-def _parse_qp(opening: Opening) -> QpStatement | None:
+def _agreed_qp(
+    opening: Opening | None, contract: RcContract, ledger: Ledger
+) -> QpStatement | None:
+    """The query/proof statement an opening reveals, or None unless it
+    parses and opens both recorded commitments."""
+    if opening is None:
+        return None
     try:
-        return QpStatement.from_bytes(opening.statement)
+        qp = QpStatement.from_bytes(opening.statement)
     except ValueError:
         return None
+    return qp if _opening_valid(opening, contract, ledger, _SAP_QP) else None
+
+
+# what int() and indexing raise on an item of the wrong type or shape
+_UNREADABLE = (TypeError, ValueError, LookupError, OverflowError)
+
+
+def _read_items(raw: Sequence, read) -> list:
+    """Apply ``read`` to every complaint item. An item it cannot read names
+    no cycle, so it is filtered without being listed."""
+    items = []
+    for item in raw:
+        try:
+            items.append(read(item))
+        except _UNREADABLE:
+            pass
+    return items
+
+
+def _read_client_item(item) -> tuple[int, int]:
+    return int(item[0]), int(item[1])
 
 
 def _filter_server_complaints(
@@ -771,8 +798,7 @@ def _filter_server_complaints(
     kept: list[int] = []
     dropped: list[int] = []
     seen: set[int] = set()
-    for item in raw:
-        i = int(item)
+    for i in _read_items(raw, int):
         if 1 <= i <= z and i not in seen:
             seen.add(i)
             kept.append(i)
@@ -788,8 +814,7 @@ def _filter_client_complaints(
     dropped: list[tuple[int, int]] = []
     seen: set[int] = set()
     invalid_query_cycles = set(v)
-    for item in raw:
-        j, g = int(item[0]), int(item[1])
+    for j, g in _read_items(raw, _read_client_item):
         if 1 <= j <= z and 1 <= g <= phi and j not in seen and j not in invalid_query_cycles:
             seen.add(j)
             kept.append((j, g))
@@ -798,13 +823,16 @@ def _filter_client_complaints(
     return kept, dropped
 
 
-def _query_ok(contract: RcContract, j: int, qp: QpStatement, fmt: UnitFormat) -> bool:
-    """Re-run the phase-5 query checks on the posted ciphertext."""
+def _query_key(
+    contract: RcContract, j: int, qp: QpStatement, fmt: UnitFormat
+) -> bytes | None:
+    """Re-run the phase-5 query checks on the posted ciphertext: the
+    challenge key, or None when the query is missing or invalid."""
     try:
         k_hat = dec_unit(qp.k_bar, contract.query(j), fmt)
     except (MissingQuery, DecryptFailure):
-        return False
-    return len(k_hat) == qp.pp.zeta.psi // 8
+        return None
+    return k_hat if len(k_hat) == qp.pp.zeta.psi // 8 else None
 
 
 def _judge_client_complaint(
@@ -815,9 +843,9 @@ def _judge_client_complaint(
     Returns Y_CLIENT (bad query), Y_SERVER (bad proof), or None when the
     single re-checked proof verifies, i.e. the complaint identified nobody.
     """
-    if not _query_ok(contract, j, qp, fmt):
+    k_hat = _query_key(contract, j, qp, fmt)
+    if k_hat is None:
         return Y_CLIENT
-    k_hat = dec_unit(qp.k_bar, contract.query(j), fmt)
     q_g = (int.from_bytes(prf(k_hat, g), "big") % qp.pp.m) + 1
     payload = contract.proofs.get(j)
     if payload is None:
@@ -850,16 +878,16 @@ class Arbiter:
         v; a valid one counts as an unnecessary invocation by the server."""
         _require_time(ledger, "K2")
         rep = self.report
-        qp = _parse_qp(opening_qp)
-        if qp is None or not _opening_valid(opening_qp, contract, ledger, _SAP_QP):
-            rep.server_filtered.extend(int(i) for i in complaints)
+        qp = _agreed_qp(opening_qp, contract, ledger)
+        if qp is None:
+            rep.server_filtered.extend(_read_items(complaints, int))
             return rep.v
         fmt = unit_format(qp.block_payload_len)
         kept, dropped = _filter_server_complaints(complaints, contract.params.z)
         rep.server_admitted.extend(kept)
         rep.server_filtered.extend(dropped)
         for i in kept:
-            if _query_ok(contract, i, qp, fmt):
+            if _query_key(contract, i, qp, fmt) is not None:
                 rep.update.bump(i, Y_SERVER_UNNEEDED)
             else:
                 rep.update.bump(i, Y_CLIENT)
@@ -876,9 +904,9 @@ class Arbiter:
         """Phase 7 client pass over complaints that survive the filters."""
         _require_time(ledger, "K5")
         rep = self.report
-        qp = _parse_qp(opening_qp)
-        if qp is None or not _opening_valid(opening_qp, contract, ledger, _SAP_QP):
-            rep.client_filtered.extend((int(c[0]), int(c[1])) for c in complaints)
+        qp = _agreed_qp(opening_qp, contract, ledger)
+        if qp is None:
+            rep.client_filtered.extend(_read_items(complaints, _read_client_item))
             return
         fmt = unit_format(qp.block_payload_len)
         kept, dropped = _filter_client_complaints(
@@ -924,13 +952,21 @@ def pack_complaints(complaints: Sequence, opening: Opening) -> bytes:
     return json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
 
 
-def unpack_complaints(payload: bytes) -> tuple[list, Opening]:
-    body = json.loads(payload.decode())
-    opening = Opening(
-        bytes.fromhex(body["opening"]["statement"]),
-        bytes.fromhex(body["opening"]["randomness"]),
-    )
-    return body["complaints"], opening
+def unpack_complaints(payload: bytes) -> tuple[list, Opening | None]:
+    """Inverse of pack_complaints. Any other payload unpacks to no
+    complaints and no opening, so resolution filters the post whole."""
+    try:
+        body = json.loads(payload.decode())
+        complaints = body["complaints"]
+        opening = Opening(
+            bytes.fromhex(body["opening"]["statement"]),
+            bytes.fromhex(body["opening"]["randomness"]),
+        )
+    except (TypeError, ValueError, LookupError, RecursionError):
+        return [], None
+    if not isinstance(complaints, list):
+        return [], None
+    return complaints, opening
 
 
 def contract_resolve(ledger: Ledger, contract: RcContract) -> ResolutionReport:
@@ -950,16 +986,16 @@ def contract_resolve(ledger: Ledger, contract: RcContract) -> ResolutionReport:
     raw = contract.complaint_posts.get(MsgKind.SERVER_COMPLAINTS.value)
     if raw is not None:
         complaints, opening = unpack_complaints(raw)
-        qp = _parse_qp(opening)
-        if qp is None or not _opening_valid(opening, contract, ledger, _SAP_QP):
-            rep.server_filtered.extend(int(i) for i in complaints)
+        qp = _agreed_qp(opening, contract, ledger)
+        if qp is None:
+            rep.server_filtered.extend(_read_items(complaints, int))
         else:
             fmt = unit_format(qp.block_payload_len)
             kept, dropped = _filter_server_complaints(complaints, contract.params.z)
             rep.server_admitted.extend(kept)
             rep.server_filtered.extend(dropped)
             for i in kept:
-                if not _query_ok(contract, i, qp, fmt):
+                if _query_key(contract, i, qp, fmt) is None:
                     rep.update.bump(i, Y_CLIENT)
                     rep.v.append(i)
                     contract.add_counters(Counters(client_faults=1))
@@ -967,9 +1003,9 @@ def contract_resolve(ledger: Ledger, contract: RcContract) -> ResolutionReport:
     raw = contract.complaint_posts.get(MsgKind.CLIENT_COMPLAINTS.value)
     if raw is not None:
         complaints, opening = unpack_complaints(raw)
-        qp = _parse_qp(opening)
-        if qp is None or not _opening_valid(opening, contract, ledger, _SAP_QP):
-            rep.client_filtered.extend((int(c[0]), int(c[1])) for c in complaints)
+        qp = _agreed_qp(opening, contract, ledger)
+        if qp is None:
+            rep.client_filtered.extend(_read_items(complaints, _read_client_item))
         else:
             fmt = unit_format(qp.block_payload_len)
             kept, dropped = _filter_client_complaints(

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from porpay import crypto
+from porpay import crypto, por, protocol
 
 
 class TestPrf:
@@ -137,6 +137,59 @@ class TestCipherUnits:
         }
         lengths.add(len(crypto.sample_unit(self.fmt, rng)))
         assert lengths == {self.fmt.unit_len}
+
+
+class TestCipherCache:
+    fmt = crypto.UnitFormat(value_capacity=20)
+
+    def test_cached_ciphers_keep_keys_apart(self):
+        rng = random.Random(10)
+        key_a, key_b = crypto.gen_sym_key(rng), crypto.gen_sym_key(rng)
+        unit_a = crypto.enc_unit(key_a, b"under a", self.fmt, rng)
+        unit_b = crypto.enc_unit(key_b, b"under b", self.fmt, rng)
+        assert crypto.dec_unit(key_b, unit_b, self.fmt) == b"under b"
+        with pytest.raises(crypto.DecryptFailure):
+            crypto.dec_unit(key_b, unit_a, self.fmt)
+        with pytest.raises(crypto.DecryptFailure):
+            crypto.dec_unit(key_a, unit_b, self.fmt)
+        assert crypto.dec_unit(key_a, unit_a, self.fmt) == b"under a"
+
+    def test_bad_key_length_raises_every_time(self):
+        rng = random.Random(11)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                crypto.enc_unit(bytes(15), b"v", self.fmt, rng)
+            with pytest.raises(ValueError):
+                crypto.dec_unit(bytes(15), bytes(self.fmt.unit_len), self.fmt)
+
+
+class TestWireGolden:
+    """Digests of sealed bytes frozen from the per-unit-cipher implementation;
+    any change to the unit format or the order of RNG draws shows here."""
+
+    def test_enc_unit_stream(self):
+        rng = random.Random(7)
+        key = bytes(range(16))
+        fmt = crypto.UnitFormat(20)
+        wire = b"".join(
+            crypto.enc_unit(key, bytes([i]) * (i % 21), fmt, rng) for i in range(64)
+        )
+        assert hashlib.sha256(wire).hexdigest() == (
+            "485e194adf3f4777fe3c20590e84bdaba735a5938f97d11a2d67dae824fe0f03"
+        )
+
+    def test_padded_proof_vector(self):
+        # 13 blocks in a 16-leaf tree, 4 entries of 6 real and 3 sampled units
+        encoded, pp = por.setup(random.Random(11).randbytes(200),
+                                block_payload_len=16, phi=4)
+        pi = por.prove(encoded, bytes(range(16, 32)), pp)
+        wire = protocol.encode_proof_vector(
+            pi, bytes(range(32, 48)), protocol.unit_format(16), 3, random.Random(5)
+        )
+        assert len(wire) == 4 * (6 + 3) * 50
+        assert hashlib.sha256(wire).hexdigest() == (
+            "51a37d3580524bbad81cdac94b1964c1e998053ccd036421ef5bb20f904cff0b"
+        )
 
 
 class TestSampleUnit:

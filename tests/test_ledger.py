@@ -178,6 +178,20 @@ class TestPost:
         )
         assert contract.counters.client_faults == 1
 
+    def test_second_counters_post_rejected(self):
+        ledger, contract, client, server, arbiter = make_env(z=2)
+        goto(ledger, contract, "K6")
+        ledger.post(
+            contract,
+            LedgerMessage(arbiter, MsgKind.COUNTERS, Counters(0, 1, 0, 0).pack()),
+        )
+        with pytest.raises(DuplicateSlot):
+            ledger.post(
+                contract,
+                LedgerMessage(arbiter, MsgKind.COUNTERS, Counters(0, 1, 0, 0).pack()),
+            )
+        assert contract.counters == Counters(0, 1, 0, 0)
+
     def test_counter_bounds_enforced(self):
         ledger, contract, client, server, arbiter = make_env(z=2)
         goto(ledger, contract, "K6")

@@ -526,6 +526,89 @@ class TestArbiterlessResolution:
         assert payout == {"client": 13, "server": 14}
 
 
+class TestHostileComplaintPosts:
+    """Arbiterless resolution must survive any bytes a party posts at K1/K4.
+
+    The session has a corrupt proof in cycle 2; each post is a function of
+    the run, so a test can build a post from the parties' real openings."""
+
+    def resolve_and_pay(self, server_post=None, client_post=None):
+        config = make_config(z=3, variant=ARBITERLESS)
+        run = HonestRun(config, seed=21,
+                        server_behavior=ServerBehavior(corrupt_block=frozenset({2})))
+        ledger, contract = run.ledger, run.contract
+        start = ledger.total_supply()
+        for label, addr, kind, post in (
+            ("K1", run.server.addr, protocol.MsgKind.SERVER_COMPLAINTS, server_post),
+            ("K4", run.client.addr, protocol.MsgKind.CLIENT_COMPLAINTS, client_post),
+        ):
+            if post is not None:
+                goto(ledger, contract, label)
+                ledger.post(contract, protocol.LedgerMessage(addr, kind, post(run)))
+        goto(ledger, contract, "K5")
+        report = protocol.contract_resolve(ledger, contract)
+        goto(ledger, contract, "L")
+        run.client.request_payout(ledger)
+        payout = protocol.payout_arbiterless_variant(
+            ledger, contract, run.client.opening_cp
+        )
+        assert ledger.total_supply() == start
+        assert contract.escrow == 0
+        assert sum(payout.values()) == (
+            contract.client_deposited + contract.server_deposited
+        )
+        return run, report, payout
+
+    @staticmethod
+    def client_complains(run):
+        return protocol.pack_complaints(run.client.complaints, run.client.opening_qp)
+
+    @pytest.mark.parametrize("payload", [
+        pytest.param(b"not json", id="not-json"),
+        pytest.param(b"\xff\xfe", id="not-utf8"),
+        pytest.param(b"[1, 2]", id="not-an-object"),
+        pytest.param(b'{"complaints": 5}', id="no-opening"),
+        pytest.param(
+            b'{"complaints": [1], "opening": {"statement": 1, "randomness": ""}}',
+            id="opening-not-hex",
+        ),
+        pytest.param(b"[" * 100_000, id="deep-nesting"),
+    ])
+    def test_unparseable_server_post_is_filtered(self, payload):
+        run, report, payout = self.resolve_and_pay(
+            server_post=lambda run: payload, client_post=self.client_complains
+        )
+        assert report.server_admitted == report.server_filtered == []
+        assert report.client_admitted == [(2, 1)]
+        assert run.contract.counters == Counters(server_faults=1)
+        # z=3, o=5, l=2: client 21-10+2, server 6+10-2
+        assert payout == {"client": 13, "server": 14}
+
+    def test_unparseable_client_post_is_filtered(self):
+        run, report, payout = self.resolve_and_pay(client_post=lambda run: b"not json")
+        assert report.client_admitted == report.client_filtered == []
+        assert run.contract.counters == Counters()
+        # the unproven cycle is paid like the others: client 21-15, server 6+15
+        assert payout == {"client": 6, "server": 21}
+
+    def test_wrong_typed_items_are_filtered(self):
+        server_items = ["x", None, [1], {"j": 1}, float("inf"), 1]
+        client_items = [{"j": 2}, [2], "ab", 7, [float("inf"), 1], [None, 1], [2, 1]]
+        run, report, payout = self.resolve_and_pay(
+            server_post=lambda run: protocol.pack_complaints(
+                server_items, run.server.opening_qp
+            ),
+            client_post=lambda run: protocol.pack_complaints(
+                client_items, run.client.opening_qp
+            ),
+        )
+        assert report.server_admitted == [1]
+        assert report.client_admitted == [(2, 1)]
+        assert report.server_filtered == report.client_filtered == []
+        assert run.contract.counters == Counters(server_faults=1)
+        assert payout == {"client": 13, "server": 14}
+
+
 class TestPayoutGuards:
     def test_refund_path_raises_on_normal_payout(self):
         config = make_config(z=2)
