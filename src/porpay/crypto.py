@@ -2,21 +2,29 @@
 and fixed-size authenticated cipher units.
 
 Every value that crosses the ledger (a challenge key, a file block, a path
-digest, a leaf index) is packed into a unit of one session-wide size before
-encryption. Real payloads, dummy proofs, and uniformly sampled padding are
-therefore indistinguishable by length, which is the property the padding
-scheme relies on.
-
-Unit wire format: nonce || ciphertext || tag. The plaintext inside is a
+digest, a leaf index) is framed into a slot of one session-wide size: a
 2-byte big-endian length prefix, the value, and zero fill up to the session
-capacity.
+capacity. A challenge key travels as a unit whose plaintext is one slot. A
+proof entry travels as one entry unit whose plaintext is ``pi_max`` slots
+(its values, then all-zero pad slots), i.e. a unit of capacity
+``pi_max * payload_len`` carrying a value of exactly that length; only an
+entry longer than MAX_VALUE_LEN is split evenly over several such units.
+Real payloads, dummy proofs, and uniformly sampled padding are therefore
+indistinguishable by length, which is the property the padding scheme
+relies on.
+
+Unit wire format: nonce || ciphertext || tag, the plaintext being one slot
+of the unit's capacity.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import random
+import struct
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -32,6 +40,7 @@ SYM_KEY_LEN = 16
 NONCE_LEN = 12
 TAG_LEN = 16
 _LEN_PREFIX = 2
+MAX_VALUE_LEN = (1 << 8 * _LEN_PREFIX) - 1  # the largest length a prefix states
 
 
 class BadRandomnessLength(ValueError):
@@ -109,17 +118,40 @@ def _aead(key: bytes) -> AESGCM:
     return AESGCM(key)
 
 
+def _slot_layout(count: int, fmt: UnitFormat) -> str:
+    # per slot: the _LEN_PREFIX-byte big-endian length, then the value
+    # zero-filled to the capacity; the struct module caches the compiled form
+    return ">" + f"H{fmt.value_capacity}s" * count
+
+
+def pack_slots(values: Sequence[bytes], fmt: UnitFormat) -> bytes:
+    """Frame each value into ``fmt.payload_len`` bytes (length prefix, value,
+    zero fill) and concatenate the slots."""
+    lens = [len(value) for value in values]
+    if max(lens) > fmt.value_capacity:
+        raise ValueError(
+            f"value of {max(lens)} bytes exceeds unit capacity {fmt.value_capacity}"
+        )
+    fields = itertools.chain.from_iterable(zip(lens, values))
+    return struct.pack(_slot_layout(len(lens), fmt), *fields)
+
+
+def unpack_slots(data: bytes, count: int, fmt: UnitFormat) -> list[bytes]:
+    """Values of the first ``count`` slots of ``data``, which must hold at
+    least that many.
+
+    Raises DecryptFailure when a length prefix exceeds the capacity.
+    """
+    fields = struct.unpack_from(_slot_layout(count, fmt), data)
+    lens = fields[0::2]
+    if max(lens) > fmt.value_capacity:
+        raise DecryptFailure("payload length prefix exceeds unit capacity")
+    return [slot[:n] for n, slot in zip(lens, fields[1::2])]
+
+
 def enc_unit(key: bytes, value: bytes, fmt: UnitFormat, rng: random.Random) -> bytes:
     """Encrypt ``value`` into one fixed-length unit under a fresh nonce."""
-    if len(value) > fmt.value_capacity:
-        raise ValueError(
-            f"value of {len(value)} bytes exceeds unit capacity {fmt.value_capacity}"
-        )
-    payload = (
-        len(value).to_bytes(_LEN_PREFIX, "big")
-        + value
-        + bytes(fmt.value_capacity - len(value))
-    )
+    payload = pack_slots((value,), fmt)
     nonce = rng.randbytes(NONCE_LEN)
     return nonce + _aead(key).encrypt(nonce, payload, None)
 
@@ -136,10 +168,7 @@ def dec_unit(key: bytes, unit: bytes, fmt: UnitFormat) -> bytes:
         payload = _aead(key).decrypt(unit[:NONCE_LEN], unit[NONCE_LEN:], None)
     except InvalidTag as exc:
         raise DecryptFailure("unit failed authentication") from exc
-    n = int.from_bytes(payload[:_LEN_PREFIX], "big")
-    if n > fmt.value_capacity:
-        raise DecryptFailure("payload length prefix exceeds unit capacity")
-    return payload[_LEN_PREFIX : _LEN_PREFIX + n]
+    return unpack_slots(payload, 1, fmt)[0]
 
 
 def sample_unit(fmt: UnitFormat, rng: random.Random) -> bytes:

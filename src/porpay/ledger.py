@@ -61,6 +61,10 @@ class CounterOutOfBounds(ValueError):
     """Counter update would violate the per-session counter bounds."""
 
 
+class MalformedPayload(ValueError):
+    """Payload the contract must decode does not have the fixed wire shape."""
+
+
 @dataclass(frozen=True)
 class Address:
     """Opaque party identifier; the handle doubles as the send capability."""
@@ -153,6 +157,9 @@ class Counters:
     client_unneeded_disputes: int = 0
     server_unneeded_disputes: int = 0
 
+    _LAYOUT = struct.Struct(">QQQQ")
+    PACKED_LEN = _LAYOUT.size
+
     def as_dict(self) -> dict:
         return {
             "client_faults": self.client_faults,
@@ -162,8 +169,7 @@ class Counters:
         }
 
     def pack(self) -> bytes:
-        return struct.pack(
-            ">QQQQ",
+        return self._LAYOUT.pack(
             self.client_faults,
             self.server_faults,
             self.client_unneeded_disputes,
@@ -172,7 +178,7 @@ class Counters:
 
     @classmethod
     def unpack(cls, data: bytes) -> "Counters":
-        return cls(*struct.unpack(">QQQQ", data))
+        return cls(*cls._LAYOUT.unpack(data))
 
 
 @dataclass(frozen=True)
@@ -220,11 +226,15 @@ class RcContract:
             raise MissingQuery(f"no query posted for cycle {j}") from None
 
     def add_counters(self, delta: Counters) -> None:
-        c = self.counters
-        c.client_faults += delta.client_faults
-        c.server_faults += delta.server_faults
-        c.client_unneeded_disputes += delta.client_unneeded_disputes
-        c.server_unneeded_disputes += delta.server_unneeded_disputes
+        """Add ``delta``; a sum outside the per-session bounds raises
+        CounterOutOfBounds and leaves the counters as they were."""
+        old = self.counters
+        c = Counters(
+            old.client_faults + delta.client_faults,
+            old.server_faults + delta.server_faults,
+            old.client_unneeded_disputes + delta.client_unneeded_disputes,
+            old.server_unneeded_disputes + delta.server_unneeded_disputes,
+        )
         if (
             min(c.client_faults, c.server_faults,
                 c.client_unneeded_disputes, c.server_unneeded_disputes) < 0
@@ -232,6 +242,7 @@ class RcContract:
             or c.server_faults + c.server_unneeded_disputes > self.params.z
         ):
             raise CounterOutOfBounds(f"counters {c.as_dict()} exceed z={self.params.z}")
+        self.counters = c
 
     # message admission rules: (kind, sender role, time label) must line up
     def check_message(self, msg: LedgerMessage, now: TimePoint) -> None:
@@ -272,6 +283,11 @@ class RcContract:
             self._require_time(now, "K6")
             if self.counters_posted:
                 raise DuplicateSlot("arbiter counters already posted")
+            if len(msg.payload) != Counters.PACKED_LEN:
+                raise MalformedPayload(
+                    f"counters payload of {len(msg.payload)} bytes, "
+                    f"expected {Counters.PACKED_LEN}"
+                )
         elif msg.kind is MsgKind.PAY:
             if msg.sender not in (p.addr_client, p.addr_server):
                 raise WrongSender("pay must come from a session party")

@@ -13,10 +13,9 @@ the leaf position, so paths carry no direction flags.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
-from .hashing import HASH_LEN, digest
+from .hashing import digest
 
 
 class EmptyInput(ValueError):
@@ -61,27 +60,6 @@ class MerklePath:
     sibling_block: bytes
     sibling_digests: tuple[bytes, ...]
     leaf_index: int  # 1-based position in the original block list
-
-    def to_bytes(self) -> bytes:
-        return (
-            struct.pack(">I", self.leaf_index)
-            + self.leaf_block
-            + self.sibling_block
-            + b"".join(self.sibling_digests)
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes, block_len: int) -> "MerklePath":
-        if len(data) < 4 + 2 * block_len:
-            raise ValueError("path too short for declared block length")
-        (leaf_index,) = struct.unpack(">I", data[:4])
-        leaf = data[4 : 4 + block_len]
-        sibling = data[4 + block_len : 4 + 2 * block_len]
-        rest = data[4 + 2 * block_len :]
-        if len(rest) % HASH_LEN != 0:
-            raise ValueError("trailing digest bytes not a multiple of the hash length")
-        digests = tuple(rest[i : i + HASH_LEN] for i in range(0, len(rest), HASH_LEN))
-        return cls(leaf, sibling, digests, leaf_index)
 
 
 def gen_tree(blocks) -> tuple[MerkleTree, bytes]:

@@ -9,7 +9,10 @@ One session runs eight phases over the ledger clock:
    away and trigger the T2 refund path;
 4. query: the client posts an encrypted challenge key at each G(j,1);
 5. prove: the server answers at G(j,2) with an encrypted padded proof
-   vector, or a complaint plus an identically shaped dummy;
+   vector, or a complaint plus an identically shaped dummy. Each of the phi
+   entries is sealed as one cipher unit holding pi_max fixed-size slots
+   (block, sibling block, sibling digests, leaf index, then zero pads), so
+   the vector is phi equal units whatever the tree height;
 6. verify: the client checks each cycle locally and records complaints;
 7. dispute resolution at K1..K6 over both complaint lists;
 8. coin transfer at L (or the refund at T2).
@@ -31,10 +34,11 @@ import dataclasses
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import merkle, por
 from .crypto import (
+    MAX_VALUE_LEN,
     PSI_BITS,
     DecryptFailure,
     Opening,
@@ -42,8 +46,10 @@ from .crypto import (
     dec_unit,
     enc_unit,
     gen_sym_key,
+    pack_slots,
     prf,
     sample_unit,
+    unpack_slots,
 )
 from .ledger import (
     Address,
@@ -245,7 +251,7 @@ class SessionConfig:
     price_list: PriceList
     price_choice: PricePair
     block_payload_len: int = por.DEFAULT_BLOCK_PAYLOAD_LEN
-    pi_max: int | None = None  # per-entry unit budget; None means no padding
+    pi_max: int | None = None  # per-entry slot budget; None means no padding
     variant: str = ARBITER
     codec_name: str = "identity"
 
@@ -265,16 +271,40 @@ def make_codec(name: str, block_payload_len: int) -> por.Codec:
 
 
 def entry_real_units(m: int) -> int:
-    """Cipher units per proof entry: block, sibling block, one digest per
+    """Value slots per proof entry: block, sibling block, one digest per
     upper level, and the leaf index."""
     height = merkle.padded_leaf_count(m).bit_length() - 1
     return height + 2
 
 
 def unit_format(block_payload_len: int) -> UnitFormat:
-    """One unit size fits every value a session sends: blocks, digests,
+    """One slot size fits every value a session sends: blocks, digests,
     leaf indices, and challenge keys."""
     return UnitFormat(max(block_payload_len + por.INDEX_LEN, PSI_BITS // 8))
+
+
+class EntryLayout(NamedTuple):
+    """How one proof entry's slots are sealed: ``units`` cipher units of
+    geometry ``fmt``, each holding an equal share of the slots, the last
+    one zero-filled. One unit, unless the slots exceed the largest value a
+    unit can carry (kilobyte blocks in a deep tree)."""
+
+    units: int
+    fmt: UnitFormat
+
+    @property
+    def plain_len(self) -> int:
+        return self.units * self.fmt.value_capacity
+
+    @property
+    def wire_len(self) -> int:
+        return self.units * self.fmt.unit_len
+
+
+def entry_layout(fmt: UnitFormat, slots: int) -> EntryLayout:
+    """Seal geometry for entries of ``slots`` slots of ``fmt.payload_len``."""
+    units = -(-slots // (MAX_VALUE_LEN // fmt.payload_len))
+    return EntryLayout(units, UnitFormat(-(-slots // units) * fmt.payload_len))
 
 
 def key_gen(rng: random.Random, pi_max: int, pi_act: int) -> tuple[bytes, int]:
@@ -291,6 +321,16 @@ def key_gen(rng: random.Random, pi_max: int, pi_act: int) -> tuple[bytes, int]:
 # ---------------------------------------------------------------------------
 
 
+def _entry_values(entry: por.ProofEntry) -> tuple[bytes, ...]:
+    path = entry.path
+    return (
+        entry.block,
+        path.sibling_block,
+        *path.sibling_digests,
+        path.leaf_index.to_bytes(por.INDEX_LEN, "big"),
+    )
+
+
 def encode_proof_vector(
     pi: por.ProofVector,
     k_bar: bytes,
@@ -298,17 +338,21 @@ def encode_proof_vector(
     pad_pi: int,
     rng: random.Random,
 ) -> bytes:
-    """Encrypt every proof element and append pad_pi sampled units per entry."""
-    units: list[bytes] = []
-    for entry in pi:
-        path = entry.path
-        units.append(enc_unit(k_bar, entry.block, fmt, rng))
-        units.append(enc_unit(k_bar, path.sibling_block, fmt, rng))
-        units.extend(enc_unit(k_bar, d, fmt, rng) for d in path.sibling_digests)
-        units.append(
-            enc_unit(k_bar, path.leaf_index.to_bytes(por.INDEX_LEN, "big"), fmt, rng)
-        )
-        units.extend(sample_unit(fmt, rng) for _ in range(pad_pi))
+    """Seal every proof entry, padded with pad_pi zero slots, as one cipher
+    unit (several only past the limit EntryLayout describes)."""
+    values = [_entry_values(entry) for entry in pi]
+    # all paths of one tree have the same length, so the first entry fixes
+    # the layout
+    layout = entry_layout(fmt, len(values[0]) + pad_pi)
+    step = layout.fmt.value_capacity
+    units = []
+    for entry_values in values:
+        packed = pack_slots(entry_values, fmt)
+        packed += bytes(layout.plain_len - len(packed))  # a longer entry raises
+        units += [
+            enc_unit(k_bar, packed[i : i + step], layout.fmt, rng)
+            for i in range(0, layout.plain_len, step)
+        ]
     return b"".join(units)
 
 
@@ -316,17 +360,33 @@ def dummy_proof_vector(
     phi: int, real_units: int, pad_pi: int, fmt: UnitFormat, rng: random.Random
 ) -> bytes:
     """All-sampled vector with exactly the shape of a real one."""
-    total = phi * (real_units + pad_pi)
-    return b"".join(sample_unit(fmt, rng) for _ in range(total))
+    layout = entry_layout(fmt, real_units + pad_pi)
+    return b"".join([sample_unit(layout.fmt, rng) for _ in range(phi * layout.units)])
+
+
+class SealedEntry(NamedTuple):
+    """One entry's sealed bytes with the geometry needed to open them."""
+
+    data: bytes
+    real_units: int
+    layout: EntryLayout
 
 
 def _decode_entry(
-    units: Sequence[bytes], k_bar: bytes, fmt: UnitFormat
+    sealed: SealedEntry, k_bar: bytes, fmt: UnitFormat
 ) -> por.ProofEntry:
-    values = [dec_unit(k_bar, u, fmt) for u in units]
+    ufmt = sealed.layout.fmt
+    n = ufmt.unit_len
+    data = sealed.data
+    packed = b"".join(
+        [dec_unit(k_bar, data[i : i + n], ufmt) for i in range(0, len(data), n)]
+    )
+    if len(packed) != sealed.layout.plain_len:
+        raise DecryptFailure("entry units do not fill their slots")
+    values = unpack_slots(packed, sealed.real_units, fmt)
     raw_index = values[-1]
     if len(raw_index) != por.INDEX_LEN:
-        raise DecryptFailure("malformed leaf index unit")
+        raise DecryptFailure("malformed leaf index slot")
     block = values[0]
     path = merkle.MerklePath(
         leaf_block=block,
@@ -339,14 +399,14 @@ def _decode_entry(
 
 def _entry_units(
     payload: bytes, index: int, real_units: int, pad_pi: int, fmt: UnitFormat
-) -> list[bytes]:
-    """Real units of the 1-based ``index``-th entry, trailing pads stripped."""
-    stride = (real_units + pad_pi) * fmt.unit_len
-    start = (index - 1) * stride
-    chunk = payload[start : start + real_units * fmt.unit_len]
-    if len(chunk) != real_units * fmt.unit_len:
+) -> SealedEntry:
+    """The sealed 1-based ``index``-th entry, ready for _decode_entry."""
+    layout = entry_layout(fmt, real_units + pad_pi)
+    start = (index - 1) * layout.wire_len
+    data = payload[start : start + layout.wire_len]
+    if len(data) != layout.wire_len:
         raise DecryptFailure("proof vector too short for requested entry")
-    return [chunk[i : i + fmt.unit_len] for i in range(0, len(chunk), fmt.unit_len)]
+    return SealedEntry(data, real_units, layout)
 
 
 def decode_proof_vector(
@@ -357,20 +417,23 @@ def decode_proof_vector(
     pad_pi: int,
     fmt: UnitFormat,
 ) -> tuple[por.ProofVector | None, int | None]:
-    """Strip pads and decrypt all entries.
+    """Open every entry.
 
     Returns (entries, None) on success or (None, g) where g is the first
-    entry that failed to decode; a mis-shaped vector fails at entry 1.
+    entry that failed to open or carried a malformed slot; a mis-shaped
+    vector fails at entry 1.
     """
-    if len(payload) != phi * (real_units + pad_pi) * fmt.unit_len:
+    layout = entry_layout(fmt, real_units + pad_pi)
+    n = layout.wire_len
+    if len(payload) != phi * n:
         return None, 1
     entries = []
-    for g in range(1, phi + 1):
+    for g in range(phi):
         try:
-            units = _entry_units(payload, g, real_units, pad_pi, fmt)
-            entries.append(_decode_entry(units, k_bar, fmt))
+            sealed = SealedEntry(payload[g * n : (g + 1) * n], real_units, layout)
+            entries.append(_decode_entry(sealed, k_bar, fmt))
         except DecryptFailure:
-            return None, g
+            return None, g + 1
     return tuple(entries), None
 
 

@@ -17,7 +17,7 @@ Scenario schema::
         "z": 3, "phi": 16, "block_payload_len": 16,
         "price_list": [[5, 2], [3, 1]],
         "price_choice": [5, 2],
-        "pi_max": null,                  # optional per-entry unit budget
+        "pi_max": null,                  # optional per-entry slot budget
         "variant": "arbiter",            # or "arbiterless"
         "codec": "identity"              # or "xor-parity"
       },

@@ -164,8 +164,8 @@ class TestCipherCache:
 
 
 class TestWireGolden:
-    """Digests of sealed bytes frozen from the per-unit-cipher implementation;
-    any change to the unit format or the order of RNG draws shows here."""
+    """Digests of sealed bytes; any change to the unit format, the entry
+    layout or the order of RNG draws shows here."""
 
     def test_enc_unit_stream(self):
         rng = random.Random(7)
@@ -179,16 +179,17 @@ class TestWireGolden:
         )
 
     def test_padded_proof_vector(self):
-        # 13 blocks in a 16-leaf tree, 4 entries of 6 real and 3 sampled units
+        # 13 blocks in a 16-leaf tree: 4 entry units of 6 real + 3 pad slots,
+        # each nonce + 2-byte prefix + 9 slots of 22 bytes + tag
         encoded, pp = por.setup(random.Random(11).randbytes(200),
                                 block_payload_len=16, phi=4)
         pi = por.prove(encoded, bytes(range(16, 32)), pp)
         wire = protocol.encode_proof_vector(
             pi, bytes(range(32, 48)), protocol.unit_format(16), 3, random.Random(5)
         )
-        assert len(wire) == 4 * (6 + 3) * 50
+        assert len(wire) == 4 * (12 + 2 + (6 + 3) * 22 + 16)
         assert hashlib.sha256(wire).hexdigest() == (
-            "51a37d3580524bbad81cdac94b1964c1e998053ccd036421ef5bb20f904cff0b"
+            "549f8fec49e468d8751bfaf72b92ab798f8ce488707807524cbc95e69c1f1451"
         )
 
 

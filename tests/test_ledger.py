@@ -13,6 +13,7 @@ from porpay.ledger import (
     InsufficientBalance,
     Ledger,
     LedgerMessage,
+    MalformedPayload,
     MsgKind,
     NonMonotonicTime,
     OutOfWindow,
@@ -200,6 +201,32 @@ class TestPost:
                 contract,
                 LedgerMessage(arbiter, MsgKind.COUNTERS, Counters(2, 0, 1, 0).pack()),
             )
+
+    def test_rejected_counters_post_changes_nothing(self):
+        ledger, contract, client, server, arbiter = make_env(z=2)
+        goto(ledger, contract, "K6")
+        with pytest.raises(CounterOutOfBounds):
+            ledger.post(
+                contract,
+                LedgerMessage(arbiter, MsgKind.COUNTERS, Counters(2, 0, 1, 0).pack()),
+            )
+        assert contract.counters == Counters()
+        assert not contract.counters_posted
+        ledger.post(
+            contract,
+            LedgerMessage(arbiter, MsgKind.COUNTERS, Counters(1, 0, 1, 0).pack()),
+        )
+        assert contract.counters == Counters(1, 0, 1, 0)
+
+    @pytest.mark.parametrize("payload", [b"", b"short", bytes(31), bytes(33)])
+    def test_malformed_counters_payload_rejected(self, payload):
+        ledger, contract, client, server, arbiter = make_env(z=2)
+        goto(ledger, contract, "K6")
+        with pytest.raises(MalformedPayload):
+            ledger.post(contract, LedgerMessage(arbiter, MsgKind.COUNTERS, payload))
+        assert contract.counters == Counters()
+        assert not contract.counters_posted
+        assert all(e["kind"] != "counters" for e in ledger.export_trace())
 
     def test_complaint_posts_only_in_arbiterless_variant(self):
         ledger, contract, client, server, _ = make_env()

@@ -166,17 +166,3 @@ class TestVerify:
                               path.sibling_digests, 0),
             root,
         )
-
-
-class TestSerialization:
-    def test_roundtrip(self):
-        tree, _ = merkle.gen_tree(blocks_of(8))
-        path = merkle.prove(tree, 3)
-        data = path.to_bytes()
-        assert merkle.MerklePath.from_bytes(data, block_len=8) == path
-
-    def test_truncated_rejected(self):
-        tree, _ = merkle.gen_tree(blocks_of(8))
-        data = merkle.prove(tree, 3).to_bytes()
-        with pytest.raises(ValueError):
-            merkle.MerklePath.from_bytes(data[:-1], block_len=8)

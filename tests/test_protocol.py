@@ -5,7 +5,7 @@ import random
 import pytest
 
 from porpay import por, protocol
-from porpay.crypto import Opening, dec_unit
+from porpay.crypto import Opening, dec_unit, enc_unit
 from porpay.ledger import Counters, Ledger
 from porpay.protocol import (
     ARBITER,
@@ -279,16 +279,18 @@ class TestWireShape:
         m = run.client.pp.m
         real = protocol.entry_real_units(m)
         payload = run.contract.proofs[1]
-        assert len(payload) == config.phi * real * run.client.fmt.unit_len
+        entry_len = protocol.entry_layout(run.client.fmt, real).wire_len
+        assert len(payload) == config.phi * entry_len
 
     def test_padded_vector_shape(self):
-        # m=64 blocks -> height 6 -> 8 real units; budget of 11 pads by 3
+        # m=64 blocks -> height 6 -> 8 real slots; budget of 11 pads by 3
         config = make_config(z=1, phi=4, pi_max=11)
         run = HonestRun(config, file_size=1024)
         assert run.client.pad_pi == 3
         real = protocol.entry_real_units(run.client.pp.m)
         payload = run.contract.proofs[1]
-        assert len(payload) == config.phi * (real + 3) * run.client.fmt.unit_len
+        entry_len = protocol.entry_layout(run.client.fmt, real + 3).wire_len
+        assert len(payload) == config.phi * entry_len
 
     def test_dummy_matches_real_shape(self):
         rng = random.Random(0)
@@ -323,6 +325,114 @@ class TestWireShape:
         entries, failed = protocol.decode_proof_vector(dummy, b"\x03" * 16, 4, 8, 0, fmt)
         assert entries is None
         assert failed == 1
+
+
+class TestEntryUnits:
+    """One cipher unit per proof entry: layout, per-entry failure, and the
+    tree height hidden behind pi_max."""
+
+    K_BAR = b"\x04" * 16
+    PAD = 2
+
+    def vector(self):
+        rng = random.Random(5)
+        fmt = protocol.unit_format(16)
+        encoded, pp = por.setup(rng.randbytes(512), 16, 6)
+        pi = por.prove(encoded, por.gen_query(rng), pp)
+        real = protocol.entry_real_units(pp.m)
+        payload = protocol.encode_proof_vector(pi, self.K_BAR, fmt, self.PAD, rng)
+        layout = protocol.entry_layout(fmt, real + self.PAD)
+        assert layout.units == 1
+        return pi, pp, fmt, layout.fmt, real, payload
+
+    def decode(self, payload, pp, fmt, real):
+        return protocol.decode_proof_vector(
+            payload, self.K_BAR, pp.phi, real, self.PAD, fmt
+        )
+
+    def test_entry_plaintext_layout(self):
+        from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+        pi, pp, fmt, efmt, real, payload = self.vector()
+        assert len(payload) == pp.phi * efmt.unit_len
+        for g, entry in enumerate(pi):
+            unit = payload[g * efmt.unit_len : (g + 1) * efmt.unit_len]
+            plain = AESGCM(self.K_BAR).decrypt(unit[:12], unit[12:], None)
+            values = [entry.block, entry.path.sibling_block,
+                      *entry.path.sibling_digests,
+                      entry.path.leaf_index.to_bytes(4, "big")]
+            slots = b"".join(len(v).to_bytes(2, "big") + v + bytes(20 - len(v))
+                             for v in values)
+            body = slots + bytes(self.PAD * 22)
+            assert len(values) == real
+            assert plain == len(body).to_bytes(2, "big") + body
+
+    @pytest.mark.parametrize("g", [1, 3, 6])
+    def test_flipped_byte_fails_that_entry(self, g):
+        pi, pp, fmt, efmt, real, payload = self.vector()
+        bad = bytearray(payload)
+        bad[(g - 1) * efmt.unit_len + efmt.unit_len // 2] ^= 0x01
+        assert self.decode(bytes(bad), pp, fmt, real) == (None, g)
+
+    @pytest.mark.parametrize(
+        "slot, prefix",
+        [(0, 21), (2, 0xFFFF), ("index", 3), ("index", 5)],
+    )
+    def test_bad_slot_fails_that_entry(self, slot, prefix):
+        # the entry is resealed under the right key, so only the slot check
+        # can reject it; a correct prefix is resealed as a control
+        pi, pp, fmt, efmt, real, payload = self.vector()
+        g = 4
+        start = (g - 1) * efmt.unit_len
+        unit = payload[start : start + efmt.unit_len]
+        plain = bytearray(dec_unit(self.K_BAR, unit, efmt))
+        offset = (real - 1 if slot == "index" else slot) * fmt.payload_len
+        good = bytes(plain)
+        plain[offset : offset + 2] = prefix.to_bytes(2, "big")
+
+        def splice(packed):
+            sealed = enc_unit(self.K_BAR, packed, efmt, random.Random(0))
+            return payload[:start] + sealed + payload[start + efmt.unit_len :]
+
+        assert self.decode(splice(good), pp, fmt, real) == (pi, None)
+        assert self.decode(splice(bytes(plain)), pp, fmt, real) == (None, g)
+
+    def test_short_plaintext_fails_that_entry(self):
+        pi, pp, fmt, efmt, real, payload = self.vector()
+        unit = enc_unit(self.K_BAR, b"\x00" * 40, efmt, random.Random(0))
+        bad = payload[: efmt.unit_len] + unit + payload[2 * efmt.unit_len :]
+        assert self.decode(bad, pp, fmt, real) == (None, 2)
+
+    def test_tree_height_hidden_behind_pi_max(self):
+        # m=64 and m=256 need 8 and 10 real slots; both pad to 12
+        lengths, reals = set(), []
+        for file_size in (1024, 4096):
+            run = HonestRun(make_config(z=2, phi=4, pi_max=12), file_size=file_size)
+            assert all(v.accepted for v in run.verdicts.values())
+            lengths.update(len(p) for p in run.contract.proofs.values())
+            reals.append(protocol.entry_real_units(run.client.pp.m))
+        assert reals == [8, 10]
+        assert lengths == {4 * protocol.entry_layout(run.client.fmt, 12).wire_len}
+
+    def test_entry_past_one_unit_is_split(self):
+        # 20 slots of 4102 bytes exceed one unit's 65,535-byte limit, so each
+        # entry is sealed as two units of 10 slots
+        config = make_config(z=2, phi=4, pi_max=20, payload=4096)
+        run = HonestRun(config, file_size=8 * 4096)
+        layout = protocol.entry_layout(run.client.fmt, 20)
+        assert layout.units == 2
+        assert layout.fmt.value_capacity == 10 * 4102
+        assert all(v.accepted for v in run.verdicts.values())
+        payload = run.contract.proofs[1]
+        assert len(payload) == 4 * layout.wire_len
+        real = protocol.entry_real_units(run.client.pp.m)
+        args = (run.client.k_bar, 4, real, run.client.pad_pi, run.client.fmt)
+        bad = bytearray(payload)
+        bad[2 * layout.wire_len + layout.fmt.unit_len + 100] ^= 0x01  # entry 3, unit 2
+        assert protocol.decode_proof_vector(bytes(bad), *args) == (None, 3)
+        dummy = protocol.dummy_proof_vector(4, real, run.client.pad_pi,
+                                            run.client.fmt, random.Random(0))
+        assert len(dummy) == len(payload)
 
 
 class TestResolutionFilters:
