@@ -20,7 +20,6 @@ of the unit's capacity.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 import struct
 from dataclasses import dataclass, field
@@ -118,22 +117,25 @@ def _aead(key: bytes) -> AESGCM:
     return AESGCM(key)
 
 
-def _slot_layout(count: int, fmt: UnitFormat) -> str:
-    # per slot: the _LEN_PREFIX-byte big-endian length, then the value
-    # zero-filled to the capacity; the struct module caches the compiled form
-    return ">" + f"H{fmt.value_capacity}s" * count
+@functools.lru_cache(maxsize=32)
+def _slot_layout(count: int, capacity: int) -> struct.Struct:
+    """Compiled layout of ``count`` slots, each the _LEN_PREFIX-byte
+    big-endian length, then the value zero-filled to ``capacity``."""
+    return struct.Struct(">" + f"H{capacity}s" * count)
 
 
 def pack_slots(values: Sequence[bytes], fmt: UnitFormat) -> bytes:
     """Frame each value into ``fmt.payload_len`` bytes (length prefix, value,
     zero fill) and concatenate the slots."""
-    lens = [len(value) for value in values]
+    lens = list(map(len, values))
     if max(lens) > fmt.value_capacity:
         raise ValueError(
             f"value of {max(lens)} bytes exceeds unit capacity {fmt.value_capacity}"
         )
-    fields = itertools.chain.from_iterable(zip(lens, values))
-    return struct.pack(_slot_layout(len(lens), fmt), *fields)
+    fields = [None] * (2 * len(lens))  # (length, value) per slot, in order
+    fields[0::2] = lens
+    fields[1::2] = values
+    return _slot_layout(len(lens), fmt.value_capacity).pack(*fields)
 
 
 def unpack_slots(data: bytes, count: int, fmt: UnitFormat) -> list[bytes]:
@@ -142,7 +144,7 @@ def unpack_slots(data: bytes, count: int, fmt: UnitFormat) -> list[bytes]:
 
     Raises DecryptFailure when a length prefix exceeds the capacity.
     """
-    fields = struct.unpack_from(_slot_layout(count, fmt), data)
+    fields = _slot_layout(count, fmt.value_capacity).unpack_from(data)
     lens = fields[0::2]
     if max(lens) > fmt.value_capacity:
         raise DecryptFailure("payload length prefix exceeds unit capacity")
@@ -150,14 +152,20 @@ def unpack_slots(data: bytes, count: int, fmt: UnitFormat) -> list[bytes]:
 
 
 def enc_unit(key: bytes, value: bytes, fmt: UnitFormat, rng: random.Random) -> bytes:
-    """Encrypt ``value`` into one fixed-length unit under a fresh nonce."""
-    payload = pack_slots((value,), fmt)
+    """Encrypt ``value``, framed as one slot, into one fixed-length unit
+    under a fresh nonce."""
+    n = len(value)
+    if n > fmt.value_capacity:
+        raise ValueError(
+            f"value of {n} bytes exceeds unit capacity {fmt.value_capacity}"
+        )
+    payload = n.to_bytes(_LEN_PREFIX, "big") + value.ljust(fmt.value_capacity, b"\0")
     nonce = rng.randbytes(NONCE_LEN)
     return nonce + _aead(key).encrypt(nonce, payload, None)
 
 
 def dec_unit(key: bytes, unit: bytes, fmt: UnitFormat) -> bytes:
-    """Authenticate and decrypt one unit, returning the packed value.
+    """Authenticate and decrypt one unit, returning the value of its slot.
 
     Raises DecryptFailure on a wrong key, any tampering, a wrong unit
     length, or a length prefix that exceeds the capacity.
@@ -168,7 +176,10 @@ def dec_unit(key: bytes, unit: bytes, fmt: UnitFormat) -> bytes:
         payload = _aead(key).decrypt(unit[:NONCE_LEN], unit[NONCE_LEN:], None)
     except InvalidTag as exc:
         raise DecryptFailure("unit failed authentication") from exc
-    return unpack_slots(payload, 1, fmt)[0]
+    n = int.from_bytes(payload[:_LEN_PREFIX], "big")
+    if n > fmt.value_capacity:
+        raise DecryptFailure("payload length prefix exceeds unit capacity")
+    return payload[_LEN_PREFIX : _LEN_PREFIX + n]
 
 
 def sample_unit(fmt: UnitFormat, rng: random.Random) -> bytes:

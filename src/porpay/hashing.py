@@ -4,6 +4,12 @@ The default output length is 16 bytes (128 bits), the session security
 parameter. A module-level call counter backs the dispute-cost ratio checks
 in the test suite; it is plain instrumentation, not thread-safe, and has no
 effect on results.
+
+Every hash is counted. Most callers go through ``digest``, which counts one
+call each. A hot loop whose hash count is known up front (a Merkle path
+verification always hashes its whole path) may hash inline with
+``hashlib.sha256(data).digest()[:HASH_LEN]`` and ``tally`` the calls in
+bulk, so the counts stay exactly those of one ``digest`` per hash.
 """
 
 from __future__ import annotations
@@ -24,8 +30,14 @@ def digest(data: bytes, out_len: int = HASH_LEN) -> bytes:
     return hashlib.sha256(data).digest()[:out_len]
 
 
+def tally(n: int) -> None:
+    """Count ``n`` hashes made inline, outside ``digest``."""
+    global _calls
+    _calls += n
+
+
 @contextmanager
 def count_hash_calls() -> Iterator[Callable[[], int]]:
-    """Yield a callable reporting how many digest() calls happened since entry."""
+    """Yield a callable reporting how many hashes were counted since entry."""
     start = _calls
     yield lambda: _calls - start

@@ -492,17 +492,6 @@ class Ledger:
             for entry in self.trace:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
-    def genesis_dict(self) -> dict:
-        return {"accounts": [{"address": a.id, "balance": b}
-                             for a, b in sorted(self._balances.items(), key=lambda kv: kv[0].id)]}
-
-    @classmethod
-    def from_genesis(cls, genesis: dict) -> "Ledger":
-        ledger = cls()
-        for acct in genesis["accounts"]:
-            ledger.create_account(acct["address"], acct["balance"])
-        return ledger
-
     def snapshot(self) -> bytes:
         """Canonical byte serialization of the full ledger state."""
         state = {

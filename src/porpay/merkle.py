@@ -14,8 +14,10 @@ the leaf position, so paths carry no direction flags.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from hashlib import sha256
+from typing import NamedTuple
 
-from .hashing import digest
+from .hashing import HASH_LEN, digest, tally
 
 
 class EmptyInput(ValueError):
@@ -52,8 +54,7 @@ class MerkleTree:
         return self.levels[-1][0]
 
 
-@dataclass(frozen=True)
-class MerklePath:
+class MerklePath(NamedTuple):
     """Membership proof for one leaf; ``sibling_digests`` run from level 1 upward."""
 
     leaf_block: bytes
@@ -95,23 +96,28 @@ def prove(tree: MerkleTree, index: int) -> MerklePath:
         else bytes(block_len)
     )
     # one sibling digest per level from 1 to height-1
-    digests = tuple(
-        tree.levels[k - 1][(pos >> k) ^ 1] for k in range(1, tree.height)
-    )
+    levels = tree.levels
+    digests = tuple([levels[k - 1][(pos >> k) ^ 1] for k in range(1, tree.height)])
     return MerklePath(tree.leaf_blocks[pos], sibling, digests, index)
 
 
 def verify(path: MerklePath, root: bytes) -> bool:
-    """Recompute the root from the path; 1-for-match, 0 otherwise. Never raises."""
-    if path.leaf_index < 1:
+    """Recompute the root from the path; 1-for-match, 0 otherwise. Never raises.
+
+    Hashes inline and tallies the whole path at once: a path with a valid
+    leaf index always hashes all 1 + len(sibling_digests) nodes.
+    """
+    leaf_block, sibling_block, sibling_digests, leaf_index = path
+    if leaf_index < 1:
         return False
-    pos = path.leaf_index - 1
+    pos = leaf_index - 1
     if pos & 1 == 0:
-        node = digest(path.leaf_block + path.sibling_block)
+        node = sha256(leaf_block + sibling_block).digest()[:HASH_LEN]
     else:
-        node = digest(path.sibling_block + path.leaf_block)
-    pos >>= 1
-    for sibling in path.sibling_digests:
-        node = digest(node + sibling) if pos & 1 == 0 else digest(sibling + node)
+        node = sha256(sibling_block + leaf_block).digest()[:HASH_LEN]
+    for sibling in sibling_digests:
         pos >>= 1
+        pair = node + sibling if pos & 1 == 0 else sibling + node
+        node = sha256(pair).digest()[:HASH_LEN]
+    tally(1 + len(sibling_digests))
     return node == root

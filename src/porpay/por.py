@@ -12,9 +12,8 @@ settles the dispute.
 from __future__ import annotations
 
 import random
-import struct
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, Union
+from typing import NamedTuple, Protocol, Sequence, Union
 
 from . import merkle
 from .crypto import PSI_BITS, prf
@@ -155,8 +154,7 @@ class Verdict:
             raise ValueError("failing_index must be present exactly when rejected")
 
 
-@dataclass(frozen=True)
-class ProofEntry:
+class ProofEntry(NamedTuple):
     block: bytes
     path: merkle.MerklePath
 
@@ -224,10 +222,13 @@ def prove(
         tree, _ = merkle.gen_tree(encoded.blocks)
     elif tree.m != pp.m:
         raise ParamMismatch("supplied tree does not match pp")
-    entries = []
-    for q in derive_indices(key, pp.phi, pp.m):
-        entries.append(ProofEntry(encoded.blocks[q - 1], merkle.prove(tree, q)))
-    return tuple(entries)
+    blocks = encoded.blocks
+    return tuple(
+        [
+            ProofEntry(blocks[q - 1], merkle.prove(tree, q))
+            for q in derive_indices(key, pp.phi, pp.m)
+        ]
+    )
 
 
 def verify(pi: ProofVector, query: Query, pp: PublicParams) -> Verdict:
@@ -247,48 +248,18 @@ def verify(pi: ProofVector, query: Query, pp: PublicParams) -> Verdict:
         return Verdict(False, min(len(pi) + 1, len(expected)))
 
     # pass 1: every block must carry the index it was challenged for
-    for i, (entry, q) in enumerate(zip(pi, expected), start=1):
-        if len(entry.block) <= INDEX_LEN:
+    for i, ((block, _), q) in enumerate(zip(pi, expected), start=1):
+        if len(block) <= INDEX_LEN:
             return Verdict(False, i)
-        if int.from_bytes(entry.block[-INDEX_LEN:], "big") != q:
+        if int.from_bytes(block[-INDEX_LEN:], "big") != q:
             return Verdict(False, i)
 
     # pass 2: every path must open the root for that same block
-    for i, entry in enumerate(pi, start=1):
-        if entry.path.leaf_block != entry.block:
+    sigma = pp.sigma
+    for i, (block, path) in enumerate(pi, start=1):
+        if path.leaf_block != block:
             return Verdict(False, i)
-        if not merkle.verify(entry.path, pp.sigma):
+        if not merkle.verify(path, sigma):
             return Verdict(False, i)
     return Verdict(True, None)
 
-
-_FILE_HEADER = struct.Struct(">II")  # m, block_payload_len
-
-
-def dump_encoded_file(encoded: EncodedFile) -> bytes:
-    """Flat binary form: (m, block_payload_len) header then the blocks."""
-    return _FILE_HEADER.pack(encoded.m, encoded.block_payload_len) + b"".join(
-        encoded.blocks
-    )
-
-
-def save_encoded_file(encoded: EncodedFile, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(dump_encoded_file(encoded))
-
-
-def read_encoded_file(path) -> EncodedFile:
-    with open(path, "rb") as fh:
-        return load_encoded_file(fh.read())
-
-
-def load_encoded_file(data: bytes) -> EncodedFile:
-    if len(data) < _FILE_HEADER.size:
-        raise ValueError("truncated encoded-file header")
-    m, payload_len = _FILE_HEADER.unpack_from(data)
-    block_len = payload_len + INDEX_LEN
-    body = data[_FILE_HEADER.size :]
-    if len(body) != m * block_len:
-        raise ValueError("encoded-file body does not match header")
-    blocks = tuple(body[i : i + block_len] for i in range(0, len(body), block_len))
-    return EncodedFile(blocks, payload_len)

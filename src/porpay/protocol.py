@@ -30,7 +30,6 @@ honest protocol.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from dataclasses import dataclass, field
@@ -277,6 +276,11 @@ def entry_real_units(m: int) -> int:
     return height + 2
 
 
+# The 4-byte leaf index caps m at 2**32, so no entry needs more slots than
+# this; a larger pad budget would only make the server seal and post more.
+MAX_ENTRY_SLOTS = entry_real_units(1 << 8 * por.INDEX_LEN)
+
+
 def unit_format(block_payload_len: int) -> UnitFormat:
     """One slot size fits every value a session sends: blocks, digests,
     leaf indices, and challenge keys."""
@@ -342,17 +346,24 @@ def encode_proof_vector(
     unit (several only past the limit EntryLayout describes)."""
     values = [_entry_values(entry) for entry in pi]
     # all paths of one tree have the same length, so the first entry fixes
-    # the layout
-    layout = entry_layout(fmt, len(values[0]) + pad_pi)
-    step = layout.fmt.value_capacity
+    # the layout and the zero tail that pads every entry's slots
+    real = len(values[0])
+    layout = entry_layout(fmt, real + pad_pi)
+    ufmt = layout.fmt
+    step = ufmt.value_capacity
+    tail = bytes(layout.plain_len - real * fmt.payload_len)
     units = []
     for entry_values in values:
-        packed = pack_slots(entry_values, fmt)
-        packed += bytes(layout.plain_len - len(packed))  # a longer entry raises
-        units += [
-            enc_unit(k_bar, packed[i : i + step], layout.fmt, rng)
-            for i in range(0, layout.plain_len, step)
-        ]
+        if len(entry_values) != real:
+            raise ValueError("proof entries differ in path length")
+        packed = pack_slots(entry_values, fmt) + tail
+        if layout.units == 1:
+            units.append(enc_unit(k_bar, packed, ufmt, rng))
+        else:
+            units += [
+                enc_unit(k_bar, packed[i : i + step], ufmt, rng)
+                for i in range(0, layout.plain_len, step)
+            ]
     return b"".join(units)
 
 
@@ -375,15 +386,18 @@ class SealedEntry(NamedTuple):
 def _decode_entry(
     sealed: SealedEntry, k_bar: bytes, fmt: UnitFormat
 ) -> por.ProofEntry:
-    ufmt = sealed.layout.fmt
-    n = ufmt.unit_len
-    data = sealed.data
-    packed = b"".join(
-        [dec_unit(k_bar, data[i : i + n], ufmt) for i in range(0, len(data), n)]
-    )
-    if len(packed) != sealed.layout.plain_len:
+    data, real_units, layout = sealed
+    ufmt = layout.fmt
+    if layout.units == 1:
+        packed = dec_unit(k_bar, data, ufmt)
+    else:
+        n = ufmt.unit_len
+        packed = b"".join(
+            [dec_unit(k_bar, data[i : i + n], ufmt) for i in range(0, len(data), n)]
+        )
+    if len(packed) != layout.plain_len:
         raise DecryptFailure("entry units do not fill their slots")
-    values = unpack_slots(packed, sealed.real_units, fmt)
+    values = unpack_slots(packed, real_units, fmt)
     raw_index = values[-1]
     if len(raw_index) != por.INDEX_LEN:
         raise DecryptFailure("malformed leaf index slot")
@@ -639,8 +653,9 @@ class Server:
     def init(self, handoff: Handoff, ledger: Ledger) -> int:
         """Phase 3: re-check statements, deposits, and metadata; answer at T1.
 
-        An ill-formed advertised root, mismatched counts, wrong deposits, or
-        a failed agreement all end in a = 0 and no deposit, which later
+        An ill-formed advertised root, mismatched counts, wrong deposits, a
+        pad count that takes entries past MAX_ENTRY_SLOTS, or a failed
+        agreement all end in a = 0 and no deposit, which later
         triggers the T2 refund path.
         """
         contract = handoff.contract
@@ -666,6 +681,7 @@ class Server:
                 and cp.l_max == self.price_list.l_max
                 and contract.counters == Counters()
                 and qp.block_payload_len == handoff.encoded_file.block_payload_len
+                and entry_real_units(qp.pp.m) + qp.pad_pi <= MAX_ENTRY_SLOTS
             )
 
         agreed = True
@@ -751,7 +767,7 @@ def _corrupt_first_entry(pi: por.ProofVector) -> por.ProofVector:
     bad = bytearray(entry.block)
     bad[0] ^= 0x01
     bad_block = bytes(bad)
-    path = dataclasses.replace(entry.path, leaf_block=bad_block)
+    path = entry.path._replace(leaf_block=bad_block)
     return (por.ProofEntry(bad_block, path),) + pi[1:]
 
 

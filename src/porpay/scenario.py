@@ -17,7 +17,7 @@ Scenario schema::
         "z": 3, "phi": 16, "block_payload_len": 16,
         "price_list": [[5, 2], [3, 1]],
         "price_choice": [5, 2],
-        "pi_max": null,                  # optional per-entry slot budget
+        "pi_max": null,                  # optional per-entry slot budget, <= 34
         "variant": "arbiter",            # or "arbiterless"
         "codec": "identity"              # or "xor-parity"
       },
@@ -286,6 +286,11 @@ def run(spec: ScenarioSpec) -> dict:
         raise SpecInvalid(
             f"pi_max={cfg.pi_max} below the actual entry size "
             f"{protocol.entry_real_units(m)}"
+        )
+    if cfg.pi_max is not None and cfg.pi_max > protocol.MAX_ENTRY_SLOTS:
+        raise SpecInvalid(
+            f"pi_max={cfg.pi_max} above the largest entry size "
+            f"{protocol.MAX_ENTRY_SLOTS}"
         )
 
     client_flags = _behavior_sets(spec.client_behaviors)

@@ -322,13 +322,6 @@ class TestDeterminismAndTraces:
         assert kinds.count("deposit") == 2
         assert "query" in kinds and "proof" in kinds and "payout" in kinds
 
-    def test_genesis_roundtrip(self):
-        ledger = Ledger()
-        ledger.create_account("a", 7)
-        ledger.create_account("b", 0)
-        clone = Ledger.from_genesis(ledger.genesis_dict())
-        assert clone.balances() == ledger.balances()
-
     def test_trace_jsonl_export(self, tmp_path):
         import json
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from porpay import merkle
+from porpay.hashing import count_hash_calls
 
 
 def h16(data: bytes) -> bytes:
@@ -166,3 +167,35 @@ class TestVerify:
                               path.sibling_digests, 0),
             root,
         )
+
+
+class TestHashCounts:
+    """Exact hash counts at m = 8 (tree height 3): a path verification
+    hashes the leaf pair plus one node per sibling digest."""
+
+    def test_accepting_path_hashes_whole_path(self):
+        tree, root = merkle.gen_tree(blocks_of(8))
+        path = merkle.prove(tree, 5)
+        with count_hash_calls() as taken:
+            assert merkle.verify(path, root)
+            assert taken() == 3
+
+    def test_tampered_path_still_hashes_whole_path(self):
+        tree, root = merkle.gen_tree(blocks_of(8))
+        path = merkle.prove(tree, 6)
+        bad = merkle.MerklePath(
+            path.leaf_block, bytes(8), path.sibling_digests, path.leaf_index
+        )
+        with count_hash_calls() as taken:
+            assert not merkle.verify(bad, root)
+            assert taken() == 3
+
+    def test_leaf_index_zero_hashes_nothing(self):
+        tree, root = merkle.gen_tree(blocks_of(8))
+        path = merkle.prove(tree, 1)
+        bad = merkle.MerklePath(
+            path.leaf_block, path.sibling_block, path.sibling_digests, 0
+        )
+        with count_hash_calls() as taken:
+            assert not merkle.verify(bad, root)
+            assert taken() == 0

@@ -1,6 +1,5 @@
 """File encoding, challenge derivation, proving, and first-failure verification."""
 
-import dataclasses
 import hashlib
 import random
 
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from porpay import merkle, por
+from porpay.hashing import count_hash_calls
 
 
 def make_session(m=8, payload=8, phi=None, seed=0):
@@ -24,7 +24,7 @@ def corrupt_entry(pi, position, byte_pos=0):
     bad = bytearray(entry.block)
     bad[byte_pos] ^= 0x01
     bad_block = bytes(bad)
-    path = dataclasses.replace(entry.path, leaf_block=bad_block)
+    path = entry.path._replace(leaf_block=bad_block)
     return pi[: position - 1] + (por.ProofEntry(bad_block, path),) + pi[position:]
 
 
@@ -128,7 +128,7 @@ class TestProveVerify:
         pi = list(por.prove(encoded, key, pp))
         entry = pi[2]
         wrong = entry.block[:-4] + (99).to_bytes(4, "big")
-        pi[2] = por.ProofEntry(wrong, dataclasses.replace(entry.path, leaf_block=wrong))
+        pi[2] = por.ProofEntry(wrong, entry.path._replace(leaf_block=wrong))
         assert por.verify(tuple(pi), key, pp) == por.Verdict(False, 3)
 
     def test_short_vector_rejected(self):
@@ -177,7 +177,7 @@ class TestSingleProofMode:
         digests[0] = bytes(16)
         bad = por.ProofEntry(
             entry.block,
-            dataclasses.replace(entry.path, sibling_digests=tuple(digests)),
+            entry.path._replace(sibling_digests=tuple(digests)),
         )
         assert por.verify((bad,), [q], pp) == por.Verdict(False, 1)
 
@@ -196,6 +196,65 @@ class TestSingleProofMode:
                 assert por.verify(
                     (pi[earlier - 1],), [indices[earlier - 1]], pp
                 ).accepted
+
+
+class TestHashCounts:
+    """Exact hash counts at m = 8, phi = 5: deriving the challenge costs one
+    PRF hash per index and each path verification hashes height = 3 nodes."""
+
+    def session(self):
+        encoded, pp, rng = make_session(m=8, phi=5)
+        key = por.gen_query(rng)
+        tree, _ = merkle.gen_tree(encoded.blocks)
+        return encoded, pp, key, tree
+
+    def test_prove_hashes_only_the_challenge(self):
+        encoded, pp, key, tree = self.session()
+        with count_hash_calls() as taken:
+            por.prove(encoded, key, pp, tree=tree)
+            assert taken() == 5
+
+    def test_prove_without_tree_rebuilds_it(self):
+        encoded, pp, key, _ = self.session()
+        with count_hash_calls() as taken:
+            por.prove(encoded, key, pp)
+            assert taken() == 5 + 7
+
+    def test_verify_accept(self):
+        encoded, pp, key, tree = self.session()
+        pi = por.prove(encoded, key, pp, tree=tree)
+        with count_hash_calls() as taken:
+            assert por.verify(pi, key, pp).accepted
+            assert taken() == 5 + 5 * 3
+
+    def test_verify_reject_in_pass_one_hashes_no_path(self):
+        encoded, pp, key, tree = self.session()
+        pi = list(por.prove(encoded, key, pp, tree=tree))
+        entry = pi[3]
+        wrong = entry.block[:-4] + (99).to_bytes(4, "big")
+        pi[3] = por.ProofEntry(wrong, entry.path)
+        with count_hash_calls() as taken:
+            assert por.verify(tuple(pi), key, pp) == por.Verdict(False, 4)
+            assert taken() == 5
+
+    @pytest.mark.parametrize("g", [1, 3, 5])
+    def test_verify_reject_in_pass_two_stops_at_g(self, g):
+        encoded, pp, key, tree = self.session()
+        pi = corrupt_entry(por.prove(encoded, key, pp, tree=tree), position=g)
+        with count_hash_calls() as taken:
+            assert por.verify(pi, key, pp) == por.Verdict(False, g)
+            assert taken() == 5 + g * 3
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_single_entry_recheck(self, corrupt):
+        encoded, pp, key, tree = self.session()
+        pi = por.prove(encoded, key, pp, tree=tree)
+        if corrupt:
+            pi = corrupt_entry(pi, position=2)
+        q = por.derive_indices(key, pp.phi, pp.m)[1]
+        with count_hash_calls() as taken:
+            assert por.verify((pi[1],), [q], pp).accepted is not corrupt
+            assert taken() == 3
 
 
 class TestDetection:
@@ -260,21 +319,3 @@ class TestCodecs:
         assert coded.m == 5
         assert pp.m == 5
 
-
-class TestPersistence:
-    def test_dump_load_roundtrip(self):
-        encoded, _, _ = make_session(m=5, payload=8)
-        data = por.dump_encoded_file(encoded)
-        assert por.load_encoded_file(data) == encoded
-
-    def test_truncated_body_rejected(self):
-        encoded, _, _ = make_session(m=5, payload=8)
-        data = por.dump_encoded_file(encoded)
-        with pytest.raises(ValueError):
-            por.load_encoded_file(data[:-1])
-
-    def test_file_roundtrip(self, tmp_path):
-        encoded, _, _ = make_session(m=5, payload=8)
-        target = tmp_path / "encoded.bin"
-        por.save_encoded_file(encoded, target)
-        assert por.read_encoded_file(target) == encoded

@@ -216,6 +216,25 @@ class TestServerInit:
         goto(ledger, handoff.contract, "T1")
         assert server.init(bad, ledger) == 0
 
+    @pytest.mark.parametrize(
+        "pi_max, a", [(protocol.MAX_ENTRY_SLOTS, 1), (protocol.MAX_ENTRY_SLOTS + 1, 0),
+                      (100_000, 0)]
+    )
+    def test_pad_budget_bounded(self, pi_max, a):
+        # a 4-byte leaf index caps a path at 34 slots; a larger budget only
+        # inflates what the server seals and posts, so it refuses the session
+        ledger, client, server, handoff, _, _ = build_session(make_config(pi_max=pi_max))
+        contract = handoff.contract
+        genesis_supply = ledger.total_supply()
+        goto(ledger, contract, "T1")
+        assert server.init(handoff, ledger) == a
+        assert (contract.server_deposited > 0) == (a == 1)
+        if a == 0:
+            goto(ledger, contract, "T2")
+            protocol.refund_deposits(ledger, contract)
+            assert ledger.balances() == {"client": 21, "server": 6, "arbiter": 0}
+            assert ledger.total_supply() == genesis_supply
+
 
 class HonestRun:
     """Drive one session through the billing cycles, keeping the pieces."""

@@ -176,6 +176,19 @@ class TestRunner:
         assert report["valid"]
         assert report["pad_pi"] > 0
 
+    def test_pi_max_at_largest_entry_size(self):
+        raw = base_raw()
+        raw["session"]["pi_max"] = 34  # 4-byte leaf index: at most 32 levels + 2
+        report = run(ScenarioSpec.from_dict(raw))
+        assert report["valid"]
+        assert report["pad_pi"] == 34 - 8  # m = 64: height 6 + 2 real slots
+
+    def test_pi_max_past_largest_entry_size_rejected(self):
+        raw = base_raw()
+        raw["session"]["pi_max"] = 35
+        with pytest.raises(SpecInvalid):
+            run(ScenarioSpec.from_dict(raw))
+
     def test_suppressed_dummy_complaint(self):
         raw = base_raw(
             behaviors={"client": [{"kind": "invalid_query", "j": 1}]},
