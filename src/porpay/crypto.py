@@ -159,7 +159,7 @@ def enc_unit(key: bytes, value: bytes, fmt: UnitFormat, rng: random.Random) -> b
         raise ValueError(
             f"value of {n} bytes exceeds unit capacity {fmt.value_capacity}"
         )
-    payload = n.to_bytes(_LEN_PREFIX, "big") + value.ljust(fmt.value_capacity, b"\0")
+    payload = _slot_layout(1, fmt.value_capacity).pack(n, value)
     nonce = rng.randbytes(NONCE_LEN)
     return nonce + _aead(key).encrypt(nonce, payload, None)
 
@@ -176,10 +176,10 @@ def dec_unit(key: bytes, unit: bytes, fmt: UnitFormat) -> bytes:
         payload = _aead(key).decrypt(unit[:NONCE_LEN], unit[NONCE_LEN:], None)
     except InvalidTag as exc:
         raise DecryptFailure("unit failed authentication") from exc
-    n = int.from_bytes(payload[:_LEN_PREFIX], "big")
+    n, value = _slot_layout(1, fmt.value_capacity).unpack(payload)
     if n > fmt.value_capacity:
         raise DecryptFailure("payload length prefix exceeds unit capacity")
-    return payload[_LEN_PREFIX : _LEN_PREFIX + n]
+    return value[:n]
 
 
 def sample_unit(fmt: UnitFormat, rng: random.Random) -> bytes:

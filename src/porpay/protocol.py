@@ -357,13 +357,10 @@ def encode_proof_vector(
         if len(entry_values) != real:
             raise ValueError("proof entries differ in path length")
         packed = pack_slots(entry_values, fmt) + tail
-        if layout.units == 1:
-            units.append(enc_unit(k_bar, packed, ufmt, rng))
-        else:
-            units += [
-                enc_unit(k_bar, packed[i : i + step], ufmt, rng)
-                for i in range(0, layout.plain_len, step)
-            ]
+        units += [
+            enc_unit(k_bar, packed[i : i + step], ufmt, rng)
+            for i in range(0, layout.plain_len, step)
+        ]
     return b"".join(units)
 
 
@@ -388,13 +385,10 @@ def _decode_entry(
 ) -> por.ProofEntry:
     data, real_units, layout = sealed
     ufmt = layout.fmt
-    if layout.units == 1:
-        packed = dec_unit(k_bar, data, ufmt)
-    else:
-        n = ufmt.unit_len
-        packed = b"".join(
-            [dec_unit(k_bar, data[i : i + n], ufmt) for i in range(0, len(data), n)]
-        )
+    n = ufmt.unit_len
+    packed = b"".join(
+        [dec_unit(k_bar, data[i : i + n], ufmt) for i in range(0, len(data), n)]
+    )
     if len(packed) != layout.plain_len:
         raise DecryptFailure("entry units do not fill their slots")
     values = unpack_slots(packed, real_units, fmt)

@@ -138,6 +138,29 @@ class TestCipherUnits:
         lengths.add(len(crypto.sample_unit(self.fmt, rng)))
         assert lengths == {self.fmt.unit_len}
 
+    def test_plaintext_is_prefix_value_zero_fill(self):
+        from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+        rng = random.Random(8)
+        key = crypto.gen_sym_key(rng)
+        for value in (b"", b"abc", bytes(range(1, 21))):
+            unit = crypto.enc_unit(key, value, self.fmt, rng)
+            plain = AESGCM(key).decrypt(unit[:12], unit[12:], None)
+            assert plain == len(value).to_bytes(2, "big") + value.ljust(20, b"\0")
+            assert crypto.dec_unit(key, unit, self.fmt) == value
+
+    def test_sealed_prefix_past_capacity_rejected(self):
+        from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+        rng = random.Random(9)
+        key = crypto.gen_sym_key(rng)
+        nonce = rng.randbytes(crypto.NONCE_LEN)
+        for n in (21, 0xFFFF):
+            payload = n.to_bytes(2, "big") + bytes(20)
+            unit = nonce + AESGCM(key).encrypt(nonce, payload, None)
+            with pytest.raises(crypto.DecryptFailure):
+                crypto.dec_unit(key, unit, self.fmt)
+
 
 class TestCipherCache:
     fmt = crypto.UnitFormat(value_capacity=20)
