@@ -101,25 +101,24 @@ class Schedule:
     def _validate(self) -> int:
         labels = [p.label for p in self.points]
         cycles = sum(1 for lab in labels if lab.endswith(".1") and lab.startswith("G"))
-        expected = (
-            ["T0", "T1", "T2"]
-            + [f"G{j}.{p}" for j in range(1, cycles + 1) for p in (1, 2)]
-            + ["J", "K1", "K2", "K3", "K4", "K5", "K6", "L"]
-        )
-        if labels != expected or cycles < 1:
+        if cycles < 1 or labels != self.labels(cycles):
             raise ValueError(f"schedule labels out of order or incomplete: {labels}")
         return cycles
+
+    @staticmethod
+    def labels(z: int) -> list[str]:
+        """The labels of a z-cycle schedule, in order."""
+        return (
+            ["T0", "T1", "T2"]
+            + [f"G{j}.{p}" for j in range(1, z + 1) for p in (1, 2)]
+            + ["J", "K1", "K2", "K3", "K4", "K5", "K6", "L"]
+        )
 
     @classmethod
     def standard(cls, z: int) -> "Schedule":
         if z < 1:
             raise ValueError("need at least one billing cycle")
-        labels = (
-            ["T0", "T1", "T2"]
-            + [f"G{j}.{p}" for j in range(1, z + 1) for p in (1, 2)]
-            + ["J", "K1", "K2", "K3", "K4", "K5", "K6", "L"]
-        )
-        return cls([TimePoint(lab, i) for i, lab in enumerate(labels)])
+        return cls([TimePoint(lab, i) for i, lab in enumerate(cls.labels(z))])
 
     def point(self, label: str) -> TimePoint:
         try:
@@ -398,9 +397,6 @@ class Ledger:
         self._contracts.append(contract)
         self._log("deploy", deployer, str(contract.handle).encode())
         return contract
-
-    def contract(self, handle: int) -> RcContract:
-        return self._contracts[handle]
 
     def deposit(self, sender: Address, contract: RcContract, amount: int) -> None:
         """Escrow ``amount`` from ``sender``; client deposits at T0, server at T1."""

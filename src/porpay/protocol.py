@@ -83,6 +83,10 @@ class BadOpening(RuntimeError):
     """Payout requested with a statement opening the ledger rejects."""
 
 
+class PayNotRequested(RuntimeError):
+    """Payout or refund attempted with no PAY post at the current time."""
+
+
 # ---------------------------------------------------------------------------
 # prices and agreed statements
 # ---------------------------------------------------------------------------
@@ -623,6 +627,13 @@ class Client:
     def request_payout(self, ledger: Ledger) -> None:
         ledger.post(self.contract, LedgerMessage(self.addr, MsgKind.PAY, b"pay"))
 
+    def post_complaints(self, ledger: Ledger) -> None:
+        """Arbiter-free phase 7 at K4: the complaints plus the qp opening."""
+        payload = pack_complaints(self.complaints, self.opening_qp)
+        ledger.post(
+            self.contract, LedgerMessage(self.addr, MsgKind.CLIENT_COMPLAINTS, payload)
+        )
+
 
 class Server:
     def __init__(
@@ -754,6 +765,13 @@ class Server:
     def request_payout(self, ledger: Ledger) -> None:
         ledger.post(self.contract, LedgerMessage(self.addr, MsgKind.PAY, b"pay"))
 
+    def post_complaints(self, ledger: Ledger) -> None:
+        """Arbiter-free phase 7 at K1: the complaints plus the qp opening."""
+        payload = pack_complaints(self.complaints, self.opening_qp)
+        ledger.post(
+            self.contract, LedgerMessage(self.addr, MsgKind.SERVER_COMPLAINTS, payload)
+        )
+
 
 def _corrupt_first_entry(pi: por.ProofVector) -> por.ProofVector:
     """Flip one payload byte of the first challenged block, path included."""
@@ -778,7 +796,7 @@ Y_SERVER_UNNEEDED = "server_unneeded_disputes"
 @dataclass
 class CounterUpdate:
     """Counter increments plus the per-cycle record of which counter was
-    touched; the record backs the one-counter-per-cycle guards."""
+    touched; the record keeps a cycle from being charged twice."""
 
     increments: Counters = field(default_factory=Counters)
     attribution: dict[int, str] = field(default_factory=dict)
@@ -932,6 +950,65 @@ def _judge_client_complaint(
     return None if verdict.accepted else Y_SERVER
 
 
+# The two passes serve both variants. The only difference: an unneeded
+# invocation (a server complaint about a valid query, or a client complaint
+# that identifies nobody) is tallied only when an arbiter charges for it.
+
+
+def _server_pass(
+    rep: ResolutionReport,
+    complaints: Sequence,
+    opening_qp: Opening | None,
+    ledger: Ledger,
+    contract: RcContract,
+) -> None:
+    """Server complaints: a bad query charges the client and lands in v."""
+    qp = _agreed_qp(opening_qp, contract, ledger)
+    if qp is None:
+        rep.server_filtered.extend(_read_items(complaints, int))
+        return
+    fmt = unit_format(qp.block_payload_len)
+    kept, dropped = _filter_server_complaints(complaints, contract.params.z)
+    rep.server_admitted.extend(kept)
+    rep.server_filtered.extend(dropped)
+    for i in kept:
+        if _query_key(contract, i, qp, fmt) is None:
+            rep.update.bump(i, Y_CLIENT)
+            rep.v.append(i)
+        elif not contract.params.arbiterless:
+            rep.update.bump(i, Y_SERVER_UNNEEDED)
+
+
+def _client_pass(
+    rep: ResolutionReport,
+    complaints: Sequence,
+    opening_qp: Opening | None,
+    ledger: Ledger,
+    contract: RcContract,
+) -> None:
+    """Client complaints, minus those the filters drop (cycles in v among
+    them), each settled by re-checking the one entry it names."""
+    qp = _agreed_qp(opening_qp, contract, ledger)
+    if qp is None:
+        rep.client_filtered.extend(_read_items(complaints, _read_client_item))
+        return
+    fmt = unit_format(qp.block_payload_len)
+    kept, dropped = _filter_client_complaints(
+        complaints, contract.params.z, qp.pp.phi, rep.v
+    )
+    rep.client_admitted.extend(kept)
+    rep.client_filtered.extend(dropped)
+    for j, g in kept:
+        party = _judge_client_complaint(contract, j, g, qp, fmt)
+        if party is None:
+            if not contract.params.arbiterless:
+                rep.update.bump(j, Y_CLIENT_UNNEEDED)
+        elif party == Y_CLIENT or rep.update.attribution.get(j) != Y_SERVER_UNNEEDED:
+            # a server that complained about this cycle's valid query has
+            # already paid for it; its dummy proof is not charged again
+            rep.update.bump(j, party)
+
+
 class Arbiter:
     """Third-party resolver: takes complaints off-ledger at K1/K4, re-checks
     them at K2/K5, and posts the counter update at K6."""
@@ -947,25 +1024,10 @@ class Arbiter:
         ledger: Ledger,
         contract: RcContract,
     ) -> list[int]:
-        """Phase 7 server pass: a bad query charges the client and lands in
-        v; a valid one counts as an unnecessary invocation by the server."""
+        """Phase 7 server pass at K2; returns v."""
         _require_time(ledger, "K2")
-        rep = self.report
-        qp = _agreed_qp(opening_qp, contract, ledger)
-        if qp is None:
-            rep.server_filtered.extend(_read_items(complaints, int))
-            return rep.v
-        fmt = unit_format(qp.block_payload_len)
-        kept, dropped = _filter_server_complaints(complaints, contract.params.z)
-        rep.server_admitted.extend(kept)
-        rep.server_filtered.extend(dropped)
-        for i in kept:
-            if _query_key(contract, i, qp, fmt) is not None:
-                rep.update.bump(i, Y_SERVER_UNNEEDED)
-            else:
-                rep.update.bump(i, Y_CLIENT)
-                rep.v.append(i)
-        return rep.v
+        _server_pass(self.report, complaints, opening_qp, ledger, contract)
+        return self.report.v
 
     def resolve_client(
         self,
@@ -974,31 +1036,9 @@ class Arbiter:
         ledger: Ledger,
         contract: RcContract,
     ) -> None:
-        """Phase 7 client pass over complaints that survive the filters."""
+        """Phase 7 client pass at K5."""
         _require_time(ledger, "K5")
-        rep = self.report
-        qp = _agreed_qp(opening_qp, contract, ledger)
-        if qp is None:
-            rep.client_filtered.extend(_read_items(complaints, _read_client_item))
-            return
-        fmt = unit_format(qp.block_payload_len)
-        kept, dropped = _filter_client_complaints(
-            complaints, contract.params.z, qp.pp.phi, rep.v
-        )
-        rep.client_admitted.extend(kept)
-        rep.client_filtered.extend(dropped)
-        for j, g in kept:
-            party = _judge_client_complaint(contract, j, g, qp, fmt)
-            attributed = rep.update.attribution.get(j)
-            if party == Y_CLIENT:
-                if attributed not in (Y_CLIENT, Y_CLIENT_UNNEEDED):
-                    rep.update.bump(j, Y_CLIENT)
-            elif party == Y_SERVER:
-                if attributed != Y_SERVER_UNNEEDED:
-                    rep.update.bump(j, Y_SERVER)
-            else:
-                if attributed != Y_CLIENT:
-                    rep.update.bump(j, Y_CLIENT_UNNEEDED)
+        _client_pass(self.report, complaints, opening_qp, ledger, contract)
 
     def post_counters(self, ledger: Ledger, contract: RcContract) -> None:
         _require_time(ledger, "K6")
@@ -1045,55 +1085,23 @@ def unpack_complaints(payload: bytes) -> tuple[list, Opening | None]:
 def contract_resolve(ledger: Ledger, contract: RcContract) -> ResolutionReport:
     """Contract-run dispute resolution for the arbiter-free variant.
 
-    Reads the complaint payloads posted at K1/K4 out of the contract's own
-    state and applies the two passes with only the two fault counters: a
-    server complaint about a valid query changes nothing (the complainer
-    pre-paid the contract) and a client complaint that identifies nobody
-    changes nothing either.
+    Runs the two passes over the complaint payloads posted at K1/K4 and adds
+    the resulting fault counts to the contract in one step.
     """
     if not contract.params.arbiterless:
         raise ValueError("contract_resolve only runs in the arbiter-free variant")
     _require_time(ledger, "K5")
     rep = ResolutionReport()
-
-    raw = contract.complaint_posts.get(MsgKind.SERVER_COMPLAINTS.value)
-    if raw is not None:
-        complaints, opening = unpack_complaints(raw)
-        qp = _agreed_qp(opening, contract, ledger)
-        if qp is None:
-            rep.server_filtered.extend(_read_items(complaints, int))
-        else:
-            fmt = unit_format(qp.block_payload_len)
-            kept, dropped = _filter_server_complaints(complaints, contract.params.z)
-            rep.server_admitted.extend(kept)
-            rep.server_filtered.extend(dropped)
-            for i in kept:
-                if _query_key(contract, i, qp, fmt) is None:
-                    rep.update.bump(i, Y_CLIENT)
-                    rep.v.append(i)
-                    contract.add_counters(Counters(client_faults=1))
-
-    raw = contract.complaint_posts.get(MsgKind.CLIENT_COMPLAINTS.value)
-    if raw is not None:
-        complaints, opening = unpack_complaints(raw)
-        qp = _agreed_qp(opening, contract, ledger)
-        if qp is None:
-            rep.client_filtered.extend(_read_items(complaints, _read_client_item))
-        else:
-            fmt = unit_format(qp.block_payload_len)
-            kept, dropped = _filter_client_complaints(
-                complaints, contract.params.z, qp.pp.phi, rep.v
-            )
-            rep.client_admitted.extend(kept)
-            rep.client_filtered.extend(dropped)
-            for j, g in kept:
-                party = _judge_client_complaint(contract, j, g, qp, fmt)
-                if party == Y_CLIENT:
-                    rep.update.bump(j, Y_CLIENT)
-                    contract.add_counters(Counters(client_faults=1))
-                elif party == Y_SERVER:
-                    rep.update.bump(j, Y_SERVER)
-                    contract.add_counters(Counters(server_faults=1))
+    for kind, resolve_pass in (
+        (MsgKind.SERVER_COMPLAINTS, _server_pass),
+        (MsgKind.CLIENT_COMPLAINTS, _client_pass),
+    ):
+        raw = contract.complaint_posts.get(kind.value)
+        if raw is not None:
+            complaints, opening = unpack_complaints(raw)
+            resolve_pass(rep, complaints, opening, ledger, contract)
+    # at most one counter moves per cycle, so the sum stays within bounds
+    contract.add_counters(rep.update.increments)
     return rep
 
 
@@ -1111,11 +1119,17 @@ def refund_applies(contract: RcContract) -> bool:
     )
 
 
+def _require_pay(ledger: Ledger, contract: RcContract) -> None:
+    if ledger.time.label not in contract.pay_requests:
+        raise PayNotRequested(f"no pay request posted at {ledger.time.label}")
+
+
 def refund_deposits(ledger: Ledger, contract: RcContract) -> dict[str, int]:
     """T2 path: each party withdraws exactly what it deposited."""
     _require_time(ledger, "T2")
     if not refund_applies(contract):
         raise ValueError("parties reached agreement; the refund path does not apply")
+    _require_pay(ledger, contract)
     params = contract.params
     return ledger.execute_payout(
         contract,
@@ -1126,81 +1140,56 @@ def refund_deposits(ledger: Ledger, contract: RcContract) -> dict[str, int]:
     )
 
 
-def payout_arbiter_variant(
-    ledger: Ledger, contract: RcContract, opening_cp: Opening
+def _payout(
+    ledger: Ledger, contract: RcContract, opening_cp: Opening, arbiterless: bool
 ) -> dict[str, int]:
-    """Phase 8 with a third-party arbiter.
-
-    The client pays o per cycle not attributed to the server plus l per own
-    fault or unneeded dispute; the server is paid o per unattributed cycle
-    and charged l per own fault or unneeded dispute; every charged l goes to
-    the arbiter. Distributes the whole escrow exactly.
-    """
+    """Phase 8 at L. The client pays o per cycle not attributed to the
+    server; each party is charged l per own fault or unneeded dispute. With
+    an arbiter every charged l goes to the arbiter; without one each party's
+    l goes to the other. Distributes the whole escrow exactly."""
     _require_time(ledger, "L")
-    if contract.params.arbiterless:
-        raise ValueError("contract is arbiterless; use the arbiterless payout")
+    params = contract.params
+    if params.arbiterless != arbiterless:
+        raise ValueError("payout entry point does not match the contract's variant")
     if refund_applies(contract):
         raise RefundPath("server never agreed or under-deposited")
     if not _opening_valid(opening_cp, contract, ledger, _SAP_CP):
         raise BadOpening("coin statement opening rejected")
+    _require_pay(ledger, contract)
     cp = CpStatement.from_bytes(opening_cp.statement)
     c = contract.counters
-    z, o, l = cp.z, cp.o, cp.l
-    coin_client = (
-        contract.client_deposited
-        - o * (z - c.server_faults)
-        - l * (c.client_faults + c.client_unneeded_disputes)
-    )
-    coin_server = (
-        contract.server_deposited
-        + o * (z - c.server_faults)
-        - l * (c.server_faults + c.server_unneeded_disputes)
-    )
-    coin_arbiter = l * (
-        c.server_faults
-        + c.client_faults
-        + c.server_unneeded_disputes
-        + c.client_unneeded_disputes
-    )
+    paid = cp.o * (cp.z - c.server_faults)
+    client_l = cp.l * (c.client_faults + c.client_unneeded_disputes)
+    server_l = cp.l * (c.server_faults + c.server_unneeded_disputes)
+    coin_client = contract.client_deposited - paid - client_l
+    coin_server = contract.server_deposited + paid - server_l
+    if arbiterless:
+        return ledger.execute_payout(
+            contract,
+            [
+                (params.addr_client, coin_client + server_l),
+                (params.addr_server, coin_server + client_l),
+            ],
+        )
     return ledger.execute_payout(
         contract,
         [
-            (contract.params.addr_client, coin_client),
-            (contract.params.addr_server, coin_server),
-            (contract.params.addr_arbiter, coin_arbiter),
+            (params.addr_client, coin_client),
+            (params.addr_server, coin_server),
+            (params.addr_arbiter, client_l + server_l),
         ],
     )
+
+
+def payout_arbiter_variant(
+    ledger: Ledger, contract: RcContract, opening_cp: Opening
+) -> dict[str, int]:
+    """Phase 8 with a third-party arbiter."""
+    return _payout(ledger, contract, opening_cp, arbiterless=False)
 
 
 def payout_arbiterless_variant(
     ledger: Ledger, contract: RcContract, opening_cp: Opening
 ) -> dict[str, int]:
-    """Phase 8 without an arbiter: dispute compensation moves l per fault
-    between the parties instead of paying a third party."""
-    _require_time(ledger, "L")
-    if not contract.params.arbiterless:
-        raise ValueError("contract has an arbiter; use the arbiter-variant payout")
-    if refund_applies(contract):
-        raise RefundPath("server never agreed or under-deposited")
-    if not _opening_valid(opening_cp, contract, ledger, _SAP_CP):
-        raise BadOpening("coin statement opening rejected")
-    cp = CpStatement.from_bytes(opening_cp.statement)
-    c = contract.counters
-    z, o, l = cp.z, cp.o, cp.l
-    coin_client = (
-        contract.client_deposited
-        - o * (z - c.server_faults)
-        + l * (c.server_faults - c.client_faults)
-    )
-    coin_server = (
-        contract.server_deposited
-        + o * (z - c.server_faults)
-        + l * (c.client_faults - c.server_faults)
-    )
-    return ledger.execute_payout(
-        contract,
-        [
-            (contract.params.addr_client, coin_client),
-            (contract.params.addr_server, coin_server),
-        ],
-    )
+    """Phase 8 without an arbiter."""
+    return _payout(ledger, contract, opening_cp, arbiterless=True)

@@ -46,7 +46,6 @@ from .protocol import (
     Arbiter,
     Client,
     ClientBehavior,
-    MsgKind,
     PriceList,
     PricePair,
     Server,
@@ -332,22 +331,17 @@ def run(spec: ScenarioSpec) -> dict:
     )
     arbiter = Arbiter(addr_arbiter) if addr_arbiter is not None else None
 
-    schedule = None
     cycles: list[dict] = []
     resolution = None
     refund_path = False
 
-    handoff = None
-    contract = None
-
     # phases 1-2 at T0, phase 3 at T1
-    dummy_schedule = protocol.Schedule.standard(cfg.z)
-    _goto(ledger, dummy_schedule, "T0")
+    _goto(ledger, protocol.Schedule.standard(cfg.z), "T0")
     handoff = client.init(file_bytes, ledger, addr_server, addr_arbiter)
     contract = handoff.contract
     schedule = contract.params.schedule
     _goto(ledger, schedule, "T1")
-    a = server.init(handoff, ledger)
+    server.init(handoff, ledger)
 
     if protocol.refund_applies(contract):
         refund_path = True
@@ -377,53 +371,28 @@ def run(spec: ScenarioSpec) -> dict:
             )
 
         disputed = bool(server.complaints or client.complaints)
-        if disputed:
-            if cfg.variant == ARBITER:
-                _goto(ledger, schedule, "K2")
-                arbiter.resolve_server(
-                    server.complaints, server.opening_qp, ledger, contract
-                )
-                _goto(ledger, schedule, "K5")
-                arbiter.resolve_client(
-                    client.complaints, client.opening_qp, ledger, contract
-                )
-                _goto(ledger, schedule, "K6")
-                arbiter.post_counters(ledger, contract)
-                resolution = arbiter.report
-            else:
-                if server.complaints:
-                    _goto(ledger, schedule, "K1")
-                    ledger.post(
-                        contract,
-                        protocol.LedgerMessage(
-                            addr_server,
-                            MsgKind.SERVER_COMPLAINTS,
-                            protocol.pack_complaints(
-                                server.complaints, server.opening_qp
-                            ),
-                        ),
-                    )
-                if client.complaints:
-                    _goto(ledger, schedule, "K4")
-                    ledger.post(
-                        contract,
-                        protocol.LedgerMessage(
-                            addr_client,
-                            MsgKind.CLIENT_COMPLAINTS,
-                            protocol.pack_complaints(
-                                client.complaints, client.opening_qp
-                            ),
-                        ),
-                    )
-                _goto(ledger, schedule, "K5")
-                resolution = protocol.contract_resolve(ledger, contract)
+        if disputed and cfg.variant == ARBITER:
+            _goto(ledger, schedule, "K2")
+            arbiter.resolve_server(server.complaints, server.opening_qp, ledger, contract)
+            _goto(ledger, schedule, "K5")
+            arbiter.resolve_client(client.complaints, client.opening_qp, ledger, contract)
+            _goto(ledger, schedule, "K6")
+            arbiter.post_counters(ledger, contract)
+            resolution = arbiter.report
+        elif disputed:
+            if server.complaints:
+                _goto(ledger, schedule, "K1")
+                server.post_complaints(ledger)
+            if client.complaints:
+                _goto(ledger, schedule, "K4")
+                client.post_complaints(ledger)
+            _goto(ledger, schedule, "K5")
+            resolution = protocol.contract_resolve(ledger, contract)
 
         _goto(ledger, schedule, "L")
         client.request_payout(ledger)
         if cfg.variant == ARBITER:
-            actual = protocol.payout_arbiter_variant(
-                ledger, contract, client.opening_cp
-            )
+            actual = protocol.payout_arbiter_variant(ledger, contract, client.opening_cp)
         else:
             actual = protocol.payout_arbiterless_variant(
                 ledger, contract, client.opening_cp

@@ -231,6 +231,7 @@ class TestServerInit:
         assert (contract.server_deposited > 0) == (a == 1)
         if a == 0:
             goto(ledger, contract, "T2")
+            client.request_payout(ledger)
             protocol.refund_deposits(ledger, contract)
             assert ledger.balances() == {"client": 21, "server": 6, "arbiter": 0}
             assert ledger.total_supply() == genesis_supply
@@ -587,26 +588,10 @@ class TestArbiterlessResolution:
         ledger, contract = run.ledger, run.contract
         if run.server.complaints:
             goto(ledger, contract, "K1")
-            ledger.post(
-                contract,
-                protocol.LedgerMessage(
-                    run.server.addr,
-                    protocol.MsgKind.SERVER_COMPLAINTS,
-                    protocol.pack_complaints(run.server.complaints,
-                                             run.server.opening_qp),
-                ),
-            )
+            run.server.post_complaints(ledger)
         if run.client.complaints:
             goto(ledger, contract, "K4")
-            ledger.post(
-                contract,
-                protocol.LedgerMessage(
-                    run.client.addr,
-                    protocol.MsgKind.CLIENT_COMPLAINTS,
-                    protocol.pack_complaints(run.client.complaints,
-                                             run.client.opening_qp),
-                ),
-            )
+            run.client.post_complaints(ledger)
         goto(ledger, contract, "K5")
         report = protocol.contract_resolve(ledger, contract)
         return run, report
@@ -767,6 +752,34 @@ class TestPayoutGuards:
             protocol.payout_arbiter_variant(
                 run.ledger, run.contract, run.client.opening_cp
             )
+
+    @pytest.mark.parametrize("variant, payout", [
+        (ARBITER, protocol.payout_arbiter_variant),
+        (ARBITERLESS, protocol.payout_arbiterless_variant),
+    ])
+    def test_payout_needs_pay_request(self, variant, payout):
+        run = HonestRun(make_config(z=2, variant=variant))
+        goto(run.ledger, run.contract, "L")
+        with pytest.raises(protocol.PayNotRequested):
+            payout(run.ledger, run.contract, run.client.opening_cp)
+        assert run.contract.escrow > 0 and not run.contract.paid_out
+        run.server.request_payout(run.ledger)
+        payout(run.ledger, run.contract, run.client.opening_cp)
+        assert run.contract.escrow == 0
+
+    def test_refund_needs_pay_request(self):
+        config = make_config(z=2)
+        ledger, client, server, handoff, _, _ = build_session(
+            config, client_behavior=ClientBehavior(ill_formed_metadata=True)
+        )
+        contract = handoff.contract
+        goto(ledger, contract, "T1")
+        assert server.init(handoff, ledger) == 0
+        goto(ledger, contract, "T2")
+        with pytest.raises(protocol.PayNotRequested):
+            protocol.refund_deposits(ledger, contract)
+        client.request_payout(ledger)
+        assert protocol.refund_deposits(ledger, contract) == {"client": 14, "server": 0}
 
 
 class TestVariantConsistency:

@@ -1,12 +1,16 @@
 """Scenario parsing, the runner's reports, report verification, and the CLI."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from porpay import cli, scenario
 from porpay.ledger import CounterOutOfBounds, Counters
 from porpay.scenario import ScenarioSpec, SpecInvalid, expected_payout, run, verify_report
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def base_raw(**overrides):
@@ -214,6 +218,44 @@ class TestRunner:
         attribution = report["disputes"]["resolution"]["attribution"]
         assert len(attribution) == len(set(attribution))
         assert sum(report["counters"].values()) == len(attribution)
+
+
+class TestReportGolden:
+    """SHA-256 of ``report_to_json(run(spec))`` for every scenario file in
+    both variants, at the file's own seed (None) and at seeds 3 and 11.
+    Reports must stay byte-identical across refactors; any intended change
+    to a report re-pins these."""
+
+    DIGESTS = {
+    ("free_riding.json", "arbiter", None): "89c9661c4301653df6c1b0e18c597fa7a2ecc065ecc564f713e30e815f63b291",
+    ("free_riding.json", "arbiter", 3): "6178486a4974ffbcae81b5edd0a5b90bc8699d492d81bcee0176104d692c3417",
+    ("free_riding.json", "arbiter", 11): "b7ff12b32bbd5b508f7fb93fd04e2b336015dbb70f5bac0ff08da5cdce3354b1",
+    ("free_riding.json", "arbiterless", None): "e1d70cb5372a122c3768f146a9dc11dde50a3e6348bc79829bc514173cb19e7d",
+    ("free_riding.json", "arbiterless", 3): "210466989564350dd2ef97bd44d0dd4c6a2941bc71ac32e55ed17689296642c1",
+    ("free_riding.json", "arbiterless", 11): "2888dadc8eaaf686ff635a6c453aa26218400fd5201479a194698e7fdd2a82ad",
+    ("honest.json", "arbiter", None): "c45c1aef0bab531751d6421ea44543eddb8573df70787c1e83c4f0999e7c5735",
+    ("honest.json", "arbiter", 3): "9bc8cc62b2ead1f3dbca832d8fcab7065185ac5ae2d627a7e284e3f950be0940",
+    ("honest.json", "arbiter", 11): "98a60e6107dbd894fa6dfe6a9bfb424f2269ce20a0813b5e4aff121692cea6c7",
+    ("honest.json", "arbiterless", None): "681ff8076b85d6ad6d9af559c4afa9e02d8a94b5c06d6d61c094f041e3ded9e8",
+    ("honest.json", "arbiterless", 3): "b5c763f411d66412c5e3af28771ad31fb13f1d129dcf768ed8b812467ff99ece",
+    ("honest.json", "arbiterless", 11): "8147b76f30302bdf63813c80a6d8990bef0555d39eaec8acfff4ea6e52356f71",
+    ("malicious_server.json", "arbiter", None): "004a32433cd34dbf54bfce153e31f8c0c7e6644cbce203a3b0bd75fd95325573",
+    ("malicious_server.json", "arbiter", 3): "40b65694adc72d2a5a46447eca311b9b4fa8c86896dd2f940aea93f45da94162",
+    ("malicious_server.json", "arbiter", 11): "792d72a0a44ad9751601559746231ecd601525dc7bc0ea8fa33e8a50d2ef3d84",
+    ("malicious_server.json", "arbiterless", None): "480e28d69048a10b67a4bc6e766cf0a54e3e3e9fd50a7992dab0ad39a92cead0",
+    ("malicious_server.json", "arbiterless", 3): "79cd30e49b631622ee26f652943ebf1c435ad32066420c07043ef8289b877125",
+    ("malicious_server.json", "arbiterless", 11): "cfb7cb2d1722a01c1b5a7774a08c3d98912f7d539812dcd6cca971520956e59d",
+    }
+
+    @pytest.mark.parametrize("name, variant, seed", sorted(DIGESTS, key=str))
+    def test_report_digest(self, name, variant, seed):
+        raw = json.loads((SCENARIOS / name).read_text(encoding="utf-8"))
+        raw["session"]["variant"] = variant
+        if seed is not None:
+            raw["seed"] = seed
+        text = scenario.report_to_json(run(ScenarioSpec.from_dict(raw)))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.DIGESTS[name, variant, seed]
 
 
 class TestVerifyReport:
