@@ -210,7 +210,7 @@ class RcContract:
         self.server_deposited = 0
         self.escrow = 0
         self.counters = Counters()
-        self.counters_posted = False
+        self.resolved = False  # counters set once, by the arbiter or the contract
         self.queries: dict[int, bytes] = {}
         self.proofs: dict[int, bytes] = {}
         self.complaint_posts: dict[str, bytes] = {}
@@ -225,8 +225,13 @@ class RcContract:
             raise MissingQuery(f"no query posted for cycle {j}") from None
 
     def add_counters(self, delta: Counters) -> None:
-        """Add ``delta``; a sum outside the per-session bounds raises
-        CounterOutOfBounds and leaves the counters as they were."""
+        """Resolve the session's disputes by adding ``delta``, once.
+
+        A second call raises DuplicateSlot; a sum outside the per-session
+        bounds raises CounterOutOfBounds. Either leaves the counters as they
+        were."""
+        if self.resolved:
+            raise DuplicateSlot("dispute counters already resolved")
         old = self.counters
         c = Counters(
             old.client_faults + delta.client_faults,
@@ -242,6 +247,7 @@ class RcContract:
         ):
             raise CounterOutOfBounds(f"counters {c.as_dict()} exceed z={self.params.z}")
         self.counters = c
+        self.resolved = True
 
     # message admission rules: (kind, sender role, time label) must line up
     def check_message(self, msg: LedgerMessage, now: TimePoint) -> None:
@@ -280,7 +286,7 @@ class RcContract:
                 raise WrongSender("no arbiter counters in the arbiterless variant")
             self._require(msg.sender, p.addr_arbiter, msg.kind)
             self._require_time(now, "K6")
-            if self.counters_posted:
+            if self.resolved:
                 raise DuplicateSlot("arbiter counters already posted")
             if len(msg.payload) != Counters.PACKED_LEN:
                 raise MalformedPayload(
@@ -306,7 +312,6 @@ class RcContract:
             self.complaint_posts[msg.kind.value] = msg.payload
         elif msg.kind is MsgKind.COUNTERS:
             self.add_counters(Counters.unpack(msg.payload))
-            self.counters_posted = True
         elif msg.kind is MsgKind.PAY:
             self.pay_requests.append(now.label)
 

@@ -14,10 +14,10 @@ the leaf position, so paths carry no direction flags.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from hashlib import sha256
+from itertools import chain, repeat
 from typing import NamedTuple
 
-from .hashing import HASH_LEN, digest, tally
+from .hashing import HASH_LEN, node_sha256, tally
 
 
 class EmptyInput(ValueError):
@@ -39,10 +39,15 @@ def padded_leaf_count(m: int) -> int:
 
 @dataclass(frozen=True)
 class MerkleTree:
-    """Tree over ``leaf_blocks``; ``levels[0]`` pairs blocks, ``levels[-1]`` is the root."""
+    """Tree over ``leaf_blocks``; ``levels[0]`` pairs blocks, ``levels[-1]`` is the root.
+
+    Each level is the list its comprehension built, never copied: copying
+    the 2^19-entry lowest level of an m = 2^20 tree into a tuple made the
+    set-up's peak memory vary between runs by about 13 MB.
+    """
 
     leaf_blocks: tuple[bytes, ...]
-    levels: tuple[tuple[bytes, ...], ...]
+    levels: tuple[list[bytes], ...]
     height: int
 
     @property
@@ -64,22 +69,26 @@ class MerklePath(NamedTuple):
 
 
 def gen_tree(blocks) -> tuple[MerkleTree, bytes]:
-    """Build the tree over ``blocks`` and return it with its root digest."""
+    """Build the tree over ``blocks`` and return it with its root digest.
+
+    Each level is hashed inline and tallied once: a level of k nodes costs
+    exactly k hashes.
+    """
     blocks = tuple(blocks)
     if not blocks:
         raise EmptyInput("cannot build a tree over zero blocks")
-    block_len = len(blocks[0])
-    if any(len(b) != block_len for b in blocks):
+    if len(set(map(len, blocks))) != 1:
         raise UnequalBlockLength("blocks differ in length")
 
     n = padded_leaf_count(len(blocks))
-    leaves = blocks + (bytes(block_len),) * (n - len(blocks))
-    level = tuple(digest(leaves[i] + leaves[i + 1]) for i in range(0, n, 2))
-    levels = [level]
-    while len(level) > 1:
-        level = tuple(digest(level[i] + level[i + 1]) for i in range(0, len(level), 2))
+    level = chain(blocks, repeat(bytes(len(blocks[0])), n - len(blocks)))
+    levels = []
+    for _ in range(n.bit_length() - 1):
+        pairs = iter(level)
+        level = [node_sha256(a + b).digest()[:HASH_LEN] for a, b in zip(pairs, pairs)]
+        tally(len(level))
         levels.append(level)
-    return MerkleTree(blocks, tuple(levels), n.bit_length() - 1), levels[-1][0]
+    return MerkleTree(blocks, tuple(levels), len(levels)), level[0]
 
 
 def prove(tree: MerkleTree, index: int) -> MerklePath:
@@ -112,12 +121,12 @@ def verify(path: MerklePath, root: bytes) -> bool:
         return False
     pos = leaf_index - 1
     if pos & 1 == 0:
-        node = sha256(leaf_block + sibling_block).digest()[:HASH_LEN]
+        node = node_sha256(leaf_block + sibling_block).digest()[:HASH_LEN]
     else:
-        node = sha256(sibling_block + leaf_block).digest()[:HASH_LEN]
+        node = node_sha256(sibling_block + leaf_block).digest()[:HASH_LEN]
     for sibling in sibling_digests:
         pos >>= 1
         pair = node + sibling if pos & 1 == 0 else sibling + node
-        node = sha256(pair).digest()[:HASH_LEN]
+        node = node_sha256(pair).digest()[:HASH_LEN]
     tally(1 + len(sibling_digests))
     return node == root

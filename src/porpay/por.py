@@ -12,7 +12,9 @@ settles the dispute.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass, field
+from itertools import count
 from typing import NamedTuple, Protocol, Sequence, Union
 
 from . import merkle
@@ -176,12 +178,17 @@ def setup(
     """
     if not file:
         raise EmptyFile("cannot set up a proof of retrievability over an empty file")
+    if block_payload_len < 1:
+        raise ValueError("block_payload_len must be positive")
     coded = codec.encode(file) if codec is not None else file
-    blocks = []
-    for i in range(0, len(coded), block_payload_len):
-        payload = coded[i : i + block_payload_len].ljust(block_payload_len, b"\x00")
-        blocks.append(payload + (len(blocks) + 1).to_bytes(INDEX_LEN, "big"))
-    encoded = EncodedFile(tuple(blocks), block_payload_len)
+    # pad once, then cut every payload and pack it with its 1-based index
+    # ("I" is the INDEX_LEN-byte big-endian index) in one comprehension
+    m = -(-len(coded) // block_payload_len)
+    coded = coded.ljust(m * block_payload_len, b"\x00")
+    pack_block = struct.Struct(f">{block_payload_len}sI").pack
+    payloads = struct.iter_unpack(f"{block_payload_len}s", coded)
+    blocks = tuple([pack_block(p, i) for (p,), i in zip(payloads, count(1))])
+    encoded = EncodedFile(blocks, block_payload_len)
     _, root = merkle.gen_tree(encoded.blocks)
     return encoded, PublicParams(sigma=root, phi=phi, m=encoded.m)
 

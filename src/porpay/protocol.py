@@ -54,6 +54,7 @@ from .ledger import (
     Address,
     ContractParams,
     Counters,
+    DuplicateSlot,
     Ledger,
     LedgerMessage,
     MissingQuery,
@@ -1011,11 +1012,18 @@ def _client_pass(
 
 class Arbiter:
     """Third-party resolver: takes complaints off-ledger at K1/K4, re-checks
-    them at K2/K5, and posts the counter update at K6."""
+    them at K2/K5, and posts the counter update at K6. Each pass runs once:
+    a second run would charge the same complaints again."""
 
     def __init__(self, addr: Address):
         self.addr = addr
         self.report = ResolutionReport()
+        self._passes_run: set[str] = set()
+
+    def _run_once(self, name: str) -> None:
+        if name in self._passes_run:
+            raise DuplicateSlot(f"arbiter {name} pass already run")
+        self._passes_run.add(name)
 
     def resolve_server(
         self,
@@ -1026,6 +1034,7 @@ class Arbiter:
     ) -> list[int]:
         """Phase 7 server pass at K2; returns v."""
         _require_time(ledger, "K2")
+        self._run_once("server")
         _server_pass(self.report, complaints, opening_qp, ledger, contract)
         return self.report.v
 
@@ -1038,6 +1047,7 @@ class Arbiter:
     ) -> None:
         """Phase 7 client pass at K5."""
         _require_time(ledger, "K5")
+        self._run_once("client")
         _client_pass(self.report, complaints, opening_qp, ledger, contract)
 
     def post_counters(self, ledger: Ledger, contract: RcContract) -> None:
@@ -1086,7 +1096,8 @@ def contract_resolve(ledger: Ledger, contract: RcContract) -> ResolutionReport:
     """Contract-run dispute resolution for the arbiter-free variant.
 
     Runs the two passes over the complaint payloads posted at K1/K4 and adds
-    the resulting fault counts to the contract in one step.
+    the resulting fault counts to the contract in one step. The contract
+    resolves once: a second call raises DuplicateSlot.
     """
     if not contract.params.arbiterless:
         raise ValueError("contract_resolve only runs in the arbiter-free variant")

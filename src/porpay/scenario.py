@@ -169,10 +169,6 @@ class ScenarioSpec:
     def from_json(cls, text: str) -> "ScenarioSpec":
         return cls.from_dict(json.loads(text))
 
-    @classmethod
-    def load(cls, path: str | Path) -> "ScenarioSpec":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
-
     def to_dict(self) -> dict:
         cfg = self.config
         return {

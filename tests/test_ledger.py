@@ -211,7 +211,7 @@ class TestPost:
                 LedgerMessage(arbiter, MsgKind.COUNTERS, Counters(2, 0, 1, 0).pack()),
             )
         assert contract.counters == Counters()
-        assert not contract.counters_posted
+        assert not contract.resolved
         ledger.post(
             contract,
             LedgerMessage(arbiter, MsgKind.COUNTERS, Counters(1, 0, 1, 0).pack()),
@@ -225,7 +225,7 @@ class TestPost:
         with pytest.raises(MalformedPayload):
             ledger.post(contract, LedgerMessage(arbiter, MsgKind.COUNTERS, payload))
         assert contract.counters == Counters()
-        assert not contract.counters_posted
+        assert not contract.resolved
         assert all(e["kind"] != "counters" for e in ledger.export_trace())
 
     def test_complaint_posts_only_in_arbiterless_variant(self):

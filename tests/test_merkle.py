@@ -69,6 +69,12 @@ class TestGenTree:
         with pytest.raises(merkle.UnequalBlockLength):
             merkle.gen_tree([b"aa", b"bbb"])
 
+    def test_unequal_length_in_last_block_only(self):
+        blocks = blocks_of(5)
+        blocks[-1] += b"\x00"
+        with pytest.raises(merkle.UnequalBlockLength):
+            merkle.gen_tree(blocks)
+
 
 class TestProve:
     def test_m4_index1_structure(self):
@@ -172,6 +178,13 @@ class TestVerify:
 class TestHashCounts:
     """Exact hash counts at m = 8 (tree height 3): a path verification
     hashes the leaf pair plus one node per sibling digest."""
+
+    @pytest.mark.parametrize("m, hashes", [(1, 1), (5, 7), (8, 7)])
+    def test_gen_tree_hashes_every_internal_node(self, m, hashes):
+        # the padded leaf count n has n - 1 internal nodes
+        with count_hash_calls() as taken:
+            merkle.gen_tree(blocks_of(m))
+            assert taken() == hashes
 
     def test_accepting_path_hashes_whole_path(self):
         tree, root = merkle.gen_tree(blocks_of(8))

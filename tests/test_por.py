@@ -18,6 +18,31 @@ def make_session(m=8, payload=8, phi=None, seed=0):
     return encoded, pp, rng
 
 
+def reference_blocks(coded: bytes, payload: int) -> list[bytes]:
+    """Independent per-block loop: zero-fill the last payload, suffix the
+    1-based index."""
+    blocks = []
+    for i in range(0, len(coded), payload):
+        chunk = coded[i : i + payload]
+        chunk += bytes(payload - len(chunk))
+        blocks.append(chunk + (len(blocks) + 1).to_bytes(4, "big"))
+    return blocks
+
+
+def reference_root(blocks: list[bytes]) -> bytes:
+    """Zero-pad to a power of two (at least 2) and hash pairs upward."""
+    n = 2
+    while n < len(blocks):
+        n *= 2
+    nodes = blocks + [bytes(len(blocks[0]))] * (n - len(blocks))
+    while len(nodes) > 1:
+        nodes = [
+            hashlib.sha256(nodes[i] + nodes[i + 1]).digest()[:16]
+            for i in range(0, len(nodes), 2)
+        ]
+    return nodes[0]
+
+
 def corrupt_entry(pi, position, byte_pos=0):
     """Flip one payload byte of the entry at 1-based ``position``."""
     entry = pi[position - 1]
@@ -47,9 +72,32 @@ class TestSetup:
         _, root = merkle.gen_tree(encoded.blocks)
         assert pp.sigma == root
 
+    @pytest.mark.parametrize("size, payload, codec", [
+        (1000, 16, None),
+        (1024, 16, None),
+        (1, 16, None),
+        (77, 8, None),
+        (1000, 16, por.XorParityCodec()),
+        (333, 8, por.XorParityCodec(chunk_len=8)),
+    ])
+    def test_blocks_and_root_match_reference_loop(self, size, payload, codec):
+        file = random.Random(size).randbytes(size)
+        encoded, pp = por.setup(file, payload, phi=1, codec=codec)
+        coded = codec.encode(file) if codec is not None else file
+        expected = reference_blocks(coded, payload)
+        assert list(encoded.blocks) == expected
+        assert encoded.block_payload_len == payload
+        assert pp.m == len(expected)
+        assert pp.sigma == reference_root(expected)
+
     def test_empty_file(self):
         with pytest.raises(por.EmptyFile):
             por.setup(b"", 16)
+
+    @pytest.mark.parametrize("payload", [0, -16])
+    def test_non_positive_payload_len_rejected(self, payload):
+        with pytest.raises(ValueError):
+            por.setup(bytes(32), payload, phi=1)
 
     def test_phi_above_m_rejected(self):
         with pytest.raises(ValueError):

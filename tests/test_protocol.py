@@ -6,7 +6,7 @@ import pytest
 
 from porpay import por, protocol
 from porpay.crypto import Opening, dec_unit, enc_unit
-from porpay.ledger import Counters, Ledger
+from porpay.ledger import Counters, DuplicateSlot, Ledger
 from porpay.protocol import (
     ARBITER,
     ARBITERLESS,
@@ -579,6 +579,53 @@ class TestArbiterResolution:
             assert arbiter.report.update.attribution[j] == "server_faults"
         assert run.contract.counters == Counters(server_faults=3)
 
+    @staticmethod
+    def pay(run):
+        goto(run.ledger, run.contract, "L")
+        run.client.request_payout(run.ledger)
+        return protocol.payout_arbiter_variant(
+            run.ledger, run.contract, run.client.opening_cp
+        )
+
+    def test_second_server_pass_is_refused(self):
+        behavior = ClientBehavior(invalid_query=frozenset({1}))
+        config = make_config(z=3)
+        reference = DisputedRun(config, seed=5, client_behavior=behavior)
+        reference.resolve()
+        run = HonestRun(config, seed=5, client_behavior=behavior)
+        arbiter = Arbiter(run.addr_r)
+        goto(run.ledger, run.contract, "K2")
+        args = (run.server.complaints, run.server.opening_qp, run.ledger, run.contract)
+        assert arbiter.resolve_server(*args) == [1]
+        with pytest.raises(DuplicateSlot):
+            arbiter.resolve_server(*args)
+        assert arbiter.report.v == [1]
+        goto(run.ledger, run.contract, "K5")
+        arbiter.resolve_client(
+            run.client.complaints, run.client.opening_qp, run.ledger, run.contract
+        )
+        goto(run.ledger, run.contract, "K6")
+        arbiter.post_counters(run.ledger, run.contract)
+        assert run.contract.counters == Counters(client_faults=1)
+        assert self.pay(run) == self.pay(reference)
+
+    def test_second_client_pass_is_refused(self):
+        behavior = ServerBehavior(corrupt_block=frozenset({2}))
+        config = make_config(z=3)
+        reference = DisputedRun(config, seed=8, server_behavior=behavior)
+        reference.resolve()
+        run = HonestRun(config, seed=8, server_behavior=behavior)
+        arbiter = Arbiter(run.addr_r)
+        goto(run.ledger, run.contract, "K5")
+        args = (run.client.complaints, run.client.opening_qp, run.ledger, run.contract)
+        arbiter.resolve_client(*args)
+        with pytest.raises(DuplicateSlot):
+            arbiter.resolve_client(*args)
+        goto(run.ledger, run.contract, "K6")
+        arbiter.post_counters(run.ledger, run.contract)
+        assert run.contract.counters == Counters(server_faults=1)
+        assert self.pay(run) == self.pay(reference)
+
 
 class TestArbiterlessResolution:
     def drive(self, client_behavior=None, server_behavior=None, seed=21):
@@ -637,6 +684,20 @@ class TestArbiterlessResolution:
             run.ledger, run.contract, run.client.opening_cp
         )
         # z=3, o=5, l=2: client 21-10+2, server 6+10-2
+        assert payout == {"client": 13, "server": 14}
+
+    def test_second_resolve_is_refused(self):
+        run, _ = self.drive(
+            server_behavior=ServerBehavior(corrupt_block=frozenset({2}))
+        )
+        with pytest.raises(DuplicateSlot):
+            protocol.contract_resolve(run.ledger, run.contract)
+        assert run.contract.counters == Counters(server_faults=1)
+        goto(run.ledger, run.contract, "L")
+        run.client.request_payout(run.ledger)
+        payout = protocol.payout_arbiterless_variant(
+            run.ledger, run.contract, run.client.opening_cp
+        )
         assert payout == {"client": 13, "server": 14}
 
 
