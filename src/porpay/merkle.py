@@ -1,10 +1,10 @@
 """Binary Merkle tree over equal-length file blocks.
 
-Leaves are the raw blocks themselves: level 1 holds the hashes of adjacent
-block pairs, every higher level hashes pairs of the level below, and the
-single remaining digest is the root. Block lists whose length is not a power
-of two are padded with all-zero blocks; proof indices always refer to the
-original list.
+The blocks arrive as one buffer of m * block_len bytes. Leaves are the raw
+blocks themselves: level 1 holds the hashes of adjacent block pairs, every
+higher level hashes pairs of the level below, and the single remaining
+digest is the root. A block count that is not a power of two is padded
+with all-zero blocks; proof indices always refer to the original blocks.
 
 A membership proof carries the block, its sibling block, and one digest per
 upper level. Verification re-derives left/right placement from the bits of
@@ -14,7 +14,6 @@ the leaf position, so paths carry no direction flags.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import NamedTuple
 
 from .hashing import HASH_LEN, node_sha256, tally
@@ -39,20 +38,23 @@ def padded_leaf_count(m: int) -> int:
 
 @dataclass(frozen=True)
 class MerkleTree:
-    """Tree over ``leaf_blocks``; ``levels[0]`` pairs blocks, ``levels[-1]`` is the root.
+    """Tree over the m blocks in ``blocks``; ``levels[0]`` pairs blocks,
+    ``levels[-1]`` is the root.
 
-    Each level is the list its comprehension built, never copied: copying
-    the 2^19-entry lowest level of an m = 2^20 tree into a tuple made the
+    ``blocks`` is the caller's buffer itself, never a copy. Each level is
+    the list of digests its comprehension built, never copied: copying the
+    2^19-entry lowest level of an m = 2^20 tree into a tuple made the
     set-up's peak memory vary between runs by about 13 MB.
     """
 
-    leaf_blocks: tuple[bytes, ...]
+    blocks: bytes
+    block_len: int
     levels: tuple[list[bytes], ...]
     height: int
 
     @property
     def m(self) -> int:
-        return len(self.leaf_blocks)
+        return len(self.blocks) // self.block_len
 
     @property
     def root(self) -> bytes:
@@ -68,27 +70,38 @@ class MerklePath(NamedTuple):
     leaf_index: int  # 1-based position in the original block list
 
 
-def gen_tree(blocks) -> tuple[MerkleTree, bytes]:
-    """Build the tree over ``blocks`` and return it with its root digest.
+def gen_tree(blocks: bytes, block_len: int) -> tuple[MerkleTree, bytes]:
+    """Build the tree over the ``block_len``-byte blocks of ``blocks`` and
+    return it with its root digest.
 
-    Each level is hashed inline and tallied once: a level of k nodes costs
-    exactly k hashes.
+    The lowest level hashes each 2 * block_len slice of the buffer; only a
+    block count that is not a power of two copies it, to append the zero
+    blocks. Each level is hashed inline and tallied once: a level of k
+    nodes costs exactly k hashes.
     """
-    blocks = tuple(blocks)
     if not blocks:
         raise EmptyInput("cannot build a tree over zero blocks")
-    if len(set(map(len, blocks))) != 1:
-        raise UnequalBlockLength("blocks differ in length")
+    if block_len < 1 or len(blocks) % block_len:
+        raise UnequalBlockLength(
+            f"{len(blocks)} bytes is not a whole number of {block_len}-byte blocks"
+        )
 
-    n = padded_leaf_count(len(blocks))
-    level = chain(blocks, repeat(bytes(len(blocks[0])), n - len(blocks)))
-    levels = []
-    for _ in range(n.bit_length() - 1):
+    m = len(blocks) // block_len
+    n = padded_leaf_count(m)
+    leaves = blocks if n == m else blocks + bytes((n - m) * block_len)
+    pair_len = 2 * block_len
+    level = [
+        node_sha256(leaves[i : i + pair_len]).digest()[:HASH_LEN]
+        for i in range(0, n * block_len, pair_len)
+    ]
+    tally(len(level))
+    levels = [level]
+    while len(level) > 1:
         pairs = iter(level)
         level = [node_sha256(a + b).digest()[:HASH_LEN] for a, b in zip(pairs, pairs)]
         tally(len(level))
         levels.append(level)
-    return MerkleTree(blocks, tuple(levels), len(levels)), level[0]
+    return MerkleTree(blocks, block_len, tuple(levels), len(levels)), level[0]
 
 
 def prove(tree: MerkleTree, index: int) -> MerklePath:
@@ -96,18 +109,16 @@ def prove(tree: MerkleTree, index: int) -> MerklePath:
     if not 1 <= index <= tree.m:
         raise IndexOutOfRange(f"index {index} not in [1, {tree.m}]")
 
-    block_len = len(tree.leaf_blocks[0])
+    blocks, block_len = tree.blocks, tree.block_len
     pos = index - 1
-    sibling_pos = pos ^ 1
-    sibling = (
-        tree.leaf_blocks[sibling_pos]
-        if sibling_pos < tree.m
-        else bytes(block_len)
-    )
+    start = pos * block_len
+    # the sibling of an odd m's last block is a padding block, past the buffer
+    sibling_start = (pos ^ 1) * block_len
+    sibling = blocks[sibling_start : sibling_start + block_len] or bytes(block_len)
     # one sibling digest per level from 1 to height-1
     levels = tree.levels
     digests = tuple([levels[k - 1][(pos >> k) ^ 1] for k in range(1, tree.height)])
-    return MerklePath(tree.leaf_blocks[pos], sibling, digests, index)
+    return MerklePath(blocks[start : start + block_len], sibling, digests, index)
 
 
 def verify(path: MerklePath, root: bytes) -> bool:

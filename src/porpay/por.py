@@ -11,14 +11,15 @@ settles the dispute.
 
 from __future__ import annotations
 
+import mmap
 import random
-import struct
+import sys
+from array import array
 from dataclasses import dataclass, field
-from itertools import count
 from typing import NamedTuple, Protocol, Sequence, Union
 
 from . import merkle
-from .crypto import PSI_BITS, prf
+from .crypto import IOTA_BITS, PRF_COUNTER_LEN, PSI_BITS, prf
 
 INDEX_LEN = 4
 DEFAULT_PHI = 460
@@ -40,8 +41,6 @@ class Codec(Protocol):
 
     def encode(self, data: bytes) -> bytes: ...
 
-    def decode(self, data: bytes) -> bytes: ...
-
 
 class IdentityCodec:
     name = "identity"
@@ -49,15 +48,11 @@ class IdentityCodec:
     def encode(self, data: bytes) -> bytes:
         return data
 
-    def decode(self, data: bytes) -> bytes:
-        return data
-
 
 class XorParityCodec:
     """Appends one XOR-parity chunk after every group of four data chunks.
 
-    Demonstrates the encoding hook; decode drops the parity chunks and does
-    not strip the zero fill added to a short final chunk.
+    Demonstrates the encoding hook; a short final chunk is zero-filled.
     """
 
     name = "xor-parity"
@@ -87,25 +82,21 @@ class XorParityCodec:
             pieces.append(parity)
         return b"".join(pieces)
 
-    def decode(self, data: bytes) -> bytes:
-        chunks = self._chunks(data)
-        kept: list[bytes] = []
-        for start in range(0, len(chunks), self.group + 1):
-            block = chunks[start : start + self.group + 1]
-            kept.extend(block[:-1])  # each group ends with its parity chunk
-        return b"".join(kept)
-
 
 CODECS = {"identity": IdentityCodec, "xor-parity": XorParityCodec}
 
 
 @dataclass(frozen=True)
 class PrfSpec:
-    """Bit lengths describing the challenge PRF (key, input, output)."""
+    """Bit lengths describing the challenge PRF (key, input, output).
 
-    psi: int = 128
-    eta: int = 64
-    iota: int = 128
+    Only the defaults, the constants the PRF is built from, are supported:
+    a server treats a statement carrying any other triple as ill-formed.
+    """
+
+    psi: int = PSI_BITS
+    eta: int = PRF_COUNTER_LEN * 8
+    iota: int = IOTA_BITS
 
 
 @dataclass(frozen=True)
@@ -132,14 +123,17 @@ class PublicParams:
 
 @dataclass(frozen=True)
 class EncodedFile:
-    """Ordered blocks of (payload || 4-byte big-endian index), indices 1..m."""
+    """Blocks of (payload || 4-byte big-endian index), indices 1..m, back to
+    back in one buffer: block i is ``blocks[(i-1)*L : i*L]``, L = ``block_len``.
+    One buffer, because a 20-byte block as its own object costs 72 bytes.
+    """
 
-    blocks: tuple[bytes, ...]
+    blocks: bytes
     block_payload_len: int
 
     @property
     def m(self) -> int:
-        return len(self.blocks)
+        return len(self.blocks) // self.block_len
 
     @property
     def block_len(self) -> int:
@@ -181,16 +175,32 @@ def setup(
     if block_payload_len < 1:
         raise ValueError("block_payload_len must be positive")
     coded = codec.encode(file) if codec is not None else file
-    # pad once, then cut every payload and pack it with its 1-based index
-    # ("I" is the INDEX_LEN-byte big-endian index) in one comprehension
-    m = -(-len(coded) // block_payload_len)
-    coded = coded.ljust(m * block_payload_len, b"\x00")
-    pack_block = struct.Struct(f">{block_payload_len}sI").pack
-    payloads = struct.iter_unpack(f"{block_payload_len}s", coded)
-    blocks = tuple([pack_block(p, i) for (p,), i in zip(payloads, count(1))])
-    encoded = EncodedFile(blocks, block_payload_len)
-    _, root = merkle.gen_tree(encoded.blocks)
+    encoded = EncodedFile(_index_tagged(coded, block_payload_len), block_payload_len)
+    _, root = merkle.gen_tree(encoded.blocks, encoded.block_len)
     return encoded, PublicParams(sigma=root, phi=phi, m=encoded.m)
+
+
+def _index_tagged(coded: bytes, payload_len: int) -> bytes:
+    """``coded`` cut into zero-filled payloads, each followed by its 1-based
+    big-endian index, in one buffer.
+
+    Each payload byte column and index byte column is one strided slice
+    assignment into an anonymous mapping, copied once to ``bytes`` and
+    unmapped: freeing a heap buffer would leave its pages on the heap.
+    """
+    m = -(-len(coded) // payload_len)
+    block_len = payload_len + INDEX_LEN
+    index = array("I", range(1, m + 1))  # INDEX_LEN-byte unsigned ints
+    if sys.byteorder == "little":
+        index.byteswap()
+    index_bytes = index.tobytes()
+    with mmap.mmap(-1, m * block_len) as out:  # zero-filled
+        for k in range(payload_len):
+            column = coded[k::payload_len]  # m - 1 bytes past a short last payload
+            out[k : k + len(column) * block_len : block_len] = column
+        for k in range(INDEX_LEN):
+            out[payload_len + k :: block_len] = index_bytes[k::INDEX_LEN]
+        return out[:]
 
 
 def gen_query(rng: random.Random) -> bytes:
@@ -226,13 +236,13 @@ def prove(
     if encoded.m != pp.m:
         raise ParamMismatch(f"encoded file has {encoded.m} blocks, pp says {pp.m}")
     if tree is None:
-        tree, _ = merkle.gen_tree(encoded.blocks)
+        tree, _ = merkle.gen_tree(encoded.blocks, encoded.block_len)
     elif tree.m != pp.m:
         raise ParamMismatch("supplied tree does not match pp")
-    blocks = encoded.blocks
+    blocks, block_len = encoded.blocks, encoded.block_len
     return tuple(
         [
-            ProofEntry(blocks[q - 1], merkle.prove(tree, q))
+            ProofEntry(blocks[(q - 1) * block_len : q * block_len], merkle.prove(tree, q))
             for q in derive_indices(key, pp.phi, pp.m)
         ]
     )

@@ -528,9 +528,9 @@ class Client:
         encoded, pp = por.setup(file, cfg.block_payload_len, cfg.phi, codec)
         if self.behavior.ill_formed_metadata:
             # advertise the root of a different file
-            twisted = bytearray(encoded.blocks[0])
+            twisted = bytearray(encoded.blocks)
             twisted[0] ^= 0xFF
-            _, bogus_root = merkle.gen_tree((bytes(twisted),) + encoded.blocks[1:])
+            _, bogus_root = merkle.gen_tree(twisted, encoded.block_len)
             pp = por.PublicParams(bogus_root, pp.phi, pp.m, pp.zeta)
         self.pp = pp
 
@@ -659,8 +659,9 @@ class Server:
     def init(self, handoff: Handoff, ledger: Ledger) -> int:
         """Phase 3: re-check statements, deposits, and metadata; answer at T1.
 
-        An ill-formed advertised root, mismatched counts, wrong deposits, a
-        pad count that takes entries past MAX_ENTRY_SLOTS, or a failed
+        An ill-formed advertised root, a PRF triple other than the
+        supported ``PrfSpec()``, mismatched counts, wrong deposits, a pad
+        count that takes entries past MAX_ENTRY_SLOTS, or a failed
         agreement all end in a = 0 and no deposit, which later
         triggers the T2 refund path.
         """
@@ -686,6 +687,7 @@ class Server:
                 and cp.o_max == self.price_list.o_max
                 and cp.l_max == self.price_list.l_max
                 and contract.counters == Counters()
+                and qp.pp.zeta == por.PrfSpec()
                 and qp.block_payload_len == handoff.encoded_file.block_payload_len
                 and entry_real_units(qp.pp.m) + qp.pad_pi <= MAX_ENTRY_SLOTS
             )
@@ -708,15 +710,13 @@ class Server:
             agreed = agreed and b
 
         a = 0
-        if checks_ok and agreed:
-            tree, root = merkle.gen_tree(handoff.encoded_file.blocks)
-            if (
-                root == qp.pp.sigma
-                and handoff.encoded_file.m == qp.pp.m
-                and qp.pp.phi <= qp.pp.m
-            ):
+        encoded = handoff.encoded_file
+        # exactly m whole blocks, so the rebuild below cannot raise
+        if checks_ok and agreed and len(encoded.blocks) == qp.pp.m * encoded.block_len:
+            tree, root = merkle.gen_tree(encoded.blocks, encoded.block_len)
+            if root == qp.pp.sigma and qp.pp.phi <= qp.pp.m:
                 a = 1
-                self.encoded = handoff.encoded_file
+                self.encoded = encoded
                 self.tree = tree
                 self.qp = qp
                 self.fmt = unit_format(qp.block_payload_len)
@@ -740,7 +740,7 @@ class Server:
         qp = self.qp
         try:
             k_hat = dec_unit(qp.k_bar, self.contract.query(j), self.fmt)
-            b = 1 if len(k_hat) == qp.pp.zeta.psi // 8 else 0
+            b = 1 if len(k_hat) == PSI_BITS // 8 else 0
         except (MissingQuery, DecryptFailure):
             b = 0
         if j in self.behavior.false_query_complaint:
@@ -924,7 +924,7 @@ def _query_key(
         k_hat = dec_unit(qp.k_bar, contract.query(j), fmt)
     except (MissingQuery, DecryptFailure):
         return None
-    return k_hat if len(k_hat) == qp.pp.zeta.psi // 8 else None
+    return k_hat if len(k_hat) == PSI_BITS // 8 else None
 
 
 def _judge_client_complaint(

@@ -228,6 +228,12 @@ class TestConservationFuzz:
         )
 
 
+def split_blocks(encoded):
+    """The encoded file's buffer cut into its blocks, 1..m in order."""
+    width = encoded.block_len
+    return [encoded.blocks[i : i + width] for i in range(0, len(encoded.blocks), width)]
+
+
 def naive_hash(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()[:16]
 
@@ -324,11 +330,12 @@ class TestPorOracleEquivalence:
         for m in (2, 4, 8):
             file = rng.randbytes(m * PAYLOAD)
             encoded, pp = por.setup(file, PAYLOAD, phi=m)
-            tree, _ = merkle.gen_tree(encoded.blocks)
+            tree, _ = merkle.gen_tree(encoded.blocks, encoded.block_len)
+            blocks = split_blocks(encoded)
             key = por.gen_query(rng)
             base = [
                 {
-                    "block": encoded.blocks[q - 1],
+                    "block": blocks[q - 1],
                     "sibling": merkle.prove(tree, q).sibling_block,
                     "digests": list(merkle.prove(tree, q).sibling_digests),
                     "leaf_index": q,
@@ -347,7 +354,7 @@ class TestPorOracleEquivalence:
                 ]
                 for _ in range(rng.randrange(0, 3)):  # 0 = control, else corrupt
                     self.corrupt(rng, entries)
-                naive = naive_verify(encoded.blocks, key, entries, pp.phi)
+                naive = naive_verify(blocks, key, entries, pp.phi)
                 verdict = por.verify(self.to_package_entries(entries), key, pp)
                 package = (int(verdict.accepted), verdict.failing_index)
                 assert package == naive, f"m={m} trial={trial}"
@@ -364,7 +371,7 @@ def big_session():
     m = 2**20
     file = rng.randbytes(m * PAYLOAD)
     encoded, pp = por.setup(file, PAYLOAD, phi=460)
-    tree, _ = merkle.gen_tree(encoded.blocks)
+    tree, _ = merkle.gen_tree(encoded.blocks, encoded.block_len)
     key = por.gen_query(rng)
     pi = por.prove(encoded, key, pp, tree=tree)
     k_bar = b"\x5a" * 16

@@ -30,56 +30,74 @@ def blocks_of(n: int, width: int = 8) -> list[bytes]:
     return [bytes([i + 1]) * width for i in range(n)]
 
 
+def tree_of(blocks: list[bytes]) -> tuple[merkle.MerkleTree, bytes]:
+    """Build the tree over a block list, laid out back to back as
+    ``gen_tree`` takes it, with the first block's length."""
+    return merkle.gen_tree(b"".join(blocks), len(blocks[0]))
+
+
 class TestGenTree:
     def test_four_block_root_is_two_level_hash(self):
         b1, b2, b3, b4 = (bytes([v]) * 16 for v in (1, 2, 3, 4))
-        _, root = merkle.gen_tree([b1, b2, b3, b4])
+        _, root = tree_of([b1, b2, b3, b4])
         assert root == h16(h16(b1 + b2) + h16(b3 + b4))
 
     def test_three_blocks_pad_with_zero_block(self):
         b1, b2, b3 = (bytes([v]) * 16 for v in (1, 2, 3))
-        _, root = merkle.gen_tree([b1, b2, b3])
+        _, root = tree_of([b1, b2, b3])
         assert root == h16(h16(b1 + b2) + h16(b3 + bytes(16)))
 
     def test_fixed_vector(self):
         # frozen from a standalone two-level hash script
         blocks = [bytes([v]) * 16 for v in (1, 2, 3, 4)]
-        _, root = merkle.gen_tree(blocks)
+        _, root = tree_of(blocks)
         assert root.hex() == "a2c8182f5ad25b50deebc7eab3a28456"
 
     def test_deterministic(self):
         blocks = blocks_of(6)
-        assert merkle.gen_tree(blocks)[1] == merkle.gen_tree(blocks)[1]
+        assert tree_of(blocks)[1] == tree_of(blocks)[1]
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_matches_naive_oracle(self, m):
         blocks = blocks_of(m)
-        assert merkle.gen_tree(blocks)[1] == naive_root(blocks)
+        assert tree_of(blocks)[1] == naive_root(blocks)
 
     def test_single_block_pads_to_pair(self):
         blocks = [b"\x07" * 8]
-        _, root = merkle.gen_tree(blocks)
+        _, root = tree_of(blocks)
         assert root == h16(blocks[0] + bytes(8))
 
     def test_empty_input(self):
         with pytest.raises(merkle.EmptyInput):
-            merkle.gen_tree([])
+            merkle.gen_tree(b"", 8)
 
     def test_unequal_block_length(self):
         with pytest.raises(merkle.UnequalBlockLength):
-            merkle.gen_tree([b"aa", b"bbb"])
+            tree_of([b"aa", b"bbb"])
+
+    @pytest.mark.parametrize("size, block_len", [(7, 8), (16, 0)])
+    def test_partial_block_rejected(self, size, block_len):
+        with pytest.raises(merkle.UnequalBlockLength):
+            merkle.gen_tree(bytes(size), block_len)
+
+    @pytest.mark.parametrize("m", [1, 5, 8])
+    def test_tree_holds_the_buffer_itself(self, m):
+        buffer = b"".join(blocks_of(m))
+        tree, _ = merkle.gen_tree(buffer, 8)
+        assert tree.blocks is buffer
+        assert (tree.block_len, tree.m) == (8, m)
 
     def test_unequal_length_in_last_block_only(self):
         blocks = blocks_of(5)
         blocks[-1] += b"\x00"
         with pytest.raises(merkle.UnequalBlockLength):
-            merkle.gen_tree(blocks)
+            tree_of(blocks)
 
 
 class TestProve:
     def test_m4_index1_structure(self):
         blocks = blocks_of(4)
-        tree, _ = merkle.gen_tree(blocks)
+        tree, _ = tree_of(blocks)
         path = merkle.prove(tree, 1)
         assert path.leaf_block == blocks[0]
         assert path.sibling_block == blocks[1]
@@ -87,7 +105,7 @@ class TestProve:
 
     def test_m4_index4_structure(self):
         blocks = blocks_of(4)
-        tree, _ = merkle.gen_tree(blocks)
+        tree, _ = tree_of(blocks)
         path = merkle.prove(tree, 4)
         assert path.leaf_block == blocks[3]
         assert path.sibling_block == blocks[2]
@@ -96,7 +114,7 @@ class TestProve:
     def test_m8_index5_has_three_sibling_elements(self):
         # brute-force enumeration of the m=8 tree
         blocks = blocks_of(8)
-        tree, _ = merkle.gen_tree(blocks)
+        tree, _ = tree_of(blocks)
         path = merkle.prove(tree, 5)
         level1 = [h16(blocks[i] + blocks[i + 1]) for i in range(0, 8, 2)]
         level2 = [h16(level1[0] + level1[1]), h16(level1[2] + level1[3])]
@@ -104,16 +122,25 @@ class TestProve:
         assert path.sibling_digests == (level1[3], level2[0])
         assert 1 + len(path.sibling_digests) == 3
 
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_last_leaf_of_odd_m_has_zero_sibling(self, m):
+        blocks = blocks_of(m)
+        tree, root = tree_of(blocks)
+        path = merkle.prove(tree, m)
+        assert path.leaf_block == blocks[-1]
+        assert path.sibling_block == bytes(8)
+        assert merkle.verify(path, root)
+
     @pytest.mark.parametrize("index", [0, 5, -1])
     def test_index_out_of_range(self, index):
-        tree, _ = merkle.gen_tree(blocks_of(4))
+        tree, _ = tree_of(blocks_of(4))
         with pytest.raises(merkle.IndexOutOfRange):
             merkle.prove(tree, index)
 
 
 class TestVerify:
     def test_rejects_wrong_root(self):
-        tree, root = merkle.gen_tree(blocks_of(4))
+        tree, root = tree_of(blocks_of(4))
         path = merkle.prove(tree, 2)
         assert merkle.verify(path, root)
         assert not merkle.verify(path, bytes(len(root)))
@@ -128,14 +155,14 @@ class TestVerify:
         blocks = [
             data.draw(st.binary(min_size=width, max_size=width)) for _ in range(m)
         ]
-        tree, root = merkle.gen_tree(blocks)
+        tree, root = tree_of(blocks)
         for i in range(1, m + 1):
             assert merkle.verify(merkle.prove(tree, i), root)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
     def test_tamper_any_byte_rejects(self, m):
         blocks = blocks_of(m)
-        tree, root = merkle.gen_tree(blocks)
+        tree, root = tree_of(blocks)
         for index in range(1, m + 1):
             path = merkle.prove(tree, index)
             for attr in ("leaf_block", "sibling_block"):
@@ -166,7 +193,7 @@ class TestVerify:
                 assert not merkle.verify(path, bytes(mutated))
 
     def test_bad_leaf_index_rejected(self):
-        tree, root = merkle.gen_tree(blocks_of(4))
+        tree, root = tree_of(blocks_of(4))
         path = merkle.prove(tree, 1)
         assert not merkle.verify(
             merkle.MerklePath(path.leaf_block, path.sibling_block,
@@ -183,18 +210,18 @@ class TestHashCounts:
     def test_gen_tree_hashes_every_internal_node(self, m, hashes):
         # the padded leaf count n has n - 1 internal nodes
         with count_hash_calls() as taken:
-            merkle.gen_tree(blocks_of(m))
+            tree_of(blocks_of(m))
             assert taken() == hashes
 
     def test_accepting_path_hashes_whole_path(self):
-        tree, root = merkle.gen_tree(blocks_of(8))
+        tree, root = tree_of(blocks_of(8))
         path = merkle.prove(tree, 5)
         with count_hash_calls() as taken:
             assert merkle.verify(path, root)
             assert taken() == 3
 
     def test_tampered_path_still_hashes_whole_path(self):
-        tree, root = merkle.gen_tree(blocks_of(8))
+        tree, root = tree_of(blocks_of(8))
         path = merkle.prove(tree, 6)
         bad = merkle.MerklePath(
             path.leaf_block, bytes(8), path.sibling_digests, path.leaf_index
@@ -204,7 +231,7 @@ class TestHashCounts:
             assert taken() == 3
 
     def test_leaf_index_zero_hashes_nothing(self):
-        tree, root = merkle.gen_tree(blocks_of(8))
+        tree, root = tree_of(blocks_of(8))
         path = merkle.prove(tree, 1)
         bad = merkle.MerklePath(
             path.leaf_block, path.sibling_block, path.sibling_digests, 0

@@ -29,6 +29,12 @@ def reference_blocks(coded: bytes, payload: int) -> list[bytes]:
     return blocks
 
 
+def split_blocks(encoded: por.EncodedFile) -> list[bytes]:
+    """The encoded file's buffer cut into its blocks, 1..m in order."""
+    width = encoded.block_len
+    return [encoded.blocks[i : i + width] for i in range(0, len(encoded.blocks), width)]
+
+
 def reference_root(blocks: list[bytes]) -> bytes:
     """Zero-pad to a power of two (at least 2) and hash pairs upward."""
     n = 2
@@ -58,18 +64,18 @@ class TestSetup:
         file = bytes(range(64))
         encoded, pp = por.setup(file, 16, phi=4)
         assert pp.m == 4
-        for i, block in enumerate(encoded.blocks, start=1):
+        for i, block in enumerate(split_blocks(encoded), start=1):
             assert block[-4:] == i.to_bytes(4, "big")
             assert len(block) == 20
 
     def test_65_byte_file_pads_last_payload(self):
         encoded, pp = por.setup(bytes(65), 16, phi=5)
         assert pp.m == 5
-        assert encoded.blocks[-1][:16] == bytes(16)
+        assert split_blocks(encoded)[-1][:16] == bytes(16)
 
     def test_sigma_is_tree_root_over_blocks(self):
         encoded, pp = por.setup(b"some file content here", 8, phi=2)
-        _, root = merkle.gen_tree(encoded.blocks)
+        _, root = merkle.gen_tree(encoded.blocks, encoded.block_len)
         assert pp.sigma == root
 
     @pytest.mark.parametrize("size, payload, codec", [
@@ -79,16 +85,39 @@ class TestSetup:
         (77, 8, None),
         (1000, 16, por.XorParityCodec()),
         (333, 8, por.XorParityCodec(chunk_len=8)),
+        (1, 1, None),
+        (77, 1, None),
+        (100, 3, None),
+        (101, 3, por.XorParityCodec(chunk_len=3)),
+        (4000, 7, por.XorParityCodec(chunk_len=7)),
+        (1000, 7, None),
     ])
     def test_blocks_and_root_match_reference_loop(self, size, payload, codec):
         file = random.Random(size).randbytes(size)
         encoded, pp = por.setup(file, payload, phi=1, codec=codec)
         coded = codec.encode(file) if codec is not None else file
         expected = reference_blocks(coded, payload)
-        assert list(encoded.blocks) == expected
+        assert encoded.blocks == b"".join(expected)
         assert encoded.block_payload_len == payload
         assert pp.m == len(expected)
         assert pp.sigma == reference_root(expected)
+
+    @pytest.mark.parametrize("codec", [None, por.XorParityCodec(chunk_len=3)])
+    def test_blocks_are_one_buffer_shared_with_the_tree(self, codec, monkeypatch):
+        built = []
+        gen_tree = merkle.gen_tree
+
+        def recording_gen_tree(blocks, block_len):
+            tree, root = gen_tree(blocks, block_len)
+            built.append(tree)
+            return tree, root
+
+        monkeypatch.setattr(merkle, "gen_tree", recording_gen_tree)
+        encoded, pp = por.setup(bytes(range(200)), 3, phi=1, codec=codec)
+        assert type(encoded.blocks) is bytes
+        assert len(encoded.blocks) == pp.m * encoded.block_len == pp.m * 7
+        [tree] = built
+        assert tree.blocks is encoded.blocks
 
     def test_empty_file(self):
         with pytest.raises(por.EmptyFile):
@@ -253,7 +282,7 @@ class TestHashCounts:
     def session(self):
         encoded, pp, rng = make_session(m=8, phi=5)
         key = por.gen_query(rng)
-        tree, _ = merkle.gen_tree(encoded.blocks)
+        tree, _ = merkle.gen_tree(encoded.blocks, encoded.block_len)
         return encoded, pp, key, tree
 
     def test_prove_hashes_only_the_challenge(self):
@@ -309,11 +338,12 @@ class TestDetection:
     def test_full_coverage_catches_any_corrupt_block(self):
         # explicit query over every index forces full coverage at small m
         encoded, pp, rng = make_session(m=8, phi=8)
-        tree, _ = merkle.gen_tree(encoded.blocks)
+        tree, _ = merkle.gen_tree(encoded.blocks, encoded.block_len)
+        blocks = split_blocks(encoded)
         all_indices = list(range(1, 9))
         for target in all_indices:
             entries = tuple(
-                por.ProofEntry(encoded.blocks[q - 1], merkle.prove(tree, q))
+                por.ProofEntry(blocks[q - 1], merkle.prove(tree, q))
                 for q in all_indices
             )
             entries = corrupt_entry(entries, position=target)
@@ -327,22 +357,18 @@ class TestDetection:
         unchallenged = [i for i in range(1, 17) if i not in challenged]
         assert unchallenged, "need at least one unchallenged block"
         # bit rot on unchallenged blocks, original tree kept for the paths
-        tree, _ = merkle.gen_tree(encoded.blocks)
-        blocks = list(encoded.blocks)
+        tree, _ = merkle.gen_tree(encoded.blocks, encoded.block_len)
+        blocks = split_blocks(encoded)
         for i in unchallenged:
             rotted = bytearray(blocks[i - 1])
             rotted[0] ^= 0xFF
             blocks[i - 1] = bytes(rotted)
-        damaged = por.EncodedFile(tuple(blocks), encoded.block_payload_len)
+        damaged = por.EncodedFile(b"".join(blocks), encoded.block_payload_len)
         pi = por.prove(damaged, key, pp, tree=tree)
         assert por.verify(pi, key, pp).accepted
 
 
 class TestCodecs:
-    def test_identity_roundtrip(self):
-        codec = por.IdentityCodec()
-        assert codec.decode(codec.encode(b"abc")) == b"abc"
-
     def test_xor_parity_appends_group_parity(self):
         codec = por.XorParityCodec(chunk_len=4)
         data = bytes(range(16))
@@ -351,13 +377,6 @@ class TestCodecs:
         assert len(chunks) == 5
         parity = bytes(a ^ b ^ c ^ d for a, b, c, d in zip(*chunks[:4]))
         assert chunks[4] == parity
-
-    def test_xor_parity_decode_drops_parity(self):
-        codec = por.XorParityCodec(chunk_len=4)
-        data = bytes(range(23))  # final chunk short, zero filled
-        decoded = codec.decode(codec.encode(data))
-        assert decoded.startswith(data)
-        assert set(decoded[len(data):]) <= {0}
 
     def test_setup_with_parity_codec_adds_blocks(self):
         file = bytes(range(64))

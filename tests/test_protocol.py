@@ -1,5 +1,6 @@
 """Statements, wire format, role flow, dispute filters, and payouts."""
 
+import dataclasses
 import random
 
 import pytest
@@ -154,6 +155,7 @@ class TestServerInit:
         assert server.init(handoff, ledger) == 1
         assert handoff.contract.server_deposited == 6
         assert handoff.contract.a_flag == 1
+        assert server.tree.blocks is server.encoded.blocks is handoff.encoded_file.blocks
 
     def test_ill_formed_metadata_rejected(self):
         config = make_config()
@@ -215,6 +217,38 @@ class TestServerInit:
         )
         goto(ledger, handoff.contract, "T1")
         assert server.init(bad, ledger) == 0
+
+    @pytest.mark.parametrize("cut", [1, 20, 1024])
+    def test_short_block_buffer_rejected(self, cut):
+        # the handed-off buffer must hold exactly m whole blocks; a short one
+        # is refused rather than crashing the tree rebuild
+        ledger, client, server, handoff, _, _ = build_session(make_config())
+        encoded = handoff.encoded_file
+        short = por.EncodedFile(encoded.blocks[:-cut], encoded.block_payload_len)
+        goto(ledger, handoff.contract, "T1")
+        assert server.init(dataclasses.replace(handoff, encoded_file=short), ledger) == 0
+        assert handoff.contract.server_deposited == 0
+
+    def test_unsupported_prf_spec_refunds(self, monkeypatch):
+        # a client advertising a 64-bit PRF key in a statement that otherwise
+        # agrees and matches the file: the server refuses, then T2 refunds
+        setup = por.setup
+
+        def short_key_setup(*args, **kwargs):
+            encoded, pp = setup(*args, **kwargs)
+            return encoded, dataclasses.replace(pp, zeta=por.PrfSpec(psi=64))
+
+        monkeypatch.setattr(por, "setup", short_key_setup)
+        ledger, client, server, handoff, _, _ = build_session(make_config())
+        contract = handoff.contract
+        assert QpStatement.from_bytes(handoff.opening_qp.statement).pp.zeta.psi == 64
+        goto(ledger, contract, "T1")
+        assert server.init(handoff, ledger) == 0
+        assert contract.server_deposited == 0
+        goto(ledger, contract, "T2")
+        client.request_payout(ledger)
+        protocol.refund_deposits(ledger, contract)
+        assert ledger.balances() == {"client": 21, "server": 6, "arbiter": 0}
 
     @pytest.mark.parametrize(
         "pi_max, a", [(protocol.MAX_ENTRY_SLOTS, 1), (protocol.MAX_ENTRY_SLOTS + 1, 0),

@@ -257,6 +257,25 @@ class TestReportGolden:
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == self.DIGESTS[name, variant, seed]
 
+    # honest.json over an uneven shape: 4000 bytes in 7-byte payloads with
+    # xor-parity gives m = 715, not a power of two, and a block length of 11
+    UNEVEN_DIGESTS = {
+        "arbiter": "79a5a88865a8e6e6faa2d6ee7f2c93f8c73a025b5466a5cb9c9bb7c0fcf876c2",
+        "arbiterless": "f7d74adc55ce54ac79d2badd711dea07ac60eee272f6f58838fd1ba770023365",
+    }
+
+    @pytest.mark.parametrize("variant", sorted(UNEVEN_DIGESTS))
+    def test_uneven_shape_digest(self, variant):
+        raw = json.loads((SCENARIOS / "honest.json").read_text(encoding="utf-8"))
+        raw["session"].update(
+            variant=variant, block_payload_len=7, codec="xor-parity"
+        )
+        raw["file"] = {"size": 4000}
+        report = run(ScenarioSpec.from_dict(raw))
+        assert report["pp"]["m"] == 715
+        digest = hashlib.sha256(scenario.report_to_json(report).encode()).hexdigest()
+        assert digest == self.UNEVEN_DIGESTS[variant]
+
 
 class TestVerifyReport:
     def test_emitted_report_passes(self):
