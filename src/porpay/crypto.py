@@ -4,14 +4,11 @@ and fixed-size authenticated cipher units.
 Every value that crosses the ledger (a challenge key, a file block, a path
 digest, a leaf index) is framed into a slot of one session-wide size: a
 2-byte big-endian length prefix, the value, and zero fill up to the session
-capacity. A challenge key travels as a unit whose plaintext is one slot. A
-proof entry travels as one entry unit whose plaintext is ``pi_max`` slots
-(its values, then all-zero pad slots), i.e. a unit of capacity
-``pi_max * payload_len`` carrying a value of exactly that length; only an
-entry longer than MAX_VALUE_LEN is split evenly over several such units.
-Real payloads, dummy proofs, and uniformly sampled padding are therefore
-indistinguishable by length, which is the property the padding scheme
-relies on.
+capacity. A challenge key travels as a unit whose plaintext is one slot;
+how proof entries are laid out over slots and units is
+``protocol.ProofFormat``'s business. Every unit of one geometry has the same
+wire length, and a sampled unit has it too, which is the property the
+padding scheme relies on.
 
 Unit wire format: nonce || ciphertext || tag, the plaintext being one slot
 of the unit's capacity.

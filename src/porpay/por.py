@@ -63,23 +63,17 @@ class XorParityCodec:
         self.chunk_len = chunk_len
         self.group = group
 
-    def _chunks(self, data: bytes) -> list[bytes]:
-        out = []
-        for i in range(0, len(data), self.chunk_len):
-            chunk = data[i : i + self.chunk_len]
-            out.append(chunk.ljust(self.chunk_len, b"\x00"))
-        return out
-
     def encode(self, data: bytes) -> bytes:
+        n = self.chunk_len
+        data = data.ljust(-(-len(data) // n) * n, b"\x00")
+        span = n * self.group
         pieces: list[bytes] = []
-        chunks = self._chunks(data)
-        for start in range(0, len(chunks), self.group):
-            block = chunks[start : start + self.group]
-            parity = bytes(self.chunk_len)
-            for chunk in block:
-                parity = bytes(a ^ b for a, b in zip(parity, chunk))
-            pieces.extend(block)
-            pieces.append(parity)
+        for start in range(0, len(data), span):
+            group = data[start : start + span]
+            parity = 0
+            for i in range(0, len(group), n):
+                parity ^= int.from_bytes(group[i : i + n], "big")
+            pieces += (group, parity.to_bytes(n, "big"))
         return b"".join(pieces)
 
 

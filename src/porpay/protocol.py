@@ -292,30 +292,6 @@ def unit_format(block_payload_len: int) -> UnitFormat:
     return UnitFormat(max(block_payload_len + por.INDEX_LEN, PSI_BITS // 8))
 
 
-class EntryLayout(NamedTuple):
-    """How one proof entry's slots are sealed: ``units`` cipher units of
-    geometry ``fmt``, each holding an equal share of the slots, the last
-    one zero-filled. One unit, unless the slots exceed the largest value a
-    unit can carry (kilobyte blocks in a deep tree)."""
-
-    units: int
-    fmt: UnitFormat
-
-    @property
-    def plain_len(self) -> int:
-        return self.units * self.fmt.value_capacity
-
-    @property
-    def wire_len(self) -> int:
-        return self.units * self.fmt.unit_len
-
-
-def entry_layout(fmt: UnitFormat, slots: int) -> EntryLayout:
-    """Seal geometry for entries of ``slots`` slots of ``fmt.payload_len``."""
-    units = -(-slots // (MAX_VALUE_LEN // fmt.payload_len))
-    return EntryLayout(units, UnitFormat(-(-slots // units) * fmt.payload_len))
-
-
 def key_gen(rng: random.Random, pi_max: int, pi_act: int) -> tuple[bytes, int]:
     """Fresh proof-encryption key and the per-entry pad count pi_max - pi_act."""
     if pi_max < pi_act:
@@ -330,73 +306,95 @@ def key_gen(rng: random.Random, pi_max: int, pi_act: int) -> tuple[bytes, int]:
 # ---------------------------------------------------------------------------
 
 
-def _entry_values(entry: por.ProofEntry) -> tuple[bytes, ...]:
-    path = entry.path
-    return (
-        entry.block,
-        path.sibling_block,
-        *path.sibling_digests,
-        path.leaf_index.to_bytes(por.INDEX_LEN, "big"),
-    )
+class ProofFormat(NamedTuple):
+    """The one shape of every proof vector in a session, fixed by the agreed
+    qp statement.
+
+    A vector is ``phi`` entries. Each entry's plaintext is ``pi_max`` slots
+    of geometry ``slot``: its ``real`` values (block, sibling block, one
+    digest per upper tree level, leaf index), then all-zero pad slots. That
+    plaintext is sealed as ``units`` cipher units of geometry ``unit``, each
+    carrying an equal share of the slots, the last one zero-filled; one
+    unit, unless the slots exceed the largest value a unit can carry
+    (MAX_VALUE_LEN: kilobyte blocks in a deep tree). Real vectors, dummy
+    vectors and uniformly sampled padding are therefore indistinguishable by
+    length, whatever the tree height.
+    """
+
+    phi: int
+    real: int
+    slot: UnitFormat
+    units: int
+    unit: UnitFormat
+
+    @property
+    def entry_len(self) -> int:
+        return self.units * self.unit.unit_len
+
+
+def proof_format(qp: QpStatement) -> ProofFormat:
+    """The proof-vector shape the statement ``qp`` fixes."""
+    slot = unit_format(qp.block_payload_len)
+    real = entry_real_units(qp.pp.m)
+    slots = real + qp.pad_pi
+    units = -(-slots // (MAX_VALUE_LEN // slot.payload_len))
+    unit = UnitFormat(-(-slots // units) * slot.payload_len)
+    return ProofFormat(qp.pp.phi, real, slot, units, unit)
 
 
 def encode_proof_vector(
-    pi: por.ProofVector,
-    k_bar: bytes,
-    fmt: UnitFormat,
-    pad_pi: int,
-    rng: random.Random,
+    pi: por.ProofVector, k_bar: bytes, pf: ProofFormat, rng: random.Random
 ) -> bytes:
-    """Seal every proof entry, padded with pad_pi zero slots, as one cipher
-    unit (several only past the limit EntryLayout describes)."""
-    values = [_entry_values(entry) for entry in pi]
-    # all paths of one tree have the same length, so the first entry fixes
-    # the layout and the zero tail that pads every entry's slots
-    real = len(values[0])
-    layout = entry_layout(fmt, real + pad_pi)
-    ufmt = layout.fmt
-    step = ufmt.value_capacity
-    tail = bytes(layout.plain_len - real * fmt.payload_len)
+    """Seal every proof entry, its values then zero pad slots, as
+    ``pf.units`` cipher units."""
+    unit = pf.unit
+    step = unit.value_capacity
+    plain_len = pf.units * step
+    tail = bytes(plain_len - pf.real * pf.slot.payload_len)
     units = []
-    for entry_values in values:
-        if len(entry_values) != real:
-            raise ValueError("proof entries differ in path length")
-        packed = pack_slots(entry_values, fmt) + tail
+    for entry in pi:
+        path = entry.path
+        values = (
+            entry.block,
+            path.sibling_block,
+            *path.sibling_digests,
+            path.leaf_index.to_bytes(por.INDEX_LEN, "big"),
+        )
+        if len(values) != pf.real:
+            raise ValueError("proof entry path does not match the proof format")
+        packed = pack_slots(values, pf.slot) + tail
         units += [
-            enc_unit(k_bar, packed[i : i + step], ufmt, rng)
-            for i in range(0, layout.plain_len, step)
+            enc_unit(k_bar, packed[i : i + step], unit, rng)
+            for i in range(0, plain_len, step)
         ]
     return b"".join(units)
 
 
-def dummy_proof_vector(
-    phi: int, real_units: int, pad_pi: int, fmt: UnitFormat, rng: random.Random
-) -> bytes:
+def dummy_proof_vector(pf: ProofFormat, rng: random.Random) -> bytes:
     """All-sampled vector with exactly the shape of a real one."""
-    layout = entry_layout(fmt, real_units + pad_pi)
-    return b"".join([sample_unit(layout.fmt, rng) for _ in range(phi * layout.units)])
+    return b"".join([sample_unit(pf.unit, rng) for _ in range(pf.phi * pf.units)])
 
 
-class SealedEntry(NamedTuple):
-    """One entry's sealed bytes with the geometry needed to open them."""
-
-    data: bytes
-    real_units: int
-    layout: EntryLayout
-
-
-def _decode_entry(
-    sealed: SealedEntry, k_bar: bytes, fmt: UnitFormat
+def open_entry(
+    payload: bytes, g: int, k_bar: bytes, pf: ProofFormat
 ) -> por.ProofEntry:
-    data, real_units, layout = sealed
-    ufmt = layout.fmt
-    n = ufmt.unit_len
+    """Open the 1-based ``g``-th entry of a proof vector.
+
+    Raises DecryptFailure when a unit is missing, fails to open, or the
+    units do not carry ``pf.real`` well-formed value slots.
+    """
+    unit = pf.unit
+    n = unit.unit_len
+    start = (g - 1) * pf.entry_len
     packed = b"".join(
-        [dec_unit(k_bar, data[i : i + n], ufmt) for i in range(0, len(data), n)]
+        [
+            dec_unit(k_bar, payload[i : i + n], unit)
+            for i in range(start, start + pf.entry_len, n)
+        ]
     )
-    if len(packed) != layout.plain_len:
+    if len(packed) != pf.units * unit.value_capacity:
         raise DecryptFailure("entry units do not fill their slots")
-    values = unpack_slots(packed, real_units, fmt)
+    values = unpack_slots(packed, pf.real, pf.slot)
     raw_index = values[-1]
     if len(raw_index) != por.INDEX_LEN:
         raise DecryptFailure("malformed leaf index slot")
@@ -410,25 +408,8 @@ def _decode_entry(
     return por.ProofEntry(block, path)
 
 
-def _entry_units(
-    payload: bytes, index: int, real_units: int, pad_pi: int, fmt: UnitFormat
-) -> SealedEntry:
-    """The sealed 1-based ``index``-th entry, ready for _decode_entry."""
-    layout = entry_layout(fmt, real_units + pad_pi)
-    start = (index - 1) * layout.wire_len
-    data = payload[start : start + layout.wire_len]
-    if len(data) != layout.wire_len:
-        raise DecryptFailure("proof vector too short for requested entry")
-    return SealedEntry(data, real_units, layout)
-
-
 def decode_proof_vector(
-    payload: bytes,
-    k_bar: bytes,
-    phi: int,
-    real_units: int,
-    pad_pi: int,
-    fmt: UnitFormat,
+    payload: bytes, k_bar: bytes, pf: ProofFormat
 ) -> tuple[por.ProofVector | None, int | None]:
     """Open every entry.
 
@@ -436,17 +417,14 @@ def decode_proof_vector(
     entry that failed to open or carried a malformed slot; a mis-shaped
     vector fails at entry 1.
     """
-    layout = entry_layout(fmt, real_units + pad_pi)
-    n = layout.wire_len
-    if len(payload) != phi * n:
+    if len(payload) != pf.phi * pf.entry_len:
         return None, 1
     entries = []
-    for g in range(phi):
+    for g in range(1, pf.phi + 1):
         try:
-            sealed = SealedEntry(payload[g * n : (g + 1) * n], real_units, layout)
-            entries.append(_decode_entry(sealed, k_bar, fmt))
+            entries.append(open_entry(payload, g, k_bar, pf))
         except DecryptFailure:
-            return None, g + 1
+            return None, g
     return tuple(entries), None
 
 
@@ -502,10 +480,10 @@ class Client:
         self.rng = rng
         self.config = config
         self.behavior = behavior or ClientBehavior()
-        self.fmt = unit_format(config.block_payload_len)
         self.k_bar: bytes | None = None
         self.pad_pi = 0
         self.pp: por.PublicParams | None = None
+        self.pf: ProofFormat | None = None
         self.contract: RcContract | None = None
         self.opening_qp: Opening | None = None
         self.opening_cp: Opening | None = None
@@ -539,6 +517,7 @@ class Client:
         self.k_bar, self.pad_pi = key_gen(self.rng, pi_max, pi_act)
 
         qp = QpStatement(self.pad_pi, self.k_bar, pp, cfg.block_payload_len)
+        self.pf = proof_format(qp)
         cp = CpStatement(
             o=cfg.price_choice.o,
             o_max=cfg.price_list.o_max,
@@ -588,7 +567,7 @@ class Client:
             k_hat = self.rng.randbytes(8)  # truncated key, outside the key universe
         else:
             k_hat = por.gen_query(self.rng)
-        unit = enc_unit(self.k_bar, k_hat, self.fmt, self.rng)
+        unit = enc_unit(self.k_bar, k_hat, self.pf.slot, self.rng)
         ledger.post(
             self.contract, LedgerMessage(self.addr, MsgKind.QUERY, unit, slot=j)
         )
@@ -600,15 +579,12 @@ class Client:
         """Phase 6: unpad, decrypt, verify; a rejection yields complaint [j, g]."""
         if j in self._withheld:
             return None, None
-        k_hat = dec_unit(self.k_bar, self.contract.query(j), self.fmt)
+        k_hat = dec_unit(self.k_bar, self.contract.query(j), self.pf.slot)
         payload = self.contract.proofs.get(j)
-        real = entry_real_units(self.pp.m)
         if payload is None:
             verdict = por.Verdict(False, 1)
         else:
-            entries, failed_at = decode_proof_vector(
-                payload, self.k_bar, self.pp.phi, real, self.pad_pi, self.fmt
-            )
+            entries, failed_at = decode_proof_vector(payload, self.k_bar, self.pf)
             if entries is None:
                 verdict = por.Verdict(False, failed_at)
             else:
@@ -652,7 +628,7 @@ class Server:
         self.encoded: por.EncodedFile | None = None
         self.tree: merkle.MerkleTree | None = None
         self.qp: QpStatement | None = None
-        self.fmt: UnitFormat | None = None
+        self.pf: ProofFormat | None = None
         self.complaints: list[int] = []
         self.opening_qp: Opening | None = None
 
@@ -719,7 +695,7 @@ class Server:
                 self.encoded = encoded
                 self.tree = tree
                 self.qp = qp
-                self.fmt = unit_format(qp.block_payload_len)
+                self.pf = proof_format(qp)
 
         ledger.post(
             contract, LedgerMessage(self.addr, MsgKind.SERVER_RESPONSE, bytes([a]))
@@ -738,25 +714,19 @@ class Server:
         proof status stays hidden until resolution time.
         """
         qp = self.qp
-        try:
-            k_hat = dec_unit(qp.k_bar, self.contract.query(j), self.fmt)
-            b = 1 if len(k_hat) == PSI_BITS // 8 else 0
-        except (MissingQuery, DecryptFailure):
-            b = 0
-        if j in self.behavior.false_query_complaint:
-            b = 0
+        k_hat = _query_key(self.contract, j, qp.k_bar, self.pf)
+        b = 0 if k_hat is None or j in self.behavior.false_query_complaint else 1
 
-        real = entry_real_units(qp.pp.m)
         complaint: int | None = None
         if b == 1:
             pi = por.prove(self.encoded, k_hat, qp.pp, tree=self.tree)
             if j in self.behavior.corrupt_block:
                 pi = _corrupt_first_entry(pi)
-            payload = encode_proof_vector(pi, qp.k_bar, self.fmt, qp.pad_pi, self.rng)
+            payload = encode_proof_vector(pi, qp.k_bar, self.pf, self.rng)
         else:
             complaint = j
             self.complaints.append(j)
-            payload = dummy_proof_vector(qp.pp.phi, real, qp.pad_pi, self.fmt, self.rng)
+            payload = dummy_proof_vector(self.pf, self.rng)
         if j not in self.behavior.withhold_proof:
             ledger.post(
                 self.contract, LedgerMessage(self.addr, MsgKind.PROOF, payload, slot=j)
@@ -835,18 +805,9 @@ def _require_time(ledger: Ledger, label: str) -> None:
 def _opening_valid(
     opening: Opening, contract: RcContract, ledger: Ledger, ref: int
 ) -> bool:
-    sid = contract.params.sap_refs[ref]
-    session = ledger.session(sid)
-    if session.g_client is None or session.g_server is None:
-        return False
+    params = contract.params
     return sap_verify(
-        opening,
-        session.g_client,
-        session.g_server,
-        contract.params.addr_client,
-        contract.params.addr_server,
-        sid,
-        ledger,
+        opening, params.addr_client, params.addr_server, params.sap_refs[ref], ledger
     )
 
 
@@ -916,35 +877,37 @@ def _filter_client_complaints(
 
 
 def _query_key(
-    contract: RcContract, j: int, qp: QpStatement, fmt: UnitFormat
+    contract: RcContract, j: int, k_bar: bytes, pf: ProofFormat
 ) -> bytes | None:
-    """Re-run the phase-5 query checks on the posted ciphertext: the
-    challenge key, or None when the query is missing or invalid."""
+    """The phase-5 query checks on the posted ciphertext: the challenge
+    key, or None when the query is missing or invalid."""
     try:
-        k_hat = dec_unit(qp.k_bar, contract.query(j), fmt)
+        k_hat = dec_unit(k_bar, contract.query(j), pf.slot)
     except (MissingQuery, DecryptFailure):
         return None
     return k_hat if len(k_hat) == PSI_BITS // 8 else None
 
 
 def _judge_client_complaint(
-    contract: RcContract, j: int, g: int, qp: QpStatement, fmt: UnitFormat
+    contract: RcContract, j: int, g: int, qp: QpStatement, pf: ProofFormat
 ) -> str | None:
     """Identify the misbehaving party for complaint [j, g].
 
-    Returns Y_CLIENT (bad query), Y_SERVER (bad proof), or None when the
-    single re-checked proof verifies, i.e. the complaint identified nobody.
+    Returns Y_CLIENT (bad query), Y_SERVER (bad proof: missing, mis-shaped,
+    or entry g fails), or None when the single re-checked proof verifies,
+    i.e. the complaint identified nobody.
     """
-    k_hat = _query_key(contract, j, qp, fmt)
+    k_hat = _query_key(contract, j, qp.k_bar, pf)
     if k_hat is None:
         return Y_CLIENT
     q_g = (int.from_bytes(prf(k_hat, g), "big") % qp.pp.m) + 1
     payload = contract.proofs.get(j)
-    if payload is None:
+    # the client's decode rejects a mis-shaped vector at entry 1, which may
+    # itself open; the shape alone settles such a complaint
+    if payload is None or len(payload) != pf.phi * pf.entry_len:
         return Y_SERVER
     try:
-        units = _entry_units(payload, g, entry_real_units(qp.pp.m), qp.pad_pi, fmt)
-        entry = _decode_entry(units, qp.k_bar, fmt)
+        entry = open_entry(payload, g, qp.k_bar, pf)
     except DecryptFailure:
         return Y_SERVER
     verdict = por.verify((entry,), [q_g], qp.pp)
@@ -968,12 +931,12 @@ def _server_pass(
     if qp is None:
         rep.server_filtered.extend(_read_items(complaints, int))
         return
-    fmt = unit_format(qp.block_payload_len)
+    pf = proof_format(qp)
     kept, dropped = _filter_server_complaints(complaints, contract.params.z)
     rep.server_admitted.extend(kept)
     rep.server_filtered.extend(dropped)
     for i in kept:
-        if _query_key(contract, i, qp, fmt) is None:
+        if _query_key(contract, i, qp.k_bar, pf) is None:
             rep.update.bump(i, Y_CLIENT)
             rep.v.append(i)
         elif not contract.params.arbiterless:
@@ -993,14 +956,14 @@ def _client_pass(
     if qp is None:
         rep.client_filtered.extend(_read_items(complaints, _read_client_item))
         return
-    fmt = unit_format(qp.block_payload_len)
+    pf = proof_format(qp)
     kept, dropped = _filter_client_complaints(
         complaints, contract.params.z, qp.pp.phi, rep.v
     )
     rep.client_admitted.extend(kept)
     rep.client_filtered.extend(dropped)
     for j, g in kept:
-        party = _judge_client_complaint(contract, j, g, qp, fmt)
+        party = _judge_client_complaint(contract, j, g, qp, pf)
         if party is None:
             if not contract.params.arbiterless:
                 rep.update.bump(j, Y_CLIENT_UNNEEDED)

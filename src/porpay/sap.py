@@ -5,30 +5,17 @@ The initiating party commits to the statement under fresh randomness, posts
 the commitment, and hands the opening to its counterparty out of band. The
 counterparty re-commits under the same randomness iff the opening checks
 out, leaving two equal commitments with distinct sender attributions on the
-ledger. From then on, anyone holding the opening can verify the agreement,
-either through the ledger or locally against a session snapshot; the
-statement itself never appears on the ledger until someone opens it.
+ledger. From then on, anyone holding the opening can verify the agreement
+against the ledger; the statement itself never appears on the ledger until
+someone opens it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .crypto import Opening, commit, commit_verify, gen_commit_randomness
 from .ledger import Address, DuplicateSlot, Ledger, UnknownAddress, WrongSender
-
-
-@dataclass(frozen=True)
-class SapSnapshot:
-    """Immutable view of a session, sufficient for off-ledger verification."""
-
-    addr_client: str
-    addr_server: str
-    g_client: bytes | None
-    g_client_sender: str | None
-    g_server: bytes | None
-    g_server_sender: str | None
 
 
 class SapSession:
@@ -60,16 +47,6 @@ class SapSession:
             raise DuplicateSlot("server commitment already recorded")
         self.g_server = commitment
         self.g_server_sender = sender
-
-    def snapshot(self) -> SapSnapshot:
-        return SapSnapshot(
-            addr_client=self.addr_client.id,
-            addr_server=self.addr_server.id,
-            g_client=self.g_client,
-            g_client_sender=self.g_client_sender.id if self.g_client_sender else None,
-            g_server=self.g_server,
-            g_server_sender=self.g_server_sender.id if self.g_server_sender else None,
-        )
 
     def state_dict(self) -> dict:
         return {
@@ -134,32 +111,29 @@ def sap_agree(
     return g_server, True
 
 
-def sap_verify_snapshot(opening: Opening, snap: SapSnapshot,
-                        addr_client: str, addr_server: str) -> bool:
-    """Pure off-ledger verification against a session snapshot."""
-    if snap.g_client is None or snap.g_server is None:
-        return False
-    if snap.g_client_sender != addr_client or snap.g_server_sender != addr_server:
-        return False
-    if snap.addr_client != addr_client or snap.addr_server != addr_server:
-        return False
-    return commit_verify(snap.g_client, opening) and commit_verify(
-        snap.g_server, opening
-    )
-
-
 def sap_verify(
     opening: Opening,
-    g_client: bytes,
-    g_server: bytes,
     addr_client: Address,
     addr_server: Address,
     session_id: int,
     ledger: Ledger,
 ) -> bool:
-    """Verify an opening against both recorded commitments and their senders."""
+    """Verify an opening against both commitments the session records.
+
+    True iff both commitments are recorded, each came from the party the
+    session names, the session names ``addr_client`` and ``addr_server``,
+    and the opening opens both commitments.
+    """
     session: SapSession = ledger.session(session_id)
-    snap = session.snapshot()
-    if snap.g_client != g_client or snap.g_server != g_server:
+    if session.g_client is None or session.g_server is None:
         return False
-    return sap_verify_snapshot(opening, snap, addr_client.id, addr_server.id)
+    if (
+        session.addr_client != addr_client
+        or session.addr_server != addr_server
+        or session.g_client_sender != addr_client
+        or session.g_server_sender != addr_server
+    ):
+        return False
+    return commit_verify(session.g_client, opening) and commit_verify(
+        session.g_server, opening
+    )

@@ -418,9 +418,9 @@ def run(spec: ScenarioSpec) -> dict:
         "pp": client.pp.to_json(),
         "unit_format": {
             "nonce_len": crypto.NONCE_LEN,
-            "payload_len": client.fmt.payload_len,
+            "payload_len": client.pf.slot.payload_len,
             "tag_len": crypto.TAG_LEN,
-            "unit_len": client.fmt.unit_len,
+            "unit_len": client.pf.slot.unit_len,
         },
         "pad_pi": client.pad_pi,
         "deposits": {

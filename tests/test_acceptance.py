@@ -375,20 +375,15 @@ def big_session():
     key = por.gen_query(rng)
     pi = por.prove(encoded, key, pp, tree=tree)
     k_bar = b"\x5a" * 16
-    fmt = protocol.unit_format(PAYLOAD)
-    wire = protocol.encode_proof_vector(pi, k_bar, fmt, 0, rng)
-    return SimpleNamespace(
-        pp=pp, key=key, k_bar=k_bar, fmt=fmt, wire=wire,
-        real=protocol.entry_real_units(pp.m),
-    )
+    pf = protocol.proof_format(protocol.QpStatement(0, k_bar, pp, PAYLOAD))
+    wire = protocol.encode_proof_vector(pi, k_bar, pf, rng)
+    return SimpleNamespace(pp=pp, key=key, k_bar=k_bar, pf=pf, wire=wire)
 
 
 class TestDisputeWorkRatio:
     def test_single_check_is_one_over_phi_of_full_verification(self, big_session):
         s = big_session
-        entries, failed = protocol.decode_proof_vector(
-            s.wire, s.k_bar, s.pp.phi, s.real, 0, s.fmt
-        )
+        entries, failed = protocol.decode_proof_vector(s.wire, s.k_bar, s.pf)
         assert failed is None
 
         with count_hash_calls() as taken:
@@ -491,9 +486,7 @@ class TestScaledTiming:
         s = big_session
 
         started = time.perf_counter()
-        entries, failed = protocol.decode_proof_vector(
-            s.wire, s.k_bar, s.pp.phi, s.real, 0, s.fmt
-        )
+        entries, failed = protocol.decode_proof_vector(s.wire, s.k_bar, s.pf)
         verdict = por.verify(entries, s.key, s.pp)
         verify_seconds = time.perf_counter() - started
         assert failed is None and verdict.accepted
@@ -503,8 +496,7 @@ class TestScaledTiming:
         best = float("inf")
         for _ in range(3):
             started = time.perf_counter()
-            units = protocol._entry_units(s.wire, g, s.real, 0, s.fmt)
-            entry = protocol._decode_entry(units, s.k_bar, s.fmt)
+            entry = protocol.open_entry(s.wire, g, s.k_bar, s.pf)
             q_g = (int.from_bytes(prf(s.key, g), "big") % s.pp.m) + 1
             single = por.verify((entry,), [q_g], s.pp)
             best = min(best, time.perf_counter() - started)

@@ -207,9 +207,9 @@ class TestWireGolden:
         encoded, pp = por.setup(random.Random(11).randbytes(200),
                                 block_payload_len=16, phi=4)
         pi = por.prove(encoded, bytes(range(16, 32)), pp)
-        wire = protocol.encode_proof_vector(
-            pi, bytes(range(32, 48)), protocol.unit_format(16), 3, random.Random(5)
-        )
+        k_bar = bytes(range(32, 48))
+        pf = protocol.proof_format(protocol.QpStatement(3, k_bar, pp, 16))
+        wire = protocol.encode_proof_vector(pi, k_bar, pf, random.Random(5))
         assert len(wire) == 4 * (12 + 2 + (6 + 3) * 22 + 16)
         assert hashlib.sha256(wire).hexdigest() == (
             "549f8fec49e468d8751bfaf72b92ab798f8ce488707807524cbc95e69c1f1451"

@@ -378,6 +378,26 @@ class TestCodecs:
         parity = bytes(a ^ b ^ c ^ d for a, b, c, d in zip(*chunks[:4]))
         assert chunks[4] == parity
 
+    def test_xor_parity_short_final_chunk_and_partial_group(self):
+        # 6 whole chunks plus 1 byte: groups of 4 and 3 chunks, the last
+        # chunk zero-filled
+        data = bytes(range(1, 26))
+        coded = por.XorParityCodec(chunk_len=4, group=4).encode(data)
+        chunks = [data[i : i + 4].ljust(4, b"\x00") for i in range(0, 25, 4)]
+        assert len(chunks) == 7
+
+        def parity(group):
+            out = bytearray(4)
+            for chunk in group:
+                for k, byte in enumerate(chunk):
+                    out[k] ^= byte
+            return bytes(out)
+
+        expected = (b"".join(chunks[:4]) + parity(chunks[:4])
+                    + b"".join(chunks[4:]) + parity(chunks[4:]))
+        assert coded == expected
+        assert len(coded) == 9 * 4
+
     def test_setup_with_parity_codec_adds_blocks(self):
         file = bytes(range(64))
         plain, _ = por.setup(file, 16, phi=4)

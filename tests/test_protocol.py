@@ -60,6 +60,10 @@ def build_session(config, seed=1, file_size=1024,
     return ledger, client, server, handoff, addr_r, file
 
 
+def proof_format(pp, pad_pi, payload=16):
+    return protocol.proof_format(QpStatement(pad_pi, bytes(16), pp, payload))
+
+
 def goto(ledger, contract, label):
     target = contract.params.schedule.point(label)
     if ledger.time.ordinal < target.ordinal:
@@ -322,7 +326,7 @@ class TestHonestRuns:
         config = make_config(z=2)
         run = HonestRun(config)
         for j, unit in run.contract.queries.items():
-            key = dec_unit(run.client.k_bar, unit, run.client.fmt)
+            key = dec_unit(run.client.k_bar, unit, run.client.pf.slot)
             assert len(key) == 16
 
 
@@ -333,8 +337,9 @@ class TestWireShape:
         m = run.client.pp.m
         real = protocol.entry_real_units(m)
         payload = run.contract.proofs[1]
-        entry_len = protocol.entry_layout(run.client.fmt, real).wire_len
-        assert len(payload) == config.phi * entry_len
+        pf = run.client.pf
+        assert (pf.phi, pf.real, pf.units) == (config.phi, real, 1)
+        assert len(payload) == config.phi * pf.entry_len
 
     def test_padded_vector_shape(self):
         # m=64 blocks -> height 6 -> 8 real slots; budget of 11 pads by 3
@@ -343,40 +348,47 @@ class TestWireShape:
         assert run.client.pad_pi == 3
         real = protocol.entry_real_units(run.client.pp.m)
         payload = run.contract.proofs[1]
-        entry_len = protocol.entry_layout(run.client.fmt, real + 3).wire_len
+        entry_len = 12 + 2 + (real + 3) * run.client.pf.slot.payload_len + 16
+        assert run.client.pf.entry_len == entry_len
         assert len(payload) == config.phi * entry_len
 
     def test_dummy_matches_real_shape(self):
         rng = random.Random(0)
-        fmt = protocol.unit_format(16)
         encoded, pp = por.setup(rng.randbytes(512), 16, 4)
         key = por.gen_query(rng)
         pi = por.prove(encoded, key, pp)
-        real = protocol.entry_real_units(pp.m)
-        genuine = protocol.encode_proof_vector(pi, b"\x01" * 16, fmt, 2, rng)
-        dummy = protocol.dummy_proof_vector(pp.phi, real, 2, fmt, rng)
+        pf = proof_format(pp, 2)
+        genuine = protocol.encode_proof_vector(pi, b"\x01" * 16, pf, rng)
+        dummy = protocol.dummy_proof_vector(pf, rng)
         assert len(genuine) == len(dummy)
 
     def test_decode_recovers_vector(self):
         rng = random.Random(0)
-        fmt = protocol.unit_format(16)
         encoded, pp = por.setup(rng.randbytes(512), 16, 4)
         key = por.gen_query(rng)
         k_bar = b"\x02" * 16
         pi = por.prove(encoded, key, pp)
-        payload = protocol.encode_proof_vector(pi, k_bar, fmt, 2, rng)
-        real = protocol.entry_real_units(pp.m)
-        entries, failed = protocol.decode_proof_vector(
-            payload, k_bar, pp.phi, real, 2, fmt
-        )
+        pf = proof_format(pp, 2)
+        payload = protocol.encode_proof_vector(pi, k_bar, pf, rng)
+        entries, failed = protocol.decode_proof_vector(payload, k_bar, pf)
         assert failed is None
         assert entries == pi
 
+    def test_entry_of_another_height_rejected(self):
+        # m=32 paths carry 7 values; a format for m=64 expects 8
+        rng = random.Random(0)
+        encoded, pp = por.setup(rng.randbytes(512), 16, 4)
+        pi = por.prove(encoded, por.gen_query(rng), pp)
+        taller = proof_format(por.PublicParams(pp.sigma, pp.phi, 64), 2)
+        with pytest.raises(ValueError):
+            protocol.encode_proof_vector(pi, b"\x01" * 16, taller, rng)
+
     def test_dummy_fails_decode_at_first_entry(self):
         rng = random.Random(0)
-        fmt = protocol.unit_format(16)
-        dummy = protocol.dummy_proof_vector(4, 8, 0, fmt, rng)
-        entries, failed = protocol.decode_proof_vector(dummy, b"\x03" * 16, 4, 8, 0, fmt)
+        pf = proof_format(por.PublicParams(bytes(16), phi=4, m=64), 0)
+        assert pf.real == 8
+        dummy = protocol.dummy_proof_vector(pf, rng)
+        entries, failed = protocol.decode_proof_vector(dummy, b"\x03" * 16, pf)
         assert entries is None
         assert failed == 1
 
@@ -390,19 +402,17 @@ class TestEntryUnits:
 
     def vector(self):
         rng = random.Random(5)
-        fmt = protocol.unit_format(16)
         encoded, pp = por.setup(rng.randbytes(512), 16, 6)
         pi = por.prove(encoded, por.gen_query(rng), pp)
-        real = protocol.entry_real_units(pp.m)
-        payload = protocol.encode_proof_vector(pi, self.K_BAR, fmt, self.PAD, rng)
-        layout = protocol.entry_layout(fmt, real + self.PAD)
-        assert layout.units == 1
-        return pi, pp, fmt, layout.fmt, real, payload
+        pf = proof_format(pp, self.PAD)
+        payload = protocol.encode_proof_vector(pi, self.K_BAR, pf, rng)
+        assert pf.units == 1
+        return pi, pp, pf.slot, pf.unit, pf.real, payload
 
     def decode(self, payload, pp, fmt, real):
-        return protocol.decode_proof_vector(
-            payload, self.K_BAR, pp.phi, real, self.PAD, fmt
-        )
+        pf = proof_format(pp, self.PAD)
+        assert (pf.slot, pf.real) == (fmt, real)
+        return protocol.decode_proof_vector(payload, self.K_BAR, pf)
 
     def test_entry_plaintext_layout(self):
         from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -466,26 +476,24 @@ class TestEntryUnits:
             lengths.update(len(p) for p in run.contract.proofs.values())
             reals.append(protocol.entry_real_units(run.client.pp.m))
         assert reals == [8, 10]
-        assert lengths == {4 * protocol.entry_layout(run.client.fmt, 12).wire_len}
+        assert lengths == {4 * (12 + 2 + 12 * run.client.pf.slot.payload_len + 16)}
 
     def test_entry_past_one_unit_is_split(self):
         # 20 slots of 4102 bytes exceed one unit's 65,535-byte limit, so each
         # entry is sealed as two units of 10 slots
         config = make_config(z=2, phi=4, pi_max=20, payload=4096)
         run = HonestRun(config, file_size=8 * 4096)
-        layout = protocol.entry_layout(run.client.fmt, 20)
-        assert layout.units == 2
-        assert layout.fmt.value_capacity == 10 * 4102
+        pf = run.client.pf
+        assert pf.units == 2
+        assert pf.unit.value_capacity == 10 * 4102
+        assert pf.entry_len == 2 * pf.unit.unit_len
         assert all(v.accepted for v in run.verdicts.values())
         payload = run.contract.proofs[1]
-        assert len(payload) == 4 * layout.wire_len
-        real = protocol.entry_real_units(run.client.pp.m)
-        args = (run.client.k_bar, 4, real, run.client.pad_pi, run.client.fmt)
+        assert len(payload) == 4 * pf.entry_len
         bad = bytearray(payload)
-        bad[2 * layout.wire_len + layout.fmt.unit_len + 100] ^= 0x01  # entry 3, unit 2
-        assert protocol.decode_proof_vector(bytes(bad), *args) == (None, 3)
-        dummy = protocol.dummy_proof_vector(4, real, run.client.pad_pi,
-                                            run.client.fmt, random.Random(0))
+        bad[2 * pf.entry_len + pf.unit.unit_len + 100] ^= 0x01  # entry 3, unit 2
+        assert protocol.decode_proof_vector(bytes(bad), run.client.k_bar, pf) == (None, 3)
+        dummy = protocol.dummy_proof_vector(pf, random.Random(0))
         assert len(dummy) == len(payload)
 
 
@@ -733,6 +741,73 @@ class TestArbiterlessResolution:
             run.ledger, run.contract, run.client.opening_cp
         )
         assert payout == {"client": 13, "server": 14}
+
+
+def _cut_last_entry(wire, phi):
+    return wire[: len(wire) - len(wire) // phi]
+
+
+def _one_byte_long(wire, phi):
+    return wire + b"\x00"
+
+
+class TestMisShapedProof:
+    """A proof vector that is not phi entries of the agreed length is the
+    server's fault, even when the entry the client names opens and verifies."""
+
+    PHI = 4
+
+    @pytest.mark.parametrize("reshape", [_cut_last_entry, _one_byte_long])
+    @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
+    def test_server_is_charged(self, variant, reshape, monkeypatch):
+        from porpay.scenario import expected_payout
+
+        encode = protocol.encode_proof_vector
+        reshaped = []
+
+        def encode_first_reshaped(*args):
+            wire = encode(*args)
+            if not reshaped:  # cycle 1's vector only
+                reshaped.append(wire)
+                wire = reshape(wire, self.PHI)
+            return wire
+
+        monkeypatch.setattr(protocol, "encode_proof_vector", encode_first_reshaped)
+        config = make_config(z=2, phi=self.PHI, variant=variant)
+        run = HonestRun(config, seed=3)
+        ledger, contract = run.ledger, run.contract
+        start = ledger.total_supply()
+        assert len(contract.proofs[1]) != len(reshaped[0])
+        assert run.client.complaints == [(1, 1)]
+        assert run.verdicts[2].accepted
+        if variant == ARBITER:
+            DisputedRun.resolve(run)
+        else:
+            goto(ledger, contract, "K4")
+            run.client.post_complaints(ledger)
+            goto(ledger, contract, "K5")
+            protocol.contract_resolve(ledger, contract)
+        assert contract.counters == Counters(server_faults=1)
+
+        goto(ledger, contract, "L")
+        run.client.request_payout(ledger)
+        pay = (protocol.payout_arbiter_variant if variant == ARBITER
+               else protocol.payout_arbiterless_variant)
+        payout = pay(ledger, contract, run.client.opening_cp)
+        client, server, arbiter = expected_payout(
+            variant, contract.counters, z=2, o=5, l=2,
+            client_deposit=contract.client_deposited,
+            server_deposit=contract.server_deposited,
+        )
+        expected = {"client": client, "server": server}
+        if variant == ARBITER:
+            expected["arbiter"] = arbiter
+        assert payout == expected
+        assert ledger.total_supply() == start
+        assert contract.escrow == 0
+        assert sum(payout.values()) == (
+            contract.client_deposited + contract.server_deposited
+        )
 
 
 class TestHostileComplaintPosts:

@@ -6,7 +6,7 @@ import pytest
 
 from porpay.crypto import Opening
 from porpay.ledger import Ledger, UnknownAddress
-from porpay.sap import sap_agree, sap_init, sap_verify, sap_verify_snapshot
+from porpay.sap import sap_agree, sap_init, sap_verify
 
 
 @pytest.fixture
@@ -79,39 +79,39 @@ class TestVerify:
 
     def test_honest_opening_accepted(self, env):
         ledger, client, server, r, g, sid = self.setup_session(env)
-        assert sap_verify(Opening(STATEMENT, r), g, g, client, server, sid, ledger)
+        assert sap_verify(Opening(STATEMENT, r), client, server, sid, ledger)
 
     def test_different_statement_rejected(self, env):
         ledger, client, server, r, g, sid = self.setup_session(env)
-        assert not sap_verify(Opening(b"another", r), g, g, client, server, sid, ledger)
+        assert not sap_verify(Opening(b"another", r), client, server, sid, ledger)
 
     def test_missing_server_commitment_rejected(self, env):
         ledger, client, server = env
         r, g, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
-        assert not sap_verify(Opening(STATEMENT, r), g, g, client, server, sid, ledger)
+        assert not sap_verify(Opening(STATEMENT, r), client, server, sid, ledger)
 
-    def test_offline_snapshot_matches_ledger_verdict(self, env):
+    def test_swapped_addresses_rejected(self, env):
         ledger, client, server, r, g, sid = self.setup_session(env)
-        snap = ledger.session(sid).snapshot()
         opening = Opening(STATEMENT, r)
-        assert sap_verify_snapshot(opening, snap, client.id, server.id)
-        assert not sap_verify_snapshot(opening, snap, server.id, client.id)
+        assert sap_verify(opening, client, server, sid, ledger)
+        assert not sap_verify(opening, server, client, sid, ledger)
+        assert not sap_verify(opening, client, client, sid, ledger)
 
     def test_binding_search(self, env):
         ledger, client, server, r, g, sid = self.setup_session(env)
         rng = random.Random(13)
         for _ in range(2**12):
             opening = Opening(rng.randbytes(12), rng.randbytes(16))
-            assert not sap_verify(opening, g, g, client, server, sid, ledger)
+            assert not sap_verify(opening, client, server, sid, ledger)
 
     def test_verdict_fixed_after_agreement(self, env):
         # later ledger writes cannot change the outcome for a given opening
         ledger, client, server, r, g, sid = self.setup_session(env)
         opening = Opening(STATEMENT, r)
-        before = sap_verify(opening, g, g, client, server, sid, ledger)
+        before = sap_verify(opening, client, server, sid, ledger)
         sap_init(ledger, client, server, b"unrelated statement", random.Random(9))
         ledger.create_account("bystander", 5)
-        after = sap_verify(opening, g, g, client, server, sid, ledger)
+        after = sap_verify(opening, client, server, sid, ledger)
         assert before == after == True  # noqa: E712
 
 
