@@ -25,10 +25,10 @@ from typing import Sequence
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .hashing import digest
+from .hashing import HASH_LEN, digest
 
 PSI_BITS = 128  # PRF key size
-IOTA_BITS = 128  # PRF output size
+IOTA_BITS = HASH_LEN * 8  # PRF output size
 LAMBDA_BITS = 128  # commitment randomness size
 PRF_COUNTER_LEN = 8  # eta = 64-bit PRF input
 
@@ -52,9 +52,10 @@ class DecryptFailure(Exception):
     """
 
 
-def prf(key: bytes, counter: int, out_len: int = IOTA_BITS // 8) -> bytes:
-    """Keyed hash of (key || 8-byte big-endian counter); deterministic."""
-    return digest(key + counter.to_bytes(PRF_COUNTER_LEN, "big"), out_len)
+def prf(key: bytes, counter: int) -> bytes:
+    """Keyed hash of (key || 8-byte big-endian counter); deterministic, and
+    IOTA_BITS long because the hash is."""
+    return digest(key + counter.to_bytes(PRF_COUNTER_LEN, "big"))
 
 
 @dataclass(frozen=True)

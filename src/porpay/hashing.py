@@ -1,6 +1,6 @@
 """Truncated SHA-256, the collision-resistant hash used throughout.
 
-The default output length is 16 bytes (128 bits), the session security
+The output length is 16 bytes (128 bits), the session security
 parameter. A module-level call counter backs the dispute-cost ratio checks
 in the test suite; it is plain instrumentation, not thread-safe, and has no
 effect on results.
@@ -39,11 +39,11 @@ HASH_LEN = 16
 _calls = 0
 
 
-def digest(data: bytes, out_len: int = HASH_LEN) -> bytes:
-    """Hash ``data`` and truncate the result to ``out_len`` bytes."""
+def digest(data: bytes) -> bytes:
+    """Hash ``data`` and truncate the result to HASH_LEN bytes."""
     global _calls
     _calls += 1
-    return hashlib.sha256(data).digest()[:out_len]
+    return hashlib.sha256(data).digest()[:HASH_LEN]
 
 
 def tally(n: int) -> None:

@@ -16,7 +16,7 @@ import json
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .hashing import digest
 
@@ -82,43 +82,19 @@ GENESIS = TimePoint("genesis", -1)
 
 
 class Schedule:
-    """Ordered, validated set of the contract's named time points.
+    """The contract's named time points for z billing cycles, in order:
+    T0 < T1 < T2 < G1.1 < G1.2 < ... < Gz.2 < J < K1 < ... < K6 < L."""
 
-    Required ordering: T0 < T1 < T2 < G1.1 < G1.2 < ... < Gz.2 < J < K1 <
-    ... < K6 < L. Construction rejects anything else.
-    """
-
-    def __init__(self, points: Sequence[TimePoint]):
-        ordinals = [p.ordinal for p in points]
-        if sorted(ordinals) != ordinals or len(set(ordinals)) != len(ordinals):
-            raise ValueError("schedule ordinals must be strictly increasing")
-        self._by_label = {p.label: p for p in points}
-        if len(self._by_label) != len(points):
-            raise ValueError("duplicate time point labels")
-        self.points = tuple(points)
-        self.z = self._validate()
-
-    def _validate(self) -> int:
-        labels = [p.label for p in self.points]
-        cycles = sum(1 for lab in labels if lab.endswith(".1") and lab.startswith("G"))
-        if cycles < 1 or labels != self.labels(cycles):
-            raise ValueError(f"schedule labels out of order or incomplete: {labels}")
-        return cycles
-
-    @staticmethod
-    def labels(z: int) -> list[str]:
-        """The labels of a z-cycle schedule, in order."""
-        return (
+    def __init__(self, z: int):
+        if z < 1:
+            raise ValueError("need at least one billing cycle")
+        labels = (
             ["T0", "T1", "T2"]
             + [f"G{j}.{p}" for j in range(1, z + 1) for p in (1, 2)]
             + ["J", "K1", "K2", "K3", "K4", "K5", "K6", "L"]
         )
-
-    @classmethod
-    def standard(cls, z: int) -> "Schedule":
-        if z < 1:
-            raise ValueError("need at least one billing cycle")
-        return cls([TimePoint(lab, i) for i, lab in enumerate(cls.labels(z))])
+        self.points = tuple(TimePoint(lab, i) for i, lab in enumerate(labels))
+        self._by_label = {p.label: p for p in self.points}
 
     def point(self, label: str) -> TimePoint:
         try:
@@ -187,14 +163,13 @@ class ContractParams:
     server_deposit_required: int
     addr_client: Address
     addr_server: Address
-    schedule: Schedule
     arbiterless: bool = False
     addr_arbiter: Address | None = None
     sap_refs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.schedule.z != self.z:
-            raise ValueError("schedule cycle count does not match z")
+        if self.z < 1:
+            raise ValueError("need at least one billing cycle")
         if not self.arbiterless and self.addr_arbiter is None:
             raise ValueError("third-party variant needs an arbiter address")
 

@@ -3,10 +3,10 @@
 The client encodes its file, splits it into fixed payloads, suffixes each
 payload with its 1-based index, and publishes the Merkle root. A challenge
 is just a PRF key; both sides expand it to the same list of block indices,
-the prover answers with (block, path) pairs, and the verifier reports either
-acceptance or the position of the first failing pair. That failing position
-is what makes third-party dispute checking cheap: re-checking one pair
-settles the dispute.
+the prover answers with one Merkle path per index (a path carries its
+block), and the verifier reports either acceptance or the position of the
+first failing path. That failing position is what makes third-party dispute
+checking cheap: re-checking one path settles the dispute.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass, field
-from typing import NamedTuple, Protocol, Sequence, Union
+from typing import Protocol, Sequence, Union
 
 from . import merkle
 from .crypto import IOTA_BITS, PRF_COUNTER_LEN, PSI_BITS, prf
@@ -136,20 +136,14 @@ class EncodedFile:
 
 @dataclass(frozen=True)
 class Verdict:
-    accepted: bool
     failing_index: int | None = None  # 1-based position in the proof vector
 
-    def __post_init__(self) -> None:
-        if self.accepted == (self.failing_index is not None):
-            raise ValueError("failing_index must be present exactly when rejected")
+    @property
+    def accepted(self) -> bool:
+        return self.failing_index is None
 
 
-class ProofEntry(NamedTuple):
-    block: bytes
-    path: merkle.MerklePath
-
-
-ProofVector = tuple[ProofEntry, ...]
+ProofVector = tuple[merkle.MerklePath, ...]  # one path per challenged block
 Query = Union[bytes, Sequence[int]]
 
 
@@ -216,30 +210,12 @@ def derive_indices(key: bytes, phi: int, m: int) -> list[int]:
     ]
 
 
-def prove(
-    encoded: EncodedFile,
-    key: bytes,
-    pp: PublicParams,
-    tree: merkle.MerkleTree | None = None,
-) -> ProofVector:
-    """Answer the challenge key with one (block, path) pair per index.
-
-    A prover that keeps the tree from setup can pass it in to skip
-    rebuilding it every cycle.
-    """
-    if encoded.m != pp.m:
-        raise ParamMismatch(f"encoded file has {encoded.m} blocks, pp says {pp.m}")
-    if tree is None:
-        tree, _ = merkle.gen_tree(encoded.blocks, encoded.block_len)
-    elif tree.m != pp.m:
-        raise ParamMismatch("supplied tree does not match pp")
-    blocks, block_len = encoded.blocks, encoded.block_len
-    return tuple(
-        [
-            ProofEntry(blocks[(q - 1) * block_len : q * block_len], merkle.prove(tree, q))
-            for q in derive_indices(key, pp.phi, pp.m)
-        ]
-    )
+def prove(tree: merkle.MerkleTree, key: bytes, pp: PublicParams) -> ProofVector:
+    """Answer the challenge key with the Merkle path of each challenged block
+    of ``tree``, the tree over the encoded file's blocks."""
+    if tree.m != pp.m:
+        raise ParamMismatch(f"tree has {tree.m} blocks, pp says {pp.m}")
+    return tuple([merkle.prove(tree, q) for q in derive_indices(key, pp.phi, pp.m)])
 
 
 def verify(pi: ProofVector, query: Query, pp: PublicParams) -> Verdict:
@@ -256,21 +232,20 @@ def verify(pi: ProofVector, query: Query, pp: PublicParams) -> Verdict:
         if not expected:
             raise ValueError("explicit query must contain at least one index")
     if len(pi) != len(expected):
-        return Verdict(False, min(len(pi) + 1, len(expected)))
+        return Verdict(min(len(pi) + 1, len(expected)))
 
     # pass 1: every block must carry the index it was challenged for
-    for i, ((block, _), q) in enumerate(zip(pi, expected), start=1):
+    for i, (path, q) in enumerate(zip(pi, expected), start=1):
+        block = path.leaf_block
         if len(block) <= INDEX_LEN:
-            return Verdict(False, i)
+            return Verdict(i)
         if int.from_bytes(block[-INDEX_LEN:], "big") != q:
-            return Verdict(False, i)
+            return Verdict(i)
 
-    # pass 2: every path must open the root for that same block
+    # pass 2: every path must open the root from its block
     sigma = pp.sigma
-    for i, (block, path) in enumerate(pi, start=1):
-        if path.leaf_block != block:
-            return Verdict(False, i)
+    for i, path in enumerate(pi, start=1):
         if not merkle.verify(path, sigma):
-            return Verdict(False, i)
-    return Verdict(True, None)
+            return Verdict(i)
+    return Verdict()
 

@@ -61,7 +61,6 @@ from .ledger import (
     MsgKind,
     OutOfWindow,
     RcContract,
-    Schedule,
 )
 from .sap import sap_agree, sap_init, sap_verify
 
@@ -262,6 +261,11 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if self.z < 1 or self.phi < 1 or self.block_payload_len < 1:
             raise ValueError("z, phi and block_payload_len must be positive")
+        if self.block_payload_len > MAX_BLOCK_PAYLOAD_LEN:
+            raise ValueError(
+                f"block_payload_len {self.block_payload_len} above "
+                f"{MAX_BLOCK_PAYLOAD_LEN}: its slot would not fit one unit"
+            )
         if self.variant not in (ARBITER, ARBITERLESS):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.codec_name not in por.CODECS:
@@ -290,6 +294,12 @@ def unit_format(block_payload_len: int) -> UnitFormat:
     """One slot size fits every value a session sends: blocks, digests,
     leaf indices, and challenge keys."""
     return UnitFormat(max(block_payload_len + por.INDEX_LEN, PSI_BITS // 8))
+
+
+# A slot (length prefix, payload, index) must fit in one unit, whose own
+# length prefix states at most MAX_VALUE_LEN bytes; a larger payload leaves
+# no way to frame a proof entry.
+MAX_BLOCK_PAYLOAD_LEN = MAX_VALUE_LEN - UnitFormat(0).payload_len - por.INDEX_LEN
 
 
 def key_gen(rng: random.Random, pi_max: int, pi_act: int) -> tuple[bytes, int]:
@@ -352,13 +362,12 @@ def encode_proof_vector(
     plain_len = pf.units * step
     tail = bytes(plain_len - pf.real * pf.slot.payload_len)
     units = []
-    for entry in pi:
-        path = entry.path
+    for leaf_block, sibling_block, sibling_digests, leaf_index in pi:
         values = (
-            entry.block,
-            path.sibling_block,
-            *path.sibling_digests,
-            path.leaf_index.to_bytes(por.INDEX_LEN, "big"),
+            leaf_block,
+            sibling_block,
+            *sibling_digests,
+            leaf_index.to_bytes(por.INDEX_LEN, "big"),
         )
         if len(values) != pf.real:
             raise ValueError("proof entry path does not match the proof format")
@@ -377,7 +386,7 @@ def dummy_proof_vector(pf: ProofFormat, rng: random.Random) -> bytes:
 
 def open_entry(
     payload: bytes, g: int, k_bar: bytes, pf: ProofFormat
-) -> por.ProofEntry:
+) -> merkle.MerklePath:
     """Open the 1-based ``g``-th entry of a proof vector.
 
     Raises DecryptFailure when a unit is missing, fails to open, or the
@@ -398,14 +407,12 @@ def open_entry(
     raw_index = values[-1]
     if len(raw_index) != por.INDEX_LEN:
         raise DecryptFailure("malformed leaf index slot")
-    block = values[0]
-    path = merkle.MerklePath(
-        leaf_block=block,
+    return merkle.MerklePath(
+        leaf_block=values[0],
         sibling_block=values[1],
         sibling_digests=tuple(values[2:-1]),
         leaf_index=int.from_bytes(raw_index, "big"),
     )
-    return por.ProofEntry(block, path)
 
 
 def decode_proof_vector(
@@ -457,7 +464,6 @@ class Handoff:
     """Out-of-band package the client hands the server after initiation."""
 
     encoded_file: por.EncodedFile
-    z: int
     opening_qp: Opening
     opening_cp: Opening
     contract: RcContract
@@ -543,7 +549,6 @@ class Client:
             server_deposit_required=masked_server,
             addr_client=self.addr,
             addr_server=addr_server,
-            schedule=Schedule.standard(cfg.z),
             arbiterless=cfg.variant == ARBITERLESS,
             addr_arbiter=addr_arbiter,
             sap_refs=(sid_qp, sid_cp),
@@ -552,7 +557,6 @@ class Client:
         ledger.deposit(self.addr, self.contract, masked_client)
         return Handoff(
             encoded_file=encoded,
-            z=cfg.z,
             opening_qp=self.opening_qp,
             opening_cp=self.opening_cp,
             contract=self.contract,
@@ -582,11 +586,11 @@ class Client:
         k_hat = dec_unit(self.k_bar, self.contract.query(j), self.pf.slot)
         payload = self.contract.proofs.get(j)
         if payload is None:
-            verdict = por.Verdict(False, 1)
+            verdict = por.Verdict(1)
         else:
             entries, failed_at = decode_proof_vector(payload, self.k_bar, self.pf)
             if entries is None:
-                verdict = por.Verdict(False, failed_at)
+                verdict = por.Verdict(failed_at)
             else:
                 verdict = por.verify(entries, k_hat, self.pp)
 
@@ -625,7 +629,6 @@ class Server:
         self.price_list = price_list
         self.behavior = behavior or ServerBehavior()
         self.contract: RcContract | None = None
-        self.encoded: por.EncodedFile | None = None
         self.tree: merkle.MerkleTree | None = None
         self.qp: QpStatement | None = None
         self.pf: ProofFormat | None = None
@@ -637,9 +640,9 @@ class Server:
 
         An ill-formed advertised root, a PRF triple other than the
         supported ``PrfSpec()``, mismatched counts, wrong deposits, a pad
-        count that takes entries past MAX_ENTRY_SLOTS, or a failed
-        agreement all end in a = 0 and no deposit, which later
-        triggers the T2 refund path.
+        count that takes entries past MAX_ENTRY_SLOTS, a block payload past
+        MAX_BLOCK_PAYLOAD_LEN, or a failed agreement all end in a = 0 and
+        no deposit, which later triggers the T2 refund path.
         """
         contract = handoff.contract
         params = contract.params
@@ -655,7 +658,7 @@ class Server:
         checks_ok = qp is not None and cp is not None
         if checks_ok:
             checks_ok = (
-                params.z == handoff.z == cp.z
+                params.z == cp.z
                 and contract.client_deposited >= params.client_deposit_required
                 and params.client_deposit_required == cp.z * (cp.o_max + cp.l_max)
                 and params.server_deposit_required == cp.z * cp.l_max
@@ -665,6 +668,7 @@ class Server:
                 and contract.counters == Counters()
                 and qp.pp.zeta == por.PrfSpec()
                 and qp.block_payload_len == handoff.encoded_file.block_payload_len
+                and qp.block_payload_len <= MAX_BLOCK_PAYLOAD_LEN
                 and entry_real_units(qp.pp.m) + qp.pad_pi <= MAX_ENTRY_SLOTS
             )
 
@@ -673,17 +677,9 @@ class Server:
             (params.sap_refs[_SAP_QP], handoff.opening_qp),
             (params.sap_refs[_SAP_CP], handoff.opening_cp),
         ):
-            session = ledger.session(sid)
-            _, b = sap_agree(
-                ledger,
-                opening.statement,
-                opening.randomness,
-                session.g_client,
-                params.addr_client,
-                sid,
-                self.addr,
-            )
-            agreed = agreed and b
+            # both agreements run, whatever the first one's outcome
+            ok = sap_agree(ledger, opening, params.addr_client, sid, self.addr)
+            agreed = agreed and ok
 
         a = 0
         encoded = handoff.encoded_file
@@ -692,7 +688,6 @@ class Server:
             tree, root = merkle.gen_tree(encoded.blocks, encoded.block_len)
             if root == qp.pp.sigma and qp.pp.phi <= qp.pp.m:
                 a = 1
-                self.encoded = encoded
                 self.tree = tree
                 self.qp = qp
                 self.pf = proof_format(qp)
@@ -719,7 +714,7 @@ class Server:
 
         complaint: int | None = None
         if b == 1:
-            pi = por.prove(self.encoded, k_hat, qp.pp, tree=self.tree)
+            pi = por.prove(self.tree, k_hat, qp.pp)
             if j in self.behavior.corrupt_block:
                 pi = _corrupt_first_entry(pi)
             payload = encode_proof_vector(pi, qp.k_bar, self.pf, self.rng)
@@ -745,13 +740,11 @@ class Server:
 
 
 def _corrupt_first_entry(pi: por.ProofVector) -> por.ProofVector:
-    """Flip one payload byte of the first challenged block, path included."""
-    entry = pi[0]
-    bad = bytearray(entry.block)
+    """Flip one payload byte of the first challenged block."""
+    path = pi[0]
+    bad = bytearray(path.leaf_block)
     bad[0] ^= 0x01
-    bad_block = bytes(bad)
-    path = entry.path._replace(leaf_block=bad_block)
-    return (por.ProofEntry(bad_block, path),) + pi[1:]
+    return (path._replace(leaf_block=bytes(bad)),) + pi[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ matching hash commitments recorded on the ledger.
 The initiating party commits to the statement under fresh randomness, posts
 the commitment, and hands the opening to its counterparty out of band. The
 counterparty re-commits under the same randomness iff the opening checks
-out, leaving two equal commitments with distinct sender attributions on the
-ledger. From then on, anyone holding the opening can verify the agreement
-against the ledger; the statement itself never appears on the ledger until
-someone opens it.
+out, leaving two equal commitments on the ledger. The session accepts each
+commitment only from the address it names for that party, so its two
+addresses are the commitments' attribution. From then on, anyone holding
+the opening can verify the agreement against the session; the statement
+itself never appears on the ledger until someone opens it.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ class SapSession:
         self.addr_client = addr_client
         self.addr_server = addr_server
         self.g_client: bytes | None = None
-        self.g_client_sender: Address | None = None
         self.g_server: bytes | None = None
-        self.g_server_sender: Address | None = None
 
     def record_client(self, sender: Address, commitment: bytes) -> None:
         if sender != self.addr_client:
@@ -36,7 +35,6 @@ class SapSession:
         if self.g_client is not None:
             raise DuplicateSlot("client commitment already recorded")
         self.g_client = commitment
-        self.g_client_sender = sender
 
     def record_server(self, sender: Address, commitment: bytes) -> None:
         if sender != self.addr_server:
@@ -46,7 +44,6 @@ class SapSession:
         if self.g_server is not None:
             raise DuplicateSlot("server commitment already recorded")
         self.g_server = commitment
-        self.g_server_sender = sender
 
     def state_dict(self) -> dict:
         return {
@@ -85,30 +82,26 @@ def sap_init(
 
 def sap_agree(
     ledger: Ledger,
-    statement: bytes,
-    r: bytes,
-    g_client: bytes,
+    opening: Opening,
     addr_client: Address,
     session_id: int,
     sender: Address,
-) -> tuple[bytes | None, bool]:
+) -> bool:
     """Server-side agreement step.
 
-    Posts the matching commitment from ``sender`` iff the ledger attributes
-    ``g_client`` to ``addr_client`` and the opening verifies; failure is
-    reported in the returned bit, never raised.
+    Posts the matching commitment from ``sender`` iff the session's client
+    is ``addr_client`` and ``opening`` opens the client commitment it
+    records; failure is returned as False, never raised.
     """
     session: SapSession = ledger.session(session_id)
-    if (
-        session.g_client != g_client
-        or session.g_client_sender != addr_client
-        or not commit_verify(g_client, Opening(statement, r))
+    if session.addr_client != addr_client or not commit_verify(
+        session.g_client, opening
     ):
-        return None, False
-    g_server = commit(statement, r)
+        return False
+    g_server = commit(opening.statement, opening.randomness)
     session.record_server(sender, g_server)
     ledger.log_session_event("sap_commit_server", sender, g_server)
-    return g_server, True
+    return True
 
 
 def sap_verify(
@@ -120,19 +113,14 @@ def sap_verify(
 ) -> bool:
     """Verify an opening against both commitments the session records.
 
-    True iff both commitments are recorded, each came from the party the
-    session names, the session names ``addr_client`` and ``addr_server``,
-    and the opening opens both commitments.
+    True iff both commitments are recorded, the session names
+    ``addr_client`` and ``addr_server`` (a commitment is recorded only from
+    the address the session names for it), and the opening opens both.
     """
     session: SapSession = ledger.session(session_id)
     if session.g_client is None or session.g_server is None:
         return False
-    if (
-        session.addr_client != addr_client
-        or session.addr_server != addr_server
-        or session.g_client_sender != addr_client
-        or session.g_server_sender != addr_server
-    ):
+    if session.addr_client != addr_client or session.addr_server != addr_server:
         return False
     return commit_verify(session.g_client, opening) and commit_verify(
         session.g_server, opening

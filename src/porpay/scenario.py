@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import crypto, protocol
-from .ledger import CounterOutOfBounds, Counters, Ledger
+from .ledger import CounterOutOfBounds, Counters, Ledger, Schedule
 from .protocol import (
     ARBITER,
     Arbiter,
@@ -164,10 +164,6 @@ class ScenarioSpec:
             used.add(key)
             out.append(Behavior(kind, j if kind not in _NO_TARGET else None))
         return tuple(out)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(text))
 
     def to_dict(self) -> dict:
         cfg = self.config
@@ -332,10 +328,10 @@ def run(spec: ScenarioSpec) -> dict:
     refund_path = False
 
     # phases 1-2 at T0, phase 3 at T1
-    _goto(ledger, protocol.Schedule.standard(cfg.z), "T0")
+    schedule = Schedule(cfg.z)
+    _goto(ledger, schedule, "T0")
     handoff = client.init(file_bytes, ledger, addr_server, addr_arbiter)
     contract = handoff.contract
-    schedule = contract.params.schedule
     _goto(ledger, schedule, "T1")
     server.init(handoff, ledger)
 

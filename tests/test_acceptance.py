@@ -288,14 +288,11 @@ def naive_verify(raw_blocks, key, entries, phi):
 class TestPorOracleEquivalence:
     def to_package_entries(self, entries):
         return tuple(
-            por.ProofEntry(
-                e["block"],
-                merkle.MerklePath(
-                    leaf_block=e["block"],
-                    sibling_block=e["sibling"],
-                    sibling_digests=tuple(e["digests"]),
-                    leaf_index=e["leaf_index"],
-                ),
+            merkle.MerklePath(
+                leaf_block=e["block"],
+                sibling_block=e["sibling"],
+                sibling_digests=tuple(e["digests"]),
+                leaf_index=e["leaf_index"],
             )
             for e in entries
         )
@@ -373,7 +370,7 @@ def big_session():
     encoded, pp = por.setup(file, PAYLOAD, phi=460)
     tree, _ = merkle.gen_tree(encoded.blocks, encoded.block_len)
     key = por.gen_query(rng)
-    pi = por.prove(encoded, key, pp, tree=tree)
+    pi = por.prove(tree, key, pp)
     k_bar = b"\x5a" * 16
     pf = protocol.proof_format(protocol.QpStatement(0, k_bar, pp, PAYLOAD))
     wire = protocol.encode_proof_vector(pi, k_bar, pf, rng)
@@ -432,10 +429,8 @@ class TestPaddingPrivacy:
             spec = ScenarioSpec.from_dict(raw)
             master = random.Random(spec.seed)
             file = master.randbytes(spec.file_size)
-            from porpay.ledger import Ledger
-            from porpay.protocol import (
-                Client, ClientBehavior, Schedule, Server, ServerBehavior,
-            )
+            from porpay.ledger import Ledger, Schedule
+            from porpay.protocol import Client, ClientBehavior, Server, ServerBehavior
 
             ledger = Ledger()
             addr_c = ledger.create_account("client", 21)
@@ -455,16 +450,17 @@ class TestPaddingPrivacy:
                             spec.config, ClientBehavior())
             server = Server(addr_s, random.Random(master.getrandbits(64)),
                             spec.config.price_list, server_behavior)
-            ledger.advance_time(Schedule.standard(spec.config.z).point("T0"))
+            schedule = Schedule(spec.config.z)
+            ledger.advance_time(schedule.point("T0"))
             handoff = client.init(file, ledger, addr_s, addr_r)
             contract = handoff.contract
-            ledger.advance_time(contract.params.schedule.point("T1"))
+            ledger.advance_time(schedule.point("T1"))
             assert server.init(handoff, ledger) == 1
             assert client.pad_pi == 2
             for j in range(1, spec.config.z + 1):
-                ledger.advance_time(contract.params.schedule.point(f"G{j}.1"))
+                ledger.advance_time(schedule.point(f"G{j}.1"))
                 client.post_query(j, ledger)
-                ledger.advance_time(contract.params.schedule.point(f"G{j}.2"))
+                ledger.advance_time(schedule.point(f"G{j}.2"))
                 server.prove_cycle(j, ledger)
             lengths[name] = {
                 "queries": [len(contract.queries[j]) for j in range(1, 4)],

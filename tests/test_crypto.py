@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from porpay import crypto, por, protocol
+from porpay import crypto, merkle, por, protocol
 
 
 class TestPrf:
@@ -206,7 +206,8 @@ class TestWireGolden:
         # each nonce + 2-byte prefix + 9 slots of 22 bytes + tag
         encoded, pp = por.setup(random.Random(11).randbytes(200),
                                 block_payload_len=16, phi=4)
-        pi = por.prove(encoded, bytes(range(16, 32)), pp)
+        tree, _ = merkle.gen_tree(encoded.blocks, encoded.block_len)
+        pi = por.prove(tree, bytes(range(16, 32)), pp)
         k_bar = bytes(range(32, 48))
         pf = protocol.proof_format(protocol.QpStatement(3, k_bar, pp, 16))
         wire = protocol.encode_proof_vector(pi, k_bar, pf, random.Random(5))

@@ -1,7 +1,10 @@
 """File encoding, challenge derivation, proving, and first-failure verification."""
 
+import dataclasses
 import hashlib
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +15,13 @@ from porpay.hashing import count_hash_calls
 
 
 def make_session(m=8, payload=8, phi=None, seed=0):
+    """The prover's tree over a fresh encoded file, its public parameters,
+    and the rng that made the file."""
     rng = random.Random(seed)
     file = rng.randbytes(m * payload)
     encoded, pp = por.setup(file, payload, phi or m)
-    return encoded, pp, rng
+    tree, _ = merkle.gen_tree(encoded.blocks, encoded.block_len)
+    return tree, pp, rng
 
 
 def reference_blocks(coded: bytes, payload: int) -> list[bytes]:
@@ -29,8 +35,9 @@ def reference_blocks(coded: bytes, payload: int) -> list[bytes]:
     return blocks
 
 
-def split_blocks(encoded: por.EncodedFile) -> list[bytes]:
-    """The encoded file's buffer cut into its blocks, 1..m in order."""
+def split_blocks(encoded: por.EncodedFile | merkle.MerkleTree) -> list[bytes]:
+    """The buffer of an encoded file or its tree cut into its blocks, 1..m
+    in order."""
     width = encoded.block_len
     return [encoded.blocks[i : i + width] for i in range(0, len(encoded.blocks), width)]
 
@@ -51,12 +58,10 @@ def reference_root(blocks: list[bytes]) -> bytes:
 
 def corrupt_entry(pi, position, byte_pos=0):
     """Flip one payload byte of the entry at 1-based ``position``."""
-    entry = pi[position - 1]
-    bad = bytearray(entry.block)
+    path = pi[position - 1]
+    bad = bytearray(path.leaf_block)
     bad[byte_pos] ^= 0x01
-    bad_block = bytes(bad)
-    path = entry.path._replace(leaf_block=bad_block)
-    return pi[: position - 1] + (por.ProofEntry(bad_block, path),) + pi[position:]
+    return pi[: position - 1] + (path._replace(leaf_block=bytes(bad)),) + pi[position:]
 
 
 class TestSetup:
@@ -170,48 +175,48 @@ class TestDeriveIndices:
 
 class TestProveVerify:
     def test_honest_roundtrip(self):
-        encoded, pp, rng = make_session(m=16, phi=6)
+        tree, pp, rng = make_session(m=16, phi=6)
         key = por.gen_query(rng)
-        pi = por.prove(encoded, key, pp)
-        assert por.verify(pi, key, pp) == por.Verdict(True, None)
+        pi = por.prove(tree, key, pp)
+        assert por.verify(pi, key, pp) == por.Verdict()
 
     def test_entry_count_is_phi(self):
-        encoded, pp, rng = make_session(m=16, phi=6)
-        assert len(por.prove(encoded, por.gen_query(rng), pp)) == 6
+        tree, pp, rng = make_session(m=16, phi=6)
+        assert len(por.prove(tree, por.gen_query(rng), pp)) == 6
 
     def test_entries_carry_derived_indices(self):
-        encoded, pp, rng = make_session(m=16, phi=6)
+        tree, pp, rng = make_session(m=16, phi=6)
         key = por.gen_query(rng)
-        pi = por.prove(encoded, key, pp)
-        for entry, q in zip(pi, por.derive_indices(key, pp.phi, pp.m)):
-            assert int.from_bytes(entry.block[-4:], "big") == q
-            assert entry.path.leaf_index == q
+        pi = por.prove(tree, key, pp)
+        for path, q in zip(pi, por.derive_indices(key, pp.phi, pp.m)):
+            assert int.from_bytes(path.leaf_block[-4:], "big") == q
+            assert path.leaf_index == q
 
     def test_param_mismatch(self):
-        encoded, pp, rng = make_session(m=8)
+        tree, pp, rng = make_session(m=8)
         other, _ = por.setup(bytes(32), 8, phi=4)
+        other_tree, _ = merkle.gen_tree(other.blocks, other.block_len)
         with pytest.raises(por.ParamMismatch):
-            por.prove(other, por.gen_query(rng), pp)
+            por.prove(other_tree, por.gen_query(rng), pp)
 
     def test_first_failure_is_reported(self):
-        encoded, pp, rng = make_session(m=32, phi=5)
+        tree, pp, rng = make_session(m=32, phi=5)
         key = por.gen_query(rng)
-        pi = corrupt_entry(por.prove(encoded, key, pp), position=3)
-        assert por.verify(pi, key, pp) == por.Verdict(False, 3)
+        pi = corrupt_entry(por.prove(tree, key, pp), position=3)
+        assert por.verify(pi, key, pp) == por.Verdict(3)
 
     def test_index_mismatch_caught_in_first_pass(self):
-        encoded, pp, rng = make_session(m=32, phi=5)
+        tree, pp, rng = make_session(m=32, phi=5)
         key = por.gen_query(rng)
-        pi = list(por.prove(encoded, key, pp))
+        pi = list(por.prove(tree, key, pp))
         entry = pi[2]
-        wrong = entry.block[:-4] + (99).to_bytes(4, "big")
-        pi[2] = por.ProofEntry(wrong, entry.path._replace(leaf_block=wrong))
-        assert por.verify(tuple(pi), key, pp) == por.Verdict(False, 3)
+        pi[2] = entry._replace(leaf_block=entry.leaf_block[:-4] + (99).to_bytes(4, "big"))
+        assert por.verify(tuple(pi), key, pp) == por.Verdict(3)
 
     def test_short_vector_rejected(self):
-        encoded, pp, rng = make_session(m=16, phi=4)
+        tree, pp, rng = make_session(m=16, phi=4)
         key = por.gen_query(rng)
-        pi = por.prove(encoded, key, pp)
+        pi = por.prove(tree, key, pp)
         assert por.verify(pi[:2], key, pp).accepted is False
 
     @settings(max_examples=30, deadline=None)
@@ -224,8 +229,9 @@ class TestProveVerify:
         rng = random.Random(seed)
         file = rng.randbytes(m * payload)
         encoded, pp = por.setup(file, payload, phi)
+        tree, _ = merkle.gen_tree(encoded.blocks, encoded.block_len)
         key = por.gen_query(rng)
-        assert por.verify(por.prove(encoded, key, pp), key, pp).accepted
+        assert por.verify(por.prove(tree, key, pp), key, pp).accepted
 
     def test_challenge_agreement_between_parties(self):
         _, pp, rng = make_session(m=64, phi=16)
@@ -237,38 +243,35 @@ class TestProveVerify:
 
 class TestSingleProofMode:
     def test_valid_single_entry_accepted(self):
-        encoded, pp, rng = make_session(m=8, phi=4)
+        tree, pp, rng = make_session(m=8, phi=4)
         key = por.gen_query(rng)
-        pi = por.prove(encoded, key, pp)
+        pi = por.prove(tree, key, pp)
         q = por.derive_indices(key, pp.phi, pp.m)[2]
-        assert por.verify((pi[2],), [q], pp) == por.Verdict(True, None)
+        assert por.verify((pi[2],), [q], pp) == por.Verdict()
 
     def test_flipped_digest_rejected(self):
         # cross-checked against full-vector verification restricted to the entry
-        encoded, pp, rng = make_session(m=8, phi=4)
+        tree, pp, rng = make_session(m=8, phi=4)
         key = por.gen_query(rng)
-        pi = por.prove(encoded, key, pp)
+        pi = por.prove(tree, key, pp)
         q = por.derive_indices(key, pp.phi, pp.m)[2]
         entry = pi[2]
-        digests = list(entry.path.sibling_digests)
+        digests = list(entry.sibling_digests)
         digests[0] = bytes(16)
-        bad = por.ProofEntry(
-            entry.block,
-            entry.path._replace(sibling_digests=tuple(digests)),
-        )
-        assert por.verify((bad,), [q], pp) == por.Verdict(False, 1)
+        bad = entry._replace(sibling_digests=tuple(digests))
+        assert por.verify((bad,), [q], pp) == por.Verdict(1)
 
     def test_misbehaviour_link_matches_full_verification(self):
         # the invariant the dispute resolver relies on: the single re-check at
         # the reported position g fails, and every earlier entry still passes
-        encoded, pp, rng = make_session(m=32, phi=7)
+        tree, pp, rng = make_session(m=32, phi=7)
         key = por.gen_query(rng)
         indices = por.derive_indices(key, pp.phi, pp.m)
         for g in (1, 4, 7):
-            pi = corrupt_entry(por.prove(encoded, key, pp), position=g)
+            pi = corrupt_entry(por.prove(tree, key, pp), position=g)
             verdict = por.verify(pi, key, pp)
-            assert verdict == por.Verdict(False, g)
-            assert por.verify((pi[g - 1],), [indices[g - 1]], pp) == por.Verdict(False, 1)
+            assert verdict == por.Verdict(g)
+            assert por.verify((pi[g - 1],), [indices[g - 1]], pp) == por.Verdict(1)
             for earlier in range(1, g):
                 assert por.verify(
                     (pi[earlier - 1],), [indices[earlier - 1]], pp
@@ -280,52 +283,44 @@ class TestHashCounts:
     PRF hash per index and each path verification hashes height = 3 nodes."""
 
     def session(self):
-        encoded, pp, rng = make_session(m=8, phi=5)
-        key = por.gen_query(rng)
-        tree, _ = merkle.gen_tree(encoded.blocks, encoded.block_len)
-        return encoded, pp, key, tree
+        tree, pp, rng = make_session(m=8, phi=5)
+        return tree, pp, por.gen_query(rng)
 
     def test_prove_hashes_only_the_challenge(self):
-        encoded, pp, key, tree = self.session()
+        tree, pp, key = self.session()
         with count_hash_calls() as taken:
-            por.prove(encoded, key, pp, tree=tree)
+            por.prove(tree, key, pp)
             assert taken() == 5
 
-    def test_prove_without_tree_rebuilds_it(self):
-        encoded, pp, key, _ = self.session()
-        with count_hash_calls() as taken:
-            por.prove(encoded, key, pp)
-            assert taken() == 5 + 7
-
     def test_verify_accept(self):
-        encoded, pp, key, tree = self.session()
-        pi = por.prove(encoded, key, pp, tree=tree)
+        tree, pp, key = self.session()
+        pi = por.prove(tree, key, pp)
         with count_hash_calls() as taken:
             assert por.verify(pi, key, pp).accepted
             assert taken() == 5 + 5 * 3
 
     def test_verify_reject_in_pass_one_hashes_no_path(self):
-        encoded, pp, key, tree = self.session()
-        pi = list(por.prove(encoded, key, pp, tree=tree))
+        tree, pp, key = self.session()
+        pi = list(por.prove(tree, key, pp))
         entry = pi[3]
-        wrong = entry.block[:-4] + (99).to_bytes(4, "big")
-        pi[3] = por.ProofEntry(wrong, entry.path)
+        wrong = entry.leaf_block[:-4] + (99).to_bytes(4, "big")
+        pi[3] = entry._replace(leaf_block=wrong)
         with count_hash_calls() as taken:
-            assert por.verify(tuple(pi), key, pp) == por.Verdict(False, 4)
+            assert por.verify(tuple(pi), key, pp) == por.Verdict(4)
             assert taken() == 5
 
     @pytest.mark.parametrize("g", [1, 3, 5])
     def test_verify_reject_in_pass_two_stops_at_g(self, g):
-        encoded, pp, key, tree = self.session()
-        pi = corrupt_entry(por.prove(encoded, key, pp, tree=tree), position=g)
+        tree, pp, key = self.session()
+        pi = corrupt_entry(por.prove(tree, key, pp), position=g)
         with count_hash_calls() as taken:
-            assert por.verify(pi, key, pp) == por.Verdict(False, g)
+            assert por.verify(pi, key, pp) == por.Verdict(g)
             assert taken() == 5 + g * 3
 
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_single_entry_recheck(self, corrupt):
-        encoded, pp, key, tree = self.session()
-        pi = por.prove(encoded, key, pp, tree=tree)
+        tree, pp, key = self.session()
+        pi = por.prove(tree, key, pp)
         if corrupt:
             pi = corrupt_entry(pi, position=2)
         q = por.derive_indices(key, pp.phi, pp.m)[1]
@@ -337,35 +332,34 @@ class TestHashCounts:
 class TestDetection:
     def test_full_coverage_catches_any_corrupt_block(self):
         # explicit query over every index forces full coverage at small m
-        encoded, pp, rng = make_session(m=8, phi=8)
-        tree, _ = merkle.gen_tree(encoded.blocks, encoded.block_len)
-        blocks = split_blocks(encoded)
+        tree, pp, rng = make_session(m=8, phi=8)
         all_indices = list(range(1, 9))
         for target in all_indices:
-            entries = tuple(
-                por.ProofEntry(blocks[q - 1], merkle.prove(tree, q))
-                for q in all_indices
-            )
+            entries = tuple(merkle.prove(tree, q) for q in all_indices)
             entries = corrupt_entry(entries, position=target)
             verdict = por.verify(entries, all_indices, pp)
-            assert verdict == por.Verdict(False, target)
+            assert verdict == por.Verdict(target)
 
     def test_corrupting_unchallenged_blocks_keeps_acceptance(self):
-        encoded, pp, rng = make_session(m=16, phi=3)
+        tree, pp, rng = make_session(m=16, phi=3)
         key = por.gen_query(rng)
         challenged = set(por.derive_indices(key, pp.phi, pp.m))
-        unchallenged = [i for i in range(1, 17) if i not in challenged]
-        assert unchallenged, "need at least one unchallenged block"
-        # bit rot on unchallenged blocks, original tree kept for the paths
-        tree, _ = merkle.gen_tree(encoded.blocks, encoded.block_len)
-        blocks = split_blocks(encoded)
-        for i in unchallenged:
-            rotted = bytearray(blocks[i - 1])
-            rotted[0] ^= 0xFF
-            blocks[i - 1] = bytes(rotted)
-        damaged = por.EncodedFile(b"".join(blocks), encoded.block_payload_len)
-        pi = por.prove(damaged, key, pp, tree=tree)
-        assert por.verify(pi, key, pp).accepted
+        # a path carries its block's sibling block too
+        siblings = {((i - 1) ^ 1) + 1 for i in challenged} - challenged
+        unread = [i for i in range(1, 17) if i not in challenged | siblings]
+        assert unread and siblings, "need blocks outside and inside the paths"
+
+        def rot(indices):
+            blocks = split_blocks(tree)
+            for i in indices:
+                rotted = bytearray(blocks[i - 1])
+                rotted[0] ^= 0xFF
+                blocks[i - 1] = bytes(rotted)
+            # the prover's buffer rots; the tree's digests stay as built
+            return dataclasses.replace(tree, blocks=b"".join(blocks))
+
+        assert por.verify(por.prove(rot(unread), key, pp), key, pp).accepted
+        assert not por.verify(por.prove(rot(siblings), key, pp), key, pp).accepted
 
 
 class TestCodecs:
@@ -406,3 +400,12 @@ class TestCodecs:
         assert coded.m == 5
         assert pp.m == 5
 
+
+class TestReadme:
+    def test_python_blocks_run(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.S | re.M)
+        assert blocks
+        for block in blocks:
+            exec(compile(block, str(readme), "exec"), {})

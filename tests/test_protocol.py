@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from porpay import por, protocol
+from porpay import merkle, por, protocol
 from porpay.crypto import Opening, dec_unit, enc_unit
-from porpay.ledger import Counters, DuplicateSlot, Ledger
+from porpay.ledger import Counters, DuplicateSlot, Ledger, Schedule
 from porpay.protocol import (
     ARBITER,
     ARBITERLESS,
@@ -55,9 +55,17 @@ def build_session(config, seed=1, file_size=1024,
                     client_behavior)
     server = Server(addr_s, random.Random(master.getrandbits(64)), PRICES,
                     server_behavior)
-    ledger.advance_time(protocol.Schedule.standard(config.z).point("T0"))
+    ledger.advance_time(Schedule(config.z).point("T0"))
     handoff = client.init(file, ledger, addr_s, addr_r)
     return ledger, client, server, handoff, addr_r, file
+
+
+def setup_tree(rng, size, phi):
+    """The prover's tree over a random file of ``size`` bytes, and its
+    public parameters."""
+    encoded, pp = por.setup(rng.randbytes(size), 16, phi)
+    tree, _ = merkle.gen_tree(encoded.blocks, encoded.block_len)
+    return tree, pp
 
 
 def proof_format(pp, pad_pi, payload=16):
@@ -65,7 +73,7 @@ def proof_format(pp, pad_pi, payload=16):
 
 
 def goto(ledger, contract, label):
-    target = contract.params.schedule.point(label)
+    target = Schedule(contract.params.z).point(label)
     if ledger.time.ordinal < target.ordinal:
         ledger.advance_time(target)
 
@@ -146,7 +154,7 @@ class TestMaskedDeposits:
         addr_c = ledger.create_account("client", 100)
         addr_s = ledger.create_account("server", 100)
         client = Client(addr_c, random.Random(0), config)
-        ledger.advance_time(protocol.Schedule.standard(3).point("T0"))
+        ledger.advance_time(Schedule(3).point("T0"))
         with pytest.raises(protocol.PriceNotInList):
             client.init(b"data", ledger, addr_s)
 
@@ -159,7 +167,7 @@ class TestServerInit:
         assert server.init(handoff, ledger) == 1
         assert handoff.contract.server_deposited == 6
         assert handoff.contract.a_flag == 1
-        assert server.tree.blocks is server.encoded.blocks is handoff.encoded_file.blocks
+        assert server.tree.blocks is handoff.encoded_file.blocks
 
     def test_ill_formed_metadata_rejected(self):
         config = make_config()
@@ -170,18 +178,19 @@ class TestServerInit:
         assert server.init(handoff, ledger) == 0
         assert handoff.contract.server_deposited == 0
 
-    def test_underfunded_client_rejected(self):
-        # hand-built initiation that deposits one coin less than required
+    def hand_built(self, payload=16, file_size=512, client_deposit=21):
+        """Initiation done by hand instead of by Client.init, so the qp
+        statement can carry what Client.init would refuse."""
         config = make_config()
         ledger = Ledger()
         addr_c = ledger.create_account("client", 100)
         addr_s = ledger.create_account("server", 100)
         rng = random.Random(3)
-        file = rng.randbytes(512)
-        encoded, pp = por.setup(file, 16, config.phi)
+        file = rng.randbytes(file_size)
+        encoded, pp = por.setup(file, payload, config.phi)
         k_bar, pad = protocol.key_gen(rng, protocol.entry_real_units(pp.m),
                                       protocol.entry_real_units(pp.m))
-        qp = QpStatement(pad, k_bar, pp, 16)
+        qp = QpStatement(pad, k_bar, pp, payload)
         cp = CpStatement(5, 5, 2, 2, config.z)
         from porpay.sap import sap_init
 
@@ -193,34 +202,55 @@ class TestServerInit:
             server_deposit_required=6,
             addr_client=addr_c,
             addr_server=addr_s,
-            schedule=protocol.Schedule.standard(config.z),
             arbiterless=False,
             addr_arbiter=ledger.create_account("arbiter", 0),
             sap_refs=(sid_qp, sid_cp),
         )
         contract = ledger.deploy_contract(addr_c, params)
-        ledger.advance_time(params.schedule.point("T0"))
-        ledger.deposit(addr_c, contract, 20)  # one short of coin*
+        ledger.advance_time(Schedule(config.z).point("T0"))
+        ledger.deposit(addr_c, contract, client_deposit)
         handoff = protocol.Handoff(
-            encoded, config.z, Opening(qp.to_bytes(), r_qp),
+            encoded, Opening(qp.to_bytes(), r_qp),
             Opening(cp.to_bytes(), r_cp), contract,
         )
-        server = Server(addr_s, rng, PRICES)
+        return ledger, addr_c, Server(addr_s, rng, PRICES), handoff
+
+    def test_underfunded_client_rejected(self):
+        # one coin less than coin* deposited
+        ledger, _, server, handoff = self.hand_built(client_deposit=20)
+        goto(ledger, handoff.contract, "T1")
+        assert server.init(handoff, ledger) == 0
+
+    def test_unframeable_block_payload_refunds(self):
+        # a qp statement whose slot overflows a unit's length prefix: the
+        # server refuses before fixing a proof format, then T2 refunds
+        payload = protocol.MAX_BLOCK_PAYLOAD_LEN + 1
+        ledger, addr_c, server, handoff = self.hand_built(payload, 4 * payload)
+        contract = handoff.contract
         goto(ledger, contract, "T1")
         assert server.init(handoff, ledger) == 0
+        assert contract.server_deposited == 0
+        goto(ledger, contract, "T2")
+        ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
+        protocol.refund_deposits(ledger, contract)
+        assert ledger.balances() == {"client": 100, "server": 100, "arbiter": 0}
 
     def test_tampered_opening_fails_agreement(self):
         config = make_config()
         ledger, client, server, handoff, _, _ = build_session(config)
         bad = protocol.Handoff(
             handoff.encoded_file,
-            handoff.z,
             Opening(handoff.opening_qp.statement, bytes(16)),
             handoff.opening_cp,
             handoff.contract,
         )
         goto(ledger, handoff.contract, "T1")
         assert server.init(bad, ledger) == 0
+        # the cp agreement still runs, so the ledger trace does not depend
+        # on which agreement failed
+        sid_qp, sid_cp = handoff.contract.params.sap_refs
+        assert ledger.session(sid_qp).g_server is None
+        assert ledger.session(sid_cp).g_server is not None
 
     @pytest.mark.parametrize("cut", [1, 20, 1024])
     def test_short_block_buffer_rejected(self, cut):
@@ -352,11 +382,21 @@ class TestWireShape:
         assert run.client.pf.entry_len == entry_len
         assert len(payload) == config.phi * entry_len
 
+    def test_largest_block_payload_frames_one_slot_per_unit(self):
+        # a slot is a 2-byte prefix, the payload and a 4-byte index, and a
+        # unit's own 2-byte prefix states at most 65,535 bytes
+        assert protocol.MAX_BLOCK_PAYLOAD_LEN == 65_529
+        with pytest.raises(ValueError):
+            make_config(payload=65_530)
+        run = HonestRun(make_config(z=1, phi=2, payload=65_529), file_size=2 * 65_529)
+        assert run.verdicts[1].accepted
+        assert run.client.pf.units == run.client.pf.real
+
     def test_dummy_matches_real_shape(self):
         rng = random.Random(0)
-        encoded, pp = por.setup(rng.randbytes(512), 16, 4)
+        tree, pp = setup_tree(rng, 512, 4)
         key = por.gen_query(rng)
-        pi = por.prove(encoded, key, pp)
+        pi = por.prove(tree, key, pp)
         pf = proof_format(pp, 2)
         genuine = protocol.encode_proof_vector(pi, b"\x01" * 16, pf, rng)
         dummy = protocol.dummy_proof_vector(pf, rng)
@@ -364,10 +404,10 @@ class TestWireShape:
 
     def test_decode_recovers_vector(self):
         rng = random.Random(0)
-        encoded, pp = por.setup(rng.randbytes(512), 16, 4)
+        tree, pp = setup_tree(rng, 512, 4)
         key = por.gen_query(rng)
         k_bar = b"\x02" * 16
-        pi = por.prove(encoded, key, pp)
+        pi = por.prove(tree, key, pp)
         pf = proof_format(pp, 2)
         payload = protocol.encode_proof_vector(pi, k_bar, pf, rng)
         entries, failed = protocol.decode_proof_vector(payload, k_bar, pf)
@@ -377,8 +417,8 @@ class TestWireShape:
     def test_entry_of_another_height_rejected(self):
         # m=32 paths carry 7 values; a format for m=64 expects 8
         rng = random.Random(0)
-        encoded, pp = por.setup(rng.randbytes(512), 16, 4)
-        pi = por.prove(encoded, por.gen_query(rng), pp)
+        tree, pp = setup_tree(rng, 512, 4)
+        pi = por.prove(tree, por.gen_query(rng), pp)
         taller = proof_format(por.PublicParams(pp.sigma, pp.phi, 64), 2)
         with pytest.raises(ValueError):
             protocol.encode_proof_vector(pi, b"\x01" * 16, taller, rng)
@@ -402,8 +442,8 @@ class TestEntryUnits:
 
     def vector(self):
         rng = random.Random(5)
-        encoded, pp = por.setup(rng.randbytes(512), 16, 6)
-        pi = por.prove(encoded, por.gen_query(rng), pp)
+        tree, pp = setup_tree(rng, 512, 6)
+        pi = por.prove(tree, por.gen_query(rng), pp)
         pf = proof_format(pp, self.PAD)
         payload = protocol.encode_proof_vector(pi, self.K_BAR, pf, rng)
         assert pf.units == 1
@@ -419,12 +459,11 @@ class TestEntryUnits:
 
         pi, pp, fmt, efmt, real, payload = self.vector()
         assert len(payload) == pp.phi * efmt.unit_len
-        for g, entry in enumerate(pi):
+        for g, path in enumerate(pi):
             unit = payload[g * efmt.unit_len : (g + 1) * efmt.unit_len]
             plain = AESGCM(self.K_BAR).decrypt(unit[:12], unit[12:], None)
-            values = [entry.block, entry.path.sibling_block,
-                      *entry.path.sibling_digests,
-                      entry.path.leaf_index.to_bytes(4, "big")]
+            values = [path.leaf_block, path.sibling_block, *path.sibling_digests,
+                      path.leaf_index.to_bytes(4, "big")]
             slots = b"".join(len(v).to_bytes(2, "big") + v + bytes(20 - len(v))
                              for v in values)
             body = slots + bytes(self.PAD * 22)

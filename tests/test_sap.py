@@ -51,30 +51,26 @@ class TestAgree:
     def test_honest_flow(self, env):
         ledger, client, server = env
         r, g, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
-        g_server, ok = sap_agree(ledger, STATEMENT, r, g, client, sid, server)
-        assert ok
-        assert g_server == g
+        assert sap_agree(ledger, Opening(STATEMENT, r), client, sid, server)
+        assert ledger.session(sid).g_server == g
 
     def test_tampered_statement_rejected(self, env):
         ledger, client, server = env
         r, g, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
-        g_server, ok = sap_agree(ledger, STATEMENT + b"!", r, g, client, sid, server)
-        assert not ok
-        assert g_server is None
+        assert not sap_agree(ledger, Opening(STATEMENT + b"!", r), client, sid, server)
         assert ledger.session(sid).g_server is None
 
     def test_wrong_attribution_rejected(self, env):
         ledger, client, server = env
         r, g, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
-        _, ok = sap_agree(ledger, STATEMENT, r, g, server, sid, server)
-        assert not ok
+        assert not sap_agree(ledger, Opening(STATEMENT, r), server, sid, server)
 
 
 class TestVerify:
     def setup_session(self, env):
         ledger, client, server = env
         r, g, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
-        sap_agree(ledger, STATEMENT, r, g, client, sid, server)
+        sap_agree(ledger, Opening(STATEMENT, r), client, sid, server)
         return ledger, client, server, r, g, sid
 
     def test_honest_opening_accepted(self, env):
@@ -121,7 +117,7 @@ class TestPrivacy:
         rng = random.Random(3)
         secret = rng.randbytes(48)  # high-entropy statement
         r, g, sid = sap_init(ledger, client, server, secret, rng)
-        sap_agree(ledger, secret, r, g, client, sid, server)
+        sap_agree(ledger, Opening(secret, r), client, sid, server)
         state = ledger.snapshot()
         assert secret not in state
         assert secret.hex().encode() not in state

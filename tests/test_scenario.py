@@ -81,6 +81,15 @@ class TestSpecParsing:
         with pytest.raises(SpecInvalid):
             ScenarioSpec.from_dict(base_raw(file={"size": 10, "path": "x"}))
 
+    def test_block_payload_past_one_unit_rejected(self):
+        # 65,530 payload bytes plus a slot's 2-byte prefix and 4-byte index
+        # overflow a unit's 2-byte length prefix: no proof entry could be framed
+        raw = base_raw(file={"size": 2 * 65_530})
+        raw["session"]["block_payload_len"] = 65_530
+        raw["session"]["phi"] = 2
+        with pytest.raises(SpecInvalid):
+            ScenarioSpec.from_dict(raw)
+
     def test_phi_larger_than_m_rejected_at_run(self):
         raw = base_raw()
         raw["session"]["phi"] = 500  # 1024-byte file -> m = 64
