@@ -25,7 +25,7 @@ from typing import Sequence
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .hashing import HASH_LEN, digest
+from .hashing import HASH_LEN, digest, node_sha256, tally
 
 PSI_BITS = 128  # PRF key size
 IOTA_BITS = HASH_LEN * 8  # PRF output size
@@ -54,8 +54,14 @@ class DecryptFailure(Exception):
 
 def prf(key: bytes, counter: int) -> bytes:
     """Keyed hash of (key || 8-byte big-endian counter); deterministic, and
-    IOTA_BITS long because the hash is."""
-    return digest(key + counter.to_bytes(PRF_COUNTER_LEN, "big"))
+    IOTA_BITS long because the hash is.
+
+    The 24-byte input is hashed with the builtin SHA-256 and counted as one
+    hash: a cycle derives phi indices, one PRF call each.
+    """
+    tally(1)
+    data = key + counter.to_bytes(PRF_COUNTER_LEN, "big")
+    return node_sha256(data).digest()[:HASH_LEN]
 
 
 @dataclass(frozen=True)

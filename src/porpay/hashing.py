@@ -5,19 +5,27 @@ parameter. A module-level call counter backs the dispute-cost ratio checks
 in the test suite; it is plain instrumentation, not thread-safe, and has no
 effect on results.
 
-Every hash is counted. Most callers go through ``digest``, which counts one
-call each. A hot loop whose hash count is known up front (a tree level, or
-a Merkle path verification, which always hashes its whole path) may hash
-inline with ``node_sha256(data).digest()[:HASH_LEN]`` and ``tally`` the
-calls in bulk, so the counts stay exactly those of one ``digest`` per hash.
+Every hash is counted. ``digest`` counts one call each. A caller whose
+hash count is known up front may hash inline with
+``node_sha256(data).digest()[:HASH_LEN]`` and ``tally`` the calls itself, so
+the counts stay exactly those of one ``digest`` per hash.
 
 There are two SHA-256 constructors, with the same digests. ``node_sha256``
-is CPython's builtin implementation: on a Merkle node's short input (two
-16-byte digests, or two blocks) it is cheaper than ``hashlib.sha256``,
-which sets up an OpenSSL context per call. ``digest`` keeps
-``hashlib.sha256``, because its callers include large inputs (a ledger
-post of a whole proof vector), where OpenSSL's hardware-accelerated
-SHA-256 is several times faster than the builtin.
+is CPython's builtin implementation: on a short input it is cheaper than
+``hashlib.sha256``, which sets up an OpenSSL context per call. Its callers
+all hash short inputs:
+
+- ``merkle.gen_tree``, one tally per tree level (two blocks or two digests
+  per node);
+- ``merkle.verify``, one tally per path, which always hashes its whole
+  path;
+- ``crypto.prf``, one tally per call (a 16-byte key and an 8-byte counter).
+
+``digest`` keeps ``hashlib.sha256``, because its callers include large
+inputs, where OpenSSL's hardware-accelerated SHA-256 is several times
+faster than the builtin: ``crypto.commit`` (a statement and its
+randomness) and the ledger's trace, which hashes every posted payload, a
+whole proof vector included.
 """
 
 from __future__ import annotations

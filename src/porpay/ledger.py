@@ -25,6 +25,10 @@ class UnknownAddress(KeyError):
     """Operation referenced an address this ledger has never issued."""
 
 
+class UnknownSession(KeyError):
+    """Operation referenced a session id this ledger has never registered."""
+
+
 class InsufficientBalance(ValueError):
     pass
 
@@ -442,6 +446,8 @@ class Ledger:
         return len(self._sessions) - 1
 
     def session(self, session_id: int):
+        if not isinstance(session_id, int) or not 0 <= session_id < len(self._sessions):
+            raise UnknownSession(session_id)
         return self._sessions[session_id]
 
     def log_session_event(self, kind: str, sender: Address, payload: bytes) -> None:

@@ -115,10 +115,12 @@ def prove(tree: MerkleTree, index: int) -> MerklePath:
     # the sibling of an odd m's last block is a padding block, past the buffer
     sibling_start = (pos ^ 1) * block_len
     sibling = blocks[sibling_start : sibling_start + block_len] or bytes(block_len)
-    # one sibling digest per level from 1 to height-1
-    levels = tree.levels
-    digests = tuple([levels[k - 1][(pos >> k) ^ 1] for k in range(1, tree.height)])
-    return MerklePath(blocks[start : start + block_len], sibling, digests, index)
+    # one sibling digest per level below the root, from level 1 upward
+    digests = []
+    for level in tree.levels[:-1]:
+        pos >>= 1
+        digests.append(level[pos ^ 1])
+    return MerklePath(blocks[start : start + block_len], sibling, tuple(digests), index)
 
 
 def verify(path: MerklePath, root: bytes) -> bool:

@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import json
 import random
+import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from . import merkle, por
 from .crypto import (
@@ -45,11 +46,11 @@ from .crypto import (
     dec_unit,
     enc_unit,
     gen_sym_key,
-    pack_slots,
     prf,
     sample_unit,
     unpack_slots,
 )
+from .hashing import HASH_LEN
 from .ledger import (
     Address,
     ContractParams,
@@ -161,6 +162,11 @@ class QpStatement:
     block_payload_len: int = por.DEFAULT_BLOCK_PAYLOAD_LEN
 
     _PAD, _KEY, _SIGMA, _PHI, _M, _ZETA, _PAYLOAD_LEN = 1, 2, 3, 4, 5, 6, 7
+
+    @property
+    def block_len(self) -> int:
+        """Length of each encoded block: the payload, then its index."""
+        return self.block_payload_len + por.INDEX_LEN
 
     def to_bytes(self) -> bytes:
         zeta = self.pp.zeta
@@ -316,7 +322,8 @@ def key_gen(rng: random.Random, pi_max: int, pi_act: int) -> tuple[bytes, int]:
 # ---------------------------------------------------------------------------
 
 
-class ProofFormat(NamedTuple):
+@dataclass(frozen=True)
+class ProofFormat:
     """The one shape of every proof vector in a session, fixed by the agreed
     qp statement.
 
@@ -329,6 +336,16 @@ class ProofFormat(NamedTuple):
     (MAX_VALUE_LEN: kilobyte blocks in a deep tree). Real vectors, dummy
     vectors and uniformly sampled padding are therefore indistinguishable by
     length, whatever the tree height.
+
+    An honest entry's value lengths are fixed too, and ``lens`` lists them.
+    ``layout`` is the whole plaintext of such an entry, compiled once: each
+    value's length prefix and bytes, with the zero fill and the pad tail as
+    ``x`` padding: the bytes ``pack_slots`` frames those values into.
+    Entries are sealed with one ``layout.pack`` call, and a path of other
+    value lengths is refused. They are opened with one ``layout.unpack``
+    call; a plaintext whose length fields differ from ``lens`` (a failing
+    or hand-built entry) is read again with ``unpack_slots``, which gives
+    the same values or the same DecryptFailure.
     """
 
     phi: int
@@ -336,6 +353,14 @@ class ProofFormat(NamedTuple):
     slot: UnitFormat
     units: int
     unit: UnitFormat
+    lens: tuple[int, ...]
+    layout: struct.Struct = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        capacity = self.slot.value_capacity
+        slots = "".join([f"H{n}s{capacity - n}x" for n in self.lens])
+        tail = self.units * self.unit.value_capacity - self.real * self.slot.payload_len
+        object.__setattr__(self, "layout", struct.Struct(f">{slots}{tail}x"))
 
     @property
     def entry_len(self) -> int:
@@ -349,18 +374,24 @@ def proof_format(qp: QpStatement) -> ProofFormat:
     slots = real + qp.pad_pi
     units = -(-slots // (MAX_VALUE_LEN // slot.payload_len))
     unit = UnitFormat(-(-slots // units) * slot.payload_len)
-    return ProofFormat(qp.pp.phi, real, slot, units, unit)
+    lens = (qp.block_len, qp.block_len, *[HASH_LEN] * (real - 3), por.INDEX_LEN)
+    return ProofFormat(qp.pp.phi, real, slot, units, unit, lens)
 
 
 def encode_proof_vector(
     pi: por.ProofVector, k_bar: bytes, pf: ProofFormat, rng: random.Random
 ) -> bytes:
     """Seal every proof entry, its values then zero pad slots, as
-    ``pf.units`` cipher units."""
+    ``pf.units`` cipher units.
+
+    Raises ValueError for a path whose value lengths are not ``pf.lens``.
+    """
     unit = pf.unit
     step = unit.value_capacity
     plain_len = pf.units * step
-    tail = bytes(plain_len - pf.real * pf.slot.payload_len)
+    layout, lens = pf.layout, [*pf.lens]
+    fields = [None] * (2 * pf.real)  # (length, value) per slot, in order
+    fields[0::2] = lens
     units = []
     for leaf_block, sibling_block, sibling_digests, leaf_index in pi:
         values = (
@@ -369,9 +400,13 @@ def encode_proof_vector(
             *sibling_digests,
             leaf_index.to_bytes(por.INDEX_LEN, "big"),
         )
-        if len(values) != pf.real:
+        # compared as lists, not as a new tuple per entry: CPython keeps no
+        # free list for tuples past 20 items, and at m = 2^20 the tuples left
+        # about 16 MB more freed memory pinned after 30 onboard-1m sessions
+        if list(map(len, values)) != lens:
             raise ValueError("proof entry path does not match the proof format")
-        packed = pack_slots(values, pf.slot) + tail
+        fields[1::2] = values
+        packed = layout.pack(*fields)
         units += [
             enc_unit(k_bar, packed[i : i + step], unit, rng)
             for i in range(0, plain_len, step)
@@ -403,6 +438,11 @@ def open_entry(
     )
     if len(packed) != pf.units * unit.value_capacity:
         raise DecryptFailure("entry units do not fill their slots")
+    fields = pf.layout.unpack(packed)
+    if fields[0::2] == pf.lens:  # else a failing or hand-built entry
+        return merkle.MerklePath(
+            fields[1], fields[3], fields[5:-2:2], int.from_bytes(fields[-1], "big")
+        )
     values = unpack_slots(packed, pf.real, pf.slot)
     raw_index = values[-1]
     if len(raw_index) != por.INDEX_LEN:
@@ -461,9 +501,11 @@ class ServerBehavior:
 
 @dataclass(frozen=True)
 class Handoff:
-    """Out-of-band package the client hands the server after initiation."""
+    """Out-of-band package the client hands the server after initiation:
+    the encoded file's block buffer, whose block length the agreed qp
+    statement fixes, the two openings and the deployed contract."""
 
-    encoded_file: por.EncodedFile
+    blocks: bytes
     opening_qp: Opening
     opening_cp: Opening
     contract: RcContract
@@ -556,7 +598,7 @@ class Client:
         self.contract = ledger.deploy_contract(self.addr, params)
         ledger.deposit(self.addr, self.contract, masked_client)
         return Handoff(
-            encoded_file=encoded,
+            blocks=encoded.blocks,
             opening_qp=self.opening_qp,
             opening_cp=self.opening_cp,
             contract=self.contract,
@@ -667,25 +709,27 @@ class Server:
                 and cp.l_max == self.price_list.l_max
                 and contract.counters == Counters()
                 and qp.pp.zeta == por.PrfSpec()
-                and qp.block_payload_len == handoff.encoded_file.block_payload_len
                 and qp.block_payload_len <= MAX_BLOCK_PAYLOAD_LEN
                 and entry_real_units(qp.pp.m) + qp.pad_pi <= MAX_ENTRY_SLOTS
+                # exactly m whole blocks of the agreed length, so the tree
+                # rebuild below cannot raise
+                and len(handoff.blocks) == qp.pp.m * qp.block_len
             )
 
-        agreed = True
-        for sid, opening in (
-            (params.sap_refs[_SAP_QP], handoff.opening_qp),
-            (params.sap_refs[_SAP_CP], handoff.opening_cp),
-        ):
-            # both agreements run, whatever the first one's outcome
-            ok = sap_agree(ledger, opening, params.addr_client, sid, self.addr)
-            agreed = agreed and ok
+        # the refs are the client's choice: any count but two is no agreement
+        agreed = len(params.sap_refs) == 2
+        if agreed:
+            for sid, opening in (
+                (params.sap_refs[_SAP_QP], handoff.opening_qp),
+                (params.sap_refs[_SAP_CP], handoff.opening_cp),
+            ):
+                # both agreements run, whatever the first one's outcome
+                ok = sap_agree(ledger, opening, params.addr_client, sid, self.addr)
+                agreed = agreed and ok
 
         a = 0
-        encoded = handoff.encoded_file
-        # exactly m whole blocks, so the rebuild below cannot raise
-        if checks_ok and agreed and len(encoded.blocks) == qp.pp.m * encoded.block_len:
-            tree, root = merkle.gen_tree(encoded.blocks, encoded.block_len)
+        if checks_ok and agreed:
+            tree, root = merkle.gen_tree(handoff.blocks, qp.block_len)
             if root == qp.pp.sigma and qp.pp.phi <= qp.pp.m:
                 a = 1
                 self.tree = tree
@@ -799,7 +843,7 @@ def _opening_valid(
     opening: Opening, contract: RcContract, ledger: Ledger, ref: int
 ) -> bool:
     params = contract.params
-    return sap_verify(
+    return len(params.sap_refs) == 2 and sap_verify(
         opening, params.addr_client, params.addr_server, params.sap_refs[ref], ledger
     )
 

@@ -16,7 +16,14 @@ from __future__ import annotations
 import random
 
 from .crypto import Opening, commit, commit_verify, gen_commit_randomness
-from .ledger import Address, DuplicateSlot, Ledger, UnknownAddress, WrongSender
+from .ledger import (
+    Address,
+    DuplicateSlot,
+    Ledger,
+    UnknownAddress,
+    UnknownSession,
+    WrongSender,
+)
 
 
 class SapSession:
@@ -89,13 +96,21 @@ def sap_agree(
 ) -> bool:
     """Server-side agreement step.
 
-    Posts the matching commitment from ``sender`` iff the session's client
-    is ``addr_client`` and ``opening`` opens the client commitment it
-    records; failure is returned as False, never raised.
+    Posts the matching commitment from ``sender`` iff the ledger holds the
+    session, the session names ``addr_client`` as its client and ``sender``
+    as its server, holds no server commitment yet, and ``opening`` opens the
+    client commitment it records. The session id is the client's choice, so
+    failure is returned as False, never raised.
     """
-    session: SapSession = ledger.session(session_id)
-    if session.addr_client != addr_client or not commit_verify(
-        session.g_client, opening
+    try:
+        session: SapSession = ledger.session(session_id)
+    except UnknownSession:
+        return False
+    if (
+        session.addr_client != addr_client
+        or session.addr_server != sender
+        or session.g_server is not None
+        or not commit_verify(session.g_client, opening)
     ):
         return False
     g_server = commit(opening.statement, opening.randomness)
@@ -116,8 +131,12 @@ def sap_verify(
     True iff both commitments are recorded, the session names
     ``addr_client`` and ``addr_server`` (a commitment is recorded only from
     the address the session names for it), and the opening opens both.
+    An id the ledger never registered is no agreement.
     """
-    session: SapSession = ledger.session(session_id)
+    try:
+        session: SapSession = ledger.session(session_id)
+    except UnknownSession:
+        return False
     if session.g_client is None or session.g_server is None:
         return False
     if session.addr_client != addr_client or session.addr_server != addr_server:

@@ -172,6 +172,21 @@ class TestDeriveIndices:
         expected = (int.from_bytes(out, "big") % 10) + 1
         assert por.derive_indices(key, 1, 10) == [expected]
 
+    @pytest.mark.parametrize("phi, m", [(1, 1), (5, 8), (460, 1 << 16), (460, 715)])
+    def test_one_counted_hash_per_index(self, phi, m):
+        # the PRF hashes key || 8-byte counter once per index, whichever
+        # SHA-256 constructor it uses, and every hash is counted
+        key = random.Random(phi + m).randbytes(16)
+        expected = [
+            int.from_bytes(hashlib.sha256(key + i.to_bytes(8, "big")).digest()[:16], "big")
+            % m
+            + 1
+            for i in range(1, phi + 1)
+        ]
+        with count_hash_calls() as taken:
+            assert por.derive_indices(key, phi, m) == expected
+            assert taken() == phi
+
 
 class TestProveVerify:
     def test_honest_roundtrip(self):

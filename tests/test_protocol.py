@@ -4,9 +4,18 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from porpay import merkle, por, protocol
-from porpay.crypto import Opening, dec_unit, enc_unit
+from porpay.crypto import (
+    DecryptFailure,
+    Opening,
+    dec_unit,
+    enc_unit,
+    pack_slots,
+    unpack_slots,
+)
 from porpay.ledger import Counters, DuplicateSlot, Ledger, Schedule
 from porpay.protocol import (
     ARBITER,
@@ -167,7 +176,7 @@ class TestServerInit:
         assert server.init(handoff, ledger) == 1
         assert handoff.contract.server_deposited == 6
         assert handoff.contract.a_flag == 1
-        assert server.tree.blocks is handoff.encoded_file.blocks
+        assert server.tree.blocks is handoff.blocks
 
     def test_ill_formed_metadata_rejected(self):
         config = make_config()
@@ -178,13 +187,18 @@ class TestServerInit:
         assert server.init(handoff, ledger) == 0
         assert handoff.contract.server_deposited == 0
 
-    def hand_built(self, payload=16, file_size=512, client_deposit=21):
+    def hand_built(self, payload=16, file_size=512, client_deposit=21,
+                   qp_server=None, refs=None):
         """Initiation done by hand instead of by Client.init, so the qp
-        statement can carry what Client.init would refuse."""
+        statement and the contract's agreement refs can carry what
+        Client.init would refuse. ``qp_server`` names the server account
+        the qp session is opened with (default: the contract's server);
+        ``refs`` maps the (qp, cp) session ids to the contract's sap_refs."""
         config = make_config()
         ledger = Ledger()
         addr_c = ledger.create_account("client", 100)
         addr_s = ledger.create_account("server", 100)
+        addr_qp = ledger.create_account(qp_server, 0) if qp_server else addr_s
         rng = random.Random(3)
         file = rng.randbytes(file_size)
         encoded, pp = por.setup(file, payload, config.phi)
@@ -194,7 +208,7 @@ class TestServerInit:
         cp = CpStatement(5, 5, 2, 2, config.z)
         from porpay.sap import sap_init
 
-        r_qp, _, sid_qp = sap_init(ledger, addr_c, addr_s, qp.to_bytes(), rng)
+        r_qp, _, sid_qp = sap_init(ledger, addr_c, addr_qp, qp.to_bytes(), rng)
         r_cp, _, sid_cp = sap_init(ledger, addr_c, addr_s, cp.to_bytes(), rng)
         params = protocol.ContractParams(
             z=config.z,
@@ -204,13 +218,13 @@ class TestServerInit:
             addr_server=addr_s,
             arbiterless=False,
             addr_arbiter=ledger.create_account("arbiter", 0),
-            sap_refs=(sid_qp, sid_cp),
+            sap_refs=refs(sid_qp, sid_cp) if refs else (sid_qp, sid_cp),
         )
         contract = ledger.deploy_contract(addr_c, params)
         ledger.advance_time(Schedule(config.z).point("T0"))
         ledger.deposit(addr_c, contract, client_deposit)
         handoff = protocol.Handoff(
-            encoded, Opening(qp.to_bytes(), r_qp),
+            encoded.blocks, Opening(qp.to_bytes(), r_qp),
             Opening(cp.to_bytes(), r_cp), contract,
         )
         return ledger, addr_c, Server(addr_s, rng, PRICES), handoff
@@ -235,11 +249,46 @@ class TestServerInit:
         protocol.refund_deposits(ledger, contract)
         assert ledger.balances() == {"client": 100, "server": 100, "arbiter": 0}
 
+    @pytest.mark.parametrize(
+        "qp_server, refs, same_opening",
+        [
+            # the qp session names another server than the contract's
+            pytest.param("other server", None, False, id="foreign_session"),
+            # both refs name the qp session, and both openings open it
+            pytest.param(None, lambda qp, cp: (qp, qp), True, id="one_session_twice"),
+            # list indexing would read -2 as the qp session, and agree
+            pytest.param(None, lambda qp, cp: (-2, cp), False, id="negative_id"),
+            pytest.param(None, lambda qp, cp: (qp, cp + 1), False, id="id_past_end"),
+            # fewer refs than the two agreements need
+            pytest.param(None, lambda qp, cp: (qp,), False, id="one_ref"),
+            pytest.param(None, lambda qp, cp: (), False, id="no_refs"),
+        ],
+    )
+    def test_hostile_sap_refs_refund(self, qp_server, refs, same_opening):
+        # the contract's agreement refs are the client's choice: a ref the
+        # server cannot agree on is a failed agreement, answered with a = 0
+        # and the T2 refund, never an exception before the answer is posted
+        ledger, addr_c, server, handoff = self.hand_built(qp_server=qp_server, refs=refs)
+        if same_opening:
+            handoff = dataclasses.replace(handoff, opening_cp=handoff.opening_qp)
+        contract = handoff.contract
+        genesis_supply = ledger.total_supply()
+        goto(ledger, contract, "T1")
+        assert server.init(handoff, ledger) == 0
+        assert contract.a_flag == 0
+        assert contract.server_deposited == 0
+        goto(ledger, contract, "T2")
+        ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
+        protocol.refund_deposits(ledger, contract)
+        balances = ledger.balances()
+        assert (balances["client"], balances["server"], balances["arbiter"]) == (100, 100, 0)
+        assert ledger.total_supply() == genesis_supply
+
     def test_tampered_opening_fails_agreement(self):
         config = make_config()
         ledger, client, server, handoff, _, _ = build_session(config)
         bad = protocol.Handoff(
-            handoff.encoded_file,
+            handoff.blocks,
             Opening(handoff.opening_qp.statement, bytes(16)),
             handoff.opening_cp,
             handoff.contract,
@@ -257,10 +306,9 @@ class TestServerInit:
         # the handed-off buffer must hold exactly m whole blocks; a short one
         # is refused rather than crashing the tree rebuild
         ledger, client, server, handoff, _, _ = build_session(make_config())
-        encoded = handoff.encoded_file
-        short = por.EncodedFile(encoded.blocks[:-cut], encoded.block_payload_len)
+        short = handoff.blocks[:-cut]
         goto(ledger, handoff.contract, "T1")
-        assert server.init(dataclasses.replace(handoff, encoded_file=short), ledger) == 0
+        assert server.init(dataclasses.replace(handoff, blocks=short), ledger) == 0
         assert handoff.contract.server_deposited == 0
 
     def test_unsupported_prf_spec_refunds(self, monkeypatch):
@@ -534,6 +582,115 @@ class TestEntryUnits:
         assert protocol.decode_proof_vector(bytes(bad), run.client.k_bar, pf) == (None, 3)
         dummy = protocol.dummy_proof_vector(pf, random.Random(0))
         assert len(dummy) == len(payload)
+
+
+class TestCompiledEntryLayout:
+    """Entries of an honest entry's value lengths are packed and opened
+    through the format's compiled layout; the results must be exactly those
+    of the generic slot framing, for honest and hostile entries alike."""
+
+    K_BAR = b"\x05" * 16
+    # length prefixes a hostile plaintext may state, by name
+    PREFIXES = ("zero", "minus_one", "plus_one", "capacity", "past_capacity", "max")
+
+    @staticmethod
+    def shape(data):
+        """A proof format and its expected value lengths: a payload of 1 to
+        64 bytes with 0 to 4 pad slots, or a payload past 4,096 bytes whose
+        12 pad slots split each entry over 2 units."""
+        payload, pad = data.draw(
+            st.one_of(
+                st.tuples(st.integers(1, 64), st.integers(0, 4)),
+                st.just((4200, 12)),
+            )
+        )
+        m = data.draw(st.sampled_from([8, 715, 1 << 16]))
+        pf = proof_format(por.PublicParams(bytes(16), phi=1, m=m), pad, payload)
+        real = protocol.entry_real_units(m)
+        lens = [payload + 4, payload + 4] + [16] * (real - 3) + [4]
+        if payload == 4200:
+            assert pf.units == 2
+        return pf, lens
+
+    @staticmethod
+    def generic_open(plain, pf):
+        """open_entry's slot reading done with unpack_slots alone."""
+        values = unpack_slots(plain, pf.real, pf.slot)
+        if len(values[-1]) != por.INDEX_LEN:
+            raise DecryptFailure("malformed leaf index slot")
+        return merkle.MerklePath(
+            values[0], values[1], tuple(values[2:-1]), int.from_bytes(values[-1], "big")
+        )
+
+    def seal(self, plain, pf, rng):
+        step = pf.unit.value_capacity
+        return b"".join(
+            enc_unit(self.K_BAR, plain[i : i + step], pf.unit, rng)
+            for i in range(0, len(plain), step)
+        )
+
+    @staticmethod
+    def outcome(call):
+        try:
+            return call()
+        except (DecryptFailure, ValueError) as exc:
+            return type(exc)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_open_matches_generic_framing(self, data):
+        pf, lens = self.shape(data)
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        values = [rng.randbytes(n) for n in lens]
+        slot_len, capacity = pf.slot.payload_len, pf.slot.value_capacity
+        plain_len = pf.units * pf.unit.value_capacity
+        plain = bytearray(pack_slots(values, pf.slot) + bytes(plain_len - pf.real * slot_len))
+        for _ in range(data.draw(st.integers(0, 4))):
+            k = data.draw(st.integers(0, pf.real))  # pf.real: the pad tail
+            if data.draw(st.booleans()) and k < pf.real:
+                stated = {
+                    "zero": 0,
+                    "minus_one": lens[k] - 1,
+                    "plus_one": lens[k] + 1,
+                    "capacity": capacity,
+                    "past_capacity": capacity + 1,
+                    "max": 0xFFFF,
+                }[data.draw(st.sampled_from(self.PREFIXES))]
+                plain[k * slot_len : k * slot_len + 2] = stated.to_bytes(2, "big")
+            else:
+                # a non-zero byte in a slot's zero fill or in the pad tail
+                lo = k * slot_len + 2 + lens[k] if k < pf.real else pf.real * slot_len
+                hi = (k + 1) * slot_len if k < pf.real else plain_len
+                if lo < hi:
+                    plain[data.draw(st.integers(lo, hi - 1))] = data.draw(st.integers(1, 255))
+        plain = bytes(plain)
+        sealed = self.seal(plain, pf, rng)
+        got = self.outcome(lambda: protocol.open_entry(sealed, 1, self.K_BAR, pf))
+        assert got == self.outcome(lambda: self.generic_open(plain, pf))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_encode_matches_generic_framing(self, data):
+        pf, lens = self.shape(data)
+        seed = data.draw(st.integers(0, 2**32))
+        rng = random.Random(seed)
+        values = [rng.randbytes(n) for n in lens]
+        path = merkle.MerklePath(
+            values[0], values[1], tuple(values[2:-1]), int.from_bytes(values[-1], "big")
+        )
+        tail = bytes(pf.units * pf.unit.value_capacity - pf.real * pf.slot.payload_len)
+        got = protocol.encode_proof_vector((path,), self.K_BAR, pf, random.Random(seed))
+        assert got == self.seal(pack_slots(values, pf.slot) + tail, pf, random.Random(seed))
+        assert protocol.open_entry(got, 1, self.K_BAR, pf) == path
+        # a hand-built path carrying a block or digest of another length is
+        # refused rather than sealed
+        k = data.draw(st.integers(0, len(lens) - 2))
+        values[k] = rng.randbytes(lens[k] + data.draw(st.sampled_from([-1, 1])))
+        bad = merkle.MerklePath(
+            values[0], values[1], tuple(values[2:-1]), path.leaf_index
+        )
+        with pytest.raises(ValueError):
+            protocol.encode_proof_vector((bad,), self.K_BAR, pf, random.Random(seed))
 
 
 class TestResolutionFilters:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from porpay.crypto import Opening
-from porpay.ledger import Ledger, UnknownAddress
+from porpay.ledger import Ledger, UnknownAddress, UnknownSession
 from porpay.sap import sap_agree, sap_init, sap_verify
 
 
@@ -64,6 +64,30 @@ class TestAgree:
         ledger, client, server = env
         r, g, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
         assert not sap_agree(ledger, Opening(STATEMENT, r), server, sid, server)
+
+    def test_session_of_another_server_rejected(self, env):
+        ledger, client, server = env
+        other = ledger.create_account("other", 0)
+        r, g, sid = sap_init(ledger, client, other, STATEMENT, random.Random(0))
+        assert not sap_agree(ledger, Opening(STATEMENT, r), client, sid, server)
+        assert ledger.session(sid).g_server is None
+
+    def test_second_agreement_rejected(self, env):
+        ledger, client, server = env
+        r, g, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
+        assert sap_agree(ledger, Opening(STATEMENT, r), client, sid, server)
+        assert not sap_agree(ledger, Opening(STATEMENT, r), client, sid, server)
+        assert ledger.session(sid).g_server == g
+
+    @pytest.mark.parametrize("sid", [-1, 1, 2])
+    def test_unknown_session_rejected(self, env, sid):
+        # one session is registered, so only id 0 names it
+        ledger, client, server = env
+        r, _, _ = sap_init(ledger, client, server, STATEMENT, random.Random(0))
+        with pytest.raises(UnknownSession):
+            ledger.session(sid)
+        assert not sap_agree(ledger, Opening(STATEMENT, r), client, sid, server)
+        assert not sap_verify(Opening(STATEMENT, r), client, server, sid, ledger)
 
 
 class TestVerify:
