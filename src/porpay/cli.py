@@ -8,6 +8,7 @@ and payout arithmetic. Both exit 0 only for a VALID result.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,11 +19,12 @@ from .scenario import ScenarioSpec, SpecInvalid, report_to_json, run, verify_rep
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.variant is not None:
-            raw.setdefault("session", {})["variant"] = args.variant
         spec = ScenarioSpec.from_dict(raw)
+        if args.seed is not None:
+            spec = dataclasses.replace(spec, seed=args.seed)
+        if args.variant is not None:
+            config = dataclasses.replace(spec.config, variant=args.variant)
+            spec = dataclasses.replace(spec, config=config)
         report = run(spec)
     except (SpecInvalid, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

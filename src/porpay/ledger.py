@@ -107,6 +107,12 @@ class Schedule:
             raise KeyError(f"no time point labelled {label!r}") from None
 
 
+def require_time(now: TimePoint, label: str) -> None:
+    """Raise OutOfWindow unless the clock stands at ``label``."""
+    if now.label != label:
+        raise OutOfWindow(f"expected time {label}, ledger is at {now.label}")
+
+
 class MsgKind(str, Enum):
     QUERY = "query"
     PROOF = "proof"
@@ -243,28 +249,28 @@ class RcContract:
                 raise DuplicateSlot(f"proof already posted for cycle {msg.slot}")
         elif msg.kind is MsgKind.SERVER_RESPONSE:
             self._require(msg.sender, p.addr_server, msg.kind)
-            self._require_time(now, "T1")
+            require_time(now, "T1")
             if self.a_flag is not None:
                 raise DuplicateSlot("server already responded")
         elif msg.kind is MsgKind.SERVER_COMPLAINTS:
             if not p.arbiterless:
                 raise WrongSender("complaints go to the arbiter in this variant")
             self._require(msg.sender, p.addr_server, msg.kind)
-            self._require_time(now, "K1")
+            require_time(now, "K1")
             if msg.kind.value in self.complaint_posts:
                 raise DuplicateSlot("server complaints already posted")
         elif msg.kind is MsgKind.CLIENT_COMPLAINTS:
             if not p.arbiterless:
                 raise WrongSender("complaints go to the arbiter in this variant")
             self._require(msg.sender, p.addr_client, msg.kind)
-            self._require_time(now, "K4")
+            require_time(now, "K4")
             if msg.kind.value in self.complaint_posts:
                 raise DuplicateSlot("client complaints already posted")
         elif msg.kind is MsgKind.COUNTERS:
             if p.arbiterless:
                 raise WrongSender("no arbiter counters in the arbiterless variant")
             self._require(msg.sender, p.addr_arbiter, msg.kind)
-            self._require_time(now, "K6")
+            require_time(now, "K6")
             if self.resolved:
                 raise DuplicateSlot("arbiter counters already posted")
             if len(msg.payload) != Counters.PACKED_LEN:
@@ -298,32 +304,10 @@ class RcContract:
         if sender != expected:
             raise WrongSender(f"{kind.value} not permitted for {sender.id}")
 
-    def _require_time(self, now: TimePoint, label: str) -> None:
-        if now.label != label:
-            raise OutOfWindow(f"expected time {label}, ledger is at {now.label}")
-
     def _require_slot_window(self, msg: LedgerMessage, now: TimePoint, part: int) -> None:
         if msg.slot is None or not 1 <= msg.slot <= self.params.z:
             raise OutOfWindow(f"cycle {msg.slot} outside [1, {self.params.z}]")
-        self._require_time(now, f"G{msg.slot}.{part}")
-
-    def state_dict(self) -> dict:
-        return {
-            "handle": self.handle,
-            "z": self.params.z,
-            "arbiterless": self.params.arbiterless,
-            "a_flag": self.a_flag,
-            "client_deposited": self.client_deposited,
-            "server_deposited": self.server_deposited,
-            "escrow": self.escrow,
-            "counters": self.counters.as_dict(),
-            "queries": {str(j): q.hex() for j, q in sorted(self.queries.items())},
-            "proofs": {str(j): p.hex() for j, p in sorted(self.proofs.items())},
-            "complaints": {k: v.hex() for k, v in sorted(self.complaint_posts.items())},
-            "pay_requests": list(self.pay_requests),
-            "paid_out": self.paid_out,
-            "payout": self.payout,
-        }
+        require_time(now, f"G{msg.slot}.{part}")
 
 
 class Ledger:
@@ -453,7 +437,7 @@ class Ledger:
     def log_session_event(self, kind: str, sender: Address, payload: bytes) -> None:
         self._log(kind, sender, payload)
 
-    # -- trace and snapshots -------------------------------------------------
+    # -- trace ---------------------------------------------------------------
     def _log(self, kind: str, sender: Address, payload: bytes, slot: int | None = None) -> None:
         entry = {
             "seq": len(self.trace),
@@ -473,14 +457,3 @@ class Ledger:
         with open(path, "w", encoding="utf-8") as fh:
             for entry in self.trace:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
-    def snapshot(self) -> bytes:
-        """Canonical byte serialization of the full ledger state."""
-        state = {
-            "time": {"label": self.time.label, "ordinal": self.time.ordinal},
-            "accounts": self.balances(),
-            "contracts": [c.state_dict() for c in self._contracts],
-            "sessions": [s.state_dict() for s in self._sessions],
-            "trace": self.trace,
-        }
-        return json.dumps(state, sort_keys=True, separators=(",", ":")).encode()

@@ -116,25 +116,6 @@ class PublicParams:
 
 
 @dataclass(frozen=True)
-class EncodedFile:
-    """Blocks of (payload || 4-byte big-endian index), indices 1..m, back to
-    back in one buffer: block i is ``blocks[(i-1)*L : i*L]``, L = ``block_len``.
-    One buffer, because a 20-byte block as its own object costs 72 bytes.
-    """
-
-    blocks: bytes
-    block_payload_len: int
-
-    @property
-    def m(self) -> int:
-        return len(self.blocks) // self.block_len
-
-    @property
-    def block_len(self) -> int:
-        return self.block_payload_len + INDEX_LEN
-
-
-@dataclass(frozen=True)
 class Verdict:
     failing_index: int | None = None  # 1-based position in the proof vector
 
@@ -152,10 +133,13 @@ def setup(
     block_payload_len: int = DEFAULT_BLOCK_PAYLOAD_LEN,
     phi: int = DEFAULT_PHI,
     codec: Codec | None = None,
-) -> tuple[EncodedFile, PublicParams]:
+) -> tuple[bytes, PublicParams]:
     """Encode ``file`` into indexed blocks and publish the Merkle root.
 
-    The final payload is zero-padded to the payload length. ``phi`` must not
+    Returns the blocks, each its payload then its 4-byte big-endian index
+    (1..m), back to back in one buffer, and the public parameters. One
+    buffer, because a 20-byte block as its own object costs 72 bytes. The
+    final payload is zero-padded to the payload length. ``phi`` must not
     exceed the resulting block count.
     """
     if not file:
@@ -163,9 +147,10 @@ def setup(
     if block_payload_len < 1:
         raise ValueError("block_payload_len must be positive")
     coded = codec.encode(file) if codec is not None else file
-    encoded = EncodedFile(_index_tagged(coded, block_payload_len), block_payload_len)
-    _, root = merkle.gen_tree(encoded.blocks, encoded.block_len)
-    return encoded, PublicParams(sigma=root, phi=phi, m=encoded.m)
+    blocks = _index_tagged(coded, block_payload_len)
+    block_len = block_payload_len + INDEX_LEN
+    _, root = merkle.gen_tree(blocks, block_len)
+    return blocks, PublicParams(sigma=root, phi=phi, m=len(blocks) // block_len)
 
 
 def _index_tagged(coded: bytes, payload_len: int) -> bytes:

@@ -60,8 +60,8 @@ from .ledger import (
     LedgerMessage,
     MissingQuery,
     MsgKind,
-    OutOfWindow,
     RcContract,
+    require_time,
 )
 from .sap import sap_agree, sap_init, sap_verify
 
@@ -272,6 +272,12 @@ class SessionConfig:
                 f"block_payload_len {self.block_payload_len} above "
                 f"{MAX_BLOCK_PAYLOAD_LEN}: its slot would not fit one unit"
             )
+        if self.pi_max is not None and self.pi_max > MAX_ENTRY_SLOTS:
+            raise ValueError(
+                f"pi_max={self.pi_max} above the largest entry size {MAX_ENTRY_SLOTS}"
+            )
+        if self.price_choice not in self.price_list:
+            raise PriceNotInList(f"{self.price_choice} not offered")
         if self.variant not in (ARBITER, ARBITERLESS):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.codec_name not in por.CODECS:
@@ -547,16 +553,14 @@ class Client:
     ) -> Handoff:
         """Phase 2: encode, agree on qp and cp, deploy, and deposit at T0."""
         cfg = self.config
-        if cfg.price_choice not in cfg.price_list:
-            raise PriceNotInList(f"{cfg.price_choice} not offered")
-
         codec = make_codec(cfg.codec_name, cfg.block_payload_len)
-        encoded, pp = por.setup(file, cfg.block_payload_len, cfg.phi, codec)
+        blocks, pp = por.setup(file, cfg.block_payload_len, cfg.phi, codec)
         if self.behavior.ill_formed_metadata:
             # advertise the root of a different file
-            twisted = bytearray(encoded.blocks)
+            twisted = bytearray(blocks)
             twisted[0] ^= 0xFF
-            _, bogus_root = merkle.gen_tree(twisted, encoded.block_len)
+            block_len = cfg.block_payload_len + por.INDEX_LEN
+            _, bogus_root = merkle.gen_tree(twisted, block_len)
             pp = por.PublicParams(bogus_root, pp.phi, pp.m, pp.zeta)
         self.pp = pp
 
@@ -598,7 +602,7 @@ class Client:
         self.contract = ledger.deploy_contract(self.addr, params)
         ledger.deposit(self.addr, self.contract, masked_client)
         return Handoff(
-            blocks=encoded.blocks,
+            blocks=blocks,
             opening_qp=self.opening_qp,
             opening_cp=self.opening_cp,
             contract=self.contract,
@@ -730,7 +734,7 @@ class Server:
         a = 0
         if checks_ok and agreed:
             tree, root = merkle.gen_tree(handoff.blocks, qp.block_len)
-            if root == qp.pp.sigma and qp.pp.phi <= qp.pp.m:
+            if root == qp.pp.sigma:
                 a = 1
                 self.tree = tree
                 self.qp = qp
@@ -834,11 +838,6 @@ class ResolutionReport:
         }
 
 
-def _require_time(ledger: Ledger, label: str) -> None:
-    if ledger.time.label != label:
-        raise OutOfWindow(f"expected time {label}, ledger is at {ledger.time.label}")
-
-
 def _opening_valid(
     opening: Opening, contract: RcContract, ledger: Ledger, ref: int
 ) -> bool:
@@ -882,34 +881,19 @@ def _read_client_item(item) -> tuple[int, int]:
     return int(item[0]), int(item[1])
 
 
-def _filter_server_complaints(
-    raw: Sequence[int], z: int
-) -> tuple[list[int], list[int]]:
-    kept: list[int] = []
-    dropped: list[int] = []
+def _filter(items: list, cycle, admissible) -> tuple[list, list]:
+    """Split read complaint items into those kept, the first admissible item
+    for each ``cycle(item)``, and those dropped, each list in posted order."""
+    kept: list = []
+    dropped: list = []
     seen: set[int] = set()
-    for i in _read_items(raw, int):
-        if 1 <= i <= z and i not in seen:
-            seen.add(i)
-            kept.append(i)
-        else:
-            dropped.append(i)
-    return kept, dropped
-
-
-def _filter_client_complaints(
-    raw: Sequence[Sequence[int]], z: int, phi: int, v: Sequence[int]
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    kept: list[tuple[int, int]] = []
-    dropped: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    invalid_query_cycles = set(v)
-    for j, g in _read_items(raw, _read_client_item):
-        if 1 <= j <= z and 1 <= g <= phi and j not in seen and j not in invalid_query_cycles:
+    for item in items:
+        j = cycle(item)
+        if admissible(item) and j not in seen:
             seen.add(j)
-            kept.append((j, g))
+            kept.append(item)
         else:
-            dropped.append((j, g))
+            dropped.append(item)
     return kept, dropped
 
 
@@ -969,7 +953,10 @@ def _server_pass(
         rep.server_filtered.extend(_read_items(complaints, int))
         return
     pf = proof_format(qp)
-    kept, dropped = _filter_server_complaints(complaints, contract.params.z)
+    z = contract.params.z
+    kept, dropped = _filter(
+        _read_items(complaints, int), lambda i: i, lambda i: 1 <= i <= z
+    )
     rep.server_admitted.extend(kept)
     rep.server_filtered.extend(dropped)
     for i in kept:
@@ -994,8 +981,11 @@ def _client_pass(
         rep.client_filtered.extend(_read_items(complaints, _read_client_item))
         return
     pf = proof_format(qp)
-    kept, dropped = _filter_client_complaints(
-        complaints, contract.params.z, qp.pp.phi, rep.v
+    z, phi, v = contract.params.z, qp.pp.phi, set(rep.v)
+    kept, dropped = _filter(
+        _read_items(complaints, _read_client_item),
+        lambda c: c[0],
+        lambda c: 1 <= c[0] <= z and 1 <= c[1] <= phi and c[0] not in v,
     )
     rep.client_admitted.extend(kept)
     rep.client_filtered.extend(dropped)
@@ -1033,7 +1023,7 @@ class Arbiter:
         contract: RcContract,
     ) -> list[int]:
         """Phase 7 server pass at K2; returns v."""
-        _require_time(ledger, "K2")
+        require_time(ledger.time, "K2")
         self._run_once("server")
         _server_pass(self.report, complaints, opening_qp, ledger, contract)
         return self.report.v
@@ -1046,12 +1036,12 @@ class Arbiter:
         contract: RcContract,
     ) -> None:
         """Phase 7 client pass at K5."""
-        _require_time(ledger, "K5")
+        require_time(ledger.time, "K5")
         self._run_once("client")
         _client_pass(self.report, complaints, opening_qp, ledger, contract)
 
     def post_counters(self, ledger: Ledger, contract: RcContract) -> None:
-        _require_time(ledger, "K6")
+        require_time(ledger.time, "K6")
         ledger.post(
             contract,
             LedgerMessage(
@@ -1101,7 +1091,7 @@ def contract_resolve(ledger: Ledger, contract: RcContract) -> ResolutionReport:
     """
     if not contract.params.arbiterless:
         raise ValueError("contract_resolve only runs in the arbiter-free variant")
-    _require_time(ledger, "K5")
+    require_time(ledger.time, "K5")
     rep = ResolutionReport()
     for kind, resolve_pass in (
         (MsgKind.SERVER_COMPLAINTS, _server_pass),
@@ -1137,7 +1127,7 @@ def _require_pay(ledger: Ledger, contract: RcContract) -> None:
 
 def refund_deposits(ledger: Ledger, contract: RcContract) -> dict[str, int]:
     """T2 path: each party withdraws exactly what it deposited."""
-    _require_time(ledger, "T2")
+    require_time(ledger.time, "T2")
     if not refund_applies(contract):
         raise ValueError("parties reached agreement; the refund path does not apply")
     _require_pay(ledger, contract)
@@ -1158,7 +1148,7 @@ def _payout(
     server; each party is charged l per own fault or unneeded dispute. With
     an arbiter every charged l goes to the arbiter; without one each party's
     l goes to the other. Distributes the whole escrow exactly."""
-    _require_time(ledger, "L")
+    require_time(ledger.time, "L")
     params = contract.params
     if params.arbiterless != arbiterless:
         raise ValueError("payout entry point does not match the contract's variant")

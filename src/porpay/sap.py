@@ -52,16 +52,6 @@ class SapSession:
             raise DuplicateSlot("server commitment already recorded")
         self.g_server = commitment
 
-    def state_dict(self) -> dict:
-        return {
-            "type": "sap",
-            "session_id": self.session_id,
-            "addr_client": self.addr_client.id,
-            "addr_server": self.addr_server.id,
-            "g_client": self.g_client.hex() if self.g_client else None,
-            "g_server": self.g_server.hex() if self.g_server else None,
-        }
-
 
 def sap_init(
     ledger: Ledger,

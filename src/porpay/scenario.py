@@ -33,8 +33,8 @@ Scenario schema::
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,19 +53,21 @@ from .protocol import (
     SessionConfig,
 )
 
-CLIENT_BEHAVIOR_KINDS = {
-    "ill_formed_metadata",
-    "invalid_query",
-    "false_accusation",
-    "withhold_query",
-}
-SERVER_BEHAVIOR_KINDS = {
-    "corrupt_block",
-    "withhold_proof",
-    "false_query_complaint",
-    "short_deposit",
-}
-_NO_TARGET = {"ill_formed_metadata", "short_deposit"}
+
+def _kinds(behavior_cls) -> dict[str, bool]:
+    """The misbehaviour kinds a behaviour class offers, each mapped to
+    whether it targets one cycle: a frozenset field holds the cycles it
+    targets, a bool field switches a session-wide kind on. The one policy
+    field is not a misbehaviour."""
+    return {
+        f.name: isinstance(f.default, frozenset)
+        for f in dataclasses.fields(behavior_cls)
+        if f.name != "suppress_dummy_complaints"
+    }
+
+
+CLIENT_BEHAVIOR_KINDS = _kinds(ClientBehavior)
+SERVER_BEHAVIOR_KINDS = _kinds(ServerBehavior)
 
 
 class SpecInvalid(ValueError):
@@ -94,7 +96,7 @@ class ScenarioSpec:
             return cls._parse(raw)
         except SpecInvalid:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SpecInvalid(f"malformed scenario: {exc}") from exc
 
     @classmethod
@@ -112,8 +114,6 @@ class ScenarioSpec:
             variant=session.get("variant", ARBITER),
             codec_name=session.get("codec", "identity"),
         )
-        if choice not in config.price_list:
-            raise SpecInvalid(f"price choice {choice} not in the price list")
 
         file_spec = raw["file"]
         size = file_spec.get("size")
@@ -142,27 +142,27 @@ class ScenarioSpec:
 
     @staticmethod
     def _parse_behaviors(
-        raw: list, allowed: set[str], z: int, role: str
+        raw: list, kinds: dict[str, bool], z: int, role: str
     ) -> tuple[Behavior, ...]:
         out: list[Behavior] = []
         used: set[object] = set()
         for item in raw:
             kind = item["kind"]
-            if kind not in allowed:
+            if kind not in kinds:
                 raise SpecInvalid(f"unknown {role} behavior {kind!r}")
             j = item.get("j")
-            if kind in _NO_TARGET:
-                if j is not None:
-                    raise SpecInvalid(f"{kind} takes no cycle target")
-            else:
+            if kinds[kind]:
                 if j is None or not 1 <= int(j) <= z:
                     raise SpecInvalid(f"{kind} needs a cycle target in [1, {z}]")
-                j = int(j)
-            key = (kind, None) if kind in _NO_TARGET else j
+                j = key = int(j)
+            else:
+                if j is not None:
+                    raise SpecInvalid(f"{kind} takes no cycle target")
+                key = (kind, None)
             if key in used:
                 raise SpecInvalid(f"more than one {role} behavior for {key!r}")
             used.add(key)
-            out.append(Behavior(kind, j if kind not in _NO_TARGET else None))
+            out.append(Behavior(kind, j))
         return tuple(out)
 
     def to_dict(self) -> dict:
@@ -243,12 +243,14 @@ def expected_payout(
     return client, server, None
 
 
-def _behavior_sets(behaviors: tuple[Behavior, ...]) -> dict[str, frozenset[int]]:
-    by_kind: dict[str, set[int]] = {}
+def _behavior(behavior_cls, behaviors: tuple[Behavior, ...], **policy):
+    """``behavior_cls`` with every listed kind switched on: a session-wide
+    kind set to True, a per-cycle kind holding all the cycles it targets."""
+    values: dict[str, object] = {}
     for b in behaviors:
-        if b.j is not None:
-            by_kind.setdefault(b.kind, set()).add(b.j)
-    return {kind: frozenset(js) for kind, js in by_kind.items()}
+        cycles = values.get(b.kind, frozenset())
+        values[b.kind] = True if b.j is None else cycles | {b.j}
+    return behavior_cls(**values, **policy)
 
 
 def _goto(ledger: Ledger, schedule, label: str) -> None:
@@ -268,39 +270,12 @@ def run(spec: ScenarioSpec) -> dict:
     else:
         file_bytes = master.randbytes(spec.file_size)
 
-    codec = protocol.make_codec(cfg.codec_name, cfg.block_payload_len)
-    coded_len = len(codec.encode(file_bytes))
-    m = math.ceil(coded_len / cfg.block_payload_len)
-    if cfg.phi > m:
-        raise SpecInvalid(f"phi={cfg.phi} exceeds block count m={m}")
-    if cfg.pi_max is not None and cfg.pi_max < protocol.entry_real_units(m):
-        raise SpecInvalid(
-            f"pi_max={cfg.pi_max} below the actual entry size "
-            f"{protocol.entry_real_units(m)}"
-        )
-    if cfg.pi_max is not None and cfg.pi_max > protocol.MAX_ENTRY_SLOTS:
-        raise SpecInvalid(
-            f"pi_max={cfg.pi_max} above the largest entry size "
-            f"{protocol.MAX_ENTRY_SLOTS}"
-        )
-
-    client_flags = _behavior_sets(spec.client_behaviors)
-    client_behavior = ClientBehavior(
-        ill_formed_metadata=any(
-            b.kind == "ill_formed_metadata" for b in spec.client_behaviors
-        ),
-        invalid_query=client_flags.get("invalid_query", frozenset()),
-        false_accusation=client_flags.get("false_accusation", frozenset()),
-        withhold_query=client_flags.get("withhold_query", frozenset()),
+    client_behavior = _behavior(
+        ClientBehavior,
+        spec.client_behaviors,
         suppress_dummy_complaints=spec.suppress_dummy_complaints,
     )
-    server_flags = _behavior_sets(spec.server_behaviors)
-    server_behavior = ServerBehavior(
-        corrupt_block=server_flags.get("corrupt_block", frozenset()),
-        withhold_proof=server_flags.get("withhold_proof", frozenset()),
-        false_query_complaint=server_flags.get("false_query_complaint", frozenset()),
-        short_deposit=any(b.kind == "short_deposit" for b in spec.server_behaviors),
-    )
+    server_behavior = _behavior(ServerBehavior, spec.server_behaviors)
 
     client_deposit = cfg.z * (cfg.price_list.o_max + cfg.price_list.l_max)
     server_deposit = cfg.z * cfg.price_list.l_max
@@ -330,7 +305,10 @@ def run(spec: ScenarioSpec) -> dict:
     # phases 1-2 at T0, phase 3 at T1
     schedule = Schedule(cfg.z)
     _goto(ledger, schedule, "T0")
-    handoff = client.init(file_bytes, ledger, addr_server, addr_arbiter)
+    try:
+        handoff = client.init(file_bytes, ledger, addr_server, addr_arbiter)
+    except ValueError as exc:  # e.g. phi above m, or pi_max below the entry size
+        raise SpecInvalid(f"session cannot start: {exc}") from exc
     contract = handoff.contract
     _goto(ledger, schedule, "T1")
     server.init(handoff, ledger)

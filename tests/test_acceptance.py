@@ -12,9 +12,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from porpay import merkle, por, protocol
+from porpay import merkle, por, protocol, scenario
 from porpay.crypto import prf
 from porpay.hashing import count_hash_calls
+from porpay.ledger import Ledger, Schedule
 from porpay.scenario import ScenarioSpec, run
 
 PAYLOAD = 16
@@ -228,10 +229,9 @@ class TestConservationFuzz:
         )
 
 
-def split_blocks(encoded):
-    """The encoded file's buffer cut into its blocks, 1..m in order."""
-    width = encoded.block_len
-    return [encoded.blocks[i : i + width] for i in range(0, len(encoded.blocks), width)]
+def split_blocks(blocks, width):
+    """A block buffer cut into its ``width``-byte blocks, 1..m in order."""
+    return [blocks[i : i + width] for i in range(0, len(blocks), width)]
 
 
 def naive_hash(data: bytes) -> bytes:
@@ -327,8 +327,8 @@ class TestPorOracleEquivalence:
         for m in (2, 4, 8):
             file = rng.randbytes(m * PAYLOAD)
             encoded, pp = por.setup(file, PAYLOAD, phi=m)
-            tree, _ = merkle.gen_tree(encoded.blocks, encoded.block_len)
-            blocks = split_blocks(encoded)
+            tree, _ = merkle.gen_tree(encoded, PAYLOAD + por.INDEX_LEN)
+            blocks = split_blocks(encoded, PAYLOAD + por.INDEX_LEN)
             key = por.gen_query(rng)
             base = [
                 {
@@ -367,8 +367,8 @@ def big_session():
     rng = random.Random(2024)
     m = 2**20
     file = rng.randbytes(m * PAYLOAD)
-    encoded, pp = por.setup(file, PAYLOAD, phi=460)
-    tree, _ = merkle.gen_tree(encoded.blocks, encoded.block_len)
+    blocks, pp = por.setup(file, PAYLOAD, phi=460)
+    tree, _ = merkle.gen_tree(blocks, PAYLOAD + por.INDEX_LEN)
     key = por.gen_query(rng)
     pi = por.prove(tree, key, pp)
     k_bar = b"\x5a" * 16
@@ -474,6 +474,80 @@ class TestPaddingPrivacy:
         _pass(
             "padding privacy: query and proof wire sizes identical across "
             "files and across valid, corrupt, and dummy proof cycles"
+        )
+
+
+class TestBillingPeriodPrivacy:
+    """Nothing posted during the billing period reveals file contents, prices
+    or proof outcomes: two sessions with equal public parameters (price
+    list, z, phi, m, pi_max) but different files, price choices and cycle
+    outcomes post the same sequence from T0 through the last G(z,2).
+    Withheld posts are visible by design, so neither session withholds."""
+
+    Z = 4
+    # per session: the file seed, the price choice and each cycle's outcome
+    SESSIONS = (
+        (101, [5, 2],
+         ("honest", "corrupt_block", "invalid_query", "false_query_complaint")),
+        (202, [3, 1],
+         ("corrupt_block", "invalid_query", "false_query_complaint", "honest")),
+    )
+
+    def observe(self, monkeypatch, variant, seed, choice, outcomes):
+        """Run one session; return its (time label, sender, kind, payload
+        length) posts up to the last G(z,2), its deposits and its report."""
+        ledgers = []
+
+        class LengthLedger(Ledger):
+            def __init__(self):
+                super().__init__()
+                self.lengths = []
+                ledgers.append(self)
+
+            def _log(self, kind, sender, payload, slot=None):
+                super()._log(kind, sender, payload, slot)
+                self.lengths.append(len(payload))
+
+        behaviors = {"client": [], "server": []}
+        for j, kind in enumerate(outcomes, start=1):
+            if kind != "honest":
+                role = "client" if kind in scenario.CLIENT_BEHAVIOR_KINDS else "server"
+                behaviors[role].append({"kind": kind, "j": j})
+        raw = base_raw(seed=seed, behaviors=behaviors)
+        raw["session"].update(
+            z=self.Z, variant=variant, pi_max=12,
+            price_list=[[5, 2], [3, 1]], price_choice=choice,
+        )
+        monkeypatch.setattr(scenario, "Ledger", LengthLedger)
+        report = run(ScenarioSpec.from_dict(raw))
+        [ledger] = ledgers
+        schedule = Schedule(self.Z)
+        last = schedule.point(f"G{self.Z}.2").ordinal
+        posts = [
+            (e["time"], e["sender"], e["kind"], n)
+            for e, n in zip(ledger.trace, ledger.lengths)
+            if schedule.point(e["time"]).ordinal <= last
+        ]
+        return posts, report["deposits"], report
+
+    @pytest.mark.parametrize("variant", ["arbiter", "arbiterless"])
+    def test_billing_period_posts_are_equal(self, monkeypatch, variant):
+        (posts_a, deposits_a, report_a), (posts_b, deposits_b, report_b) = (
+            self.observe(monkeypatch, variant, *session) for session in self.SESSIONS
+        )
+        # the sessions differ in file, price choice and cycle outcomes
+        assert report_a["pp"]["sigma"] != report_b["pp"]["sigma"]
+        assert report_a["pp"]["m"] == report_b["pp"]["m"] == 256
+        assert report_a["cycles"] != report_b["cycles"]
+        assert report_a["payout"] != report_b["payout"]
+
+        assert len(posts_a) == 8 + 2 * self.Z
+        assert posts_a == posts_b
+        assert deposits_a == deposits_b
+        _pass(
+            f"billing-period privacy ({variant}): {len(posts_a)} posts from T0 "
+            f"to G{self.Z}.2 equal in time, sender, kind and length, and equal "
+            "deposits, across files, price choices and cycle outcomes"
         )
 
 

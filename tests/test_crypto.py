@@ -204,9 +204,9 @@ class TestWireGolden:
     def test_padded_proof_vector(self):
         # 13 blocks in a 16-leaf tree: 4 entry units of 6 real + 3 pad slots,
         # each nonce + 2-byte prefix + 9 slots of 22 bytes + tag
-        encoded, pp = por.setup(random.Random(11).randbytes(200),
-                                block_payload_len=16, phi=4)
-        tree, _ = merkle.gen_tree(encoded.blocks, encoded.block_len)
+        blocks, pp = por.setup(random.Random(11).randbytes(200),
+                               block_payload_len=16, phi=4)
+        tree, _ = merkle.gen_tree(blocks, 16 + por.INDEX_LEN)
         pi = por.prove(tree, bytes(range(16, 32)), pp)
         k_bar = bytes(range(32, 48))
         pf = protocol.proof_format(protocol.QpStatement(3, k_bar, pp, 16))

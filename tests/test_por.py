@@ -19,8 +19,8 @@ def make_session(m=8, payload=8, phi=None, seed=0):
     and the rng that made the file."""
     rng = random.Random(seed)
     file = rng.randbytes(m * payload)
-    encoded, pp = por.setup(file, payload, phi or m)
-    tree, _ = merkle.gen_tree(encoded.blocks, encoded.block_len)
+    blocks, pp = por.setup(file, payload, phi or m)
+    tree, _ = merkle.gen_tree(blocks, payload + por.INDEX_LEN)
     return tree, pp, rng
 
 
@@ -35,11 +35,9 @@ def reference_blocks(coded: bytes, payload: int) -> list[bytes]:
     return blocks
 
 
-def split_blocks(encoded: por.EncodedFile | merkle.MerkleTree) -> list[bytes]:
-    """The buffer of an encoded file or its tree cut into its blocks, 1..m
-    in order."""
-    width = encoded.block_len
-    return [encoded.blocks[i : i + width] for i in range(0, len(encoded.blocks), width)]
+def split_blocks(blocks: bytes, width: int) -> list[bytes]:
+    """A block buffer cut into its ``width``-byte blocks, 1..m in order."""
+    return [blocks[i : i + width] for i in range(0, len(blocks), width)]
 
 
 def reference_root(blocks: list[bytes]) -> bytes:
@@ -67,20 +65,20 @@ def corrupt_entry(pi, position, byte_pos=0):
 class TestSetup:
     def test_64_byte_file_gives_four_indexed_blocks(self):
         file = bytes(range(64))
-        encoded, pp = por.setup(file, 16, phi=4)
+        blocks, pp = por.setup(file, 16, phi=4)
         assert pp.m == 4
-        for i, block in enumerate(split_blocks(encoded), start=1):
+        for i, block in enumerate(split_blocks(blocks, 20), start=1):
             assert block[-4:] == i.to_bytes(4, "big")
             assert len(block) == 20
 
     def test_65_byte_file_pads_last_payload(self):
-        encoded, pp = por.setup(bytes(65), 16, phi=5)
+        blocks, pp = por.setup(bytes(65), 16, phi=5)
         assert pp.m == 5
-        assert split_blocks(encoded)[-1][:16] == bytes(16)
+        assert split_blocks(blocks, 20)[-1][:16] == bytes(16)
 
     def test_sigma_is_tree_root_over_blocks(self):
-        encoded, pp = por.setup(b"some file content here", 8, phi=2)
-        _, root = merkle.gen_tree(encoded.blocks, encoded.block_len)
+        blocks, pp = por.setup(b"some file content here", 8, phi=2)
+        _, root = merkle.gen_tree(blocks, 8 + por.INDEX_LEN)
         assert pp.sigma == root
 
     @pytest.mark.parametrize("size, payload, codec", [
@@ -99,11 +97,10 @@ class TestSetup:
     ])
     def test_blocks_and_root_match_reference_loop(self, size, payload, codec):
         file = random.Random(size).randbytes(size)
-        encoded, pp = por.setup(file, payload, phi=1, codec=codec)
+        blocks, pp = por.setup(file, payload, phi=1, codec=codec)
         coded = codec.encode(file) if codec is not None else file
         expected = reference_blocks(coded, payload)
-        assert encoded.blocks == b"".join(expected)
-        assert encoded.block_payload_len == payload
+        assert blocks == b"".join(expected)
         assert pp.m == len(expected)
         assert pp.sigma == reference_root(expected)
 
@@ -118,11 +115,12 @@ class TestSetup:
             return tree, root
 
         monkeypatch.setattr(merkle, "gen_tree", recording_gen_tree)
-        encoded, pp = por.setup(bytes(range(200)), 3, phi=1, codec=codec)
-        assert type(encoded.blocks) is bytes
-        assert len(encoded.blocks) == pp.m * encoded.block_len == pp.m * 7
+        blocks, pp = por.setup(bytes(range(200)), 3, phi=1, codec=codec)
+        assert type(blocks) is bytes
+        assert len(blocks) == pp.m * 7
         [tree] = built
-        assert tree.blocks is encoded.blocks
+        assert tree.blocks is blocks
+        assert tree.block_len == 7
 
     def test_empty_file(self):
         with pytest.raises(por.EmptyFile):
@@ -210,7 +208,7 @@ class TestProveVerify:
     def test_param_mismatch(self):
         tree, pp, rng = make_session(m=8)
         other, _ = por.setup(bytes(32), 8, phi=4)
-        other_tree, _ = merkle.gen_tree(other.blocks, other.block_len)
+        other_tree, _ = merkle.gen_tree(other, 8 + por.INDEX_LEN)
         with pytest.raises(por.ParamMismatch):
             por.prove(other_tree, por.gen_query(rng), pp)
 
@@ -243,8 +241,8 @@ class TestProveVerify:
         seed = data.draw(st.integers(min_value=0, max_value=2**32))
         rng = random.Random(seed)
         file = rng.randbytes(m * payload)
-        encoded, pp = por.setup(file, payload, phi)
-        tree, _ = merkle.gen_tree(encoded.blocks, encoded.block_len)
+        blocks, pp = por.setup(file, payload, phi)
+        tree, _ = merkle.gen_tree(blocks, payload + por.INDEX_LEN)
         key = por.gen_query(rng)
         assert por.verify(por.prove(tree, key, pp), key, pp).accepted
 
@@ -365,7 +363,7 @@ class TestDetection:
         assert unread and siblings, "need blocks outside and inside the paths"
 
         def rot(indices):
-            blocks = split_blocks(tree)
+            blocks = split_blocks(tree.blocks, tree.block_len)
             for i in indices:
                 rotted = bytearray(blocks[i - 1])
                 rotted[0] ^= 0xFF
@@ -409,11 +407,10 @@ class TestCodecs:
 
     def test_setup_with_parity_codec_adds_blocks(self):
         file = bytes(range(64))
-        plain, _ = por.setup(file, 16, phi=4)
+        plain, plain_pp = por.setup(file, 16, phi=4)
         coded, pp = por.setup(file, 16, phi=4, codec=por.XorParityCodec(chunk_len=16))
-        assert plain.m == 4
-        assert coded.m == 5
-        assert pp.m == 5
+        assert (len(plain), plain_pp.m) == (4 * 20, 4)
+        assert (len(coded), pp.m) == (5 * 20, 5)
 
 
 class TestReadme:

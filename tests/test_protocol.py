@@ -72,8 +72,8 @@ def build_session(config, seed=1, file_size=1024,
 def setup_tree(rng, size, phi):
     """The prover's tree over a random file of ``size`` bytes, and its
     public parameters."""
-    encoded, pp = por.setup(rng.randbytes(size), 16, phi)
-    tree, _ = merkle.gen_tree(encoded.blocks, encoded.block_len)
+    blocks, pp = por.setup(rng.randbytes(size), 16, phi)
+    tree, _ = merkle.gen_tree(blocks, 16 + por.INDEX_LEN)
     return tree, pp
 
 
@@ -130,6 +130,14 @@ class TestKeyGen:
         with pytest.raises(ValueError):
             protocol.key_gen(random.Random(0), pi_max=6, pi_act=7)
 
+    @pytest.mark.parametrize("pi_max", [protocol.MAX_ENTRY_SLOTS + 1, 100_000])
+    def test_pi_max_above_largest_entry_refused(self, pi_max):
+        # a 4-byte leaf index caps a path at 34 slots
+        assert protocol.MAX_ENTRY_SLOTS == 34
+        with pytest.raises(ValueError):
+            make_config(pi_max=pi_max)
+        assert make_config(pi_max=protocol.MAX_ENTRY_SLOTS).pi_max == 34
+
 
 class TestMaskedDeposits:
     def test_example_amounts(self):
@@ -156,16 +164,8 @@ class TestMaskedDeposits:
         assert amounts == {(21, 6)}
 
     def test_price_not_in_list(self):
-        config = SessionConfig(
-            z=3, phi=4, price_list=PRICES, price_choice=PricePair(4, 2)
-        )
-        ledger = Ledger()
-        addr_c = ledger.create_account("client", 100)
-        addr_s = ledger.create_account("server", 100)
-        client = Client(addr_c, random.Random(0), config)
-        ledger.advance_time(Schedule(3).point("T0"))
         with pytest.raises(protocol.PriceNotInList):
-            client.init(b"data", ledger, addr_s)
+            SessionConfig(z=3, phi=4, price_list=PRICES, price_choice=PricePair(4, 2))
 
 
 class TestServerInit:
@@ -188,12 +188,14 @@ class TestServerInit:
         assert handoff.contract.server_deposited == 0
 
     def hand_built(self, payload=16, file_size=512, client_deposit=21,
-                   qp_server=None, refs=None):
+                   qp_server=None, refs=None, pad=0, qp_bytes=QpStatement.to_bytes):
         """Initiation done by hand instead of by Client.init, so the qp
         statement and the contract's agreement refs can carry what
         Client.init would refuse. ``qp_server`` names the server account
         the qp session is opened with (default: the contract's server);
-        ``refs`` maps the (qp, cp) session ids to the contract's sap_refs."""
+        ``refs`` maps the (qp, cp) session ids to the contract's sap_refs;
+        ``pad`` is the qp statement's pad count, and ``qp_bytes`` turns the
+        statement into the bytes both parties commit to."""
         config = make_config()
         ledger = Ledger()
         addr_c = ledger.create_account("client", 100)
@@ -201,14 +203,14 @@ class TestServerInit:
         addr_qp = ledger.create_account(qp_server, 0) if qp_server else addr_s
         rng = random.Random(3)
         file = rng.randbytes(file_size)
-        encoded, pp = por.setup(file, payload, config.phi)
-        k_bar, pad = protocol.key_gen(rng, protocol.entry_real_units(pp.m),
-                                      protocol.entry_real_units(pp.m))
-        qp = QpStatement(pad, k_bar, pp, payload)
+        blocks, pp = por.setup(file, payload, config.phi)
+        k_bar, _ = protocol.key_gen(rng, protocol.entry_real_units(pp.m),
+                                    protocol.entry_real_units(pp.m))
+        statement = qp_bytes(QpStatement(pad, k_bar, pp, payload))
         cp = CpStatement(5, 5, 2, 2, config.z)
         from porpay.sap import sap_init
 
-        r_qp, _, sid_qp = sap_init(ledger, addr_c, addr_qp, qp.to_bytes(), rng)
+        r_qp, _, sid_qp = sap_init(ledger, addr_c, addr_qp, statement, rng)
         r_cp, _, sid_cp = sap_init(ledger, addr_c, addr_s, cp.to_bytes(), rng)
         params = protocol.ContractParams(
             z=config.z,
@@ -224,8 +226,7 @@ class TestServerInit:
         ledger.advance_time(Schedule(config.z).point("T0"))
         ledger.deposit(addr_c, contract, client_deposit)
         handoff = protocol.Handoff(
-            encoded.blocks, Opening(qp.to_bytes(), r_qp),
-            Opening(cp.to_bytes(), r_cp), contract,
+            blocks, Opening(statement, r_qp), Opening(cp.to_bytes(), r_cp), contract,
         )
         return ledger, addr_c, Server(addr_s, rng, PRICES), handoff
 
@@ -317,8 +318,8 @@ class TestServerInit:
         setup = por.setup
 
         def short_key_setup(*args, **kwargs):
-            encoded, pp = setup(*args, **kwargs)
-            return encoded, dataclasses.replace(pp, zeta=por.PrfSpec(psi=64))
+            blocks, pp = setup(*args, **kwargs)
+            return blocks, dataclasses.replace(pp, zeta=por.PrfSpec(psi=64))
 
         monkeypatch.setattr(por, "setup", short_key_setup)
         ledger, client, server, handoff, _, _ = build_session(make_config())
@@ -338,8 +339,11 @@ class TestServerInit:
     )
     def test_pad_budget_bounded(self, pi_max, a):
         # a 4-byte leaf index caps a path at 34 slots; a larger budget only
-        # inflates what the server seals and posts, so it refuses the session
-        ledger, client, server, handoff, _, _ = build_session(make_config(pi_max=pi_max))
+        # inflates what the server seals and posts, so it refuses the session.
+        # SessionConfig refuses such a pi_max, so the statement is hand-built
+        # (512 bytes in 16-byte payloads: m = 32)
+        pad = pi_max - protocol.entry_real_units(32)
+        ledger, addr_c, server, handoff = self.hand_built(pad=pad)
         contract = handoff.contract
         genesis_supply = ledger.total_supply()
         goto(ledger, contract, "T1")
@@ -347,10 +351,31 @@ class TestServerInit:
         assert (contract.server_deposited > 0) == (a == 1)
         if a == 0:
             goto(ledger, contract, "T2")
-            client.request_payout(ledger)
+            ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
             protocol.refund_deposits(ledger, contract)
-            assert ledger.balances() == {"client": 21, "server": 6, "arbiter": 0}
+            assert ledger.balances() == {"client": 100, "server": 100, "arbiter": 0}
             assert ledger.total_supply() == genesis_supply
+
+    def test_phi_above_m_refunds(self):
+        # a qp statement whose bytes carry phi = m + 1 and that both parties
+        # agree on: PublicParams refuses to parse it, so the server answers
+        # a = 0 and T2 refunds every deposit
+        def phi_past_m(qp):
+            fields = protocol._fields_from_bytes(qp.to_bytes())
+            fields[QpStatement._PHI] = (qp.pp.m + 1).to_bytes(8, "big")
+            return protocol._fields_to_bytes(sorted(fields.items()))
+
+        ledger, addr_c, server, handoff = self.hand_built(qp_bytes=phi_past_m)
+        contract = handoff.contract
+        genesis_supply = ledger.total_supply()
+        goto(ledger, contract, "T1")
+        assert server.init(handoff, ledger) == 0
+        assert (contract.a_flag, contract.server_deposited) == (0, 0)
+        goto(ledger, contract, "T2")
+        ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
+        protocol.refund_deposits(ledger, contract)
+        assert ledger.balances() == {"client": 100, "server": 100, "arbiter": 0}
+        assert ledger.total_supply() == genesis_supply
 
 
 class HonestRun:
@@ -694,34 +719,40 @@ class TestCompiledEntryLayout:
 
 
 class TestResolutionFilters:
+    @staticmethod
+    def server(items, z=3):
+        return protocol._filter(items, lambda i: i, lambda i: 1 <= i <= z)
+
+    @staticmethod
+    def client(items, z=3, phi=4, v=()):
+        return protocol._filter(
+            items,
+            lambda c: c[0],
+            lambda c: 1 <= c[0] <= z and 1 <= c[1] <= phi and c[0] not in v,
+        )
+
     def test_duplicate_server_complaints_collapse(self):
-        kept, dropped = protocol._filter_server_complaints([2, 2, 3], z=3)
+        kept, dropped = self.server([2, 2, 3])
         assert kept == [2, 3]
         assert dropped == [2]
 
     def test_out_of_range_server_complaints_dropped(self):
-        kept, dropped = protocol._filter_server_complaints([0, 1, 4], z=3)
+        kept, dropped = self.server([0, 1, 4])
         assert kept == [1]
         assert dropped == [0, 4]
 
     def test_client_complaints_dedupe_on_cycle(self):
-        kept, dropped = protocol._filter_client_complaints(
-            [(1, 2), (1, 3), (2, 1)], z=3, phi=4, v=[]
-        )
+        kept, dropped = self.client([(1, 2), (1, 3), (2, 1)])
         assert kept == [(1, 2), (2, 1)]
         assert dropped == [(1, 3)]
 
     def test_client_complaints_blocked_by_v(self):
-        kept, dropped = protocol._filter_client_complaints(
-            [(1, 2), (2, 1)], z=3, phi=4, v=[1]
-        )
+        kept, dropped = self.client([(1, 2), (2, 1)], v={1})
         assert kept == [(2, 1)]
         assert dropped == [(1, 2)]
 
     def test_entry_index_out_of_range_dropped(self):
-        kept, dropped = protocol._filter_client_complaints(
-            [(1, 5)], z=3, phi=4, v=[]
-        )
+        kept, dropped = self.client([(1, 5)])
         assert kept == []
         assert dropped == [(1, 5)]
 

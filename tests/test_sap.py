@@ -1,5 +1,6 @@
 """Statement agreement: commit, agree, verify, and ledger-level privacy."""
 
+import json
 import random
 
 import pytest
@@ -141,9 +142,12 @@ class TestPrivacy:
         rng = random.Random(3)
         secret = rng.randbytes(48)  # high-entropy statement
         r, g, sid = sap_init(ledger, client, server, secret, rng)
-        sap_agree(ledger, Opening(secret, r), client, sid, server)
-        state = ledger.snapshot()
-        assert secret not in state
-        assert secret.hex().encode() not in state
-        assert r not in state
-        assert r.hex().encode() not in state
+        assert sap_agree(ledger, Opening(secret, r), client, sid, server)
+        # what the ledger keeps of an agreement: its trace and two commitments
+        session = ledger.session(sid)
+        assert session.g_client == session.g_server == g
+        trace = json.dumps(ledger.export_trace()).encode()
+        state = trace + session.g_client + session.g_server
+        for hidden in (secret, r):
+            assert hidden not in state
+            assert hidden.hex().encode() not in state

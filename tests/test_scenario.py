@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from porpay import cli, scenario
+from porpay import cli, por, scenario
 from porpay.ledger import CounterOutOfBounds, Counters
 from porpay.scenario import ScenarioSpec, SpecInvalid, expected_payout, run, verify_report
 
@@ -202,6 +202,20 @@ class TestRunner:
         with pytest.raises(SpecInvalid):
             run(ScenarioSpec.from_dict(raw))
 
+    def test_file_encoded_once(self, monkeypatch):
+        calls = []
+        encode = por.XorParityCodec.encode
+
+        def counting_encode(self, data):
+            calls.append(len(data))
+            return encode(self, data)
+
+        monkeypatch.setattr(por.XorParityCodec, "encode", counting_encode)
+        raw = base_raw()
+        raw["session"]["codec"] = "xor-parity"
+        assert run(ScenarioSpec.from_dict(raw))["valid"]
+        assert calls == [1024]
+
     def test_suppressed_dummy_complaint(self):
         raw = base_raw(
             behaviors={"client": [{"kind": "invalid_query", "j": 1}]},
@@ -358,6 +372,20 @@ class TestCli:
         report_path.write_text(json.dumps(report))
         assert cli.main(["verify-report", str(report_path)]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "raw", [[1, 2], {"session": [1], "file": {"size": 64}}],
+        ids=["list", "session_list"],
+    )
+    @pytest.mark.parametrize(
+        "flag", [["--seed", "3"], ["--variant", "arbiter"]], ids=["seed", "variant"]
+    )
+    def test_malformed_spec_with_override_exits_two(self, tmp_path, capsys, raw, flag):
+        # overrides apply to the parsed spec, so a malformed file is reported
+        # as such whatever flags come with it
+        spec_path = self.write_spec(tmp_path, raw)
+        assert cli.main(["run", str(spec_path), *flag]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_invalid_spec_exits_two(self, tmp_path, capsys):
         raw = base_raw(behaviors={"client": [{"kind": "nonsense"}]})
