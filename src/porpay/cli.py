@@ -52,7 +52,9 @@ def _cmd_verify_report(args: argparse.Namespace) -> int:
     try:
         report = json.loads(Path(args.report).read_text(encoding="utf-8"))
         ok, problems = verify_report(report)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, AttributeError, LookupError, TypeError, ValueError) as exc:
+        # a field of another JSON type than the emitted one is a malformed
+        # report, not an INVALID one
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if ok:

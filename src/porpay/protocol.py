@@ -40,6 +40,7 @@ from . import merkle, por
 from .crypto import (
     MAX_VALUE_LEN,
     PSI_BITS,
+    SYM_KEY_LEN,
     DecryptFailure,
     Opening,
     UnitFormat,
@@ -123,45 +124,22 @@ class PriceList:
         return pair in self.pairs
 
 
-def _u64(value: int) -> bytes:
-    return value.to_bytes(8, "big")
-
-
-def _fields_to_bytes(fields: Sequence[tuple[int, bytes]]) -> bytes:
-    """Canonical statement encoding: ordered (tag, length, value) triples."""
-    out = []
-    for tag, value in fields:
-        out.append(bytes([tag]) + len(value).to_bytes(4, "big") + value)
-    return b"".join(out)
-
-
-def _fields_from_bytes(data: bytes) -> dict[int, bytes]:
-    fields: dict[int, bytes] = {}
-    pos = 0
-    while pos < len(data):
-        if pos + 5 > len(data):
-            raise ValueError("truncated statement field header")
-        tag = data[pos]
-        length = int.from_bytes(data[pos + 1 : pos + 5], "big")
-        pos += 5
-        if pos + length > len(data) or tag in fields:
-            raise ValueError("malformed statement encoding")
-        fields[tag] = data[pos : pos + length]
-        pos += length
-    return fields
-
-
 @dataclass(frozen=True)
 class QpStatement:
     """Query/proof secret parameters: pad count, proof key, public params,
-    and the block payload length that fixes the cipher-unit geometry."""
+    and the block payload length that fixes the cipher-unit geometry.
+
+    Its bytes are one fixed layout: the pad count, ``k_bar``, sigma, then
+    phi, m, the PRF triple (psi, eta, iota) and the payload length, each
+    integer 8 bytes big-endian.
+    """
 
     pad_pi: int
     k_bar: bytes
     pp: por.PublicParams
     block_payload_len: int = por.DEFAULT_BLOCK_PAYLOAD_LEN
 
-    _PAD, _KEY, _SIGMA, _PHI, _M, _ZETA, _PAYLOAD_LEN = 1, 2, 3, 4, 5, 6, 7
+    _LAYOUT = struct.Struct(f">Q{SYM_KEY_LEN}s{HASH_LEN}s6Q")
 
     @property
     def block_len(self) -> int:
@@ -169,47 +147,38 @@ class QpStatement:
         return self.block_payload_len + por.INDEX_LEN
 
     def to_bytes(self) -> bytes:
-        zeta = self.pp.zeta
-        return _fields_to_bytes(
-            [
-                (self._PAD, _u64(self.pad_pi)),
-                (self._KEY, self.k_bar),
-                (self._SIGMA, self.pp.sigma),
-                (self._PHI, _u64(self.pp.phi)),
-                (self._M, _u64(self.pp.m)),
-                (self._ZETA, _u64(zeta.psi) + _u64(zeta.eta) + _u64(zeta.iota)),
-                (self._PAYLOAD_LEN, _u64(self.block_payload_len)),
-            ]
+        pp, zeta = self.pp, self.pp.zeta
+        if len(self.k_bar) != SYM_KEY_LEN or len(pp.sigma) != HASH_LEN:
+            raise ValueError("proof key or root of the wrong length")
+        return self._LAYOUT.pack(
+            self.pad_pi, self.k_bar, pp.sigma, pp.phi, pp.m,
+            zeta.psi, zeta.eta, zeta.iota, self.block_payload_len,
         )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "QpStatement":
-        f = _fields_from_bytes(data)
+        """Read an agreed statement. Raises ValueError for any the session
+        cannot run: another length, phi outside [1, m], a PRF triple other
+        than the supported ``PrfSpec()``, a block payload outside
+        [1, MAX_BLOCK_PAYLOAD_LEN], or entries past MAX_ENTRY_SLOTS."""
         try:
-            zeta_raw = f[cls._ZETA]
-            zeta = por.PrfSpec(
-                int.from_bytes(zeta_raw[0:8], "big"),
-                int.from_bytes(zeta_raw[8:16], "big"),
-                int.from_bytes(zeta_raw[16:24], "big"),
-            )
-            return cls(
-                pad_pi=int.from_bytes(f[cls._PAD], "big"),
-                k_bar=f[cls._KEY],
-                pp=por.PublicParams(
-                    sigma=f[cls._SIGMA],
-                    phi=int.from_bytes(f[cls._PHI], "big"),
-                    m=int.from_bytes(f[cls._M], "big"),
-                    zeta=zeta,
-                ),
-                block_payload_len=int.from_bytes(f[cls._PAYLOAD_LEN], "big"),
-            )
-        except KeyError as exc:
-            raise ValueError("statement is missing a required field") from exc
+            pad, k_bar, sigma, phi, m, *zeta, payload = cls._LAYOUT.unpack(data)
+        except struct.error as exc:
+            raise ValueError("statement does not have the qp layout") from exc
+        pp = por.PublicParams(sigma, phi, m, por.PrfSpec(*zeta))
+        if pp.zeta != por.PrfSpec():
+            raise ValueError(f"unsupported PRF triple {pp.zeta}")
+        if not 1 <= payload <= MAX_BLOCK_PAYLOAD_LEN:
+            raise ValueError(f"block payload {payload} outside [1, MAX_BLOCK_PAYLOAD_LEN]")
+        if entry_real_units(m) + pad > MAX_ENTRY_SLOTS:
+            raise ValueError(f"pad count {pad} takes entries past MAX_ENTRY_SLOTS")
+        return cls(pad, k_bar, pp, payload)
 
 
 @dataclass(frozen=True)
 class CpStatement:
-    """Coin secret parameters: the private price pair, list maxima, and z."""
+    """Coin secret parameters: the private price pair, list maxima, and z,
+    laid out as five 8-byte big-endian integers in that order."""
 
     o: int
     o_max: int
@@ -217,35 +186,32 @@ class CpStatement:
     l_max: int
     z: int
 
-    _O, _O_MAX, _L, _L_MAX, _Z = 1, 2, 3, 4, 5
+    _LAYOUT = struct.Struct(">5Q")
 
     def __post_init__(self) -> None:
         if self.o > self.o_max or self.l > self.l_max:
             raise ValueError("chosen prices exceed the list maxima")
 
+    @property
+    def client_deposit(self) -> int:
+        """The client's masked deposit: it covers every price in the list,
+        so it reveals neither o nor l."""
+        return self.z * (self.o_max + self.l_max)
+
+    @property
+    def server_deposit(self) -> int:
+        """The server's masked deposit, l_max per cycle."""
+        return self.z * self.l_max
+
     def to_bytes(self) -> bytes:
-        return _fields_to_bytes(
-            [
-                (self._O, _u64(self.o)),
-                (self._O_MAX, _u64(self.o_max)),
-                (self._L, _u64(self.l)),
-                (self._L_MAX, _u64(self.l_max)),
-                (self._Z, _u64(self.z)),
-            ]
-        )
+        return self._LAYOUT.pack(self.o, self.o_max, self.l, self.l_max, self.z)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CpStatement":
-        f = _fields_from_bytes(data)
         try:
-            return cls(
-                *(
-                    int.from_bytes(f[tag], "big")
-                    for tag in (cls._O, cls._O_MAX, cls._L, cls._L_MAX, cls._Z)
-                )
-            )
-        except KeyError as exc:
-            raise ValueError("statement is missing a required field") from exc
+            return cls(*cls._LAYOUT.unpack(data))
+        except struct.error as exc:
+            raise ValueError("statement does not have the cp layout") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +248,12 @@ class SessionConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.codec_name not in por.CODECS:
             raise ValueError(f"unknown codec {self.codec_name!r}")
+
+    @property
+    def cp(self) -> CpStatement:
+        """The client's coin statement: its price choice, the list maxima, z."""
+        choice, prices = self.price_choice, self.price_list
+        return CpStatement(choice.o, prices.o_max, choice.l, prices.l_max, self.z)
 
 
 def make_codec(name: str, block_payload_len: int) -> por.Codec:
@@ -570,16 +542,7 @@ class Client:
 
         qp = QpStatement(self.pad_pi, self.k_bar, pp, cfg.block_payload_len)
         self.pf = proof_format(qp)
-        cp = CpStatement(
-            o=cfg.price_choice.o,
-            o_max=cfg.price_list.o_max,
-            l=cfg.price_choice.l,
-            l_max=cfg.price_list.l_max,
-            z=cfg.z,
-        )
-        masked_client = cfg.z * (cfg.price_list.o_max + cfg.price_list.l_max)
-        masked_server = cfg.z * cfg.price_list.l_max
-
+        cp = cfg.cp
         r_qp, _, sid_qp = sap_init(
             ledger, self.addr, addr_server, qp.to_bytes(), self.rng
         )
@@ -591,8 +554,8 @@ class Client:
 
         params = ContractParams(
             z=cfg.z,
-            client_deposit_required=masked_client,
-            server_deposit_required=masked_server,
+            client_deposit_required=cp.client_deposit,
+            server_deposit_required=cp.server_deposit,
             addr_client=self.addr,
             addr_server=addr_server,
             arbiterless=cfg.variant == ARBITERLESS,
@@ -600,7 +563,7 @@ class Client:
             sap_refs=(sid_qp, sid_cp),
         )
         self.contract = ledger.deploy_contract(self.addr, params)
-        ledger.deposit(self.addr, self.contract, masked_client)
+        ledger.deposit(self.addr, self.contract, cp.client_deposit)
         return Handoff(
             blocks=blocks,
             opening_qp=self.opening_qp,
@@ -684,11 +647,12 @@ class Server:
     def init(self, handoff: Handoff, ledger: Ledger) -> int:
         """Phase 3: re-check statements, deposits, and metadata; answer at T1.
 
-        An ill-formed advertised root, a PRF triple other than the
-        supported ``PrfSpec()``, mismatched counts, wrong deposits, a pad
-        count that takes entries past MAX_ENTRY_SLOTS, a block payload past
-        MAX_BLOCK_PAYLOAD_LEN, or a failed agreement all end in a = 0 and
-        no deposit, which later triggers the T2 refund path.
+        A statement ``from_bytes`` refuses (the qp rules live there),
+        mismatched counts or prices, wrong deposits, a block buffer that is
+        not m whole blocks, an advertised root other than the buffer's, or
+        a failed agreement all end in a = 0 and no deposit, which later
+        triggers the T2 refund path. Both agreements run whatever the
+        checks say, so the ledger trace does not tell which one failed.
         """
         contract = handoff.contract
         params = contract.params
@@ -706,15 +670,12 @@ class Server:
             checks_ok = (
                 params.z == cp.z
                 and contract.client_deposited >= params.client_deposit_required
-                and params.client_deposit_required == cp.z * (cp.o_max + cp.l_max)
-                and params.server_deposit_required == cp.z * cp.l_max
+                and params.client_deposit_required == cp.client_deposit
+                and params.server_deposit_required == cp.server_deposit
                 and PricePair(cp.o, cp.l) in self.price_list
                 and cp.o_max == self.price_list.o_max
                 and cp.l_max == self.price_list.l_max
                 and contract.counters == Counters()
-                and qp.pp.zeta == por.PrfSpec()
-                and qp.block_payload_len <= MAX_BLOCK_PAYLOAD_LEN
-                and entry_real_units(qp.pp.m) + qp.pad_pi <= MAX_ENTRY_SLOTS
                 # exactly m whole blocks of the agreed length, so the tree
                 # rebuild below cannot raise
                 and len(handoff.blocks) == qp.pp.m * qp.block_len
@@ -851,7 +812,8 @@ def _agreed_qp(
     opening: Opening | None, contract: RcContract, ledger: Ledger
 ) -> QpStatement | None:
     """The query/proof statement an opening reveals, or None unless it
-    parses and opens both recorded commitments."""
+    parses, which checks the same qp rules ``Server.init`` relies on, and
+    opens both recorded commitments."""
     if opening is None:
         return None
     try:

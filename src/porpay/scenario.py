@@ -277,12 +277,10 @@ def run(spec: ScenarioSpec) -> dict:
     )
     server_behavior = _behavior(ServerBehavior, spec.server_behaviors)
 
-    client_deposit = cfg.z * (cfg.price_list.o_max + cfg.price_list.l_max)
-    server_deposit = cfg.z * cfg.price_list.l_max
-
+    cp = cfg.cp
     ledger = Ledger()
-    addr_client = ledger.create_account("client", client_deposit)
-    addr_server = ledger.create_account("server", server_deposit)
+    addr_client = ledger.create_account("client", cp.client_deposit)
+    addr_server = ledger.create_account("server", cp.server_deposit)
     addr_arbiter = (
         ledger.create_account("arbiter", 0) if cfg.variant == ARBITER else None
     )

@@ -232,7 +232,7 @@ class TestProveVerify:
         pi = por.prove(tree, key, pp)
         assert por.verify(pi[:2], key, pp).accepted is False
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.data())
     def test_honest_acceptance_property(self, data):
         payload = data.draw(st.integers(min_value=1, max_value=8))

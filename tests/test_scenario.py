@@ -373,6 +373,19 @@ class TestCli:
         assert cli.main(["verify-report", str(report_path)]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("field", ["genesis", "delta"])
+    def test_verify_malformed_report_exits_two(self, tmp_path, capsys, field):
+        # a field of another JSON type is a malformed file (exit 2), not an
+        # INVALID report (exit 1)
+        spec_path = self.write_spec(tmp_path, base_raw())
+        report_path = tmp_path / "report.json"
+        cli.main(["run", str(spec_path), "--report", str(report_path)])
+        report = json.loads(report_path.read_text())
+        report["balances"][field] = [1, 2]
+        report_path.write_text(json.dumps(report))
+        assert cli.main(["verify-report", str(report_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize(
         "raw", [[1, 2], {"session": [1], "file": {"size": 64}}],
         ids=["list", "session_list"],
