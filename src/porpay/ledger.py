@@ -165,6 +165,19 @@ class Counters:
     def unpack(cls, data: bytes) -> "Counters":
         return cls(*cls._LAYOUT.unpack(data))
 
+    def check_bounds(self, z: int) -> None:
+        """Raise CounterOutOfBounds unless no counter is negative and each
+        party's faults plus unneeded disputes are at most z: one charge per
+        cycle."""
+        if (
+            min(self.as_dict().values()) < 0
+            or self.client_faults + self.client_unneeded_disputes > z
+            or self.server_faults + self.server_unneeded_disputes > z
+        ):
+            raise CounterOutOfBounds(
+                f"counters {self.as_dict()} outside the bounds for z={z}"
+            )
+
 
 @dataclass(frozen=True)
 class ContractParams:
@@ -224,13 +237,7 @@ class RcContract:
             old.client_unneeded_disputes + delta.client_unneeded_disputes,
             old.server_unneeded_disputes + delta.server_unneeded_disputes,
         )
-        if (
-            min(c.client_faults, c.server_faults,
-                c.client_unneeded_disputes, c.server_unneeded_disputes) < 0
-            or c.client_faults + c.client_unneeded_disputes > self.params.z
-            or c.server_faults + c.server_unneeded_disputes > self.params.z
-        ):
-            raise CounterOutOfBounds(f"counters {c.as_dict()} exceed z={self.params.z}")
+        c.check_bounds(self.params.z)
         self.counters = c
         self.resolved = True
 

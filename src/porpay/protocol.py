@@ -14,14 +14,17 @@ One session runs eight phases over the ledger clock:
    (block, sibling block, sibling digests, leaf index, then zero pads), so
    the vector is phi equal units whatever the tree height;
 6. verify: the client checks each cycle locally and records complaints;
-7. dispute resolution at K1..K6 over both complaint lists;
+7. dispute resolution at K1..K6 over both parties' complaint posts;
 8. coin transfer at L (or the refund at T2).
 
 Both dispute variants are provided: a third-party arbiter that tallies four
 counters (faults plus unnecessary invocations, the latter paying the
 arbiter's fee), and an arbiter-free variant where the contract itself
 resolves disputes, keeps only the two fault counters, and folds dispute
-compensation into the payout formulas.
+compensation into the payout formulas. A party's dispute query is the same
+complaint post in both: its qp opening, then fixed-width complaint items.
+The arbiter is handed it, the contract reads it off the ledger, and both
+read it with one parse.
 
 The roles accept fault-injection switches covering the misbehaviours the
 dispute machinery exists to punish; an unset behaviour object gives the
@@ -30,14 +33,13 @@ honest protocol.
 
 from __future__ import annotations
 
-import json
 import random
 import struct
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from . import merkle, por
 from .crypto import (
+    LAMBDA_BITS,
     MAX_VALUE_LEN,
     PSI_BITS,
     SYM_KEY_LEN,
@@ -494,7 +496,27 @@ class Handoff:
 # ---------------------------------------------------------------------------
 
 
-class Client:
+class _Party:
+    """Settlement posts a client and a server make alike: the complaint post
+    of its ``COMPLAINTS`` kind, and the pay request."""
+
+    COMPLAINTS: MsgKind
+
+    def post_complaints(self, ledger: Ledger) -> None:
+        """Arbiter-free phase 7: the complaint post, at K1 from the server
+        and at K4 from the client."""
+        ledger.post(
+            self.contract,
+            LedgerMessage(self.addr, self.COMPLAINTS, self.complaint_post()),
+        )
+
+    def request_payout(self, ledger: Ledger) -> None:
+        ledger.post(self.contract, LedgerMessage(self.addr, MsgKind.PAY, b"pay"))
+
+
+class Client(_Party):
+    COMPLAINTS = MsgKind.CLIENT_COMPLAINTS
+
     def __init__(
         self,
         addr: Address,
@@ -506,9 +528,7 @@ class Client:
         self.rng = rng
         self.config = config
         self.behavior = behavior or ClientBehavior()
-        self.k_bar: bytes | None = None
-        self.pad_pi = 0
-        self.pp: por.PublicParams | None = None
+        self.qp: QpStatement | None = None
         self.pf: ProofFormat | None = None
         self.contract: RcContract | None = None
         self.opening_qp: Opening | None = None
@@ -534,13 +554,12 @@ class Client:
             block_len = cfg.block_payload_len + por.INDEX_LEN
             _, bogus_root = merkle.gen_tree(twisted, block_len)
             pp = por.PublicParams(bogus_root, pp.phi, pp.m, pp.zeta)
-        self.pp = pp
 
         pi_act = entry_real_units(pp.m)
         pi_max = cfg.pi_max if cfg.pi_max is not None else pi_act
-        self.k_bar, self.pad_pi = key_gen(self.rng, pi_max, pi_act)
+        k_bar, pad_pi = key_gen(self.rng, pi_max, pi_act)
 
-        qp = QpStatement(self.pad_pi, self.k_bar, pp, cfg.block_payload_len)
+        qp = self.qp = QpStatement(pad_pi, k_bar, pp, cfg.block_payload_len)
         self.pf = proof_format(qp)
         cp = cfg.cp
         r_qp, _, sid_qp = sap_init(
@@ -580,7 +599,7 @@ class Client:
             k_hat = self.rng.randbytes(8)  # truncated key, outside the key universe
         else:
             k_hat = por.gen_query(self.rng)
-        unit = enc_unit(self.k_bar, k_hat, self.pf.slot, self.rng)
+        unit = enc_unit(self.qp.k_bar, k_hat, self.pf.slot, self.rng)
         ledger.post(
             self.contract, LedgerMessage(self.addr, MsgKind.QUERY, unit, slot=j)
         )
@@ -592,16 +611,17 @@ class Client:
         """Phase 6: unpad, decrypt, verify; a rejection yields complaint [j, g]."""
         if j in self._withheld:
             return None, None
-        k_hat = dec_unit(self.k_bar, self.contract.query(j), self.pf.slot)
+        qp = self.qp
+        k_hat = dec_unit(qp.k_bar, self.contract.query(j), self.pf.slot)
         payload = self.contract.proofs.get(j)
         if payload is None:
             verdict = por.Verdict(1)
         else:
-            entries, failed_at = decode_proof_vector(payload, self.k_bar, self.pf)
+            entries, failed_at = decode_proof_vector(payload, qp.k_bar, self.pf)
             if entries is None:
                 verdict = por.Verdict(failed_at)
             else:
-                verdict = por.verify(entries, k_hat, self.pp)
+                verdict = por.verify(entries, k_hat, qp.pp)
 
         complaint = None
         if not verdict.accepted:
@@ -614,18 +634,14 @@ class Client:
             self.complaints.append(complaint)
         return verdict, complaint
 
-    def request_payout(self, ledger: Ledger) -> None:
-        ledger.post(self.contract, LedgerMessage(self.addr, MsgKind.PAY, b"pay"))
-
-    def post_complaints(self, ledger: Ledger) -> None:
-        """Arbiter-free phase 7 at K4: the complaints plus the qp opening."""
-        payload = pack_complaints(self.complaints, self.opening_qp)
-        ledger.post(
-            self.contract, LedgerMessage(self.addr, MsgKind.CLIENT_COMPLAINTS, payload)
-        )
+    def complaint_post(self) -> bytes:
+        """The dispute query: the qp opening, then each complaint's j and g."""
+        return pack_complaints(self.opening_qp, [n for c in self.complaints for n in c])
 
 
-class Server:
+class Server(_Party):
+    COMPLAINTS = MsgKind.SERVER_COMPLAINTS
+
     def __init__(
         self,
         addr: Address,
@@ -737,15 +753,9 @@ class Server:
             )
         return b, complaint
 
-    def request_payout(self, ledger: Ledger) -> None:
-        ledger.post(self.contract, LedgerMessage(self.addr, MsgKind.PAY, b"pay"))
-
-    def post_complaints(self, ledger: Ledger) -> None:
-        """Arbiter-free phase 7 at K1: the complaints plus the qp opening."""
-        payload = pack_complaints(self.complaints, self.opening_qp)
-        ledger.post(
-            self.contract, LedgerMessage(self.addr, MsgKind.SERVER_COMPLAINTS, payload)
-        )
+    def complaint_post(self) -> bytes:
+        """The dispute query: the qp opening, then each complaint's cycle."""
+        return pack_complaints(self.opening_qp, self.complaints)
 
 
 def _corrupt_first_entry(pi: por.ProofVector) -> por.ProofVector:
@@ -823,24 +833,34 @@ def _agreed_qp(
     return qp if _opening_valid(opening, contract, ledger, _SAP_QP) else None
 
 
-# what int() and indexing raise on an item of the wrong type or shape
-_UNREADABLE = (TypeError, ValueError, LookupError, OverflowError)
+# A complaint post is one party's dispute query, the same bytes in both
+# variants: the contract reads it off the ledger at K1/K4, and the arbiter is
+# handed it. It is the qp opening (statement, then commitment randomness),
+# then each complaint as 4-byte big-endian fields: cycle j for a server item,
+# j then entry g for a client item. Four bytes, the width of the leaf index,
+# hold any entry of a file that index can address and any cycle a schedule
+# of 2z + 11 time points can reach.
+_QP_LEN = QpStatement._LAYOUT.size
+_HEAD_LEN = _QP_LEN + LAMBDA_BITS // 8
+_FIELD_LEN = 4
 
 
-def _read_items(raw: Sequence, read) -> list:
-    """Apply ``read`` to every complaint item. An item it cannot read names
-    no cycle, so it is filtered without being listed."""
-    items = []
-    for item in raw:
-        try:
-            items.append(read(item))
-        except _UNREADABLE:
-            pass
-    return items
+def pack_complaints(opening: Opening, fields: list[int]) -> bytes:
+    """A complaint post: ``opening``, then the items' ``fields`` in order."""
+    items = struct.pack(f">{len(fields)}I", *fields)
+    return opening.statement + opening.randomness + items
 
 
-def _read_client_item(item) -> tuple[int, int]:
-    return int(item[0]), int(item[1])
+def unpack_complaints(post: bytes, width: int) -> tuple[list[int], Opening | None]:
+    """The fields and the opening of a post whose items are ``width``
+    fields each. A post shorter than the opening, or one that ends partway
+    through an item, unpacks to no fields and no opening, so resolution
+    filters it whole."""
+    size = len(post) - _HEAD_LEN
+    if size < 0 or size % (width * _FIELD_LEN):
+        return [], None
+    fields = [*struct.unpack(f">{size // _FIELD_LEN}I", post[_HEAD_LEN:])]
+    return fields, Opening(post[:_QP_LEN], post[_QP_LEN:_HEAD_LEN])
 
 
 def _filter(items: list, cycle, admissible) -> tuple[list, list]:
@@ -903,22 +923,17 @@ def _judge_client_complaint(
 
 
 def _server_pass(
-    rep: ResolutionReport,
-    complaints: Sequence,
-    opening_qp: Opening | None,
-    ledger: Ledger,
-    contract: RcContract,
+    rep: ResolutionReport, post: bytes, ledger: Ledger, contract: RcContract
 ) -> None:
     """Server complaints: a bad query charges the client and lands in v."""
-    qp = _agreed_qp(opening_qp, contract, ledger)
+    cycles, opening = unpack_complaints(post, 1)
+    qp = _agreed_qp(opening, contract, ledger)
     if qp is None:
-        rep.server_filtered.extend(_read_items(complaints, int))
+        rep.server_filtered.extend(cycles)
         return
     pf = proof_format(qp)
     z = contract.params.z
-    kept, dropped = _filter(
-        _read_items(complaints, int), lambda i: i, lambda i: 1 <= i <= z
-    )
+    kept, dropped = _filter(cycles, lambda i: i, lambda i: 1 <= i <= z)
     rep.server_admitted.extend(kept)
     rep.server_filtered.extend(dropped)
     for i in kept:
@@ -930,22 +945,20 @@ def _server_pass(
 
 
 def _client_pass(
-    rep: ResolutionReport,
-    complaints: Sequence,
-    opening_qp: Opening | None,
-    ledger: Ledger,
-    contract: RcContract,
+    rep: ResolutionReport, post: bytes, ledger: Ledger, contract: RcContract
 ) -> None:
     """Client complaints, minus those the filters drop (cycles in v among
     them), each settled by re-checking the one entry it names."""
-    qp = _agreed_qp(opening_qp, contract, ledger)
+    fields, opening = unpack_complaints(post, 2)
+    items = list(zip(fields[0::2], fields[1::2]))
+    qp = _agreed_qp(opening, contract, ledger)
     if qp is None:
-        rep.client_filtered.extend(_read_items(complaints, _read_client_item))
+        rep.client_filtered.extend(items)
         return
     pf = proof_format(qp)
     z, phi, v = contract.params.z, qp.pp.phi, set(rep.v)
     kept, dropped = _filter(
-        _read_items(complaints, _read_client_item),
+        items,
         lambda c: c[0],
         lambda c: 1 <= c[0] <= z and 1 <= c[1] <= phi and c[0] not in v,
     )
@@ -963,9 +976,10 @@ def _client_pass(
 
 
 class Arbiter:
-    """Third-party resolver: takes complaints off-ledger at K1/K4, re-checks
-    them at K2/K5, and posts the counter update at K6. Each pass runs once:
-    a second run would charge the same complaints again."""
+    """Third-party resolver: is handed each party's complaint post
+    off-ledger at K1/K4, re-checks it at K2/K5, and posts the counter update
+    at K6. Each pass runs once: a second run would charge the same
+    complaints again."""
 
     def __init__(self, addr: Address):
         self.addr = addr
@@ -978,29 +992,20 @@ class Arbiter:
         self._passes_run.add(name)
 
     def resolve_server(
-        self,
-        complaints: Sequence[int],
-        opening_qp: Opening,
-        ledger: Ledger,
-        contract: RcContract,
+        self, post: bytes, ledger: Ledger, contract: RcContract
     ) -> list[int]:
-        """Phase 7 server pass at K2; returns v."""
+        """Phase 7 server pass at K2 over the server's complaint post;
+        returns v."""
         require_time(ledger.time, "K2")
         self._run_once("server")
-        _server_pass(self.report, complaints, opening_qp, ledger, contract)
+        _server_pass(self.report, post, ledger, contract)
         return self.report.v
 
-    def resolve_client(
-        self,
-        complaints: Sequence[Sequence[int]],
-        opening_qp: Opening,
-        ledger: Ledger,
-        contract: RcContract,
-    ) -> None:
-        """Phase 7 client pass at K5."""
+    def resolve_client(self, post: bytes, ledger: Ledger, contract: RcContract) -> None:
+        """Phase 7 client pass at K5 over the client's complaint post."""
         require_time(ledger.time, "K5")
         self._run_once("client")
-        _client_pass(self.report, complaints, opening_qp, ledger, contract)
+        _client_pass(self.report, post, ledger, contract)
 
     def post_counters(self, ledger: Ledger, contract: RcContract) -> None:
         require_time(ledger.time, "K6")
@@ -1013,35 +1018,6 @@ class Arbiter:
 
 
 # -- arbiter-free: the contract resolves its own disputes -------------------
-
-
-def pack_complaints(complaints: Sequence, opening: Opening) -> bytes:
-    """Wire form of a complaint post: the complaint list plus the opening."""
-    body = {
-        "complaints": [list(c) if isinstance(c, (list, tuple)) else c for c in complaints],
-        "opening": {
-            "statement": opening.statement.hex(),
-            "randomness": opening.randomness.hex(),
-        },
-    }
-    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
-
-
-def unpack_complaints(payload: bytes) -> tuple[list, Opening | None]:
-    """Inverse of pack_complaints. Any other payload unpacks to no
-    complaints and no opening, so resolution filters the post whole."""
-    try:
-        body = json.loads(payload.decode())
-        complaints = body["complaints"]
-        opening = Opening(
-            bytes.fromhex(body["opening"]["statement"]),
-            bytes.fromhex(body["opening"]["randomness"]),
-        )
-    except (TypeError, ValueError, LookupError, RecursionError):
-        return [], None
-    if not isinstance(complaints, list):
-        return [], None
-    return complaints, opening
 
 
 def contract_resolve(ledger: Ledger, contract: RcContract) -> ResolutionReport:
@@ -1059,10 +1035,9 @@ def contract_resolve(ledger: Ledger, contract: RcContract) -> ResolutionReport:
         (MsgKind.SERVER_COMPLAINTS, _server_pass),
         (MsgKind.CLIENT_COMPLAINTS, _client_pass),
     ):
-        raw = contract.complaint_posts.get(kind.value)
-        if raw is not None:
-            complaints, opening = unpack_complaints(raw)
-            resolve_pass(rep, complaints, opening, ledger, contract)
+        post = contract.complaint_posts.get(kind.value)
+        if post is not None:
+            resolve_pass(rep, post, ledger, contract)
     # at most one counter moves per cycle, so the sum stays within bounds
     contract.add_counters(rep.update.increments)
     return rep

@@ -211,19 +211,7 @@ def expected_payout(
     cross-check the two.
     """
     c = counters
-    values = (
-        c.client_faults,
-        c.server_faults,
-        c.client_unneeded_disputes,
-        c.server_unneeded_disputes,
-    )
-    if min(values) < 0:
-        raise CounterOutOfBounds("negative counter")
-    if (
-        c.client_faults + c.client_unneeded_disputes > z
-        or c.server_faults + c.server_unneeded_disputes > z
-    ):
-        raise CounterOutOfBounds(f"counters {values} exceed z={z}")
+    c.check_bounds(z)
     paid_cycles = z - c.server_faults
     if variant == ARBITER:
         client = (
@@ -236,7 +224,7 @@ def expected_payout(
             + o * paid_cycles
             - l * (c.server_faults + c.server_unneeded_disputes)
         )
-        arbiter = l * sum(values)
+        arbiter = l * sum(c.as_dict().values())
         return client, server, arbiter
     client = client_deposit - o * paid_cycles + l * (c.server_faults - c.client_faults)
     server = server_deposit + o * paid_cycles + l * (c.client_faults - c.server_faults)
@@ -341,9 +329,9 @@ def run(spec: ScenarioSpec) -> dict:
         disputed = bool(server.complaints or client.complaints)
         if disputed and cfg.variant == ARBITER:
             _goto(ledger, schedule, "K2")
-            arbiter.resolve_server(server.complaints, server.opening_qp, ledger, contract)
+            arbiter.resolve_server(server.complaint_post(), ledger, contract)
             _goto(ledger, schedule, "K5")
-            arbiter.resolve_client(client.complaints, client.opening_qp, ledger, contract)
+            arbiter.resolve_client(client.complaint_post(), ledger, contract)
             _goto(ledger, schedule, "K6")
             arbiter.post_counters(ledger, contract)
             resolution = arbiter.report
@@ -387,14 +375,14 @@ def run(spec: ScenarioSpec) -> dict:
         "format": "porpay-report/1",
         "valid": bool(payout_match and conserved),
         "spec": spec.to_dict(),
-        "pp": client.pp.to_json(),
+        "pp": client.qp.pp.to_json(),
         "unit_format": {
             "nonce_len": crypto.NONCE_LEN,
             "payload_len": client.pf.slot.payload_len,
             "tag_len": crypto.TAG_LEN,
             "unit_len": client.pf.slot.unit_len,
         },
-        "pad_pi": client.pad_pi,
+        "pad_pi": client.qp.pad_pi,
         "deposits": {
             "client_required": contract.params.client_deposit_required,
             "client_actual": contract.client_deposited,

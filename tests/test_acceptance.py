@@ -456,7 +456,7 @@ class TestPaddingPrivacy:
             contract = handoff.contract
             ledger.advance_time(schedule.point("T1"))
             assert server.init(handoff, ledger) == 1
-            assert client.pad_pi == 2
+            assert client.qp.pad_pi == 2
             for j in range(1, spec.config.z + 1):
                 ledger.advance_time(schedule.point(f"G{j}.1"))
                 client.post_query(j, ledger)

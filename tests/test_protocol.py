@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -457,23 +458,24 @@ class TestServerInit:
         assert ledger.balances() == refunded
 
         server_items, client_items = [1, 2], [(1, 1), (3, 2)]
+        server_post = protocol.pack_complaints(opening, server_items)
+        client_post = protocol.pack_complaints(opening, [1, 1, 3, 2])
         if variant == ARBITER:
             arbiter = Arbiter(contract.params.addr_arbiter)
             goto(ledger, contract, "K2")
-            arbiter.resolve_server(server_items, opening, ledger, contract)
+            arbiter.resolve_server(server_post, ledger, contract)
             goto(ledger, contract, "K5")
-            arbiter.resolve_client(client_items, opening, ledger, contract)
+            arbiter.resolve_client(client_post, ledger, contract)
             goto(ledger, contract, "K6")
             arbiter.post_counters(ledger, contract)
             report = arbiter.report
         else:
-            for label, addr, kind, items in (
-                ("K1", server.addr, protocol.MsgKind.SERVER_COMPLAINTS, server_items),
-                ("K4", addr_c, protocol.MsgKind.CLIENT_COMPLAINTS, client_items),
+            for label, addr, kind, post in (
+                ("K1", server.addr, protocol.MsgKind.SERVER_COMPLAINTS, server_post),
+                ("K4", addr_c, protocol.MsgKind.CLIENT_COMPLAINTS, client_post),
             ):
                 goto(ledger, contract, label)
-                payload = protocol.pack_complaints(items, opening)
-                ledger.post(contract, protocol.LedgerMessage(addr, kind, payload))
+                ledger.post(contract, protocol.LedgerMessage(addr, kind, post))
             goto(ledger, contract, "K5")
             report = protocol.contract_resolve(ledger, contract)
         assert report.server_admitted == report.client_admitted == []
@@ -558,7 +560,7 @@ class TestHonestRuns:
         config = make_config(z=2)
         run = HonestRun(config)
         for j, unit in run.contract.queries.items():
-            key = dec_unit(run.client.k_bar, unit, run.client.pf.slot)
+            key = dec_unit(run.client.qp.k_bar, unit, run.client.pf.slot)
             assert len(key) == 16
 
 
@@ -566,7 +568,7 @@ class TestWireShape:
     def test_vector_unit_count_and_length(self):
         config = make_config(z=1, phi=4, pi_max=None)
         run = HonestRun(config)
-        m = run.client.pp.m
+        m = run.client.qp.pp.m
         real = protocol.entry_real_units(m)
         payload = run.contract.proofs[1]
         pf = run.client.pf
@@ -577,8 +579,8 @@ class TestWireShape:
         # m=64 blocks -> height 6 -> 8 real slots; budget of 11 pads by 3
         config = make_config(z=1, phi=4, pi_max=11)
         run = HonestRun(config, file_size=1024)
-        assert run.client.pad_pi == 3
-        real = protocol.entry_real_units(run.client.pp.m)
+        assert run.client.qp.pad_pi == 3
+        real = protocol.entry_real_units(run.client.qp.pp.m)
         payload = run.contract.proofs[1]
         entry_len = 12 + 2 + (real + 3) * run.client.pf.slot.payload_len + 16
         assert run.client.pf.entry_len == entry_len
@@ -715,7 +717,7 @@ class TestEntryUnits:
             run = HonestRun(make_config(z=2, phi=4, pi_max=12), file_size=file_size)
             assert all(v.accepted for v in run.verdicts.values())
             lengths.update(len(p) for p in run.contract.proofs.values())
-            reals.append(protocol.entry_real_units(run.client.pp.m))
+            reals.append(protocol.entry_real_units(run.client.qp.pp.m))
         assert reals == [8, 10]
         assert lengths == {4 * (12 + 2 + 12 * run.client.pf.slot.payload_len + 16)}
 
@@ -733,7 +735,8 @@ class TestEntryUnits:
         assert len(payload) == 4 * pf.entry_len
         bad = bytearray(payload)
         bad[2 * pf.entry_len + pf.unit.unit_len + 100] ^= 0x01  # entry 3, unit 2
-        assert protocol.decode_proof_vector(bytes(bad), run.client.k_bar, pf) == (None, 3)
+        k_bar = run.client.qp.k_bar
+        assert protocol.decode_proof_vector(bytes(bad), k_bar, pf) == (None, 3)
         dummy = protocol.dummy_proof_vector(pf, random.Random(0))
         assert len(dummy) == len(payload)
 
@@ -893,13 +896,9 @@ class DisputedRun(HonestRun):
         ledger, contract = self.ledger, self.contract
         arbiter = Arbiter(self.addr_r)
         goto(ledger, contract, "K2")
-        arbiter.resolve_server(
-            self.server.complaints, self.server.opening_qp, ledger, contract
-        )
+        arbiter.resolve_server(self.server.complaint_post(), ledger, contract)
         goto(ledger, contract, "K5")
-        arbiter.resolve_client(
-            self.client.complaints, self.client.opening_qp, ledger, contract
-        )
+        arbiter.resolve_client(self.client.complaint_post(), ledger, contract)
         goto(ledger, contract, "K6")
         arbiter.post_counters(ledger, contract)
         return arbiter
@@ -957,7 +956,8 @@ class TestArbiterResolution:
         arbiter = Arbiter(run.addr_r)
         goto(run.ledger, run.contract, "K5")
         bogus = Opening(run.client.opening_qp.statement, bytes(16))
-        arbiter.resolve_client(run.client.complaints, bogus, run.ledger, run.contract)
+        post = protocol.pack_complaints(bogus, [1, 1])
+        arbiter.resolve_client(post, run.ledger, run.contract)
         assert run.contract.counters == Counters()
         assert arbiter.report.client_admitted == []
         assert arbiter.report.client_filtered == [(1, 1)]
@@ -993,15 +993,13 @@ class TestArbiterResolution:
         run = HonestRun(config, seed=5, client_behavior=behavior)
         arbiter = Arbiter(run.addr_r)
         goto(run.ledger, run.contract, "K2")
-        args = (run.server.complaints, run.server.opening_qp, run.ledger, run.contract)
+        args = (run.server.complaint_post(), run.ledger, run.contract)
         assert arbiter.resolve_server(*args) == [1]
         with pytest.raises(DuplicateSlot):
             arbiter.resolve_server(*args)
         assert arbiter.report.v == [1]
         goto(run.ledger, run.contract, "K5")
-        arbiter.resolve_client(
-            run.client.complaints, run.client.opening_qp, run.ledger, run.contract
-        )
+        arbiter.resolve_client(run.client.complaint_post(), run.ledger, run.contract)
         goto(run.ledger, run.contract, "K6")
         arbiter.post_counters(run.ledger, run.contract)
         assert run.contract.counters == Counters(client_faults=1)
@@ -1015,7 +1013,7 @@ class TestArbiterResolution:
         run = HonestRun(config, seed=8, server_behavior=behavior)
         arbiter = Arbiter(run.addr_r)
         goto(run.ledger, run.contract, "K5")
-        args = (run.client.complaints, run.client.opening_qp, run.ledger, run.contract)
+        args = (run.client.complaint_post(), run.ledger, run.contract)
         arbiter.resolve_client(*args)
         with pytest.raises(DuplicateSlot):
             arbiter.resolve_client(*args)
@@ -1166,8 +1164,12 @@ class TestMisShapedProof:
         )
 
 
+_HEAD_LEN = QpStatement._LAYOUT.size + 16  # a complaint post's qp opening
+
+
 class TestHostileComplaintPosts:
-    """Arbiterless resolution must survive any bytes a party posts at K1/K4.
+    """Resolution must survive any bytes a party posts at K1/K4, or hands
+    the arbiter.
 
     The session has a corrupt proof in cycle 2; each post is a function of
     the run, so a test can build a post from the parties' real openings."""
@@ -1201,22 +1203,29 @@ class TestHostileComplaintPosts:
 
     @staticmethod
     def client_complains(run):
-        return protocol.pack_complaints(run.client.complaints, run.client.opening_qp)
+        return run.client.complaint_post()
 
-    @pytest.mark.parametrize("payload", [
-        pytest.param(b"not json", id="not-json"),
-        pytest.param(b"\xff\xfe", id="not-utf8"),
-        pytest.param(b"[1, 2]", id="not-an-object"),
-        pytest.param(b'{"complaints": 5}', id="no-opening"),
+    @pytest.mark.parametrize("post", [
+        pytest.param(lambda run: b"", id="empty"),
+        # posts in the retired JSON form, each shorter than the opening
+        pytest.param(lambda run: b"not json", id="not-json"),
+        pytest.param(lambda run: b"\xff\xfe", id="not-utf8"),
+        pytest.param(lambda run: b"[1, 2]", id="not-an-object"),
+        pytest.param(lambda run: b'{"complaints": 5}', id="no-opening"),
         pytest.param(
-            b'{"complaints": [1], "opening": {"statement": 1, "randomness": ""}}',
+            lambda run: b'{"complaints": [1], "opening": {"statement": 1, "randomness": ""}}',
             id="opening-not-hex",
         ),
-        pytest.param(b"[" * 100_000, id="deep-nesting"),
+        pytest.param(lambda run: run.server.complaint_post()[:-1],
+                     id="opening-less-a-byte"),
+        pytest.param(
+            lambda run: protocol.pack_complaints(run.server.opening_qp, [1]) + bytes(2),
+            id="partial-item",
+        ),
     ])
-    def test_unparseable_server_post_is_filtered(self, payload):
+    def test_unparseable_server_post_is_filtered(self, post):
         run, report, payout = self.resolve_and_pay(
-            server_post=lambda run: payload, client_post=self.client_complains
+            server_post=post, client_post=self.client_complains
         )
         assert report.server_admitted == report.server_filtered == []
         assert report.client_admitted == [(2, 1)]
@@ -1231,22 +1240,165 @@ class TestHostileComplaintPosts:
         # the unproven cycle is paid like the others: client 21-15, server 6+15
         assert payout == {"client": 6, "server": 21}
 
-    def test_wrong_typed_items_are_filtered(self):
-        server_items = ["x", None, [1], {"j": 1}, float("inf"), 1]
-        client_items = [{"j": 2}, [2], "ab", 7, [float("inf"), 1], [None, 1], [2, 1]]
+    @pytest.mark.parametrize("cut", [
+        pytest.param(lambda post: post[:_HEAD_LEN - 1], id="opening-less-a-byte"),
+        # a whole server item is half a client item
+        pytest.param(lambda post: post + bytes(4), id="half-item"),
+        pytest.param(lambda post: post[:-1], id="item-less-a-byte"),
+    ])
+    def test_cut_client_post_is_filtered(self, cut):
+        run, report, payout = self.resolve_and_pay(
+            client_post=lambda run: cut(run.client.complaint_post())
+        )
+        assert report.client_admitted == report.client_filtered == []
+        assert run.contract.counters == Counters()
+        assert payout == {"client": 6, "server": 21}
+
+    def test_out_of_range_and_duplicate_items_are_filtered(self):
+        # z = 3 and phi = 4; the last field value a 4-byte item can carry
+        top = 2**32 - 1
+        server_items = [0, 4, top, 1, 1]
+        client_items = [(0, 1), (4, 1), (top, 1), (2, 0), (2, 5), (2, top),
+                        (2, 1), (2, 1)]
         run, report, payout = self.resolve_and_pay(
             server_post=lambda run: protocol.pack_complaints(
-                server_items, run.server.opening_qp
+                run.server.opening_qp, server_items
             ),
             client_post=lambda run: protocol.pack_complaints(
-                client_items, run.client.opening_qp
+                run.client.opening_qp, [n for c in client_items for n in c]
             ),
         )
         assert report.server_admitted == [1]
+        assert report.server_filtered == [0, 4, top, 1]
         assert report.client_admitted == [(2, 1)]
-        assert report.server_filtered == report.client_filtered == []
+        assert report.client_filtered == client_items[:-2] + [(2, 1)]
         assert run.contract.counters == Counters(server_faults=1)
         assert payout == {"client": 13, "server": 14}
+
+    @pytest.mark.parametrize("width, fields", [
+        (1, [1, 0, 2**32 - 1, 1]),
+        (2, [3, 1, 2**32 - 1, 0, 3, 1]),
+    ], ids=["server", "client"])
+    def test_pack_unpack_round_trip(self, width, fields):
+        opening = Opening(bytes(range(QpStatement._LAYOUT.size)), bytes(range(16)))
+        post = protocol.pack_complaints(opening, fields)
+        assert len(post) == _HEAD_LEN + 4 * len(fields)
+        assert protocol.unpack_complaints(post, width) == (fields, opening)
+        assert protocol.unpack_complaints(post[:_HEAD_LEN], width) == ([], opening)
+        run = HonestRun(make_config(z=3), seed=21,
+                        server_behavior=ServerBehavior(corrupt_block=frozenset({2})))
+        assert protocol.unpack_complaints(run.client.complaint_post(), 2) == (
+            [2, 1], run.client.opening_qp
+        )
+
+    @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
+    @pytest.mark.parametrize("hostile", ["server", "client"])
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_any_post_resolves_within_bounds(self, hostile, variant, data):
+        # one party posts (or hands the arbiter) arbitrary bytes, the other
+        # is honest: resolution raises nothing, each item it reads is either
+        # admitted or filtered, coins are conserved, and the honest party is
+        # never charged
+        cycles = st.frozensets(st.integers(1, 3), max_size=1)
+        behaviors = {}
+        if hostile == "server":
+            behaviors["server_behavior"] = ServerBehavior(
+                corrupt_block=data.draw(cycles),
+                withhold_proof=data.draw(cycles),
+                false_query_complaint=data.draw(cycles),
+            )
+        else:
+            behaviors["client_behavior"] = ClientBehavior(
+                invalid_query=data.draw(cycles),
+                false_accusation=data.draw(cycles),
+                withhold_query=data.draw(cycles),
+            )
+        config = make_config(z=3, variant=variant)
+        run = HonestRun(config, seed=data.draw(st.integers(0, 2**16)), **behaviors)
+        ledger, contract = run.ledger, run.contract
+        start = ledger.total_supply()
+
+        # the post: fewer bytes than an opening, or the party's own opening
+        # or any 104 bytes, then items whose fields are mostly in the cycle
+        # and entry ranges (z = 3, phi = 4), then maybe a cut item; ``read``
+        # is what resolution must list: a cut of 4 bytes is one more server
+        # item, (0,), but half a client item, and any other cut leaves none
+        width = 1 if hostile == "server" else 2
+        form = data.draw(st.sampled_from(["own", "own", "any", "short"]))
+        if form == "short":
+            post, read = data.draw(st.binary(max_size=_HEAD_LEN - 1)), []
+        else:
+            head = getattr(run, hostile).complaint_post()[:_HEAD_LEN]
+            if form == "any":
+                head = data.draw(st.binary(min_size=_HEAD_LEN, max_size=_HEAD_LEN))
+            field = st.one_of(st.integers(1, 3), st.integers(0, 5),
+                              st.integers(0, 2**32 - 1))
+            items = data.draw(
+                st.lists(st.tuples(*[field] * width), min_size=1, max_size=8)
+            )
+            fields = [n for item in items for n in item]
+            cut = data.draw(st.sampled_from([0, 0, 0, 1, 3, 4]))
+            post = head + struct.pack(f">{len(fields)}I", *fields) + bytes(cut)
+            read = []
+            if cut % (4 * width) == 0:
+                read = items + [(0,) * width] * (cut // (4 * width))
+        if hostile == "server":
+            read = [j for (j,) in read]
+        posts = {"server": run.server.complaint_post(),
+                 "client": run.client.complaint_post()}
+        posts[hostile] = post
+
+        if variant == ARBITER:
+            arbiter = Arbiter(run.addr_r)
+            goto(ledger, contract, "K2")
+            arbiter.resolve_server(posts["server"], ledger, contract)
+            goto(ledger, contract, "K5")
+            arbiter.resolve_client(posts["client"], ledger, contract)
+            goto(ledger, contract, "K6")
+            arbiter.post_counters(ledger, contract)
+            report = arbiter.report
+        else:
+            for label, name in (("K1", "server"), ("K4", "client")):
+                party = getattr(run, name)
+                goto(ledger, contract, label)
+                ledger.post(contract, protocol.LedgerMessage(
+                    party.addr, party.COMPLAINTS, posts[name]))
+            goto(ledger, contract, "K5")
+            report = protocol.contract_resolve(ledger, contract)
+
+        listed = {
+            "server": report.server_admitted + report.server_filtered,
+            "client": report.client_admitted + report.client_filtered,
+        }
+        honest = "client" if hostile == "server" else "server"
+        assert sorted(listed[honest]) == sorted(getattr(run, honest).complaints)
+        assert sorted(listed[hostile]) == sorted(read)
+
+        c, z = contract.counters, config.z
+        assert min(c.as_dict().values()) >= 0
+        assert c.client_faults + c.client_unneeded_disputes <= z
+        assert c.server_faults + c.server_unneeded_disputes <= z
+
+        goto(ledger, contract, "L")
+        run.client.request_payout(ledger)
+        pay = (protocol.payout_arbiter_variant if variant == ARBITER
+               else protocol.payout_arbiterless_variant)
+        payout = pay(ledger, contract, run.client.opening_cp)
+        assert ledger.total_supply() == start
+        assert contract.escrow == 0
+        assert sum(payout.values()) == (
+            contract.client_deposited + contract.server_deposited
+        )
+        if hostile == "server":
+            assert c.client_faults == c.client_unneeded_disputes == 0
+        else:
+            assert c.server_faults == c.server_unneeded_disputes == 0
+            # o per cycle; without an arbiter the client's l charges go to
+            # the server
+            o, l = config.price_choice.o, config.price_choice.l
+            fees = l * c.client_faults if variant == ARBITERLESS else 0
+            assert payout["server"] - contract.server_deposited == o * z + fees
 
 
 class TestPayoutGuards:
