@@ -20,7 +20,6 @@ import functools
 import random
 import struct
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -107,11 +106,14 @@ class UnitFormat:
     value_capacity: int
     payload_len: int = field(init=False, repr=False, compare=False)
     unit_len: int = field(init=False, repr=False, compare=False)
+    layout: struct.Struct = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # read once per unit on the seal/open path, so fixed at construction
         object.__setattr__(self, "payload_len", _LEN_PREFIX + self.value_capacity)
         object.__setattr__(self, "unit_len", NONCE_LEN + self.payload_len + TAG_LEN)
+        # the plaintext: big-endian length prefix, then the zero-filled value
+        object.__setattr__(self, "layout", struct.Struct(f">H{self.value_capacity}s"))
 
 
 @functools.lru_cache(maxsize=8)
@@ -119,40 +121,6 @@ def _aead(key: bytes) -> AESGCM:
     """One cipher per key: a session seals and opens thousands of units under
     a handful of keys, and building the cipher costs more than using it."""
     return AESGCM(key)
-
-
-@functools.lru_cache(maxsize=32)
-def _slot_layout(count: int, capacity: int) -> struct.Struct:
-    """Compiled layout of ``count`` slots, each the _LEN_PREFIX-byte
-    big-endian length, then the value zero-filled to ``capacity``."""
-    return struct.Struct(">" + f"H{capacity}s" * count)
-
-
-def pack_slots(values: Sequence[bytes], fmt: UnitFormat) -> bytes:
-    """Frame each value into ``fmt.payload_len`` bytes (length prefix, value,
-    zero fill) and concatenate the slots."""
-    lens = list(map(len, values))
-    if max(lens) > fmt.value_capacity:
-        raise ValueError(
-            f"value of {max(lens)} bytes exceeds unit capacity {fmt.value_capacity}"
-        )
-    fields = [None] * (2 * len(lens))  # (length, value) per slot, in order
-    fields[0::2] = lens
-    fields[1::2] = values
-    return _slot_layout(len(lens), fmt.value_capacity).pack(*fields)
-
-
-def unpack_slots(data: bytes, count: int, fmt: UnitFormat) -> list[bytes]:
-    """Values of the first ``count`` slots of ``data``, which must hold at
-    least that many.
-
-    Raises DecryptFailure when a length prefix exceeds the capacity.
-    """
-    fields = _slot_layout(count, fmt.value_capacity).unpack_from(data)
-    lens = fields[0::2]
-    if max(lens) > fmt.value_capacity:
-        raise DecryptFailure("payload length prefix exceeds unit capacity")
-    return [slot[:n] for n, slot in zip(lens, fields[1::2])]
 
 
 def enc_unit(key: bytes, value: bytes, fmt: UnitFormat, rng: random.Random) -> bytes:
@@ -163,7 +131,7 @@ def enc_unit(key: bytes, value: bytes, fmt: UnitFormat, rng: random.Random) -> b
         raise ValueError(
             f"value of {n} bytes exceeds unit capacity {fmt.value_capacity}"
         )
-    payload = _slot_layout(1, fmt.value_capacity).pack(n, value)
+    payload = fmt.layout.pack(n, value)
     nonce = rng.randbytes(NONCE_LEN)
     return nonce + _aead(key).encrypt(nonce, payload, None)
 
@@ -180,7 +148,7 @@ def dec_unit(key: bytes, unit: bytes, fmt: UnitFormat) -> bytes:
         payload = _aead(key).decrypt(unit[:NONCE_LEN], unit[NONCE_LEN:], None)
     except InvalidTag as exc:
         raise DecryptFailure("unit failed authentication") from exc
-    n, value = _slot_layout(1, fmt.value_capacity).unpack(payload)
+    n, value = fmt.layout.unpack(payload)
     if n > fmt.value_capacity:
         raise DecryptFailure("payload length prefix exceeds unit capacity")
     return value[:n]

@@ -259,6 +259,8 @@ class RcContract:
             require_time(now, "T1")
             if self.a_flag is not None:
                 raise DuplicateSlot("server already responded")
+            if msg.payload not in (b"\x00", b"\x01"):
+                raise MalformedPayload("server response must be one byte, 0 or 1")
         elif msg.kind is MsgKind.SERVER_COMPLAINTS:
             if not p.arbiterless:
                 raise WrongSender("complaints go to the arbiter in this variant")
@@ -299,7 +301,7 @@ class RcContract:
         elif msg.kind is MsgKind.PROOF:
             self.proofs[msg.slot] = msg.payload
         elif msg.kind is MsgKind.SERVER_RESPONSE:
-            self.a_flag = msg.payload[0] if msg.payload else 0
+            self.a_flag = msg.payload[0]
         elif msg.kind in (MsgKind.SERVER_COMPLAINTS, MsgKind.CLIENT_COMPLAINTS):
             self.complaint_posts[msg.kind.value] = msg.payload
         elif msg.kind is MsgKind.COUNTERS:

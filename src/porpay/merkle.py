@@ -50,15 +50,10 @@ class MerkleTree:
     blocks: bytes
     block_len: int
     levels: tuple[list[bytes], ...]
-    height: int
 
     @property
     def m(self) -> int:
         return len(self.blocks) // self.block_len
-
-    @property
-    def root(self) -> bytes:
-        return self.levels[-1][0]
 
 
 class MerklePath(NamedTuple):
@@ -101,7 +96,7 @@ def gen_tree(blocks: bytes, block_len: int) -> tuple[MerkleTree, bytes]:
         level = [node_sha256(a + b).digest()[:HASH_LEN] for a, b in zip(pairs, pairs)]
         tally(len(level))
         levels.append(level)
-    return MerkleTree(blocks, block_len, tuple(levels), len(levels)), level[0]
+    return MerkleTree(blocks, block_len, tuple(levels)), level[0]
 
 
 def prove(tree: MerkleTree, index: int) -> MerklePath:

@@ -16,7 +16,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, Union
+from typing import Sequence, Union
 
 from . import merkle
 from .crypto import IOTA_BITS, PRF_COUNTER_LEN, PSI_BITS, prf
@@ -34,39 +34,24 @@ class ParamMismatch(ValueError):
     """Encoded file does not match the public parameters."""
 
 
-class Codec(Protocol):
-    """Pluggable erasure-style pre-encoding applied before block splitting."""
-
-    name: str
-
-    def encode(self, data: bytes) -> bytes: ...
-
-
-class IdentityCodec:
-    name = "identity"
-
-    def encode(self, data: bytes) -> bytes:
-        return data
-
-
 class XorParityCodec:
-    """Appends one XOR-parity chunk after every group of four data chunks.
+    """Erasure-style pre-encoding applied before block splitting: appends
+    one XOR-parity chunk after every group of four data chunks.
 
     Demonstrates the encoding hook; a short final chunk is zero-filled.
     """
 
-    name = "xor-parity"
+    GROUP = 4  # data chunks per parity chunk
 
-    def __init__(self, chunk_len: int = DEFAULT_BLOCK_PAYLOAD_LEN, group: int = 4):
-        if chunk_len < 1 or group < 1:
-            raise ValueError("chunk_len and group must be positive")
+    def __init__(self, chunk_len: int = DEFAULT_BLOCK_PAYLOAD_LEN):
+        if chunk_len < 1:
+            raise ValueError("chunk_len must be positive")
         self.chunk_len = chunk_len
-        self.group = group
 
     def encode(self, data: bytes) -> bytes:
         n = self.chunk_len
         data = data.ljust(-(-len(data) // n) * n, b"\x00")
-        span = n * self.group
+        span = n * self.GROUP
         pieces: list[bytes] = []
         for start in range(0, len(data), span):
             group = data[start : start + span]
@@ -75,9 +60,6 @@ class XorParityCodec:
                 parity ^= int.from_bytes(group[i : i + n], "big")
             pieces += (group, parity.to_bytes(n, "big"))
         return b"".join(pieces)
-
-
-CODECS = {"identity": IdentityCodec, "xor-parity": XorParityCodec}
 
 
 @dataclass(frozen=True)
@@ -132,7 +114,7 @@ def setup(
     file: bytes,
     block_payload_len: int = DEFAULT_BLOCK_PAYLOAD_LEN,
     phi: int = DEFAULT_PHI,
-    codec: Codec | None = None,
+    codec: XorParityCodec | None = None,
 ) -> tuple[bytes, PublicParams]:
     """Encode ``file`` into indexed blocks and publish the Merkle root.
 

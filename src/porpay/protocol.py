@@ -51,7 +51,6 @@ from .crypto import (
     gen_sym_key,
     prf,
     sample_unit,
-    unpack_slots,
 )
 from .hashing import HASH_LEN
 from .ledger import (
@@ -70,6 +69,7 @@ from .sap import sap_agree, sap_init, sap_verify
 
 ARBITER = "arbiter"
 ARBITERLESS = "arbiterless"
+CODEC_NAMES = ("identity", "xor-parity")
 
 _SAP_QP = 0  # index of the query-parameter session in the contract's sap_refs
 _SAP_CP = 1
@@ -248,7 +248,7 @@ class SessionConfig:
             raise PriceNotInList(f"{self.price_choice} not offered")
         if self.variant not in (ARBITER, ARBITERLESS):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.codec_name not in por.CODECS:
+        if self.codec_name not in CODEC_NAMES:
             raise ValueError(f"unknown codec {self.codec_name!r}")
 
     @property
@@ -258,10 +258,11 @@ class SessionConfig:
         return CpStatement(choice.o, prices.o_max, choice.l, prices.l_max, self.z)
 
 
-def make_codec(name: str, block_payload_len: int) -> por.Codec:
+def make_codec(name: str, block_payload_len: int) -> por.XorParityCodec | None:
+    """The pre-encoding ``name`` selects; None is the identity."""
     if name == "xor-parity":
         return por.XorParityCodec(chunk_len=block_payload_len)
-    return por.CODECS[name]()
+    return None
 
 
 def entry_real_units(m: int) -> int:
@@ -317,15 +318,13 @@ class ProofFormat:
     vectors and uniformly sampled padding are therefore indistinguishable by
     length, whatever the tree height.
 
-    An honest entry's value lengths are fixed too, and ``lens`` lists them.
-    ``layout`` is the whole plaintext of such an entry, compiled once: each
-    value's length prefix and bytes, with the zero fill and the pad tail as
-    ``x`` padding: the bytes ``pack_slots`` frames those values into.
+    The value lengths are fixed too, and ``lens`` lists them. ``layout`` is
+    the whole plaintext of an entry, compiled once: each value's length
+    prefix and bytes, with the zero fill and the pad tail as ``x`` padding.
     Entries are sealed with one ``layout.pack`` call, and a path of other
     value lengths is refused. They are opened with one ``layout.unpack``
-    call; a plaintext whose length fields differ from ``lens`` (a failing
-    or hand-built entry) is read again with ``unpack_slots``, which gives
-    the same values or the same DecryptFailure.
+    call, and a plaintext whose length fields differ from ``lens`` is a
+    failed entry, like a unit that fails to open.
     """
 
     phi: int
@@ -404,8 +403,8 @@ def open_entry(
 ) -> merkle.MerklePath:
     """Open the 1-based ``g``-th entry of a proof vector.
 
-    Raises DecryptFailure when a unit is missing, fails to open, or the
-    units do not carry ``pf.real`` well-formed value slots.
+    Raises DecryptFailure when a unit is missing or fails to open, or when
+    the units do not carry exactly the slots ``pf.layout`` fixes.
     """
     unit = pf.unit
     n = unit.unit_len
@@ -419,19 +418,10 @@ def open_entry(
     if len(packed) != pf.units * unit.value_capacity:
         raise DecryptFailure("entry units do not fill their slots")
     fields = pf.layout.unpack(packed)
-    if fields[0::2] == pf.lens:  # else a failing or hand-built entry
-        return merkle.MerklePath(
-            fields[1], fields[3], fields[5:-2:2], int.from_bytes(fields[-1], "big")
-        )
-    values = unpack_slots(packed, pf.real, pf.slot)
-    raw_index = values[-1]
-    if len(raw_index) != por.INDEX_LEN:
-        raise DecryptFailure("malformed leaf index slot")
+    if fields[0::2] != pf.lens:
+        raise DecryptFailure("entry slot lengths differ from the proof format")
     return merkle.MerklePath(
-        leaf_block=values[0],
-        sibling_block=values[1],
-        sibling_digests=tuple(values[2:-1]),
-        leaf_index=int.from_bytes(raw_index, "big"),
+        fields[1], fields[3], fields[5:-2:2], int.from_bytes(fields[-1], "big")
     )
 
 
@@ -441,8 +431,8 @@ def decode_proof_vector(
     """Open every entry.
 
     Returns (entries, None) on success or (None, g) where g is the first
-    entry that failed to open or carried a malformed slot; a mis-shaped
-    vector fails at entry 1.
+    entry that failed to open or whose slot lengths are not the format's;
+    a mis-shaped vector fails at entry 1.
     """
     if len(payload) != pf.phi * pf.entry_len:
         return None, 1

@@ -16,41 +16,21 @@ from __future__ import annotations
 import random
 
 from .crypto import Opening, commit, commit_verify, gen_commit_randomness
-from .ledger import (
-    Address,
-    DuplicateSlot,
-    Ledger,
-    UnknownAddress,
-    UnknownSession,
-    WrongSender,
-)
+from .ledger import Address, Ledger, UnknownAddress, UnknownSession
 
 
 class SapSession:
-    """Ledger-hosted agreement session between one client and one server."""
+    """Ledger-hosted agreement session between one client and one server.
 
-    def __init__(self, session_id: int, addr_client: Address, addr_server: Address):
-        self.session_id = session_id
+    It is deployed holding the client's commitment; ``sap_agree`` records
+    the server's.
+    """
+
+    def __init__(self, addr_client: Address, addr_server: Address, g_client: bytes):
         self.addr_client = addr_client
         self.addr_server = addr_server
-        self.g_client: bytes | None = None
+        self.g_client = g_client
         self.g_server: bytes | None = None
-
-    def record_client(self, sender: Address, commitment: bytes) -> None:
-        if sender != self.addr_client:
-            raise WrongSender("client commitment must come from the client address")
-        if self.g_client is not None:
-            raise DuplicateSlot("client commitment already recorded")
-        self.g_client = commitment
-
-    def record_server(self, sender: Address, commitment: bytes) -> None:
-        if sender != self.addr_server:
-            raise WrongSender("server commitment must come from the server address")
-        if self.g_client is None:
-            raise DuplicateSlot("server commitment requires the client's first")
-        if self.g_server is not None:
-            raise DuplicateSlot("server commitment already recorded")
-        self.g_server = commitment
 
 
 def sap_init(
@@ -70,11 +50,9 @@ def sap_init(
             raise UnknownAddress(addr.id)
     r = gen_commit_randomness(rng)
     g_client = commit(statement, r)
-    session = SapSession(0, addr_client, addr_server)
-    session.session_id = ledger.register_session(session)
-    session.record_client(addr_client, g_client)
+    session_id = ledger.register_session(SapSession(addr_client, addr_server, g_client))
     ledger.log_session_event("sap_commit_client", addr_client, g_client)
-    return r, g_client, session.session_id
+    return r, g_client, session_id
 
 
 def sap_agree(
@@ -103,9 +81,8 @@ def sap_agree(
         or not commit_verify(session.g_client, opening)
     ):
         return False
-    g_server = commit(opening.statement, opening.randomness)
-    session.record_server(sender, g_server)
-    ledger.log_session_event("sap_commit_server", sender, g_server)
+    session.g_server = commit(opening.statement, opening.randomness)
+    ledger.log_session_event("sap_commit_server", sender, session.g_server)
     return True
 
 
@@ -127,7 +104,7 @@ def sap_verify(
         session: SapSession = ledger.session(session_id)
     except UnknownSession:
         return False
-    if session.g_client is None or session.g_server is None:
+    if session.g_server is None:
         return False
     if session.addr_client != addr_client or session.addr_server != addr_server:
         return False

@@ -212,6 +212,15 @@ class TestPost:
         assert not contract.resolved
         assert all(e["kind"] != "counters" for e in ledger.export_trace())
 
+    @pytest.mark.parametrize("payload", [b"", b"\x02", b"\x01\x00"])
+    def test_malformed_server_response_rejected(self, payload):
+        ledger, contract, client, server, arbiter = make_env()
+        goto(ledger, contract, "T1")
+        with pytest.raises(MalformedPayload):
+            ledger.post(contract, LedgerMessage(server, MsgKind.SERVER_RESPONSE, payload))
+        assert contract.a_flag is None
+        assert all(e["kind"] != "server_response" for e in ledger.export_trace())
+
     def test_complaint_posts_only_in_arbiterless_variant(self):
         ledger, contract, client, server, _ = make_env()
         goto(ledger, contract, "K1")

@@ -389,7 +389,7 @@ class TestCodecs:
         # 6 whole chunks plus 1 byte: groups of 4 and 3 chunks, the last
         # chunk zero-filled
         data = bytes(range(1, 26))
-        coded = por.XorParityCodec(chunk_len=4, group=4).encode(data)
+        coded = por.XorParityCodec(chunk_len=4).encode(data)
         chunks = [data[i : i + 4].ljust(4, b"\x00") for i in range(0, 25, 4)]
         assert len(chunks) == 7
 

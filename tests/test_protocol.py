@@ -9,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from porpay import merkle, por, protocol
-from porpay.crypto import (
-    DecryptFailure,
-    Opening,
-    dec_unit,
-    enc_unit,
-    pack_slots,
-    unpack_slots,
-)
+from porpay.crypto import DecryptFailure, Opening, dec_unit, enc_unit
 from porpay.ledger import Counters, DuplicateSlot, Ledger, Schedule
 from porpay.protocol import (
     ARBITER,
@@ -81,6 +74,13 @@ def setup_tree(rng, size, phi):
 
 def proof_format(pp, pad_pi, payload=16):
     return protocol.proof_format(QpStatement(pad_pi, bytes(16), pp, payload))
+
+
+def frame_slots(values, capacity):
+    """Each value as one slot: its 2-byte big-endian length, the value,
+    zero fill up to ``capacity``."""
+    return b"".join(len(v).to_bytes(2, "big") + v + bytes(capacity - len(v))
+                    for v in values)
 
 
 def _other_prf(qp):
@@ -668,9 +668,7 @@ class TestEntryUnits:
             plain = AESGCM(self.K_BAR).decrypt(unit[:12], unit[12:], None)
             values = [path.leaf_block, path.sibling_block, *path.sibling_digests,
                       path.leaf_index.to_bytes(4, "big")]
-            slots = b"".join(len(v).to_bytes(2, "big") + v + bytes(20 - len(v))
-                             for v in values)
-            body = slots + bytes(self.PAD * 22)
+            body = frame_slots(values, 20) + bytes(self.PAD * 22)
             assert len(values) == real
             assert plain == len(body).to_bytes(2, "big") + body
 
@@ -703,6 +701,18 @@ class TestEntryUnits:
 
         assert self.decode(splice(good), pp, fmt, real) == (pi, None)
         assert self.decode(splice(bytes(plain)), pp, fmt, real) == (None, g)
+
+    def test_first_malformed_entry_fails(self):
+        # entry 2 states a 19-byte leaf block, resealed under the right key,
+        # and entry 5 does not open: entry 2 is the first failing entry
+        pi, pp, fmt, efmt, real, payload = self.vector()
+        start = efmt.unit_len
+        plain = bytearray(dec_unit(self.K_BAR, payload[start : 2 * start], efmt))
+        plain[0:2] = (19).to_bytes(2, "big")
+        sealed = enc_unit(self.K_BAR, bytes(plain), efmt, random.Random(0))
+        bad = bytearray(payload[:start] + sealed + payload[2 * start :])
+        bad[4 * efmt.unit_len + efmt.unit_len // 2] ^= 0x01
+        assert self.decode(bytes(bad), pp, fmt, real) == (None, 2)
 
     def test_short_plaintext_fails_that_entry(self):
         pi, pp, fmt, efmt, real, payload = self.vector()
@@ -742,9 +752,10 @@ class TestEntryUnits:
 
 
 class TestCompiledEntryLayout:
-    """Entries of an honest entry's value lengths are packed and opened
-    through the format's compiled layout; the results must be exactly those
-    of the generic slot framing, for honest and hostile entries alike."""
+    """Entries are packed and opened through the format's compiled layout:
+    sealing gives the slot framing of the path's values, and opening
+    returns the path iff every length field states the agreed length, for
+    honest and hostile entries alike."""
 
     K_BAR = b"\x05" * 16
     # length prefixes a hostile plaintext may state, by name
@@ -770,11 +781,7 @@ class TestCompiledEntryLayout:
         return pf, lens
 
     @staticmethod
-    def generic_open(plain, pf):
-        """open_entry's slot reading done with unpack_slots alone."""
-        values = unpack_slots(plain, pf.real, pf.slot)
-        if len(values[-1]) != por.INDEX_LEN:
-            raise DecryptFailure("malformed leaf index slot")
+    def path(values):
         return merkle.MerklePath(
             values[0], values[1], tuple(values[2:-1]), int.from_bytes(values[-1], "big")
         )
@@ -786,22 +793,16 @@ class TestCompiledEntryLayout:
             for i in range(0, len(plain), step)
         )
 
-    @staticmethod
-    def outcome(call):
-        try:
-            return call()
-        except (DecryptFailure, ValueError) as exc:
-            return type(exc)
-
     @settings(max_examples=120)
     @given(st.data())
-    def test_open_matches_generic_framing(self, data):
+    def test_open_reads_only_the_agreed_lengths(self, data):
         pf, lens = self.shape(data)
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         values = [rng.randbytes(n) for n in lens]
         slot_len, capacity = pf.slot.payload_len, pf.slot.value_capacity
         plain_len = pf.units * pf.unit.value_capacity
-        plain = bytearray(pack_slots(values, pf.slot) + bytes(plain_len - pf.real * slot_len))
+        plain = bytearray(frame_slots(values, capacity)
+                          + bytes(plain_len - pf.real * slot_len))
         for _ in range(data.draw(st.integers(0, 4))):
             k = data.draw(st.integers(0, pf.real))  # pf.real: the pad tail
             if data.draw(st.booleans()) and k < pf.real:
@@ -820,24 +821,27 @@ class TestCompiledEntryLayout:
                 hi = (k + 1) * slot_len if k < pf.real else plain_len
                 if lo < hi:
                     plain[data.draw(st.integers(lo, hi - 1))] = data.draw(st.integers(1, 255))
-        plain = bytes(plain)
-        sealed = self.seal(plain, pf, rng)
-        got = self.outcome(lambda: protocol.open_entry(sealed, 1, self.K_BAR, pf))
-        assert got == self.outcome(lambda: self.generic_open(plain, pf))
+        stated_lens = [int.from_bytes(plain[k * slot_len : k * slot_len + 2], "big")
+                       for k in range(pf.real)]
+        sealed = self.seal(bytes(plain), pf, rng)
+        if stated_lens == lens:
+            assert protocol.open_entry(sealed, 1, self.K_BAR, pf) == self.path(values)
+        else:
+            with pytest.raises(DecryptFailure):
+                protocol.open_entry(sealed, 1, self.K_BAR, pf)
 
     @settings(max_examples=60)
     @given(st.data())
-    def test_encode_matches_generic_framing(self, data):
+    def test_encode_frames_the_path_values(self, data):
         pf, lens = self.shape(data)
         seed = data.draw(st.integers(0, 2**32))
         rng = random.Random(seed)
         values = [rng.randbytes(n) for n in lens]
-        path = merkle.MerklePath(
-            values[0], values[1], tuple(values[2:-1]), int.from_bytes(values[-1], "big")
-        )
+        path = self.path(values)
         tail = bytes(pf.units * pf.unit.value_capacity - pf.real * pf.slot.payload_len)
         got = protocol.encode_proof_vector((path,), self.K_BAR, pf, random.Random(seed))
-        assert got == self.seal(pack_slots(values, pf.slot) + tail, pf, random.Random(seed))
+        plain = frame_slots(values, pf.slot.value_capacity) + tail
+        assert got == self.seal(plain, pf, random.Random(seed))
         assert protocol.open_entry(got, 1, self.K_BAR, pf) == path
         # a hand-built path carrying a block or digest of another length is
         # refused rather than sealed
