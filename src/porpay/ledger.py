@@ -16,13 +16,17 @@ import json
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .hashing import digest
 
 
 class UnknownAddress(KeyError):
     """Operation referenced an address this ledger has never issued."""
+
+
+class UnknownContract(KeyError):
+    """Operation named a contract object this ledger did not deploy."""
 
 
 class UnknownSession(KeyError):
@@ -131,8 +135,7 @@ class LedgerMessage:
     slot: int | None = None  # cycle number for QUERY / PROOF
 
 
-@dataclass
-class Counters:
+class Counters(NamedTuple):
     """Dispute tallies: faults are confirmed misbehaviour per cycle, the
     unneeded-dispute counts record complaints that identified no fault
     (third-party-arbiter variant only)."""
@@ -145,21 +148,14 @@ class Counters:
     _LAYOUT = struct.Struct(">QQQQ")
     PACKED_LEN = _LAYOUT.size
 
+    def __add__(self, other: "Counters") -> "Counters":
+        return Counters(*(a + b for a, b in zip(self, other)))
+
     def as_dict(self) -> dict:
-        return {
-            "client_faults": self.client_faults,
-            "server_faults": self.server_faults,
-            "client_unneeded_disputes": self.client_unneeded_disputes,
-            "server_unneeded_disputes": self.server_unneeded_disputes,
-        }
+        return self._asdict()
 
     def pack(self) -> bytes:
-        return self._LAYOUT.pack(
-            self.client_faults,
-            self.server_faults,
-            self.client_unneeded_disputes,
-            self.server_unneeded_disputes,
-        )
+        return self._LAYOUT.pack(*self)
 
     @classmethod
     def unpack(cls, data: bytes) -> "Counters":
@@ -170,7 +166,7 @@ class Counters:
         party's faults plus unneeded disputes are at most z: one charge per
         cycle."""
         if (
-            min(self.as_dict().values()) < 0
+            min(self) < 0
             or self.client_faults + self.client_unneeded_disputes > z
             or self.server_faults + self.server_unneeded_disputes > z
         ):
@@ -186,15 +182,16 @@ class ContractParams:
     server_deposit_required: int
     addr_client: Address
     addr_server: Address
-    arbiterless: bool = False
-    addr_arbiter: Address | None = None
+    addr_arbiter: Address | None = None  # None: the arbiter-free variant
     sap_refs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.z < 1:
             raise ValueError("need at least one billing cycle")
-        if not self.arbiterless and self.addr_arbiter is None:
-            raise ValueError("third-party variant needs an arbiter address")
+
+    @property
+    def arbiterless(self) -> bool:
+        return self.addr_arbiter is None
 
 
 class RcContract:
@@ -206,15 +203,23 @@ class RcContract:
         self.a_flag: int | None = None
         self.client_deposited = 0
         self.server_deposited = 0
-        self.escrow = 0
         self.counters = Counters()
         self.resolved = False  # counters set once, by the arbiter or the contract
         self.queries: dict[int, bytes] = {}
         self.proofs: dict[int, bytes] = {}
         self.complaint_posts: dict[str, bytes] = {}
         self.pay_requests: list[str] = []
-        self.paid_out = False
         self.payout: dict[str, int] | None = None
+
+    @property
+    def paid_out(self) -> bool:
+        return self.payout is not None
+
+    @property
+    def escrow(self) -> int:
+        """Coins held: both deposits, less what the payout distributed."""
+        paid = sum(self.payout.values()) if self.payout else 0
+        return self.client_deposited + self.server_deposited - paid
 
     def query(self, j: int) -> bytes:
         try:
@@ -230,55 +235,50 @@ class RcContract:
         were."""
         if self.resolved:
             raise DuplicateSlot("dispute counters already resolved")
-        old = self.counters
-        c = Counters(
-            old.client_faults + delta.client_faults,
-            old.server_faults + delta.server_faults,
-            old.client_unneeded_disputes + delta.client_unneeded_disputes,
-            old.server_unneeded_disputes + delta.server_unneeded_disputes,
-        )
-        c.check_bounds(self.params.z)
-        self.counters = c
+        total = self.counters + delta
+        total.check_bounds(self.params.z)
+        self.counters = total
         self.resolved = True
 
-    # message admission rules: (kind, sender role, time label) must line up
-    def check_message(self, msg: LedgerMessage, now: TimePoint) -> None:
-        p = self.params
-        if msg.kind is MsgKind.QUERY:
-            self._require(msg.sender, p.addr_client, msg.kind)
-            self._require_slot_window(msg, now, part=1)
-            if msg.slot in self.queries:
-                raise DuplicateSlot(f"query already posted for cycle {msg.slot}")
-        elif msg.kind is MsgKind.PROOF:
-            self._require(msg.sender, p.addr_server, msg.kind)
-            self._require_slot_window(msg, now, part=2)
-            if msg.slot in self.proofs:
-                raise DuplicateSlot(f"proof already posted for cycle {msg.slot}")
-        elif msg.kind is MsgKind.SERVER_RESPONSE:
-            self._require(msg.sender, p.addr_server, msg.kind)
+    def accept(self, msg: LedgerMessage, now: TimePoint) -> None:
+        """Admit ``msg`` at ``now``: its kind's checks, that (kind, sender,
+        time) line up and the slot is free, then its store. A refused
+        message raises before anything is stored."""
+        p, kind = self.params, msg.kind
+        if not isinstance(msg.payload, bytes):
+            raise MalformedPayload("payload must be bytes")
+        if kind is MsgKind.QUERY or kind is MsgKind.PROOF:
+            by_client = kind is MsgKind.QUERY
+            self._require(msg.sender, p.addr_client if by_client else p.addr_server, kind)
+            j = msg.slot
+            if type(j) is not int or not 1 <= j <= p.z:
+                raise OutOfWindow(f"cycle {j!r} outside [1, {p.z}]")
+            require_time(now, f"G{j}.{1 if by_client else 2}")
+            posted = self.queries if by_client else self.proofs
+            if j in posted:
+                raise DuplicateSlot(f"{kind.value} already posted for cycle {j}")
+            posted[j] = msg.payload
+        elif kind is MsgKind.SERVER_RESPONSE:
+            self._require(msg.sender, p.addr_server, kind)
             require_time(now, "T1")
             if self.a_flag is not None:
                 raise DuplicateSlot("server already responded")
             if msg.payload not in (b"\x00", b"\x01"):
                 raise MalformedPayload("server response must be one byte, 0 or 1")
-        elif msg.kind is MsgKind.SERVER_COMPLAINTS:
+            self.a_flag = msg.payload[0]
+        elif kind is MsgKind.SERVER_COMPLAINTS or kind is MsgKind.CLIENT_COMPLAINTS:
             if not p.arbiterless:
                 raise WrongSender("complaints go to the arbiter in this variant")
-            self._require(msg.sender, p.addr_server, msg.kind)
-            require_time(now, "K1")
-            if msg.kind.value in self.complaint_posts:
-                raise DuplicateSlot("server complaints already posted")
-        elif msg.kind is MsgKind.CLIENT_COMPLAINTS:
-            if not p.arbiterless:
-                raise WrongSender("complaints go to the arbiter in this variant")
-            self._require(msg.sender, p.addr_client, msg.kind)
-            require_time(now, "K4")
-            if msg.kind.value in self.complaint_posts:
-                raise DuplicateSlot("client complaints already posted")
-        elif msg.kind is MsgKind.COUNTERS:
+            by_server = kind is MsgKind.SERVER_COMPLAINTS
+            self._require(msg.sender, p.addr_server if by_server else p.addr_client, kind)
+            require_time(now, "K1" if by_server else "K4")
+            if kind.value in self.complaint_posts:
+                raise DuplicateSlot(f"{kind.value.replace('_', ' ')} already posted")
+            self.complaint_posts[kind.value] = msg.payload
+        elif kind is MsgKind.COUNTERS:
             if p.arbiterless:
                 raise WrongSender("no arbiter counters in the arbiterless variant")
-            self._require(msg.sender, p.addr_arbiter, msg.kind)
+            self._require(msg.sender, p.addr_arbiter, kind)
             require_time(now, "K6")
             if self.resolved:
                 raise DuplicateSlot("arbiter counters already posted")
@@ -287,36 +287,19 @@ class RcContract:
                     f"counters payload of {len(msg.payload)} bytes, "
                     f"expected {Counters.PACKED_LEN}"
                 )
-        elif msg.kind is MsgKind.PAY:
+            self.add_counters(Counters.unpack(msg.payload))
+        elif kind is MsgKind.PAY:
             if msg.sender not in (p.addr_client, p.addr_server):
                 raise WrongSender("pay must come from a session party")
             if now.label not in ("T2", "L"):
                 raise OutOfWindow(f"pay not accepted at {now.label}")
-        else:  # pragma: no cover - exhaustive over MsgKind
-            raise WrongSender(f"unknown message kind {msg.kind}")
-
-    def apply_message(self, msg: LedgerMessage, now: TimePoint) -> None:
-        if msg.kind is MsgKind.QUERY:
-            self.queries[msg.slot] = msg.payload
-        elif msg.kind is MsgKind.PROOF:
-            self.proofs[msg.slot] = msg.payload
-        elif msg.kind is MsgKind.SERVER_RESPONSE:
-            self.a_flag = msg.payload[0]
-        elif msg.kind in (MsgKind.SERVER_COMPLAINTS, MsgKind.CLIENT_COMPLAINTS):
-            self.complaint_posts[msg.kind.value] = msg.payload
-        elif msg.kind is MsgKind.COUNTERS:
-            self.add_counters(Counters.unpack(msg.payload))
-        elif msg.kind is MsgKind.PAY:
             self.pay_requests.append(now.label)
+        else:
+            raise WrongSender(f"unknown message kind {kind!r}")
 
     def _require(self, sender: Address, expected: Address | None, kind: MsgKind) -> None:
         if sender != expected:
             raise WrongSender(f"{kind.value} not permitted for {sender.id}")
-
-    def _require_slot_window(self, msg: LedgerMessage, now: TimePoint, part: int) -> None:
-        if msg.slot is None or not 1 <= msg.slot <= self.params.z:
-            raise OutOfWindow(f"cycle {msg.slot} outside [1, {self.params.z}]")
-        require_time(now, f"G{msg.slot}.{part}")
 
 
 class Ledger:
@@ -375,10 +358,21 @@ class Ledger:
         self._log("deploy", deployer, str(contract.handle).encode())
         return contract
 
+    def _require_deployed(self, contract: RcContract) -> None:
+        """Raise UnknownContract unless this ledger deployed ``contract``."""
+        try:
+            deployed = self._contracts[contract.handle] is contract
+        except (IndexError, TypeError):
+            deployed = False
+        if not deployed:
+            raise UnknownContract(contract.handle)
+
     def deposit(self, sender: Address, contract: RcContract, amount: int) -> None:
         """Escrow ``amount`` from ``sender``; client deposits at T0, server at T1."""
-        if amount < 0:
-            raise ValueError("deposit must be non-negative")
+        self._require_deployed(contract)
+        # the trace records the amount in 8 bytes
+        if type(amount) is not int or not 0 <= amount < 2**64:
+            raise ValueError(f"deposit {amount!r} is not an int in [0, 2**64)")
         if sender == contract.params.addr_client:
             window = "T0"
         elif sender == contract.params.addr_server:
@@ -392,25 +386,25 @@ class Ledger:
                 f"{sender.id} holds {self.balance(sender)}, needs {amount}"
             )
         self._balances[sender] -= amount
-        contract.escrow += amount
-        if sender == contract.params.addr_client:
+        if window == "T0":
             contract.client_deposited += amount
         else:
             contract.server_deposited += amount
         self._log("deposit", sender, amount.to_bytes(8, "big"))
 
     def post(self, contract: RcContract, msg: LedgerMessage) -> None:
-        """Apply a message if the schedule permits it; accepted payloads are immutable."""
+        """Admit a message if the schedule permits it; accepted payloads are immutable."""
+        self._require_deployed(contract)
         if not self.has_address(msg.sender):
             raise UnknownAddress(msg.sender.id)
-        contract.check_message(msg, self.time)
-        contract.apply_message(msg, self.time)
+        contract.accept(msg, self.time)
         self._log(msg.kind.value, msg.sender, msg.payload, slot=msg.slot)
 
     def execute_payout(
         self, contract: RcContract, distribution: Iterable[tuple[Address, int]]
     ) -> dict[str, int]:
         """Distribute the whole escrow exactly once; conservation is enforced."""
+        self._require_deployed(contract)
         if contract.paid_out:
             raise AlreadyPaid("contract already paid out")
         dist = list(distribution)
@@ -422,16 +416,14 @@ class Ledger:
         for addr, _ in dist:
             if not self.has_address(addr):
                 raise UnknownAddress(addr.id)
+        payout: dict[str, int] = {}
         for addr, amount in dist:
             self._balances[addr] += amount
-        contract.escrow = 0
-        contract.paid_out = True
-        contract.payout = {}
-        for addr, amount in dist:
-            contract.payout[addr.id] = contract.payout.get(addr.id, 0) + amount
+            payout[addr.id] = payout.get(addr.id, 0) + amount
+        contract.payout = payout
         self._log("payout", contract.params.addr_client,
-                  json.dumps(contract.payout, sort_keys=True).encode())
-        return dict(contract.payout)
+                  json.dumps(payout, sort_keys=True).encode())
+        return dict(payout)
 
     # -- sub-contract sessions (e.g. statement agreements) ------------------
     def register_session(self, session) -> int:

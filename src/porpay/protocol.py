@@ -533,8 +533,15 @@ class Client(_Party):
         addr_server: Address,
         addr_arbiter: Address | None = None,
     ) -> Handoff:
-        """Phase 2: encode, agree on qp and cp, deploy, and deposit at T0."""
+        """Phase 2: encode, agree on qp and cp, deploy, and deposit at T0.
+        The arbiter variant needs ``addr_arbiter``, the arbiter-free one
+        refuses it."""
         cfg = self.config
+        if (cfg.variant == ARBITERLESS) != (addr_arbiter is None):
+            raise ValueError(
+                "the arbiter variant needs an arbiter address; "
+                "the arbiterless variant takes none"
+            )
         codec = make_codec(cfg.codec_name, cfg.block_payload_len)
         blocks, pp = por.setup(file, cfg.block_payload_len, cfg.phi, codec)
         if self.behavior.ill_formed_metadata:
@@ -567,7 +574,6 @@ class Client(_Party):
             server_deposit_required=cp.server_deposit,
             addr_client=self.addr,
             addr_server=addr_server,
-            arbiterless=cfg.variant == ARBITERLESS,
             addr_arbiter=addr_arbiter,
             sap_refs=(sid_qp, sid_cp),
         )
@@ -767,26 +773,25 @@ Y_SERVER_UNNEEDED = "server_unneeded_disputes"
 
 
 @dataclass
-class CounterUpdate:
-    """Counter increments plus the per-cycle record of which counter was
-    touched; the record keeps a cycle from being charged twice."""
-
-    increments: Counters = field(default_factory=Counters)
-    attribution: dict[int, str] = field(default_factory=dict)
-
-    def bump(self, j: int, counter: str) -> None:
-        setattr(self.increments, counter, getattr(self.increments, counter) + 1)
-        self.attribution[j] = counter
-
-
-@dataclass
 class ResolutionReport:
+    """What resolution admitted, filtered and charged. ``increments`` tallies
+    every charge; ``attribution`` names, per cycle, the counter charged
+    last. Each pass charges a cycle at most once, so a cycle can be charged
+    twice: with an arbiter, a server complaint about a valid query and a
+    client complaint that identifies nobody charge both parties, and
+    ``attribution`` keeps only the client's charge."""
+
     server_admitted: list[int] = field(default_factory=list)
     server_filtered: list[int] = field(default_factory=list)
     client_admitted: list[tuple[int, int]] = field(default_factory=list)
     client_filtered: list[tuple[int, int]] = field(default_factory=list)
     v: list[int] = field(default_factory=list)
-    update: CounterUpdate = field(default_factory=CounterUpdate)
+    increments: Counters = Counters()
+    attribution: dict[int, str] = field(default_factory=dict)
+
+    def charge(self, j: int, counter: str) -> None:
+        self.increments += Counters(**{counter: 1})
+        self.attribution[j] = counter
 
     def as_dict(self) -> dict:
         return {
@@ -795,7 +800,7 @@ class ResolutionReport:
             "client_admitted": [list(c) for c in self.client_admitted],
             "client_filtered": [list(c) for c in self.client_filtered],
             "v": list(self.v),
-            "attribution": {str(j): c for j, c in sorted(self.update.attribution.items())},
+            "attribution": {str(j): c for j, c in sorted(self.attribution.items())},
         }
 
 
@@ -928,10 +933,10 @@ def _server_pass(
     rep.server_filtered.extend(dropped)
     for i in kept:
         if _query_key(contract, i, qp.k_bar, pf) is None:
-            rep.update.bump(i, Y_CLIENT)
+            rep.charge(i, Y_CLIENT)
             rep.v.append(i)
         elif not contract.params.arbiterless:
-            rep.update.bump(i, Y_SERVER_UNNEEDED)
+            rep.charge(i, Y_SERVER_UNNEEDED)
 
 
 def _client_pass(
@@ -958,11 +963,11 @@ def _client_pass(
         party = _judge_client_complaint(contract, j, g, qp, pf)
         if party is None:
             if not contract.params.arbiterless:
-                rep.update.bump(j, Y_CLIENT_UNNEEDED)
-        elif party == Y_CLIENT or rep.update.attribution.get(j) != Y_SERVER_UNNEEDED:
+                rep.charge(j, Y_CLIENT_UNNEEDED)
+        elif party == Y_CLIENT or rep.attribution.get(j) != Y_SERVER_UNNEEDED:
             # a server that complained about this cycle's valid query has
             # already paid for it; its dummy proof is not charged again
-            rep.update.bump(j, party)
+            rep.charge(j, party)
 
 
 class Arbiter:
@@ -1002,7 +1007,7 @@ class Arbiter:
         ledger.post(
             contract,
             LedgerMessage(
-                self.addr, MsgKind.COUNTERS, self.report.update.increments.pack()
+                self.addr, MsgKind.COUNTERS, self.report.increments.pack()
             ),
         )
 
@@ -1028,8 +1033,9 @@ def contract_resolve(ledger: Ledger, contract: RcContract) -> ResolutionReport:
         post = contract.complaint_posts.get(kind.value)
         if post is not None:
             resolve_pass(rep, post, ledger, contract)
-    # at most one counter moves per cycle, so the sum stays within bounds
-    contract.add_counters(rep.update.increments)
+    # without an arbiter at most one counter moves per cycle, so the sum
+    # stays within bounds
+    contract.add_counters(rep.increments)
     return rep
 
 

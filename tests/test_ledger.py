@@ -1,5 +1,6 @@
 """Accounts, schedule windows, escrow accounting, and determinism."""
 
+import copy
 import random
 
 import pytest
@@ -17,10 +18,17 @@ from porpay.ledger import (
     MsgKind,
     NonMonotonicTime,
     OutOfWindow,
+    RcContract,
     Schedule,
     Unbalanced,
+    UnknownContract,
     WrongSender,
 )
+
+# every refusal a deposit or a post may raise; ValueError covers
+# InsufficientBalance, MalformedPayload, CounterOutOfBounds and a deposit
+# amount out of range
+REFUSALS = (ValueError, OutOfWindow, WrongSender, DuplicateSlot)
 
 
 def make_env(z=2, arbiterless=False, client_balance=100, server_balance=50):
@@ -34,7 +42,6 @@ def make_env(z=2, arbiterless=False, client_balance=100, server_balance=50):
         server_deposit_required=6,
         addr_client=client,
         addr_server=server,
-        arbiterless=arbiterless,
         addr_arbiter=arbiter,
     )
     contract = ledger.deploy_contract(client, params)
@@ -106,6 +113,79 @@ class TestDeployAndDeposit:
         goto(ledger, contract, "T1")
         ledger.deposit(server, contract, 6)
         assert ledger.total_supply() == start
+
+
+class TestCounters:
+    def test_fieldwise_sum_and_packing(self):
+        total = Counters(1, 0, 2, 0) + Counters(0, 3, 0, 1)
+        assert total == Counters(1, 3, 2, 1)
+        assert Counters.unpack(total.pack()) == total
+        assert total.as_dict() == {
+            "client_faults": 1,
+            "server_faults": 3,
+            "client_unneeded_disputes": 2,
+            "server_unneeded_disputes": 1,
+        }
+
+
+class TestUndeployedContract:
+    """Only a contract the ledger deployed can hold, take or pay coins."""
+
+    @staticmethod
+    def forgeries(contract):
+        twin = RcContract(contract.handle, contract.params)  # same handle
+        twin.client_deposited = 1000  # a payout from it would mint coins
+        _, elsewhere, *_ = make_env()  # deployed by another ledger
+        return twin, elsewhere, RcContract(5, contract.params)
+
+    @pytest.mark.parametrize("label, operation", [
+        ("T1", lambda ledger, c, client, server: ledger.deposit(server, c, 6)),
+        ("G1.1", lambda ledger, c, client, server: ledger.post(
+            c, LedgerMessage(client, MsgKind.QUERY, b"q", slot=1))),
+        ("L", lambda ledger, c, client, server: ledger.execute_payout(
+            c, [(client, 500), (server, 500)])),
+    ], ids=["deposit", "post", "payout"])
+    def test_refused_and_nothing_moves(self, label, operation):
+        ledger, contract, client, server, _ = make_env()
+        goto(ledger, contract, label)
+        supply, balances = ledger.total_supply(), ledger.balances()
+        for forged in self.forgeries(contract):
+            with pytest.raises(UnknownContract):
+                operation(ledger, forged, client, server)
+        assert ledger.total_supply() == supply
+        assert ledger.balances() == balances
+        assert [e["kind"] for e in ledger.export_trace()] == ["deploy"]
+
+
+class TestRefusedOperationChangesNothing:
+    @pytest.mark.parametrize("label, operation, error", [
+        ("T0", lambda ledger, c, client, server: ledger.deposit(client, c, 2**64),
+         ValueError),
+        ("T0", lambda ledger, c, client, server: ledger.deposit(client, c, 1.5),
+         ValueError),
+        ("T0", lambda ledger, c, client, server: ledger.deposit(client, c, -1),
+         ValueError),
+        ("G1.1", lambda ledger, c, client, server: ledger.post(
+            c, LedgerMessage(client, MsgKind.QUERY, "q", slot=1)), MalformedPayload),
+        ("G1.2", lambda ledger, c, client, server: ledger.post(
+            c, LedgerMessage(server, MsgKind.PROOF, bytearray(b"p"), slot=1)),
+         MalformedPayload),
+        ("T2", lambda ledger, c, client, server: ledger.post(
+            c, LedgerMessage(client, MsgKind.PAY, "pay")), MalformedPayload),
+        ("G1.1", lambda ledger, c, client, server: ledger.post(
+            c, LedgerMessage(client, MsgKind.QUERY, b"q", slot="1")), OutOfWindow),
+    ], ids=["deposit-2**64", "deposit-float", "deposit-negative", "str-payload",
+            "bytearray-payload", "str-pay", "str-slot"])
+    def test_no_state_changes(self, label, operation, error):
+        ledger, contract, client, server, _ = make_env(client_balance=2**65)
+        goto(ledger, contract, label)
+        balances, trace = ledger.balances(), ledger.export_trace()
+        fields = copy.deepcopy(vars(contract))
+        with pytest.raises(error):
+            operation(ledger, contract, client, server)
+        assert ledger.balances() == balances
+        assert ledger.export_trace() == trace
+        assert vars(contract) == fields
 
 
 class TestPost:
@@ -329,11 +409,20 @@ class TestDeterminismAndTraces:
 
 
 class TestConservationProperty:
+    # besides well-formed operations, draws that are not: an amount past the
+    # trace's 8 bytes or not an int, a payload that is not bytes, a slot
+    # that is not an int
+    AMOUNTS = (2**64, 1.5, -1)
+    PAYLOADS = ("text", bytearray(b"mutable"))
+    SLOTS = ("1", 1.0, None)
+
     def test_random_traces_conserve_supply(self):
         rng = random.Random(20250809)
         for _ in range(60):
             z = rng.randrange(1, 4)
-            ledger, contract, client, server, arbiter = make_env(z=z)
+            ledger, contract, client, server, arbiter = make_env(
+                z=z, client_balance=2**65
+            )
             start = ledger.total_supply()
             for point in Schedule(z).points:
                 if rng.random() < 0.25:
@@ -345,17 +434,25 @@ class TestConservationProperty:
                 ops = rng.randrange(0, 3)
                 for _ in range(ops):
                     actor = rng.choice([client, server])
+                    odd = rng.random() < 0.2
                     try:
                         if rng.random() < 0.5:
-                            ledger.deposit(actor, contract, rng.randrange(0, 30))
+                            amount = (rng.choice(self.AMOUNTS) if odd
+                                      else rng.randrange(0, 30))
+                            ledger.deposit(actor, contract, amount)
                         else:
                             kind = rng.choice(list(MsgKind))
                             slot = rng.randrange(0, z + 2)
+                            payload = rng.randbytes(4)
+                            if odd and rng.random() < 0.5:
+                                payload = rng.choice(self.PAYLOADS)
+                            elif odd:
+                                slot = rng.choice(self.SLOTS)
                             ledger.post(
                                 contract,
-                                LedgerMessage(actor, kind, rng.randbytes(4), slot=slot),
+                                LedgerMessage(actor, kind, payload, slot=slot),
                             )
-                    except Exception:
+                    except REFUSALS:
                         pass  # rejected operations must not move coins
                 assert ledger.total_supply() == start
             if not contract.paid_out and contract.escrow:

@@ -233,6 +233,27 @@ class TestMaskedDeposits:
             SessionConfig(z=3, phi=4, price_list=PRICES, price_choice=PricePair(4, 2))
 
 
+class TestClientInit:
+    @pytest.mark.parametrize("variant, with_arbiter", [
+        (ARBITER, False), (ARBITERLESS, True),
+    ])
+    def test_variant_must_match_arbiter_address(self, variant, with_arbiter,
+                                                monkeypatch):
+        ledger = Ledger()
+        addr_c = ledger.create_account("client", 100)
+        addr_s = ledger.create_account("server", 100)
+        addr_r = ledger.create_account("arbiter", 0) if with_arbiter else None
+        client = Client(addr_c, random.Random(1), make_config(variant=variant))
+
+        def no_encoding(*args, **kwargs):
+            raise AssertionError("encoded before the variant check")
+
+        monkeypatch.setattr(por, "setup", no_encoding)
+        with pytest.raises(ValueError):
+            client.init(bytes(1024), ledger, addr_s, addr_r)
+        assert ledger.export_trace() == []  # nothing agreed, deployed or paid
+
+
 class TestServerInit:
     def test_honest_inputs_accepted(self):
         config = make_config()
@@ -285,7 +306,6 @@ class TestServerInit:
             server_deposit_required=6,
             addr_client=addr_c,
             addr_server=addr_s,
-            arbiterless=variant == ARBITERLESS,
             addr_arbiter=(ledger.create_account("arbiter", 0) if variant == ARBITER
                           else None),
             sap_refs=refs(sid_qp, sid_cp) if refs else (sid_qp, sid_cp),
@@ -930,7 +950,7 @@ class TestArbiterResolution:
         # the server pre-paid with one unneeded invocation; the client's
         # complaint about the dummy must not also charge a server fault
         assert run.contract.counters == Counters(server_unneeded_disputes=1)
-        assert arbiter.report.update.attribution == {2: "server_unneeded_disputes"}
+        assert arbiter.report.attribution == {2: "server_unneeded_disputes"}
 
     def test_corrupt_block_charges_server_fault(self):
         config = make_config(z=3)
@@ -978,8 +998,27 @@ class TestArbiterResolution:
         assert sorted(j for j, _ in arbiter.report.client_admitted) == [1, 3, 4]
         for j, _ in arbiter.report.client_admitted:
             assert not run.verdicts[j].accepted
-            assert arbiter.report.update.attribution[j] == "server_faults"
+            assert arbiter.report.attribution[j] == "server_faults"
         assert run.contract.counters == Counters(server_faults=3)
+
+    def test_cycle_both_parties_disputed_needlessly(self):
+        # the server lists cycle 3 although it answered it honestly, and the
+        # client falsely accuses the same cycle: neither complaint identifies
+        # a fault, so each party pays one unneeded dispute
+        config = make_config(z=3)
+        run = DisputedRun(
+            config, seed=9,
+            client_behavior=ClientBehavior(false_accusation=frozenset({3})),
+        )
+        run.server.complaints.append(3)
+        arbiter = run.resolve()
+        both = Counters(client_unneeded_disputes=1, server_unneeded_disputes=1)
+        assert arbiter.report.increments == both
+        assert run.contract.counters == both
+        # the attribution names only the counter charged last
+        assert arbiter.report.attribution == {3: "client_unneeded_disputes"}
+        # o=5, l=2: the arbiter earns both fees
+        assert self.pay(run)["arbiter"] == 4
 
     @staticmethod
     def pay(run):
