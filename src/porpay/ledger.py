@@ -111,6 +111,11 @@ class Schedule:
             raise KeyError(f"no time point labelled {label!r}") from None
 
 
+def _is_coins(amount: object) -> bool:
+    """A whole, non-negative number of coins: an ``int``, not a float or bool."""
+    return type(amount) is int and amount >= 0
+
+
 def require_time(now: TimePoint, label: str) -> None:
     """Raise OutOfWindow unless the clock stands at ``label``."""
     if now.label != label:
@@ -317,8 +322,8 @@ class Ledger:
         addr = Address(name)
         if addr in self._balances:
             raise ValueError(f"address {name!r} already exists")
-        if balance < 0:
-            raise ValueError("genesis balance must be non-negative")
+        if not _is_coins(balance):
+            raise ValueError(f"genesis balance {balance!r} is not a non-negative int")
         self._balances[addr] = balance
         return addr
 
@@ -370,8 +375,10 @@ class Ledger:
     def deposit(self, sender: Address, contract: RcContract, amount: int) -> None:
         """Escrow ``amount`` from ``sender``; client deposits at T0, server at T1."""
         self._require_deployed(contract)
+        if contract.paid_out:
+            raise AlreadyPaid("contract already paid out")
         # the trace records the amount in 8 bytes
-        if type(amount) is not int or not 0 <= amount < 2**64:
+        if not _is_coins(amount) or amount >= 2**64:
             raise ValueError(f"deposit {amount!r} is not an int in [0, 2**64)")
         if sender == contract.params.addr_client:
             window = "T0"
@@ -379,8 +386,7 @@ class Ledger:
             window = "T1"
         else:
             raise WrongSender(f"{sender.id} is not a party to this contract")
-        if self.time.label != window:
-            raise OutOfWindow(f"deposit from {sender.id} only at {window}, now {self.time.label}")
+        require_time(self.time, window)
         if self.balance(sender) < amount:
             raise InsufficientBalance(
                 f"{sender.id} holds {self.balance(sender)}, needs {amount}"
@@ -408,8 +414,9 @@ class Ledger:
         if contract.paid_out:
             raise AlreadyPaid("contract already paid out")
         dist = list(distribution)
-        if any(amount < 0 for _, amount in dist):
-            raise Unbalanced("negative amount in distribution")
+        # no upper bound: a leg may carry both deposits, up to 2 * (2**64 - 1)
+        if not all(_is_coins(amount) for _, amount in dist):
+            raise Unbalanced("distribution amount is not a non-negative int")
         total = sum(amount for _, amount in dist)
         if total != contract.escrow:
             raise Unbalanced(f"distribution {total} != escrow {contract.escrow}")

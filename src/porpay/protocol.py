@@ -403,16 +403,20 @@ def open_entry(
 ) -> merkle.MerklePath:
     """Open the 1-based ``g``-th entry of a proof vector.
 
-    Raises DecryptFailure when a unit is missing or fails to open, or when
-    the units do not carry exactly the slots ``pf.layout`` fixes.
+    Raises DecryptFailure, before any unit is opened, when the vector is not
+    ``pf.phi`` entries of ``pf.entry_len`` bytes; and when a unit fails to
+    open, or the units do not carry exactly the slots ``pf.layout`` fixes.
     """
     unit = pf.unit
     n = unit.unit_len
-    start = (g - 1) * pf.entry_len
+    entry_len = pf.entry_len
+    if len(payload) != pf.phi * entry_len:
+        raise DecryptFailure("proof vector length differs from the proof format")
+    start = (g - 1) * entry_len
     packed = b"".join(
         [
             dec_unit(k_bar, payload[i : i + n], unit)
-            for i in range(start, start + pf.entry_len, n)
+            for i in range(start, start + entry_len, n)
         ]
     )
     if len(packed) != pf.units * unit.value_capacity:
@@ -434,8 +438,6 @@ def decode_proof_vector(
     entry that failed to open or whose slot lengths are not the format's;
     a mis-shaped vector fails at entry 1.
     """
-    if len(payload) != pf.phi * pf.entry_len:
-        return None, 1
     entries = []
     for g in range(1, pf.phi + 1):
         try:
@@ -900,9 +902,7 @@ def _judge_client_complaint(
         return Y_CLIENT
     q_g = (int.from_bytes(prf(k_hat, g), "big") % qp.pp.m) + 1
     payload = contract.proofs.get(j)
-    # the client's decode rejects a mis-shaped vector at entry 1, which may
-    # itself open; the shape alone settles such a complaint
-    if payload is None or len(payload) != pf.phi * pf.entry_len:
+    if payload is None:
         return Y_SERVER
     try:
         entry = open_entry(payload, g, qp.k_bar, pf)
@@ -1053,77 +1053,68 @@ def refund_applies(contract: RcContract) -> bool:
     )
 
 
-def _require_pay(ledger: Ledger, contract: RcContract) -> None:
-    if ledger.time.label not in contract.pay_requests:
-        raise PayNotRequested(f"no pay request posted at {ledger.time.label}")
-
-
-def refund_deposits(ledger: Ledger, contract: RcContract) -> dict[str, int]:
-    """T2 path: each party withdraws exactly what it deposited."""
-    require_time(ledger.time, "T2")
-    if not refund_applies(contract):
-        raise ValueError("parties reached agreement; the refund path does not apply")
-    _require_pay(ledger, contract)
-    params = contract.params
-    return ledger.execute_payout(
-        contract,
-        [
-            (params.addr_client, contract.client_deposited),
-            (params.addr_server, contract.server_deposited),
-        ],
-    )
-
-
 def _payout(
-    ledger: Ledger, contract: RcContract, opening_cp: Opening, arbiterless: bool
+    ledger: Ledger, contract: RcContract, opening_cp: Opening | None, arbiterless: bool
 ) -> dict[str, int]:
-    """Phase 8 at L. The client pays o per cycle not attributed to the
-    server; each party is charged l per own fault or unneeded dispute. With
-    an arbiter every charged l goes to the arbiter; without one each party's
-    l goes to the other. Distributes the whole escrow exactly."""
-    require_time(ledger.time, "L")
+    """Phase 8, the one payout core for both time points.
+
+    At T2, when ``refund_applies``, each party withdraws exactly what it
+    deposited; ``opening_cp`` is not read. At L the client pays o per cycle
+    not attributed to the server, and each party is charged l per own fault
+    or unneeded dispute: with an arbiter every charged l goes to the arbiter,
+    without one each party's l goes to the other. Either way the whole
+    escrow is distributed exactly, once a party has posted PAY at that point.
+    """
     params = contract.params
     if params.arbiterless != arbiterless:
         raise ValueError("payout entry point does not match the contract's variant")
-    if refund_applies(contract):
-        raise RefundPath("server never agreed or under-deposited")
-    if not _opening_valid(opening_cp, contract, ledger, _SAP_CP):
-        raise BadOpening("coin statement opening rejected")
-    _require_pay(ledger, contract)
-    cp = CpStatement.from_bytes(opening_cp.statement)
-    c = contract.counters
-    paid = cp.o * (cp.z - c.server_faults)
-    client_l = cp.l * (c.client_faults + c.client_unneeded_disputes)
-    server_l = cp.l * (c.server_faults + c.server_unneeded_disputes)
-    coin_client = contract.client_deposited - paid - client_l
-    coin_server = contract.server_deposited + paid - server_l
-    if arbiterless:
-        return ledger.execute_payout(
-            contract,
-            [
+    if ledger.time.label == "T2":
+        if not refund_applies(contract):
+            raise ValueError("parties reached agreement; the refund path does not apply")
+        dist = [
+            (params.addr_client, contract.client_deposited),
+            (params.addr_server, contract.server_deposited),
+        ]
+    else:
+        require_time(ledger.time, "L")
+        if refund_applies(contract):
+            raise RefundPath("server never agreed or under-deposited")
+        if not isinstance(opening_cp, Opening) or not _opening_valid(
+            opening_cp, contract, ledger, _SAP_CP
+        ):
+            raise BadOpening("coin statement opening rejected")
+        cp = CpStatement.from_bytes(opening_cp.statement)
+        c = contract.counters
+        paid = cp.o * (cp.z - c.server_faults)
+        client_l = cp.l * (c.client_faults + c.client_unneeded_disputes)
+        server_l = cp.l * (c.server_faults + c.server_unneeded_disputes)
+        coin_client = contract.client_deposited - paid - client_l
+        coin_server = contract.server_deposited + paid - server_l
+        if arbiterless:
+            dist = [
                 (params.addr_client, coin_client + server_l),
                 (params.addr_server, coin_server + client_l),
-            ],
-        )
-    return ledger.execute_payout(
-        contract,
-        [
-            (params.addr_client, coin_client),
-            (params.addr_server, coin_server),
-            (params.addr_arbiter, client_l + server_l),
-        ],
-    )
+            ]
+        else:
+            dist = [
+                (params.addr_client, coin_client),
+                (params.addr_server, coin_server),
+                (params.addr_arbiter, client_l + server_l),
+            ]
+    if ledger.time.label not in contract.pay_requests:
+        raise PayNotRequested(f"no pay request posted at {ledger.time.label}")
+    return ledger.execute_payout(contract, dist)
 
 
 def payout_arbiter_variant(
-    ledger: Ledger, contract: RcContract, opening_cp: Opening
+    ledger: Ledger, contract: RcContract, opening_cp: Opening | None
 ) -> dict[str, int]:
-    """Phase 8 with a third-party arbiter."""
+    """Phase 8 with a third-party arbiter: the T2 refund or the L payout."""
     return _payout(ledger, contract, opening_cp, arbiterless=False)
 
 
 def payout_arbiterless_variant(
-    ledger: Ledger, contract: RcContract, opening_cp: Opening
+    ledger: Ledger, contract: RcContract, opening_cp: Opening | None
 ) -> dict[str, int]:
-    """Phase 8 without an arbiter."""
+    """Phase 8 without an arbiter: the T2 refund or the L payout."""
     return _payout(ledger, contract, opening_cp, arbiterless=True)

@@ -204,31 +204,33 @@ def expected_payout(
     l: int,
     client_deposit: int,
     server_deposit: int,
-) -> tuple[int, int, int | None]:
-    """Closed-form final amounts for (client, server, arbiter).
+    refund: bool = False,
+) -> dict[str, int]:
+    """Closed-form final amounts by account name: each deposit back when
+    ``refund`` is set, else the L payout, with an ``arbiter`` entry only in
+    its variant.
 
     Kept deliberately separate from the ledger payout path so reports can
     cross-check the two.
     """
+    if refund:
+        return {"client": client_deposit, "server": server_deposit}
     c = counters
     c.check_bounds(z)
     paid_cycles = z - c.server_faults
     if variant == ARBITER:
-        client = (
-            client_deposit
-            - o * paid_cycles
-            - l * (c.client_faults + c.client_unneeded_disputes)
-        )
-        server = (
-            server_deposit
-            + o * paid_cycles
-            - l * (c.server_faults + c.server_unneeded_disputes)
-        )
-        arbiter = l * sum(c.as_dict().values())
-        return client, server, arbiter
-    client = client_deposit - o * paid_cycles + l * (c.server_faults - c.client_faults)
-    server = server_deposit + o * paid_cycles + l * (c.client_faults - c.server_faults)
-    return client, server, None
+        client_l = l * (c.client_faults + c.client_unneeded_disputes)
+        server_l = l * (c.server_faults + c.server_unneeded_disputes)
+        return {
+            "client": client_deposit - o * paid_cycles - client_l,
+            "server": server_deposit + o * paid_cycles - server_l,
+            "arbiter": l * sum(c.as_dict().values()),
+        }
+    fee_transfer = l * (c.server_faults - c.client_faults)
+    return {
+        "client": client_deposit - o * paid_cycles + fee_transfer,
+        "server": server_deposit + o * paid_cycles - fee_transfer,
+    }
 
 
 def _behavior(behavior_cls, behaviors: tuple[Behavior, ...], **policy):
@@ -286,7 +288,6 @@ def run(spec: ScenarioSpec) -> dict:
 
     cycles: list[dict] = []
     resolution = None
-    refund_path = False
 
     # phases 1-2 at T0, phase 3 at T1
     schedule = Schedule(cfg.z)
@@ -299,15 +300,9 @@ def run(spec: ScenarioSpec) -> dict:
     _goto(ledger, schedule, "T1")
     server.init(handoff, ledger)
 
-    if protocol.refund_applies(contract):
-        refund_path = True
+    refund_path = protocol.refund_applies(contract)
+    if refund_path:
         _goto(ledger, schedule, "T2")
-        client.request_payout(ledger)
-        actual = protocol.refund_deposits(ledger, contract)
-        expected = {
-            addr_client.id: contract.client_deposited,
-            addr_server.id: contract.server_deposited,
-        }
     else:
         for j in range(1, cfg.z + 1):
             _goto(ledger, schedule, f"G{j}.1")
@@ -346,25 +341,23 @@ def run(spec: ScenarioSpec) -> dict:
             resolution = protocol.contract_resolve(ledger, contract)
 
         _goto(ledger, schedule, "L")
-        client.request_payout(ledger)
-        if cfg.variant == ARBITER:
-            actual = protocol.payout_arbiter_variant(ledger, contract, client.opening_cp)
-        else:
-            actual = protocol.payout_arbiterless_variant(
-                ledger, contract, client.opening_cp
-            )
-        exp_client, exp_server, exp_arbiter = expected_payout(
-            cfg.variant,
-            contract.counters,
-            z=cfg.z,
-            o=cfg.price_choice.o,
-            l=cfg.price_choice.l,
-            client_deposit=contract.client_deposited,
-            server_deposit=contract.server_deposited,
+    client.request_payout(ledger)
+    if cfg.variant == ARBITER:
+        actual = protocol.payout_arbiter_variant(ledger, contract, client.opening_cp)
+    else:
+        actual = protocol.payout_arbiterless_variant(
+            ledger, contract, client.opening_cp
         )
-        expected = {addr_client.id: exp_client, addr_server.id: exp_server}
-        if exp_arbiter is not None:
-            expected[addr_arbiter.id] = exp_arbiter
+    expected = expected_payout(
+        cfg.variant,
+        contract.counters,
+        z=cfg.z,
+        o=cfg.price_choice.o,
+        l=cfg.price_choice.l,
+        client_deposit=contract.client_deposited,
+        server_deposit=contract.server_deposited,
+        refund=refund_path,
+    )
 
     final = ledger.balances()
     final_supply = ledger.total_supply()
@@ -439,31 +432,22 @@ def verify_report(report: dict) -> tuple[bool, list[str]]:
             problems.append(f"delta for {name} is inconsistent")
 
     deposits = report["deposits"]
-    if report["refund_path"]:
-        expected = {
-            "client": deposits["client_actual"],
-            "server": deposits["server_actual"],
-        }
-    else:
-        counters = Counters(**report["counters"])
-        try:
-            exp_client, exp_server, exp_arbiter = expected_payout(
-                session["variant"],
-                counters,
-                z=z,
-                o=o,
-                l=l,
-                client_deposit=deposits["client_actual"],
-                server_deposit=deposits["server_actual"],
-            )
-        except CounterOutOfBounds as exc:
-            problems.append(str(exc))
-            exp_client = exp_server = exp_arbiter = None
+    refund = bool(report["refund_path"])
+    try:
+        expected = expected_payout(
+            session["variant"],
+            # a refund report's counters play no part in its payout
+            Counters() if refund else Counters(**report["counters"]),
+            z=z,
+            o=o,
+            l=l,
+            client_deposit=deposits["client_actual"],
+            server_deposit=deposits["server_actual"],
+            refund=refund,
+        )
+    except CounterOutOfBounds as exc:
+        problems.append(str(exc))
         expected = None
-        if exp_client is not None:
-            expected = {"client": exp_client, "server": exp_server}
-            if exp_arbiter is not None:
-                expected["arbiter"] = exp_arbiter
     if expected is not None and report["payout"]["actual"] != expected:
         problems.append(
             f"payout {report['payout']['actual']} does not match "

@@ -105,6 +105,29 @@ class TestDeployAndDeposit:
         ledger.deposit(server, contract, 6)
         assert contract.server_deposited == 6
 
+    @pytest.mark.parametrize("balance", [1.5, -1, True, "5"],
+                             ids=["float", "negative", "bool", "str"])
+    def test_genesis_balance_must_be_coins(self, balance):
+        ledger = Ledger()
+        with pytest.raises(ValueError):
+            ledger.create_account("client", balance)
+        assert ledger.balances() == {}
+        assert ledger.total_supply() == 0
+
+    def test_no_deposit_after_payout(self):
+        # coins deposited into a paid-out contract could never leave it
+        ledger, contract, client, server, _ = make_env()
+        goto(ledger, contract, "T0")
+        ledger.deposit(client, contract, 21)
+        ledger.execute_payout(contract, [(client, 21)])
+        goto(ledger, contract, "T1")
+        balances, trace = ledger.balances(), ledger.export_trace()
+        with pytest.raises(AlreadyPaid):
+            ledger.deposit(server, contract, 6)
+        assert ledger.balances() == balances
+        assert ledger.export_trace() == trace
+        assert (contract.server_deposited, contract.escrow) == (0, 0)
+
     def test_conservation_across_deposits(self):
         ledger, contract, client, server, _ = make_env()
         start = ledger.total_supply()
@@ -364,6 +387,25 @@ class TestPayout:
         self.fund(ledger, contract, client, server)
         with pytest.raises(Unbalanced):
             ledger.execute_payout(contract, [(client, -1), (server, 28)])
+
+    @pytest.mark.parametrize("dist", [
+        lambda client, server: [(client, 13.5), (server, 13.5)],
+        lambda client, server: [(client, 27.0)],
+        lambda client, server: [(client, True), (server, 26)],
+    ], ids=["halves", "float", "bool"])
+    def test_non_int_amount_rejected(self, dist):
+        # every leg is a non-negative int; a float total such as 27.0 == 27
+        # would otherwise pass the sum check
+        ledger, contract, client, server, arbiter = make_env()
+        self.fund(ledger, contract, client, server)
+        supply, balances = ledger.total_supply(), ledger.balances()
+        trace = ledger.export_trace()
+        with pytest.raises(Unbalanced):
+            ledger.execute_payout(contract, dist(client, server))
+        assert ledger.total_supply() == supply and type(ledger.total_supply()) is int
+        assert ledger.balances() == balances
+        assert ledger.export_trace() == trace
+        assert not contract.paid_out and contract.escrow == 27
 
 
 class TestDeterminismAndTraces:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from porpay import merkle, por, protocol
 from porpay.crypto import DecryptFailure, Opening, dec_unit, enc_unit
-from porpay.ledger import Counters, DuplicateSlot, Ledger, Schedule
+from porpay.ledger import Counters, DuplicateSlot, Ledger, OutOfWindow, Schedule
 from porpay.protocol import (
     ARBITER,
     ARBITERLESS,
@@ -28,6 +28,11 @@ from porpay.protocol import (
 from porpay.sap import sap_verify
 
 PRICES = PriceList((PricePair(5, 2), PricePair(3, 1)))
+# each variant's phase-8 entry point: the T2 refund or the L payout
+PAYOUT = {
+    ARBITER: protocol.payout_arbiter_variant,
+    ARBITERLESS: protocol.payout_arbiterless_variant,
+}
 
 
 def make_config(z=3, phi=4, variant=ARBITER, pi_max=None, payload=16, codec="identity"):
@@ -335,7 +340,7 @@ class TestServerInit:
         assert contract.server_deposited == 0
         goto(ledger, contract, "T2")
         ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
-        protocol.refund_deposits(ledger, contract)
+        protocol.payout_arbiter_variant(ledger, contract, handoff.opening_cp)
         assert ledger.balances() == {"client": 100, "server": 100, "arbiter": 0}
 
     @pytest.mark.parametrize(
@@ -368,7 +373,7 @@ class TestServerInit:
         assert contract.server_deposited == 0
         goto(ledger, contract, "T2")
         ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
-        protocol.refund_deposits(ledger, contract)
+        protocol.payout_arbiter_variant(ledger, contract, handoff.opening_cp)
         balances = ledger.balances()
         assert (balances["client"], balances["server"], balances["arbiter"]) == (100, 100, 0)
         assert ledger.total_supply() == genesis_supply
@@ -420,7 +425,7 @@ class TestServerInit:
         assert contract.server_deposited == 0
         goto(ledger, contract, "T2")
         client.request_payout(ledger)
-        protocol.refund_deposits(ledger, contract)
+        protocol.payout_arbiter_variant(ledger, contract, client.opening_cp)
         assert ledger.balances() == {"client": 21, "server": 6, "arbiter": 0}
 
     @pytest.mark.parametrize(
@@ -442,7 +447,7 @@ class TestServerInit:
         if a == 0:
             goto(ledger, contract, "T2")
             ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
-            protocol.refund_deposits(ledger, contract)
+            protocol.payout_arbiter_variant(ledger, contract, handoff.opening_cp)
             assert ledger.balances() == {"client": 100, "server": 100, "arbiter": 0}
             assert ledger.total_supply() == genesis_supply
 
@@ -471,7 +476,7 @@ class TestServerInit:
         assert sap_verify(opening, addr_c, server.addr, contract.params.sap_refs[0], ledger)
         goto(ledger, contract, "T2")
         ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
-        protocol.refund_deposits(ledger, contract)
+        PAYOUT[variant](ledger, contract, handoff.opening_cp)
         refunded = {"client": 100, "server": 100}
         if variant == ARBITER:
             refunded["arbiter"] = 0
@@ -524,7 +529,7 @@ class TestServerInit:
         assert (contract.a_flag, contract.server_deposited) == (0, 0)
         goto(ledger, contract, "T2")
         ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
-        protocol.refund_deposits(ledger, contract)
+        protocol.payout_arbiter_variant(ledger, contract, handoff.opening_cp)
         assert ledger.balances() == {"client": 100, "server": 100, "arbiter": 0}
         assert ledger.total_supply() == genesis_supply
 
@@ -677,6 +682,30 @@ class TestEntryUnits:
         pf = proof_format(pp, self.PAD)
         assert (pf.slot, pf.real) == (fmt, real)
         return protocol.decode_proof_vector(payload, self.K_BAR, pf)
+
+    @pytest.mark.parametrize("reshape", [
+        lambda vector, phi: vector + b"\0",
+        lambda vector, phi: vector[: len(vector) - len(vector) // phi],
+    ], ids=["one-byte-long", "last-entry-cut"])
+    def test_mis_shaped_vector_opens_nothing(self, reshape, monkeypatch):
+        # the vector's shape is checked before any unit is opened, so an
+        # entry that would open on its own is refused too
+        pi, pp, fmt, efmt, real, payload = self.vector()
+        pf = proof_format(pp, self.PAD)
+        assert protocol.open_entry(payload, 1, self.K_BAR, pf) == pi[0]
+        opens = []
+
+        def counting_dec_unit(*args):
+            opens.append(args)
+            return dec_unit(*args)
+
+        monkeypatch.setattr(protocol, "dec_unit", counting_dec_unit)
+        bad = reshape(payload, pp.phi)
+        for g in (1, pp.phi):
+            with pytest.raises(DecryptFailure, match="vector length"):
+                protocol.open_entry(bad, g, self.K_BAR, pf)
+        assert self.decode(bad, pp, fmt, real) == (None, 1)
+        assert opens == []
 
     def test_entry_plaintext_layout(self):
         from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -1188,18 +1217,12 @@ class TestMisShapedProof:
 
         goto(ledger, contract, "L")
         run.client.request_payout(ledger)
-        pay = (protocol.payout_arbiter_variant if variant == ARBITER
-               else protocol.payout_arbiterless_variant)
-        payout = pay(ledger, contract, run.client.opening_cp)
-        client, server, arbiter = expected_payout(
+        payout = PAYOUT[variant](ledger, contract, run.client.opening_cp)
+        assert payout == expected_payout(
             variant, contract.counters, z=2, o=5, l=2,
             client_deposit=contract.client_deposited,
             server_deposit=contract.server_deposited,
         )
-        expected = {"client": client, "server": server}
-        if variant == ARBITER:
-            expected["arbiter"] = arbiter
-        assert payout == expected
         assert ledger.total_supply() == start
         assert contract.escrow == 0
         assert sum(payout.values()) == (
@@ -1425,9 +1448,7 @@ class TestHostileComplaintPosts:
 
         goto(ledger, contract, "L")
         run.client.request_payout(ledger)
-        pay = (protocol.payout_arbiter_variant if variant == ARBITER
-               else protocol.payout_arbiterless_variant)
-        payout = pay(ledger, contract, run.client.opening_cp)
+        payout = PAYOUT[variant](ledger, contract, run.client.opening_cp)
         assert ledger.total_supply() == start
         assert contract.escrow == 0
         assert sum(payout.values()) == (
@@ -1488,6 +1509,71 @@ class TestPayoutGuards:
         payout(run.ledger, run.contract, run.client.opening_cp)
         assert run.contract.escrow == 0
 
+    @staticmethod
+    def assert_refused(run_payout, ledger, contract, error):
+        """``run_payout`` raises ``error`` and nothing moves."""
+        before = ledger.balances(), ledger.total_supply(), ledger.export_trace()
+        escrow = contract.escrow
+        with pytest.raises(error):
+            run_payout()
+        assert (ledger.balances(), ledger.total_supply(), ledger.export_trace()) == before
+        assert contract.escrow == escrow and not contract.paid_out
+
+    @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
+    def test_agreed_session_has_no_refund(self, variant):
+        ledger, client, server, handoff, _, _ = build_session(
+            make_config(z=2, variant=variant)
+        )
+        contract = handoff.contract
+        goto(ledger, contract, "T1")
+        assert server.init(handoff, ledger) == 1
+        goto(ledger, contract, "T2")
+        client.request_payout(ledger)
+        self.assert_refused(
+            lambda: PAYOUT[variant](ledger, contract, client.opening_cp),
+            ledger, contract, ValueError,
+        )
+
+    @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
+    def test_no_payout_before_l(self, variant):
+        run = HonestRun(make_config(z=2, variant=variant))
+        goto(run.ledger, run.contract, "K6")
+        self.assert_refused(
+            lambda: PAYOUT[variant](run.ledger, run.contract, run.client.opening_cp),
+            run.ledger, run.contract, OutOfWindow,
+        )
+
+    @pytest.mark.parametrize("variant, other", [
+        (ARBITER, ARBITERLESS), (ARBITERLESS, ARBITER),
+    ])
+    def test_refund_through_other_variant_rejected(self, variant, other):
+        ledger, client, server, handoff, _, _ = build_session(
+            make_config(z=2, variant=variant),
+            client_behavior=ClientBehavior(ill_formed_metadata=True),
+        )
+        contract = handoff.contract
+        goto(ledger, contract, "T1")
+        assert server.init(handoff, ledger) == 0
+        goto(ledger, contract, "T2")
+        client.request_payout(ledger)
+        self.assert_refused(
+            lambda: PAYOUT[other](ledger, contract, client.opening_cp),
+            ledger, contract, ValueError,
+        )
+        assert PAYOUT[variant](ledger, contract, client.opening_cp) == {
+            "client": 14, "server": 0,
+        }
+
+    @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
+    def test_missing_opening_rejected(self, variant):
+        run = HonestRun(make_config(z=2, variant=variant))
+        goto(run.ledger, run.contract, "L")
+        run.client.request_payout(run.ledger)
+        self.assert_refused(
+            lambda: PAYOUT[variant](run.ledger, run.contract, None),
+            run.ledger, run.contract, protocol.BadOpening,
+        )
+
     def test_refund_needs_pay_request(self):
         config = make_config(z=2)
         ledger, client, server, handoff, _, _ = build_session(
@@ -1498,9 +1584,11 @@ class TestPayoutGuards:
         assert server.init(handoff, ledger) == 0
         goto(ledger, contract, "T2")
         with pytest.raises(protocol.PayNotRequested):
-            protocol.refund_deposits(ledger, contract)
+            protocol.payout_arbiter_variant(ledger, contract, client.opening_cp)
         client.request_payout(ledger)
-        assert protocol.refund_deposits(ledger, contract) == {"client": 14, "server": 0}
+        assert protocol.payout_arbiter_variant(ledger, contract, client.opening_cp) == {
+            "client": 14, "server": 0,
+        }
 
 
 class TestVariantConsistency:
@@ -1517,15 +1605,17 @@ class TestVariantConsistency:
             y_s = rng.randrange(0, z + 1)
             counters = Counters(client_faults=y_c, server_faults=y_s)
             dep_c, dep_s = z * (o + l), z * l
-            a_client, a_server, a_arb = expected_payout(
+            a = expected_payout(
                 ARBITER, counters, z=z, o=o, l=l,
                 client_deposit=dep_c, server_deposit=dep_s,
             )
-            f_client, f_server, none = expected_payout(
+            f = expected_payout(
                 ARBITERLESS, counters, z=z, o=o, l=l,
                 client_deposit=dep_c, server_deposit=dep_s,
             )
-            assert none is None
+            assert f.keys() == {"client", "server"}
+            a_client, a_server, a_arb = a["client"], a["server"], a["arbiter"]
+            f_client, f_server = f["client"], f["server"]
             assert f_client - a_client == l * y_s
             assert f_server - a_server == l * y_c
             assert a_arb == (f_client - a_client) + (f_server - a_server)

@@ -99,39 +99,44 @@ class TestSpecParsing:
 
 class TestExpectedPayout:
     def test_all_zero_counters(self):
-        client, server, arbiter = expected_payout(
+        assert expected_payout(
             "arbiter", Counters(), z=3, o=5, l=2, client_deposit=21, server_deposit=6
-        )
-        assert (client, server, arbiter) == (6, 21, 0)
+        ) == {"client": 6, "server": 21, "arbiter": 0}
 
     def test_arbiterless_client_fault_example(self):
-        client, server, arbiter = expected_payout(
+        # no arbiter entry in the arbiter-free variant
+        assert expected_payout(
             "arbiterless",
             Counters(client_faults=1),
             z=1, o=5, l=2, client_deposit=7, server_deposit=2,
-        )
-        assert (client, server) == (0, 9)
-        assert arbiter is None
+        ) == {"client": 0, "server": 9}
 
     def test_arbiter_gets_fee_for_unneeded_dispute(self):
-        _, _, arbiter = expected_payout(
+        payout = expected_payout(
             "arbiter",
             Counters(server_unneeded_disputes=1),
             z=3, o=5, l=2, client_deposit=21, server_deposit=6,
         )
-        assert arbiter == 2
+        assert payout["arbiter"] == 2
 
     def test_arbiterless_fee_transfer_examples(self):
-        client, server, _ = expected_payout(
+        assert expected_payout(
             "arbiterless", Counters(server_faults=1),
             z=3, o=5, l=2, client_deposit=21, server_deposit=6,
-        )
-        assert (client, server) == (13, 14)
-        client, server, _ = expected_payout(
+        ) == {"client": 13, "server": 14}
+        assert expected_payout(
             "arbiterless", Counters(client_faults=1),
             z=3, o=5, l=2, client_deposit=21, server_deposit=6,
-        )
-        assert (client, server) == (4, 23)
+        ) == {"client": 4, "server": 23}
+
+    @pytest.mark.parametrize("variant", ["arbiter", "arbiterless"])
+    def test_refund_returns_each_deposit(self, variant):
+        # the refund comes before the bounds check: counters past z are
+        # never read
+        assert expected_payout(
+            variant, Counters(client_faults=9),
+            z=3, o=5, l=2, client_deposit=21, server_deposit=0, refund=True,
+        ) == {"client": 21, "server": 0}
 
     def test_counter_bounds(self):
         with pytest.raises(CounterOutOfBounds):
@@ -300,6 +305,27 @@ class TestReportGolden:
         assert digest == self.UNEVEN_DIGESTS[variant]
 
 
+class TestCoinRange:
+    """Deposits must fit the trace's 8 bytes; balances and payouts need not."""
+
+    def test_payout_leg_of_both_deposits(self):
+        # without an arbiter the server's l for a fault goes to the client,
+        # whose payout is then both deposits: 2**63 + 2**63
+        raw = base_raw(behaviors={"server": [{"kind": "corrupt_block", "j": 1}]})
+        raw["session"].update(z=1, price_list=[[0, 2**63]], price_choice=[0, 2**63],
+                              variant="arbiterless")
+        report = run(ScenarioSpec.from_dict(raw))
+        assert report["valid"]
+        assert report["payout"]["actual"] == {"client": 2**64, "server": 0}
+
+    def test_deposit_past_range_is_spec_invalid(self):
+        # the masked client deposit z * (o_max + l_max) is 2**64
+        raw = base_raw()
+        raw["session"].update(z=2, price_list=[[2**63, 0]], price_choice=[2**63, 0])
+        with pytest.raises(SpecInvalid, match="2\\*\\*64"):
+            run(ScenarioSpec.from_dict(raw))
+
+
 class TestVerifyReport:
     def test_emitted_report_passes(self):
         report = run(ScenarioSpec.from_dict(base_raw()))
@@ -311,6 +337,9 @@ class TestVerifyReport:
         report = run(ScenarioSpec.from_dict(raw))
         ok, problems = verify_report(report)
         assert ok, problems
+        # a refund's payout is the deposits: its counters are never read
+        del report["counters"]
+        assert verify_report(report) == (True, [])
 
     def test_tampered_payout_detected(self):
         report = run(ScenarioSpec.from_dict(base_raw()))
