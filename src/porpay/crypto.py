@@ -81,10 +81,12 @@ def commit(statement: bytes, randomness: bytes) -> bytes:
 
 
 def commit_verify(commitment: bytes, opening: Opening) -> bool:
-    try:
-        return commit(opening.statement, opening.randomness) == commitment
-    except BadRandomnessLength:
+    """True iff ``opening`` opens ``commitment``; one whose fields are not
+    both ``bytes``, or whose randomness has another length, opens nothing."""
+    statement, r = opening.statement, opening.randomness
+    if not (isinstance(statement, bytes) and isinstance(r, bytes)):
         return False
+    return len(r) == LAMBDA_BITS // 8 and commit(statement, r) == commitment
 
 
 def gen_commit_randomness(rng: random.Random) -> bytes:

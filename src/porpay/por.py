@@ -15,7 +15,7 @@ import mmap
 import random
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 from . import merkle
@@ -62,17 +62,9 @@ class XorParityCodec:
         return b"".join(pieces)
 
 
-@dataclass(frozen=True)
-class PrfSpec:
-    """Bit lengths describing the challenge PRF (key, input, output).
-
-    Only the defaults, the constants the PRF is built from, are supported:
-    a server treats a statement carrying any other triple as ill-formed.
-    """
-
-    psi: int = PSI_BITS
-    eta: int = PRF_COUNTER_LEN * 8
-    iota: int = IOTA_BITS
+# The challenge PRF's bit lengths (key, input, output): the sizes ``prf`` is
+# built with, and the only triple a session supports.
+PRF_TRIPLE = (PSI_BITS, PRF_COUNTER_LEN * 8, IOTA_BITS)
 
 
 @dataclass(frozen=True)
@@ -80,7 +72,6 @@ class PublicParams:
     sigma: bytes
     phi: int
     m: int
-    zeta: PrfSpec = field(default_factory=PrfSpec)
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -93,7 +84,7 @@ class PublicParams:
             "sigma": self.sigma.hex(),
             "phi": self.phi,
             "m": self.m,
-            "zeta": {"psi": self.zeta.psi, "eta": self.zeta.eta, "iota": self.zeta.iota},
+            "zeta": dict(zip(("psi", "eta", "iota"), PRF_TRIPLE)),
         }
 
 

@@ -33,6 +33,7 @@ honest protocol.
 
 from __future__ import annotations
 
+import functools
 import random
 import struct
 from dataclasses import dataclass, field
@@ -148,33 +149,53 @@ class QpStatement:
         """Length of each encoded block: the payload, then its index."""
         return self.block_payload_len + por.INDEX_LEN
 
+    @functools.cached_property
+    def pf(self) -> "ProofFormat":
+        """The session's one proof-vector shape, derived on first use. One slot
+        size fits every value: blocks, digests, leaf indices, challenge keys."""
+        slot = UnitFormat(max(self.block_len, PSI_BITS // 8))
+        real = entry_real_units(self.pp.m)
+        slots = real + self.pad_pi
+        units = -(-slots // (MAX_VALUE_LEN // slot.payload_len))
+        unit = UnitFormat(-(-slots // units) * slot.payload_len)
+        lens = (self.block_len, self.block_len, *[HASH_LEN] * (real - 3), por.INDEX_LEN)
+        return ProofFormat(self.pp.phi, real, slot, units, unit, lens)
+
     def to_bytes(self) -> bytes:
-        pp, zeta = self.pp, self.pp.zeta
+        pp = self.pp
         if len(self.k_bar) != SYM_KEY_LEN or len(pp.sigma) != HASH_LEN:
             raise ValueError("proof key or root of the wrong length")
         return self._LAYOUT.pack(
             self.pad_pi, self.k_bar, pp.sigma, pp.phi, pp.m,
-            zeta.psi, zeta.eta, zeta.iota, self.block_payload_len,
+            *por.PRF_TRIPLE, self.block_payload_len,
         )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "QpStatement":
         """Read an agreed statement. Raises ValueError for any the session
-        cannot run: another length, phi outside [1, m], a PRF triple other
-        than the supported ``PrfSpec()``, a block payload outside
+        cannot run: not ``bytes``, another length, phi outside [1, m], a PRF
+        triple other than ``por.PRF_TRIPLE``, a block payload outside
         [1, MAX_BLOCK_PAYLOAD_LEN], or entries past MAX_ENTRY_SLOTS."""
-        try:
-            pad, k_bar, sigma, phi, m, *zeta, payload = cls._LAYOUT.unpack(data)
-        except struct.error as exc:
-            raise ValueError("statement does not have the qp layout") from exc
-        pp = por.PublicParams(sigma, phi, m, por.PrfSpec(*zeta))
-        if pp.zeta != por.PrfSpec():
-            raise ValueError(f"unsupported PRF triple {pp.zeta}")
+        pad, k_bar, sigma, phi, m, *prf, payload = _unpack(cls._LAYOUT, data, "qp")
+        pp = por.PublicParams(sigma, phi, m)
+        if tuple(prf) != por.PRF_TRIPLE:
+            raise ValueError(f"unsupported PRF triple {tuple(prf)}")
         if not 1 <= payload <= MAX_BLOCK_PAYLOAD_LEN:
             raise ValueError(f"block payload {payload} outside [1, MAX_BLOCK_PAYLOAD_LEN]")
         if entry_real_units(m) + pad > MAX_ENTRY_SLOTS:
             raise ValueError(f"pad count {pad} takes entries past MAX_ENTRY_SLOTS")
         return cls(pad, k_bar, pp, payload)
+
+
+def _unpack(layout: struct.Struct, data: bytes, name: str) -> tuple:
+    """The fields of a statement's bytes; ValueError for anything that is not
+    ``bytes`` of the ``name`` layout."""
+    if not isinstance(data, bytes):
+        raise ValueError(f"{name} statement is not bytes")
+    try:
+        return layout.unpack(data)
+    except struct.error as exc:
+        raise ValueError(f"statement does not have the {name} layout") from exc
 
 
 @dataclass(frozen=True)
@@ -210,10 +231,7 @@ class CpStatement:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CpStatement":
-        try:
-            return cls(*cls._LAYOUT.unpack(data))
-        except struct.error as exc:
-            raise ValueError("statement does not have the cp layout") from exc
+        return cls(*_unpack(cls._LAYOUT, data, "cp"))
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +295,6 @@ def entry_real_units(m: int) -> int:
 MAX_ENTRY_SLOTS = entry_real_units(1 << 8 * por.INDEX_LEN)
 
 
-def unit_format(block_payload_len: int) -> UnitFormat:
-    """One slot size fits every value a session sends: blocks, digests,
-    leaf indices, and challenge keys."""
-    return UnitFormat(max(block_payload_len + por.INDEX_LEN, PSI_BITS // 8))
-
-
 # A slot (length prefix, payload, index) must fit in one unit, whose own
 # length prefix states at most MAX_VALUE_LEN bytes; a larger payload leaves
 # no way to frame a proof entry.
@@ -306,7 +318,7 @@ def key_gen(rng: random.Random, pi_max: int, pi_act: int) -> tuple[bytes, int]:
 @dataclass(frozen=True)
 class ProofFormat:
     """The one shape of every proof vector in a session, fixed by the agreed
-    qp statement.
+    qp statement (``QpStatement.pf``).
 
     A vector is ``phi`` entries. Each entry's plaintext is ``pi_max`` slots
     of geometry ``slot``: its ``real`` values (block, sibling block, one
@@ -346,25 +358,15 @@ class ProofFormat:
         return self.units * self.unit.unit_len
 
 
-def proof_format(qp: QpStatement) -> ProofFormat:
-    """The proof-vector shape the statement ``qp`` fixes."""
-    slot = unit_format(qp.block_payload_len)
-    real = entry_real_units(qp.pp.m)
-    slots = real + qp.pad_pi
-    units = -(-slots // (MAX_VALUE_LEN // slot.payload_len))
-    unit = UnitFormat(-(-slots // units) * slot.payload_len)
-    lens = (qp.block_len, qp.block_len, *[HASH_LEN] * (real - 3), por.INDEX_LEN)
-    return ProofFormat(qp.pp.phi, real, slot, units, unit, lens)
-
-
 def encode_proof_vector(
-    pi: por.ProofVector, k_bar: bytes, pf: ProofFormat, rng: random.Random
+    pi: por.ProofVector, qp: QpStatement, rng: random.Random
 ) -> bytes:
     """Seal every proof entry, its values then zero pad slots, as
-    ``pf.units`` cipher units.
+    ``qp.pf.units`` cipher units under ``qp.k_bar``.
 
-    Raises ValueError for a path whose value lengths are not ``pf.lens``.
+    Raises ValueError for a path whose value lengths are not ``qp.pf.lens``.
     """
+    pf, k_bar = qp.pf, qp.k_bar
     unit = pf.unit
     step = unit.value_capacity
     plain_len = pf.units * step
@@ -393,20 +395,20 @@ def encode_proof_vector(
     return b"".join(units)
 
 
-def dummy_proof_vector(pf: ProofFormat, rng: random.Random) -> bytes:
+def dummy_proof_vector(qp: QpStatement, rng: random.Random) -> bytes:
     """All-sampled vector with exactly the shape of a real one."""
+    pf = qp.pf
     return b"".join([sample_unit(pf.unit, rng) for _ in range(pf.phi * pf.units)])
 
 
-def open_entry(
-    payload: bytes, g: int, k_bar: bytes, pf: ProofFormat
-) -> merkle.MerklePath:
-    """Open the 1-based ``g``-th entry of a proof vector.
+def open_entry(payload: bytes, g: int, qp: QpStatement) -> merkle.MerklePath:
+    """Open the 1-based ``g``-th entry of a proof vector, ``pf`` being ``qp.pf``.
 
     Raises DecryptFailure, before any unit is opened, when the vector is not
     ``pf.phi`` entries of ``pf.entry_len`` bytes; and when a unit fails to
     open, or the units do not carry exactly the slots ``pf.layout`` fixes.
     """
+    pf, k_bar = qp.pf, qp.k_bar
     unit = pf.unit
     n = unit.unit_len
     entry_len = pf.entry_len
@@ -430,7 +432,7 @@ def open_entry(
 
 
 def decode_proof_vector(
-    payload: bytes, k_bar: bytes, pf: ProofFormat
+    payload: bytes, qp: QpStatement
 ) -> tuple[por.ProofVector | None, int | None]:
     """Open every entry.
 
@@ -439,9 +441,9 @@ def decode_proof_vector(
     a mis-shaped vector fails at entry 1.
     """
     entries = []
-    for g in range(1, pf.phi + 1):
+    for g in range(1, qp.pp.phi + 1):
         try:
-            entries.append(open_entry(payload, g, k_bar, pf))
+            entries.append(open_entry(payload, g, qp))
         except DecryptFailure:
             return None, g
     return tuple(entries), None
@@ -521,7 +523,6 @@ class Client(_Party):
         self.config = config
         self.behavior = behavior or ClientBehavior()
         self.qp: QpStatement | None = None
-        self.pf: ProofFormat | None = None
         self.contract: RcContract | None = None
         self.opening_qp: Opening | None = None
         self.opening_cp: Opening | None = None
@@ -552,14 +553,13 @@ class Client(_Party):
             twisted[0] ^= 0xFF
             block_len = cfg.block_payload_len + por.INDEX_LEN
             _, bogus_root = merkle.gen_tree(twisted, block_len)
-            pp = por.PublicParams(bogus_root, pp.phi, pp.m, pp.zeta)
+            pp = por.PublicParams(bogus_root, pp.phi, pp.m)
 
         pi_act = entry_real_units(pp.m)
         pi_max = cfg.pi_max if cfg.pi_max is not None else pi_act
         k_bar, pad_pi = key_gen(self.rng, pi_max, pi_act)
 
         qp = self.qp = QpStatement(pad_pi, k_bar, pp, cfg.block_payload_len)
-        self.pf = proof_format(qp)
         cp = cfg.cp
         r_qp, _, sid_qp = sap_init(
             ledger, self.addr, addr_server, qp.to_bytes(), self.rng
@@ -597,7 +597,7 @@ class Client(_Party):
             k_hat = self.rng.randbytes(8)  # truncated key, outside the key universe
         else:
             k_hat = por.gen_query(self.rng)
-        unit = enc_unit(self.qp.k_bar, k_hat, self.pf.slot, self.rng)
+        unit = enc_unit(self.qp.k_bar, k_hat, self.qp.pf.slot, self.rng)
         ledger.post(
             self.contract, LedgerMessage(self.addr, MsgKind.QUERY, unit, slot=j)
         )
@@ -610,12 +610,12 @@ class Client(_Party):
         if j in self._withheld:
             return None, None
         qp = self.qp
-        k_hat = dec_unit(qp.k_bar, self.contract.query(j), self.pf.slot)
+        k_hat = dec_unit(qp.k_bar, self.contract.query(j), qp.pf.slot)
         payload = self.contract.proofs.get(j)
         if payload is None:
             verdict = por.Verdict(1)
         else:
-            entries, failed_at = decode_proof_vector(payload, qp.k_bar, self.pf)
+            entries, failed_at = decode_proof_vector(payload, qp)
             if entries is None:
                 verdict = por.Verdict(failed_at)
             else:
@@ -654,7 +654,6 @@ class Server(_Party):
         self.contract: RcContract | None = None
         self.tree: merkle.MerkleTree | None = None
         self.qp: QpStatement | None = None
-        self.pf: ProofFormat | None = None
         self.complaints: list[int] = []
         self.opening_qp: Opening | None = None
 
@@ -713,7 +712,6 @@ class Server(_Party):
                 a = 1
                 self.tree = tree
                 self.qp = qp
-                self.pf = proof_format(qp)
 
         ledger.post(
             contract, LedgerMessage(self.addr, MsgKind.SERVER_RESPONSE, bytes([a]))
@@ -732,7 +730,7 @@ class Server(_Party):
         proof status stays hidden until resolution time.
         """
         qp = self.qp
-        k_hat = _query_key(self.contract, j, qp.k_bar, self.pf)
+        k_hat = _query_key(self.contract, j, qp)
         b = 0 if k_hat is None or j in self.behavior.false_query_complaint else 1
 
         complaint: int | None = None
@@ -740,11 +738,11 @@ class Server(_Party):
             pi = por.prove(self.tree, k_hat, qp.pp)
             if j in self.behavior.corrupt_block:
                 pi = _corrupt_first_entry(pi)
-            payload = encode_proof_vector(pi, qp.k_bar, self.pf, self.rng)
+            payload = encode_proof_vector(pi, qp, self.rng)
         else:
             complaint = j
             self.complaints.append(j)
-            payload = dummy_proof_vector(self.pf, self.rng)
+            payload = dummy_proof_vector(qp, self.rng)
         if j not in self.behavior.withhold_proof:
             ledger.post(
                 self.contract, LedgerMessage(self.addr, MsgKind.PROOF, payload, slot=j)
@@ -850,9 +848,11 @@ def pack_complaints(opening: Opening, fields: list[int]) -> bytes:
 
 def unpack_complaints(post: bytes, width: int) -> tuple[list[int], Opening | None]:
     """The fields and the opening of a post whose items are ``width``
-    fields each. A post shorter than the opening, or one that ends partway
-    through an item, unpacks to no fields and no opening, so resolution
-    filters it whole."""
+    fields each. A post that is not ``bytes``, is shorter than the opening,
+    or ends partway through an item unpacks to no fields and no opening, so
+    resolution filters it whole."""
+    if not isinstance(post, bytes):
+        return [], None
     size = len(post) - _HEAD_LEN
     if size < 0 or size % (width * _FIELD_LEN):
         return [], None
@@ -876,20 +876,18 @@ def _filter(items: list, cycle, admissible) -> tuple[list, list]:
     return kept, dropped
 
 
-def _query_key(
-    contract: RcContract, j: int, k_bar: bytes, pf: ProofFormat
-) -> bytes | None:
+def _query_key(contract: RcContract, j: int, qp: QpStatement) -> bytes | None:
     """The phase-5 query checks on the posted ciphertext: the challenge
     key, or None when the query is missing or invalid."""
     try:
-        k_hat = dec_unit(k_bar, contract.query(j), pf.slot)
+        k_hat = dec_unit(qp.k_bar, contract.query(j), qp.pf.slot)
     except (MissingQuery, DecryptFailure):
         return None
     return k_hat if len(k_hat) == PSI_BITS // 8 else None
 
 
 def _judge_client_complaint(
-    contract: RcContract, j: int, g: int, qp: QpStatement, pf: ProofFormat
+    contract: RcContract, j: int, g: int, qp: QpStatement
 ) -> str | None:
     """Identify the misbehaving party for complaint [j, g].
 
@@ -897,7 +895,7 @@ def _judge_client_complaint(
     or entry g fails), or None when the single re-checked proof verifies,
     i.e. the complaint identified nobody.
     """
-    k_hat = _query_key(contract, j, qp.k_bar, pf)
+    k_hat = _query_key(contract, j, qp)
     if k_hat is None:
         return Y_CLIENT
     q_g = (int.from_bytes(prf(k_hat, g), "big") % qp.pp.m) + 1
@@ -905,7 +903,7 @@ def _judge_client_complaint(
     if payload is None:
         return Y_SERVER
     try:
-        entry = open_entry(payload, g, qp.k_bar, pf)
+        entry = open_entry(payload, g, qp)
     except DecryptFailure:
         return Y_SERVER
     verdict = por.verify((entry,), [q_g], qp.pp)
@@ -926,13 +924,12 @@ def _server_pass(
     if qp is None:
         rep.server_filtered.extend(cycles)
         return
-    pf = proof_format(qp)
     z = contract.params.z
     kept, dropped = _filter(cycles, lambda i: i, lambda i: 1 <= i <= z)
     rep.server_admitted.extend(kept)
     rep.server_filtered.extend(dropped)
     for i in kept:
-        if _query_key(contract, i, qp.k_bar, pf) is None:
+        if _query_key(contract, i, qp) is None:
             rep.charge(i, Y_CLIENT)
             rep.v.append(i)
         elif not contract.params.arbiterless:
@@ -950,7 +947,6 @@ def _client_pass(
     if qp is None:
         rep.client_filtered.extend(items)
         return
-    pf = proof_format(qp)
     z, phi, v = contract.params.z, qp.pp.phi, set(rep.v)
     kept, dropped = _filter(
         items,
@@ -960,7 +956,7 @@ def _client_pass(
     rep.client_admitted.extend(kept)
     rep.client_filtered.extend(dropped)
     for j, g in kept:
-        party = _judge_client_complaint(contract, j, g, qp, pf)
+        party = _judge_client_complaint(contract, j, g, qp)
         if party is None:
             if not contract.params.arbiterless:
                 rep.charge(j, Y_CLIENT_UNNEEDED)

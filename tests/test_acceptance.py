@@ -371,16 +371,15 @@ def big_session():
     tree, _ = merkle.gen_tree(blocks, PAYLOAD + por.INDEX_LEN)
     key = por.gen_query(rng)
     pi = por.prove(tree, key, pp)
-    k_bar = b"\x5a" * 16
-    pf = protocol.proof_format(protocol.QpStatement(0, k_bar, pp, PAYLOAD))
-    wire = protocol.encode_proof_vector(pi, k_bar, pf, rng)
-    return SimpleNamespace(pp=pp, key=key, k_bar=k_bar, pf=pf, wire=wire)
+    qp = protocol.QpStatement(0, b"\x5a" * 16, pp, PAYLOAD)
+    wire = protocol.encode_proof_vector(pi, qp, rng)
+    return SimpleNamespace(pp=pp, key=key, qp=qp, wire=wire)
 
 
 class TestDisputeWorkRatio:
     def test_single_check_is_one_over_phi_of_full_verification(self, big_session):
         s = big_session
-        entries, failed = protocol.decode_proof_vector(s.wire, s.k_bar, s.pf)
+        entries, failed = protocol.decode_proof_vector(s.wire, s.qp)
         assert failed is None
 
         with count_hash_calls() as taken:
@@ -556,7 +555,7 @@ class TestScaledTiming:
         s = big_session
 
         started = time.perf_counter()
-        entries, failed = protocol.decode_proof_vector(s.wire, s.k_bar, s.pf)
+        entries, failed = protocol.decode_proof_vector(s.wire, s.qp)
         verdict = por.verify(entries, s.key, s.pp)
         verify_seconds = time.perf_counter() - started
         assert failed is None and verdict.accepted
@@ -566,7 +565,7 @@ class TestScaledTiming:
         best = float("inf")
         for _ in range(3):
             started = time.perf_counter()
-            entry = protocol.open_entry(s.wire, g, s.k_bar, s.pf)
+            entry = protocol.open_entry(s.wire, g, s.qp)
             q_g = (int.from_bytes(prf(s.key, g), "big") % s.pp.m) + 1
             single = por.verify((entry,), [q_g], s.pp)
             best = min(best, time.perf_counter() - started)

@@ -73,6 +73,14 @@ class TestCommitment:
         r[0] ^= 1
         assert not crypto.commit_verify(c, crypto.Opening(b"statement", bytes(r)))
 
+    @pytest.mark.parametrize("opening", [
+        crypto.Opening("statement", bytes(16)), crypto.Opening(b"statement", None),
+        crypto.Opening(bytearray(b"statement"), bytes(16)),
+    ], ids=["str-statement", "none-randomness", "bytearray-statement"])
+    def test_verify_fields_not_bytes(self, opening):
+        c = crypto.commit(b"statement", bytes(16))
+        assert crypto.commit_verify(c, opening) is False
+
     def test_binding_search(self):
         # no opening for a different statement validates, at test scale
         rng = random.Random(7)
@@ -208,9 +216,8 @@ class TestWireGolden:
                                block_payload_len=16, phi=4)
         tree, _ = merkle.gen_tree(blocks, 16 + por.INDEX_LEN)
         pi = por.prove(tree, bytes(range(16, 32)), pp)
-        k_bar = bytes(range(32, 48))
-        pf = protocol.proof_format(protocol.QpStatement(3, k_bar, pp, 16))
-        wire = protocol.encode_proof_vector(pi, k_bar, pf, random.Random(5))
+        qp = protocol.QpStatement(3, bytes(range(32, 48)), pp, 16)
+        wire = protocol.encode_proof_vector(pi, qp, random.Random(5))
         assert len(wire) == 4 * (12 + 2 + (6 + 3) * 22 + 16)
         assert hashlib.sha256(wire).hexdigest() == (
             "549f8fec49e468d8751bfaf72b92ab798f8ce488707807524cbc95e69c1f1451"

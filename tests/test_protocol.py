@@ -77,10 +77,6 @@ def setup_tree(rng, size, phi):
     return tree, pp
 
 
-def proof_format(pp, pad_pi, payload=16):
-    return protocol.proof_format(QpStatement(pad_pi, bytes(16), pp, payload))
-
-
 def frame_slots(values, capacity):
     """Each value as one slot: its 2-byte big-endian length, the value,
     zero fill up to ``capacity``."""
@@ -88,18 +84,22 @@ def frame_slots(values, capacity):
                     for v in values)
 
 
+def qp_fields(qp):
+    """The fields of ``qp``'s bytes, in layout order."""
+    return list(QpStatement._LAYOUT.unpack(qp.to_bytes()))
+
+
 def _other_prf(qp):
     """The bytes of ``qp`` with a 64-bit PRF key in its PRF triple."""
-    pp = dataclasses.replace(qp.pp, zeta=por.PrfSpec(psi=64))
-    return dataclasses.replace(qp, pp=pp).to_bytes()
+    fields = qp_fields(qp)
+    fields[5] = 64  # psi
+    return QpStatement._LAYOUT.pack(*fields)
 
 
 @st.composite
 def edited_qp_bytes(draw):
     """A valid qp statement's bytes with one field replaced."""
-    zeta = por.PrfSpec()
-    fields = [3, b"\x11" * 16, bytes(range(16)), 4, 9,
-              zeta.psi, zeta.eta, zeta.iota, 16]
+    fields = [3, b"\x11" * 16, bytes(range(16)), 4, 9, *por.PRF_TRIPLE, 16]
     i = draw(st.integers(0, len(fields) - 1))
     if isinstance(fields[i], bytes):
         n = len(fields[i])
@@ -177,9 +177,16 @@ class TestStatements:
         except ValueError:
             return
         assert isinstance(qp, QpStatement)
-        protocol.proof_format(qp)
+        assert qp.pf is qp.pf
         assert qp.to_bytes() == data
         assert QpStatement.from_bytes(qp.to_bytes()) == qp
+
+    @pytest.mark.parametrize("statement", [QpStatement, CpStatement])
+    @pytest.mark.parametrize("data", ["text", None, bytearray(88), memoryview(bytes(40))],
+                             ids=["str", "none", "bytearray", "memoryview"])
+    def test_statement_not_bytes_refused(self, statement, data):
+        with pytest.raises(ValueError, match="not bytes"):
+            statement.from_bytes(data)
 
     def test_prices_above_maxima_rejected(self):
         with pytest.raises(ValueError):
@@ -405,17 +412,10 @@ class TestServerInit:
         assert server.init(dataclasses.replace(handoff, blocks=short), ledger) == 0
         assert handoff.contract.server_deposited == 0
 
-    def test_unsupported_prf_spec_refunds(self, monkeypatch):
+    def test_unsupported_prf_spec_refunds(self):
         # a client advertising a 64-bit PRF key in a statement that otherwise
         # agrees and matches the file: the server refuses, then T2 refunds
-        setup = por.setup
-
-        def short_key_setup(*args, **kwargs):
-            blocks, pp = setup(*args, **kwargs)
-            return blocks, dataclasses.replace(pp, zeta=por.PrfSpec(psi=64))
-
-        monkeypatch.setattr(por, "setup", short_key_setup)
-        ledger, client, server, handoff, _, _ = build_session(make_config())
+        ledger, addr_c, server, handoff = self.hand_built(qp_bytes=_other_prf)
         contract = handoff.contract
         # the statement carries psi = 64, and reading it refuses the triple
         with pytest.raises(ValueError, match="PRF triple"):
@@ -424,9 +424,9 @@ class TestServerInit:
         assert server.init(handoff, ledger) == 0
         assert contract.server_deposited == 0
         goto(ledger, contract, "T2")
-        client.request_payout(ledger)
-        protocol.payout_arbiter_variant(ledger, contract, client.opening_cp)
-        assert ledger.balances() == {"client": 21, "server": 6, "arbiter": 0}
+        ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
+        protocol.payout_arbiter_variant(ledger, contract, handoff.opening_cp)
+        assert ledger.balances() == {"client": 100, "server": 100, "arbiter": 0}
 
     @pytest.mark.parametrize(
         "pi_max, a", [(protocol.MAX_ENTRY_SLOTS, 1), (protocol.MAX_ENTRY_SLOTS + 1, 0),
@@ -510,16 +510,31 @@ class TestServerInit:
         assert ledger.balances() == refunded
         assert ledger.total_supply() == genesis_supply
 
+    @pytest.mark.parametrize("field", ["opening_qp", "opening_cp"])
+    def test_statement_not_bytes_refunds(self, field):
+        # a handoff whose opening carries its statement as text: the server
+        # refuses to read it and to agree, answers a = 0, and T2 refunds
+        ledger, addr_c, server, handoff = self.hand_built()
+        opening = getattr(handoff, field)
+        text = Opening(opening.statement.decode("latin-1"), opening.randomness)
+        handoff = dataclasses.replace(handoff, **{field: text})
+        contract = handoff.contract
+        goto(ledger, contract, "T1")
+        assert server.init(handoff, ledger) == 0
+        assert (contract.a_flag, contract.server_deposited) == (0, 0)
+        goto(ledger, contract, "T2")
+        ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
+        protocol.payout_arbiter_variant(ledger, contract, handoff.opening_cp)
+        assert ledger.balances() == {"client": 100, "server": 100, "arbiter": 0}
+
     def test_phi_above_m_refunds(self):
         # a qp statement whose bytes carry phi = m + 1 and that both parties
         # agree on: PublicParams refuses to parse it, so the server answers
         # a = 0 and T2 refunds every deposit
         def phi_past_m(qp):
-            pp, zeta = qp.pp, qp.pp.zeta
-            return QpStatement._LAYOUT.pack(
-                qp.pad_pi, qp.k_bar, pp.sigma, pp.m + 1, pp.m,
-                zeta.psi, zeta.eta, zeta.iota, qp.block_payload_len,
-            )
+            fields = qp_fields(qp)
+            fields[3] = qp.pp.m + 1  # phi
+            return QpStatement._LAYOUT.pack(*fields)
 
         ledger, addr_c, server, handoff = self.hand_built(qp_bytes=phi_past_m)
         contract = handoff.contract
@@ -585,7 +600,7 @@ class TestHonestRuns:
         config = make_config(z=2)
         run = HonestRun(config)
         for j, unit in run.contract.queries.items():
-            key = dec_unit(run.client.qp.k_bar, unit, run.client.pf.slot)
+            key = dec_unit(run.client.qp.k_bar, unit, run.client.qp.pf.slot)
             assert len(key) == 16
 
 
@@ -596,7 +611,7 @@ class TestWireShape:
         m = run.client.qp.pp.m
         real = protocol.entry_real_units(m)
         payload = run.contract.proofs[1]
-        pf = run.client.pf
+        pf = run.client.qp.pf
         assert (pf.phi, pf.real, pf.units) == (config.phi, real, 1)
         assert len(payload) == config.phi * pf.entry_len
 
@@ -607,8 +622,8 @@ class TestWireShape:
         assert run.client.qp.pad_pi == 3
         real = protocol.entry_real_units(run.client.qp.pp.m)
         payload = run.contract.proofs[1]
-        entry_len = 12 + 2 + (real + 3) * run.client.pf.slot.payload_len + 16
-        assert run.client.pf.entry_len == entry_len
+        entry_len = 12 + 2 + (real + 3) * run.client.qp.pf.slot.payload_len + 16
+        assert run.client.qp.pf.entry_len == entry_len
         assert len(payload) == config.phi * entry_len
 
     def test_largest_block_payload_frames_one_slot_per_unit(self):
@@ -619,27 +634,26 @@ class TestWireShape:
             make_config(payload=65_530)
         run = HonestRun(make_config(z=1, phi=2, payload=65_529), file_size=2 * 65_529)
         assert run.verdicts[1].accepted
-        assert run.client.pf.units == run.client.pf.real
+        assert run.client.qp.pf.units == run.client.qp.pf.real
 
     def test_dummy_matches_real_shape(self):
         rng = random.Random(0)
         tree, pp = setup_tree(rng, 512, 4)
         key = por.gen_query(rng)
         pi = por.prove(tree, key, pp)
-        pf = proof_format(pp, 2)
-        genuine = protocol.encode_proof_vector(pi, b"\x01" * 16, pf, rng)
-        dummy = protocol.dummy_proof_vector(pf, rng)
+        qp = QpStatement(2, b"\x01" * 16, pp)
+        genuine = protocol.encode_proof_vector(pi, qp, rng)
+        dummy = protocol.dummy_proof_vector(qp, rng)
         assert len(genuine) == len(dummy)
 
     def test_decode_recovers_vector(self):
         rng = random.Random(0)
         tree, pp = setup_tree(rng, 512, 4)
         key = por.gen_query(rng)
-        k_bar = b"\x02" * 16
         pi = por.prove(tree, key, pp)
-        pf = proof_format(pp, 2)
-        payload = protocol.encode_proof_vector(pi, k_bar, pf, rng)
-        entries, failed = protocol.decode_proof_vector(payload, k_bar, pf)
+        qp = QpStatement(2, b"\x02" * 16, pp)
+        payload = protocol.encode_proof_vector(pi, qp, rng)
+        entries, failed = protocol.decode_proof_vector(payload, qp)
         assert failed is None
         assert entries == pi
 
@@ -648,18 +662,36 @@ class TestWireShape:
         rng = random.Random(0)
         tree, pp = setup_tree(rng, 512, 4)
         pi = por.prove(tree, por.gen_query(rng), pp)
-        taller = proof_format(por.PublicParams(pp.sigma, pp.phi, 64), 2)
+        taller = QpStatement(2, b"\x01" * 16, por.PublicParams(pp.sigma, pp.phi, 64))
         with pytest.raises(ValueError):
-            protocol.encode_proof_vector(pi, b"\x01" * 16, taller, rng)
+            protocol.encode_proof_vector(pi, taller, rng)
 
     def test_dummy_fails_decode_at_first_entry(self):
         rng = random.Random(0)
-        pf = proof_format(por.PublicParams(bytes(16), phi=4, m=64), 0)
-        assert pf.real == 8
-        dummy = protocol.dummy_proof_vector(pf, rng)
-        entries, failed = protocol.decode_proof_vector(dummy, b"\x03" * 16, pf)
+        qp = QpStatement(0, b"\x03" * 16, por.PublicParams(bytes(16), phi=4, m=64))
+        assert qp.pf.real == 8
+        dummy = protocol.dummy_proof_vector(qp, rng)
+        entries, failed = protocol.decode_proof_vector(dummy, qp)
         assert entries is None
         assert failed == 1
+
+
+class TestOneShapePerSession:
+    @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
+    def test_shape_derived_once_from_the_statement(self, variant):
+        # the client's, the server's and the resolvers' statements fix one
+        # proof format, and each statement derives it once
+        run = HonestRun(make_config(z=2, variant=variant))
+        client_qp, server_qp = run.client.qp, run.server.qp
+        agreed = protocol._agreed_qp(run.client.opening_qp, run.contract, run.ledger)
+        assert agreed == QpStatement.from_bytes(run.client.opening_qp.statement)
+        assert client_qp.pf == server_qp.pf == agreed.pf
+        for qp in (client_qp, server_qp, agreed):
+            assert qp.pf is qp.pf
+        assert all(v.accepted for v in run.verdicts.values())
+        # derived on first use: a hand-built statement whose pad count admits
+        # no shape still builds
+        assert QpStatement(-1000, bytes(16), client_qp.pp).pad_pi == -1000
 
 
 class TestEntryUnits:
@@ -673,15 +705,16 @@ class TestEntryUnits:
         rng = random.Random(5)
         tree, pp = setup_tree(rng, 512, 6)
         pi = por.prove(tree, por.gen_query(rng), pp)
-        pf = proof_format(pp, self.PAD)
-        payload = protocol.encode_proof_vector(pi, self.K_BAR, pf, rng)
+        qp = QpStatement(self.PAD, self.K_BAR, pp)
+        payload = protocol.encode_proof_vector(pi, qp, rng)
+        pf = qp.pf
         assert pf.units == 1
         return pi, pp, pf.slot, pf.unit, pf.real, payload
 
     def decode(self, payload, pp, fmt, real):
-        pf = proof_format(pp, self.PAD)
-        assert (pf.slot, pf.real) == (fmt, real)
-        return protocol.decode_proof_vector(payload, self.K_BAR, pf)
+        qp = QpStatement(self.PAD, self.K_BAR, pp)
+        assert (qp.pf.slot, qp.pf.real) == (fmt, real)
+        return protocol.decode_proof_vector(payload, qp)
 
     @pytest.mark.parametrize("reshape", [
         lambda vector, phi: vector + b"\0",
@@ -691,8 +724,8 @@ class TestEntryUnits:
         # the vector's shape is checked before any unit is opened, so an
         # entry that would open on its own is refused too
         pi, pp, fmt, efmt, real, payload = self.vector()
-        pf = proof_format(pp, self.PAD)
-        assert protocol.open_entry(payload, 1, self.K_BAR, pf) == pi[0]
+        qp = QpStatement(self.PAD, self.K_BAR, pp)
+        assert protocol.open_entry(payload, 1, qp) == pi[0]
         opens = []
 
         def counting_dec_unit(*args):
@@ -703,7 +736,7 @@ class TestEntryUnits:
         bad = reshape(payload, pp.phi)
         for g in (1, pp.phi):
             with pytest.raises(DecryptFailure, match="vector length"):
-                protocol.open_entry(bad, g, self.K_BAR, pf)
+                protocol.open_entry(bad, g, qp)
         assert self.decode(bad, pp, fmt, real) == (None, 1)
         assert opens == []
 
@@ -778,14 +811,14 @@ class TestEntryUnits:
             lengths.update(len(p) for p in run.contract.proofs.values())
             reals.append(protocol.entry_real_units(run.client.qp.pp.m))
         assert reals == [8, 10]
-        assert lengths == {4 * (12 + 2 + 12 * run.client.pf.slot.payload_len + 16)}
+        assert lengths == {4 * (12 + 2 + 12 * run.client.qp.pf.slot.payload_len + 16)}
 
     def test_entry_past_one_unit_is_split(self):
         # 20 slots of 4102 bytes exceed one unit's 65,535-byte limit, so each
         # entry is sealed as two units of 10 slots
         config = make_config(z=2, phi=4, pi_max=20, payload=4096)
         run = HonestRun(config, file_size=8 * 4096)
-        pf = run.client.pf
+        pf = run.client.qp.pf
         assert pf.units == 2
         assert pf.unit.value_capacity == 10 * 4102
         assert pf.entry_len == 2 * pf.unit.unit_len
@@ -794,9 +827,8 @@ class TestEntryUnits:
         assert len(payload) == 4 * pf.entry_len
         bad = bytearray(payload)
         bad[2 * pf.entry_len + pf.unit.unit_len + 100] ^= 0x01  # entry 3, unit 2
-        k_bar = run.client.qp.k_bar
-        assert protocol.decode_proof_vector(bytes(bad), k_bar, pf) == (None, 3)
-        dummy = protocol.dummy_proof_vector(pf, random.Random(0))
+        assert protocol.decode_proof_vector(bytes(bad), run.client.qp) == (None, 3)
+        dummy = protocol.dummy_proof_vector(run.client.qp, random.Random(0))
         assert len(dummy) == len(payload)
 
 
@@ -810,11 +842,10 @@ class TestCompiledEntryLayout:
     # length prefixes a hostile plaintext may state, by name
     PREFIXES = ("zero", "minus_one", "plus_one", "capacity", "past_capacity", "max")
 
-    @staticmethod
-    def shape(data):
-        """A proof format and its expected value lengths: a payload of 1 to
-        64 bytes with 0 to 4 pad slots, or a payload past 4,096 bytes whose
-        12 pad slots split each entry over 2 units."""
+    def shape(self, data):
+        """A statement under ``K_BAR`` and its expected value lengths: a
+        payload of 1 to 64 bytes with 0 to 4 pad slots, or a payload past
+        4,096 bytes whose 12 pad slots split each entry over 2 units."""
         payload, pad = data.draw(
             st.one_of(
                 st.tuples(st.integers(1, 64), st.integers(0, 4)),
@@ -822,12 +853,12 @@ class TestCompiledEntryLayout:
             )
         )
         m = data.draw(st.sampled_from([8, 715, 1 << 16]))
-        pf = proof_format(por.PublicParams(bytes(16), phi=1, m=m), pad, payload)
+        qp = QpStatement(pad, self.K_BAR, por.PublicParams(bytes(16), phi=1, m=m), payload)
         real = protocol.entry_real_units(m)
         lens = [payload + 4, payload + 4] + [16] * (real - 3) + [4]
         if payload == 4200:
-            assert pf.units == 2
-        return pf, lens
+            assert qp.pf.units == 2
+        return qp, lens
 
     @staticmethod
     def path(values):
@@ -845,7 +876,8 @@ class TestCompiledEntryLayout:
     @settings(max_examples=120)
     @given(st.data())
     def test_open_reads_only_the_agreed_lengths(self, data):
-        pf, lens = self.shape(data)
+        qp, lens = self.shape(data)
+        pf = qp.pf
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         values = [rng.randbytes(n) for n in lens]
         slot_len, capacity = pf.slot.payload_len, pf.slot.value_capacity
@@ -874,24 +906,25 @@ class TestCompiledEntryLayout:
                        for k in range(pf.real)]
         sealed = self.seal(bytes(plain), pf, rng)
         if stated_lens == lens:
-            assert protocol.open_entry(sealed, 1, self.K_BAR, pf) == self.path(values)
+            assert protocol.open_entry(sealed, 1, qp) == self.path(values)
         else:
             with pytest.raises(DecryptFailure):
-                protocol.open_entry(sealed, 1, self.K_BAR, pf)
+                protocol.open_entry(sealed, 1, qp)
 
     @settings(max_examples=60)
     @given(st.data())
     def test_encode_frames_the_path_values(self, data):
-        pf, lens = self.shape(data)
+        qp, lens = self.shape(data)
+        pf = qp.pf
         seed = data.draw(st.integers(0, 2**32))
         rng = random.Random(seed)
         values = [rng.randbytes(n) for n in lens]
         path = self.path(values)
         tail = bytes(pf.units * pf.unit.value_capacity - pf.real * pf.slot.payload_len)
-        got = protocol.encode_proof_vector((path,), self.K_BAR, pf, random.Random(seed))
+        got = protocol.encode_proof_vector((path,), qp, random.Random(seed))
         plain = frame_slots(values, pf.slot.value_capacity) + tail
         assert got == self.seal(plain, pf, random.Random(seed))
-        assert protocol.open_entry(got, 1, self.K_BAR, pf) == path
+        assert protocol.open_entry(got, 1, qp) == path
         # a hand-built path carrying a block or digest of another length is
         # refused rather than sealed
         k = data.draw(st.integers(0, len(lens) - 2))
@@ -900,7 +933,7 @@ class TestCompiledEntryLayout:
             values[0], values[1], tuple(values[2:-1]), path.leaf_index
         )
         with pytest.raises(ValueError):
-            protocol.encode_proof_vector((bad,), self.K_BAR, pf, random.Random(seed))
+            protocol.encode_proof_vector((bad,), qp, random.Random(seed))
 
 
 class TestResolutionFilters:
@@ -1341,6 +1374,28 @@ class TestHostileComplaintPosts:
         assert run.contract.counters == Counters(server_faults=1)
         assert payout == {"client": 13, "server": 14}
 
+    @pytest.mark.parametrize("wrap", [
+        lambda post: post.decode("latin-1"), lambda post: None, bytearray, memoryview,
+    ], ids=["str", "none", "bytearray", "memoryview"])
+    def test_post_not_bytes_is_filtered_by_arbiter(self, wrap):
+        # the arbiter is handed each party's post off the ledger, which
+        # refuses a payload that is not bytes; the arbiter refuses it too
+        run = HonestRun(make_config(z=3), seed=21, server_behavior=ServerBehavior(
+            corrupt_block=frozenset({2}), false_query_complaint=frozenset({1})))
+        assert run.server.complaints == [1] and (2, 1) in run.client.complaints
+        ledger, contract = run.ledger, run.contract
+        arbiter = Arbiter(run.addr_r)
+        goto(ledger, contract, "K2")
+        v = arbiter.resolve_server(wrap(run.server.complaint_post()), ledger, contract)
+        assert v == []
+        goto(ledger, contract, "K5")
+        arbiter.resolve_client(wrap(run.client.complaint_post()), ledger, contract)
+        goto(ledger, contract, "K6")
+        arbiter.post_counters(ledger, contract)
+        report = arbiter.report
+        assert report.server_admitted == report.client_admitted == []
+        assert report.increments == Counters() == contract.counters
+
     @pytest.mark.parametrize("width, fields", [
         (1, [1, 0, 2**32 - 1, 1]),
         (2, [3, 1, 2**32 - 1, 0, 3, 1]),
@@ -1563,6 +1618,19 @@ class TestPayoutGuards:
         assert PAYOUT[variant](ledger, contract, client.opening_cp) == {
             "client": 14, "server": 0,
         }
+
+    @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
+    @pytest.mark.parametrize("opening", [
+        Opening("text", bytes(16)), Opening(b"x", None),
+    ], ids=["str-statement", "none-randomness"])
+    def test_opening_not_bytes_rejected(self, variant, opening):
+        run = HonestRun(make_config(z=2, variant=variant))
+        goto(run.ledger, run.contract, "L")
+        run.client.request_payout(run.ledger)
+        self.assert_refused(
+            lambda: PAYOUT[variant](run.ledger, run.contract, opening),
+            run.ledger, run.contract, protocol.BadOpening,
+        )
 
     @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
     def test_missing_opening_rejected(self, variant):
