@@ -81,8 +81,11 @@ def commit(statement: bytes, randomness: bytes) -> bytes:
 
 
 def commit_verify(commitment: bytes, opening: Opening) -> bool:
-    """True iff ``opening`` opens ``commitment``; one whose fields are not
-    both ``bytes``, or whose randomness has another length, opens nothing."""
+    """True iff ``opening`` opens ``commitment``; anything but an
+    ``Opening``, one whose fields are not both ``bytes``, or one whose
+    randomness has another length opens nothing."""
+    if not isinstance(opening, Opening):
+        return False
     statement, r = opening.statement, opening.randomness
     if not (isinstance(statement, bytes) and isinstance(r, bytes)):
         return False

@@ -15,8 +15,9 @@ is CPython's builtin implementation: on a short input it is cheaper than
 ``hashlib.sha256``, which sets up an OpenSSL context per call. Its callers
 all hash short inputs:
 
-- ``merkle.gen_tree``, one tally per tree level (two blocks or two digests
-  per node);
+- ``merkle.gen_tree``, one tally per tree, n - 1 for n padded leaves (two
+  blocks or two digests per node, hashed a chunk at a time into the flat
+  lowest levels);
 - ``merkle.verify``, one tally per path, which always hashes its whole
   path;
 - ``crypto.prf``, one tally per call (a 16-byte key and an 8-byte counter).

@@ -660,11 +660,12 @@ class Server(_Party):
     def init(self, handoff: Handoff, ledger: Ledger) -> int:
         """Phase 3: re-check statements, deposits, and metadata; answer at T1.
 
-        A statement ``from_bytes`` refuses (the qp rules live there),
-        mismatched counts or prices, wrong deposits, a block buffer that is
-        not m whole blocks, an advertised root other than the buffer's, or
-        a failed agreement all end in a = 0 and no deposit, which later
-        triggers the T2 refund path. Both agreements run whatever the
+        An opening that is not an ``Opening``, a statement ``from_bytes``
+        refuses (the qp rules live there), mismatched counts or prices,
+        wrong deposits, a block buffer that is not m whole blocks in one
+        ``bytes``, an advertised root other than the buffer's, or a failed
+        agreement all end in a = 0 and no deposit, which later triggers the
+        T2 refund path. Both agreements run whatever the
         checks say, so the ledger trace does not tell which one failed.
         """
         contract = handoff.contract
@@ -672,11 +673,14 @@ class Server(_Party):
         self.contract = contract
         self.opening_qp = handoff.opening_qp
 
-        try:
-            qp = QpStatement.from_bytes(handoff.opening_qp.statement)
-            cp = CpStatement.from_bytes(handoff.opening_cp.statement)
-        except ValueError:
-            qp = cp = None
+        qp = cp = None
+        # the openings are the client's choice, as the refs below are
+        if isinstance(handoff.opening_qp, Opening) and isinstance(handoff.opening_cp, Opening):
+            try:
+                qp = QpStatement.from_bytes(handoff.opening_qp.statement)
+                cp = CpStatement.from_bytes(handoff.opening_cp.statement)
+            except ValueError:
+                qp = cp = None
 
         checks_ok = qp is not None and cp is not None
         if checks_ok:
@@ -689,8 +693,9 @@ class Server(_Party):
                 and cp.o_max == self.price_list.o_max
                 and cp.l_max == self.price_list.l_max
                 and contract.counters == Counters()
-                # exactly m whole blocks of the agreed length, so the tree
-                # rebuild below cannot raise
+                # exactly m whole blocks of the agreed length in one bytes
+                # buffer, so the tree rebuild below cannot raise
+                and isinstance(handoff.blocks, bytes)
                 and len(handoff.blocks) == qp.pp.m * qp.block_len
             )
 
@@ -1075,9 +1080,7 @@ def _payout(
         require_time(ledger.time, "L")
         if refund_applies(contract):
             raise RefundPath("server never agreed or under-deposited")
-        if not isinstance(opening_cp, Opening) or not _opening_valid(
-            opening_cp, contract, ledger, _SAP_CP
-        ):
+        if not _opening_valid(opening_cp, contract, ledger, _SAP_CP):
             raise BadOpening("coin statement opening rejected")
         cp = CpStatement.from_bytes(opening_cp.statement)
         c = contract.counters

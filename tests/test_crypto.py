@@ -76,7 +76,10 @@ class TestCommitment:
     @pytest.mark.parametrize("opening", [
         crypto.Opening("statement", bytes(16)), crypto.Opening(b"statement", None),
         crypto.Opening(bytearray(b"statement"), bytes(16)),
-    ], ids=["str-statement", "none-randomness", "bytearray-statement"])
+        # not an Opening at all: none, or the opening pair as a tuple or as bytes
+        None, (b"statement", bytes(16)), b"statement" + bytes(16),
+    ], ids=["str-statement", "none-randomness", "bytearray-statement",
+            "none", "tuple", "bytes"])
     def test_verify_fields_not_bytes(self, opening):
         c = crypto.commit(b"statement", bytes(16))
         assert crypto.commit_verify(c, opening) is False

@@ -1,6 +1,8 @@
 """Tree construction, proofs, verification, and tamper detection."""
 
 import hashlib
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,29 @@ def tree_of(blocks: list[bytes]) -> tuple[merkle.MerkleTree, bytes]:
     """Build the tree over a block list, laid out back to back as
     ``gen_tree`` takes it, with the first block's length."""
     return merkle.gen_tree(b"".join(blocks), len(blocks[0]))
+
+
+def reference_levels(buffer: bytes, width: int) -> list[list[bytes]]:
+    """Every level of the tree over ``buffer``'s ``width``-byte blocks, from
+    level 1 (the hashes of block pairs) to the root, each a plain list of
+    ``hashlib`` digests."""
+    n = merkle.padded_leaf_count(len(buffer) // width)
+    leaves = buffer + bytes(n * width - len(buffer))
+    level = [h16(leaves[i : i + 2 * width]) for i in range(0, n * width, 2 * width)]
+    levels = [level]
+    while len(level) > 1:
+        level = [h16(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
+        levels.append(level)
+    return levels
+
+
+def reference_path(buffer: bytes, width: int, levels: list[list[bytes]],
+                   index: int) -> merkle.MerklePath:
+    pos = index - 1
+    block = buffer[pos * width : index * width]
+    sibling = buffer[(pos ^ 1) * width : ((pos ^ 1) + 1) * width] or bytes(width)
+    digests = tuple(level[(pos >> depth) ^ 1] for depth, level in enumerate(levels[:-1], 1))
+    return merkle.MerklePath(block, sibling, digests, index)
 
 
 class TestGenTree:
@@ -92,6 +117,58 @@ class TestGenTree:
         blocks[-1] += b"\x00"
         with pytest.raises(merkle.UnequalBlockLength):
             tree_of(blocks)
+
+
+class TestLayout:
+    """The flat lowest levels and the list levels above them give the same
+    proofs as a tree of plain per-level lists, for shapes of every height
+    around ``FLAT_LEVELS`` and past the hashing chunk."""
+
+    WIDTH = 20  # a 16-byte payload and its 4-byte index
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 9, 17, 715, 2**16])
+    def test_matches_list_reference(self, m):
+        buffer = random.Random(m).randbytes(m * self.WIDTH)
+        with count_hash_calls() as taken:
+            tree, root = merkle.gen_tree(buffer, self.WIDTH)
+            assert taken() == merkle.padded_leaf_count(m) - 1
+        levels = reference_levels(buffer, self.WIDTH)
+        assert root == levels[-1][0]
+        if m <= 1024:
+            indices = range(1, m + 1)
+        else:
+            # every power-of-two boundary and its neighbours, plus a stride
+            edges = {(1 << k) + d for k in range(17) for d in (-1, 0, 1)}
+            indices = sorted({i for i in edges if 1 <= i <= m} | set(range(1, m + 1, 61)))
+        for index in indices:
+            path = merkle.prove(tree, index)
+            assert path == reference_path(buffer, self.WIDTH, levels, index)
+            assert merkle.verify(path, root)
+
+    @pytest.mark.parametrize("m", [1, 5, 715])
+    def test_bytearray_buffer_gives_same_root(self, m):
+        # the client hashes a bytearray for its ill_formed_metadata root
+        buffer = random.Random(m).randbytes(m * self.WIDTH)
+        assert (merkle.gen_tree(bytearray(buffer), self.WIDTH)[1]
+                == merkle.gen_tree(buffer, self.WIDTH)[1])
+
+    def test_build_memory_bounded(self):
+        # a digest as its own object costs about 72 bytes with its list slot,
+        # a flat digest 16: at m = 2^16 the tree of per-level digest lists
+        # peaked at 3.76 MB, the flat lowest levels keep it near 1.5 MB.
+        # tracemalloc does not see the flat levels' mappings, so their
+        # length is added
+        m = 2**16
+        buffer = random.Random(1).randbytes(m * self.WIDTH)
+        tracemalloc.start()
+        try:
+            tree, _ = merkle.gen_tree(buffer, self.WIDTH)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        flat = sum(len(level) for level in tree.flat_levels)
+        assert flat == (m // 2 + m // 4 + m // 8) * 16
+        assert peak + flat < 2_000_000
 
 
 class TestProve:

@@ -527,6 +527,65 @@ class TestServerInit:
         protocol.payout_arbiter_variant(ledger, contract, handoff.opening_cp)
         assert ledger.balances() == {"client": 100, "server": 100, "arbiter": 0}
 
+    @pytest.mark.parametrize("field", ["opening_qp", "opening_cp"])
+    @pytest.mark.parametrize(
+        "replace",
+        [
+            pytest.param(lambda opening: None, id="none"),
+            pytest.param(lambda opening: (opening.statement, opening.randomness),
+                         id="tuple"),
+            pytest.param(lambda opening: opening.statement + opening.randomness,
+                         id="bytes"),
+        ],
+    )
+    def test_opening_not_an_opening_refunds(self, field, replace):
+        # the handoff's openings are the client's choice: one that is not an
+        # Opening is refused before it is read, the other agreement still
+        # runs, the server answers a = 0, and T2 refunds every deposit
+        ledger, addr_c, server, handoff = self.hand_built()
+        client_opening_cp = handoff.opening_cp
+        handoff = dataclasses.replace(
+            handoff, **{field: replace(getattr(handoff, field))}
+        )
+        contract = handoff.contract
+        genesis_supply = ledger.total_supply()
+        goto(ledger, contract, "T1")
+        assert server.init(handoff, ledger) == 0
+        assert (contract.a_flag, contract.server_deposited) == (0, 0)
+        sid_qp, sid_cp = contract.params.sap_refs
+        other = sid_cp if field == "opening_qp" else sid_qp
+        assert ledger.session(other).g_server is not None
+        goto(ledger, contract, "T2")
+        ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
+        protocol.payout_arbiter_variant(ledger, contract, client_opening_cp)
+        assert ledger.balances() == {"client": 100, "server": 100, "arbiter": 0}
+        assert ledger.total_supply() == genesis_supply
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            pytest.param(lambda blocks: blocks.decode("latin-1"), id="str"),
+            pytest.param(list, id="list"),
+            pytest.param(bytearray, id="bytearray"),
+            pytest.param(memoryview, id="memoryview"),
+        ],
+    )
+    def test_block_buffer_not_bytes_refunds(self, convert):
+        # m whole blocks of the agreed length, but not in one bytes buffer:
+        # the server refuses before rebuilding the tree, answers a = 0, and
+        # T2 refunds every deposit
+        ledger, addr_c, server, handoff = self.hand_built()
+        handoff = dataclasses.replace(handoff, blocks=convert(handoff.blocks))
+        contract = handoff.contract
+        goto(ledger, contract, "T1")
+        assert server.init(handoff, ledger) == 0
+        assert (contract.a_flag, contract.server_deposited) == (0, 0)
+        assert server.tree is None
+        goto(ledger, contract, "T2")
+        ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
+        protocol.payout_arbiter_variant(ledger, contract, handoff.opening_cp)
+        assert ledger.balances() == {"client": 100, "server": 100, "arbiter": 0}
+
     def test_phi_above_m_refunds(self):
         # a qp statement whose bytes carry phi = m + 1 and that both parties
         # agree on: PublicParams refuses to parse it, so the server answers
