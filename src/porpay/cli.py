@@ -8,7 +8,6 @@ and payout arithmetic. Both exit 0 only for a VALID result.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,14 +17,14 @@ from .scenario import ScenarioSpec, SpecInvalid, report_to_json, run, verify_rep
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
+        # an override edits the parsed file, which is then checked again
         raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        spec = ScenarioSpec.from_dict(raw)
+        raw = ScenarioSpec.from_dict(raw).to_dict()
         if args.seed is not None:
-            spec = dataclasses.replace(spec, seed=args.seed)
+            raw["seed"] = args.seed
         if args.variant is not None:
-            config = dataclasses.replace(spec.config, variant=args.variant)
-            spec = dataclasses.replace(spec, config=config)
-        report = run(spec)
+            raw["session"]["variant"] = args.variant
+        report = run(ScenarioSpec.from_dict(raw))
     except (SpecInvalid, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

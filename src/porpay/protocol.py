@@ -245,10 +245,10 @@ class SessionConfig:
     phi: int
     price_list: PriceList
     price_choice: PricePair
-    block_payload_len: int = por.DEFAULT_BLOCK_PAYLOAD_LEN
-    pi_max: int | None = None  # per-entry slot budget; None means no padding
-    variant: str = ARBITER
-    codec_name: str = "identity"
+    block_payload_len: int
+    pi_max: int | None  # per-entry slot budget; None means no padding
+    variant: str
+    codec_name: str
 
     def __post_init__(self) -> None:
         if self.z < 1 or self.phi < 1 or self.block_payload_len < 1:
@@ -527,7 +527,6 @@ class Client(_Party):
         self.opening_qp: Opening | None = None
         self.opening_cp: Opening | None = None
         self.complaints: list[tuple[int, int]] = []
-        self._withheld: set[int] = set()
 
     def init(
         self,
@@ -591,7 +590,6 @@ class Client(_Party):
     def post_query(self, j: int, ledger: Ledger) -> bytes | None:
         """Phase 4 at G(j,1): encrypt a fresh challenge key into slot j."""
         if j in self.behavior.withhold_query:
-            self._withheld.add(j)
             return None
         if j in self.behavior.invalid_query:
             k_hat = self.rng.randbytes(8)  # truncated key, outside the key universe
@@ -607,7 +605,7 @@ class Client(_Party):
         self, j: int, ledger: Ledger
     ) -> tuple[por.Verdict | None, tuple[int, int] | None]:
         """Phase 6: unpad, decrypt, verify; a rejection yields complaint [j, g]."""
-        if j in self._withheld:
+        if j not in self.contract.queries:  # withheld
             return None, None
         qp = self.qp
         k_hat = dec_unit(qp.k_bar, self.contract.query(j), qp.pf.slot)

@@ -33,13 +33,14 @@ Scenario schema::
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import crypto, protocol
+from . import crypto, por, protocol
 from .ledger import CounterOutOfBounds, Counters, Ledger, Schedule
 from .protocol import (
     ARBITER,
@@ -75,20 +76,19 @@ class SpecInvalid(ValueError):
 
 
 @dataclass(frozen=True)
-class Behavior:
-    kind: str
-    j: int | None = None
-
-
-@dataclass(frozen=True)
 class ScenarioSpec:
+    """A parsed scenario: ``raw`` is the normalized file (every default
+    filled in, every number an int, behaviours in file order) and the
+    session objects built from it."""
+
+    raw: dict
     config: SessionConfig
-    file_size: int | None
-    file_path: str | None
-    client_behaviors: tuple[Behavior, ...]
-    server_behaviors: tuple[Behavior, ...]
-    seed: int
-    suppress_dummy_complaints: bool = False
+    client: ClientBehavior
+    server: ServerBehavior
+
+    @property
+    def seed(self) -> int:
+        return self.raw["seed"]
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioSpec":
@@ -101,52 +101,73 @@ class ScenarioSpec:
 
     @classmethod
     def _parse(cls, raw: dict) -> "ScenarioSpec":
-        session = raw["session"]
-        pairs = tuple(PricePair(int(o), int(l)) for o, l in session["price_list"])
-        choice = PricePair(*(int(x) for x in session["price_choice"]))
+        given = raw["session"]
+        pi_max = given.get("pi_max")
+        session = {
+            "z": int(given["z"]),
+            "phi": int(given["phi"]),
+            "block_payload_len": int(
+                given.get("block_payload_len", por.DEFAULT_BLOCK_PAYLOAD_LEN)
+            ),
+            "price_list": [[int(o), int(l)] for o, l in given["price_list"]],
+            "price_choice": [int(x) for x in given["price_choice"]],
+            "pi_max": None if pi_max is None else int(pi_max),
+            "variant": given.get("variant", ARBITER),
+            "codec": given.get("codec", "identity"),
+        }
         config = SessionConfig(
-            z=int(session["z"]),
-            phi=int(session["phi"]),
-            price_list=PriceList(pairs),
-            price_choice=choice,
-            block_payload_len=int(session.get("block_payload_len", 16)),
-            pi_max=None if session.get("pi_max") is None else int(session["pi_max"]),
-            variant=session.get("variant", ARBITER),
-            codec_name=session.get("codec", "identity"),
+            z=session["z"],
+            phi=session["phi"],
+            price_list=PriceList(tuple(PricePair(*p) for p in session["price_list"])),
+            price_choice=PricePair(*session["price_choice"]),
+            block_payload_len=session["block_payload_len"],
+            pi_max=session["pi_max"],
+            variant=session["variant"],
+            codec_name=session["codec"],
         )
 
-        file_spec = raw["file"]
-        size = file_spec.get("size")
-        path = file_spec.get("path")
+        source = raw["file"]
+        size, path = source.get("size"), source.get("path")
         if (size is None) == (path is None):
             raise SpecInvalid("file source must give exactly one of size or path")
+        if path is not None and not isinstance(path, str):
+            raise SpecInvalid("file path must be a string")
         if size is not None and int(size) < 1:
             raise SpecInvalid("file size must be positive")
 
+        suppress = raw.get("suppress_dummy_complaints", False)
+        if not isinstance(suppress, bool):
+            raise SpecInvalid("suppress_dummy_complaints must be true or false")
         behaviors = raw.get("behaviors", {})
-        client = cls._parse_behaviors(
-            behaviors.get("client", []), CLIENT_BEHAVIOR_KINDS, config.z, "client"
+        client_items, client = cls._parse_behaviors(
+            behaviors.get("client", []), ClientBehavior, CLIENT_BEHAVIOR_KINDS,
+            config.z, "client", suppress_dummy_complaints=suppress,
         )
-        server = cls._parse_behaviors(
-            behaviors.get("server", []), SERVER_BEHAVIOR_KINDS, config.z, "server"
+        server_items, server = cls._parse_behaviors(
+            behaviors.get("server", []), ServerBehavior, SERVER_BEHAVIOR_KINDS,
+            config.z, "server",
         )
-        return cls(
-            config=config,
-            file_size=None if size is None else int(size),
-            file_path=path,
-            client_behaviors=client,
-            server_behaviors=server,
-            seed=int(raw.get("seed", 0)),
-            suppress_dummy_complaints=bool(raw.get("suppress_dummy_complaints", False)),
-        )
+        normalized = {
+            "session": session,
+            "file": {"path": path} if size is None else {"size": int(size)},
+            "behaviors": {"client": client_items, "server": server_items},
+            "seed": int(raw.get("seed", 0)),
+            "suppress_dummy_complaints": suppress,
+        }
+        return cls(normalized, config, client, server)
 
     @staticmethod
     def _parse_behaviors(
-        raw: list, kinds: dict[str, bool], z: int, role: str
-    ) -> tuple[Behavior, ...]:
-        out: list[Behavior] = []
+        items: list, behavior_cls, kinds: dict[str, bool], z: int, role: str,
+        **policy,
+    ) -> tuple[list[dict], object]:
+        """The listed behaviours, normalized, and ``behavior_cls`` with each
+        kind switched on: a session-wide kind set to True, a per-cycle kind
+        holding all the cycles it targets."""
+        out: list[dict] = []
+        values: dict[str, object] = {}
         used: set[object] = set()
-        for item in raw:
+        for item in items:
             kind = item["kind"]
             if kind not in kinds:
                 raise SpecInvalid(f"unknown {role} behavior {kind!r}")
@@ -155,44 +176,21 @@ class ScenarioSpec:
                 if j is None or not 1 <= int(j) <= z:
                     raise SpecInvalid(f"{kind} needs a cycle target in [1, {z}]")
                 j = key = int(j)
+                values[kind] = values.get(kind, frozenset()) | {j}
+                out.append({"kind": kind, "j": j})
             else:
                 if j is not None:
                     raise SpecInvalid(f"{kind} takes no cycle target")
                 key = (kind, None)
+                values[kind] = True
+                out.append({"kind": kind})
             if key in used:
                 raise SpecInvalid(f"more than one {role} behavior for {key!r}")
             used.add(key)
-            out.append(Behavior(kind, j))
-        return tuple(out)
+        return out, behavior_cls(**values, **policy)
 
     def to_dict(self) -> dict:
-        cfg = self.config
-        return {
-            "session": {
-                "z": cfg.z,
-                "phi": cfg.phi,
-                "block_payload_len": cfg.block_payload_len,
-                "price_list": [[p.o, p.l] for p in cfg.price_list.pairs],
-                "price_choice": [cfg.price_choice.o, cfg.price_choice.l],
-                "pi_max": cfg.pi_max,
-                "variant": cfg.variant,
-                "codec": cfg.codec_name,
-            },
-            "file": {"size": self.file_size} if self.file_path is None
-            else {"path": self.file_path},
-            "behaviors": {
-                "client": [
-                    {"kind": b.kind} | ({} if b.j is None else {"j": b.j})
-                    for b in self.client_behaviors
-                ],
-                "server": [
-                    {"kind": b.kind} | ({} if b.j is None else {"j": b.j})
-                    for b in self.server_behaviors
-                ],
-            },
-            "seed": self.seed,
-            "suppress_dummy_complaints": self.suppress_dummy_complaints,
-        }
+        return copy.deepcopy(self.raw)
 
 
 def expected_payout(
@@ -233,16 +231,6 @@ def expected_payout(
     }
 
 
-def _behavior(behavior_cls, behaviors: tuple[Behavior, ...], **policy):
-    """``behavior_cls`` with every listed kind switched on: a session-wide
-    kind set to True, a per-cycle kind holding all the cycles it targets."""
-    values: dict[str, object] = {}
-    for b in behaviors:
-        cycles = values.get(b.kind, frozenset())
-        values[b.kind] = True if b.j is None else cycles | {b.j}
-    return behavior_cls(**values, **policy)
-
-
 def _goto(ledger: Ledger, schedule, label: str) -> None:
     target = schedule.point(label)
     if ledger.time.ordinal < target.ordinal:
@@ -253,19 +241,11 @@ def run(spec: ScenarioSpec) -> dict:
     """Execute one scenario end to end and return its report dict."""
     cfg = spec.config
     master = random.Random(spec.seed)
-    if spec.file_path is not None:
-        file_bytes = Path(spec.file_path).read_bytes()
-        if not file_bytes:
-            raise SpecInvalid("file at path is empty")
+    source = spec.raw["file"]
+    if "path" in source:
+        file_bytes = Path(source["path"]).read_bytes()
     else:
-        file_bytes = master.randbytes(spec.file_size)
-
-    client_behavior = _behavior(
-        ClientBehavior,
-        spec.client_behaviors,
-        suppress_dummy_complaints=spec.suppress_dummy_complaints,
-    )
-    server_behavior = _behavior(ServerBehavior, spec.server_behaviors)
+        file_bytes = master.randbytes(source["size"])
 
     cp = cfg.cp
     ledger = Ledger()
@@ -278,11 +258,11 @@ def run(spec: ScenarioSpec) -> dict:
     genesis_supply = ledger.total_supply()
 
     client = Client(
-        addr_client, random.Random(master.getrandbits(64)), cfg, client_behavior
+        addr_client, random.Random(master.getrandbits(64)), cfg, spec.client
     )
     server = Server(
         addr_server, random.Random(master.getrandbits(64)), cfg.price_list,
-        server_behavior,
+        spec.server,
     )
     arbiter = Arbiter(addr_arbiter) if addr_arbiter is not None else None
 

@@ -6,6 +6,7 @@ session with 2**20 blocks; expect the module to take tens of seconds.
 """
 
 import hashlib
+import itertools
 import random
 import time
 from types import SimpleNamespace
@@ -229,6 +230,70 @@ class TestConservationFuzz:
         )
 
 
+class TestHonestPartyCatalogue:
+    """Every per-cycle pair of client and server kind at z = 2, in both
+    variants, with suppression off and on, judged by the invariants and not
+    by the code. An honest client pays o per cycle the server answered
+    honestly and, without an arbiter, gains l per cycle the server failed.
+    An honest server earns o per cycle and, without an arbiter, gains l per
+    cycle whose query the client spoiled or withheld."""
+
+    Z, O, L = 2, 5, 2
+    CLIENT_KINDS = (None, "invalid_query", "false_accusation", "withhold_query")
+    SERVER_KINDS = (None, "corrupt_block", "withhold_proof", "false_query_complaint")
+    CLIENT_FAILS = {"invalid_query", "withhold_query"}
+    SERVER_FAILS = {"corrupt_block", "withhold_proof", "false_query_complaint"}
+
+    # ROADMAP item 1: with an arbiter, a server's complaint about a valid
+    # query is charged as an unneeded dispute and the client's complaint
+    # about the dummy proof that follows is not charged, so the honest client
+    # still pays o for that cycle. The mend of item 1 empties this set.
+    ARBITER_KNOWN_FAILURES = frozenset(
+        ((None, None), mix)
+        for mix in itertools.product(SERVER_KINDS, repeat=Z)
+        if "false_query_complaint" in mix
+    )
+
+    def failures(self, variant: str, suppress: bool) -> set:
+        arbiterless = variant == "arbiterless"
+        honest = (None,) * self.Z
+        failing = set()
+        for client_mix in itertools.product(self.CLIENT_KINDS, repeat=self.Z):
+            for server_mix in itertools.product(self.SERVER_KINDS, repeat=self.Z):
+                raw = base_raw(
+                    behaviors={
+                        role: [{"kind": k, "j": j} for j, k in enumerate(mix, 1) if k]
+                        for role, mix in (("client", client_mix), ("server", server_mix))
+                    },
+                    suppress_dummy_complaints=suppress,
+                )
+                raw["session"].update(z=self.Z, phi=4, variant=variant)
+                raw["file"] = {"size": 64 * PAYLOAD}
+                delta = run(ScenarioSpec.from_dict(raw))["balances"]["delta"]
+                server_failed = sum(k in self.SERVER_FAILS for k in server_mix)
+                client_failed = sum(k in self.CLIENT_FAILS for k in client_mix)
+                fee = self.L if arbiterless else 0
+                want = {}
+                if client_mix == honest:
+                    want["client"] = -self.O * (self.Z - server_failed) + fee * server_failed
+                if server_mix == honest:
+                    want["server"] = self.O * self.Z + fee * client_failed
+                if any(delta[name] != amount for name, amount in want.items()):
+                    failing.add((client_mix, server_mix))
+        return failing
+
+    @pytest.mark.parametrize("suppress", [False, True], ids=["complain", "suppress"])
+    @pytest.mark.parametrize("variant", ["arbiter", "arbiterless"])
+    def test_honest_party_is_never_worse_off(self, variant, suppress):
+        known = self.ARBITER_KNOWN_FAILURES if variant == "arbiter" else frozenset()
+        assert self.failures(variant, suppress) == known
+        _pass(
+            f"honest-party catalogue ({variant}, suppress={suppress}): "
+            f"{len(self.CLIENT_KINDS) ** self.Z * len(self.SERVER_KINDS) ** self.Z} "
+            f"mixes, {len(known)} known failures and no other"
+        )
+
+
 def split_blocks(blocks, width):
     """A block buffer cut into its ``width``-byte blocks, 1..m in order."""
     return [blocks[i : i + width] for i in range(0, len(blocks), width)]
@@ -427,7 +492,7 @@ class TestPaddingPrivacy:
         for name, raw in (("a", raw_a), ("b", raw_b)):
             spec = ScenarioSpec.from_dict(raw)
             master = random.Random(spec.seed)
-            file = master.randbytes(spec.file_size)
+            file = master.randbytes(spec.raw["file"]["size"])
             from porpay.ledger import Ledger, Schedule
             from porpay.protocol import Client, ClientBehavior, Server, ServerBehavior
 

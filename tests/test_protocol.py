@@ -35,12 +35,13 @@ PAYOUT = {
 }
 
 
-def make_config(z=3, phi=4, variant=ARBITER, pi_max=None, payload=16, codec="identity"):
+def make_config(z=3, phi=4, variant=ARBITER, pi_max=None, payload=16, codec="identity",
+                choice=PricePair(5, 2)):
     return SessionConfig(
         z=z,
         phi=phi,
         price_list=PRICES,
-        price_choice=PricePair(5, 2),
+        price_choice=choice,
         block_payload_len=payload,
         pi_max=pi_max,
         variant=variant,
@@ -228,10 +229,7 @@ class TestMaskedDeposits:
     def test_deposit_independent_of_price_choice(self):
         amounts = set()
         for choice in PRICES.pairs:
-            config = SessionConfig(
-                z=3, phi=4, price_list=PRICES, price_choice=choice
-            )
-            _, _, _, handoff, _, _ = build_session(config)
+            _, _, _, handoff, _, _ = build_session(make_config(choice=choice))
             amounts.add(
                 (
                     handoff.contract.params.client_deposit_required,
@@ -242,7 +240,7 @@ class TestMaskedDeposits:
 
     def test_price_not_in_list(self):
         with pytest.raises(protocol.PriceNotInList):
-            SessionConfig(z=3, phi=4, price_list=PRICES, price_choice=PricePair(4, 2))
+            make_config(choice=PricePair(4, 2))
 
 
 class TestClientInit:

@@ -37,6 +37,48 @@ class TestSpecParsing:
         spec = ScenarioSpec.from_dict(base_raw())
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
+    def test_to_dict_is_the_normalized_file(self):
+        # defaults filled in, numbers read as ints, behaviours in file order
+        raw = base_raw(
+            behaviors={"server": [{"kind": "withhold_proof", "j": "3"},
+                                  {"kind": "corrupt_block", "j": 1}]}
+        )
+        for key in ("block_payload_len", "variant", "codec"):
+            del raw["session"][key]
+        raw["session"]["z"] = "3"
+        del raw["seed"]
+        spec = ScenarioSpec.from_dict(raw)
+        assert spec.to_dict() == {
+            "session": {
+                "z": 3, "phi": 8, "block_payload_len": por.DEFAULT_BLOCK_PAYLOAD_LEN,
+                "price_list": [[5, 2], [3, 1]], "price_choice": [5, 2],
+                "pi_max": None, "variant": "arbiter", "codec": "identity",
+            },
+            "file": {"size": 1024},
+            "behaviors": {
+                "client": [],
+                "server": [{"kind": "withhold_proof", "j": 3},
+                           {"kind": "corrupt_block", "j": 1}],
+            },
+            "seed": 0,
+            "suppress_dummy_complaints": False,
+        }
+        # a copy: editing it leaves the spec as parsed
+        spec.to_dict()["session"]["z"] = 9
+        assert spec.config.z == spec.raw["session"]["z"] == 3
+
+    @pytest.mark.parametrize("path", [5, ["a"], True], ids=["int", "list", "bool"])
+    def test_file_path_must_be_a_string(self, path):
+        with pytest.raises(SpecInvalid, match="path"):
+            ScenarioSpec.from_dict(base_raw(file={"path": path}))
+
+    @pytest.mark.parametrize("flag", ["false", 0, None], ids=["str", "int", "null"])
+    def test_suppress_flag_must_be_a_boolean(self, flag):
+        # bool("false") is True: a string would switch suppression on
+        raw = base_raw(suppress_dummy_complaints=flag)
+        with pytest.raises(SpecInvalid, match="suppress_dummy_complaints"):
+            ScenarioSpec.from_dict(raw)
+
     def test_unknown_behavior_kind(self):
         raw = base_raw(behaviors={"client": [{"kind": "set_fire", "j": 1}]})
         with pytest.raises(SpecInvalid):
@@ -179,6 +221,12 @@ class TestRunner:
         raw = base_raw(file={"path": str(data_file)})
         report = run(ScenarioSpec.from_dict(raw))
         assert report["valid"]
+
+    def test_empty_file_at_path_rejected_at_run(self, tmp_path):
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        with pytest.raises(SpecInvalid, match="empty"):
+            run(ScenarioSpec.from_dict(base_raw(file={"path": str(empty)})))
 
     def test_xor_parity_codec_run(self):
         raw = base_raw()
@@ -427,6 +475,16 @@ class TestCli:
         # as such whatever flags come with it
         spec_path = self.write_spec(tmp_path, raw)
         assert cli.main(["run", str(spec_path), *flag]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "raw",
+        [base_raw(file={"path": 5}), base_raw(suppress_dummy_complaints="false")],
+        ids=["path_int", "suppress_str"],
+    )
+    def test_misread_spec_exits_two(self, tmp_path, capsys, raw):
+        spec_path = self.write_spec(tmp_path, raw)
+        assert cli.main(["run", str(spec_path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
     def test_invalid_spec_exits_two(self, tmp_path, capsys):
