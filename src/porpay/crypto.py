@@ -1,17 +1,15 @@
 """Primitive contracts shared by every module: keyed PRF, hash commitments,
 and fixed-size authenticated cipher units.
 
-Every value that crosses the ledger (a challenge key, a file block, a path
-digest, a leaf index) is framed into a slot of one session-wide size: a
-2-byte big-endian length prefix, the value, and zero fill up to the session
-capacity. A challenge key travels as a unit whose plaintext is one slot;
-how proof entries are laid out over slots and units is
-``protocol.ProofFormat``'s business. Every unit of one geometry has the same
-wire length, and a sampled unit has it too, which is the property the
-padding scheme relies on.
+A cipher unit carries one value of at most its geometry's capacity: the
+plaintext is a 2-byte big-endian length prefix, the value, and zero fill up
+to the capacity. A challenge key travels as one unit, and so does each proof
+entry, whose value is the path's values back to back; which geometries a
+session uses is ``protocol.ProofFormat``'s business. Every unit of one
+geometry has the same wire length, and a sampled unit has it too, which is
+the property the padding scheme relies on.
 
-Unit wire format: nonce || ciphertext || tag, the plaintext being one slot
-of the unit's capacity.
+Unit wire format: nonce || ciphertext || tag.
 """
 
 from __future__ import annotations
@@ -102,10 +100,10 @@ def gen_sym_key(rng: random.Random) -> bytes:
 
 @dataclass(frozen=True)
 class UnitFormat:
-    """Geometry of one session's cipher units.
+    """Geometry of a kind of cipher unit.
 
-    ``value_capacity`` is the largest value the unit payload can carry; all
-    units of a session share it, so all units have the same wire length.
+    ``value_capacity`` is the largest value the unit payload can carry, at
+    most MAX_VALUE_LEN; every unit of one geometry has the same wire length.
     """
 
     value_capacity: int
@@ -129,8 +127,8 @@ def _aead(key: bytes) -> AESGCM:
 
 
 def enc_unit(key: bytes, value: bytes, fmt: UnitFormat, rng: random.Random) -> bytes:
-    """Encrypt ``value``, framed as one slot, into one fixed-length unit
-    under a fresh nonce."""
+    """Encrypt ``value``, length-prefixed and zero-filled to the capacity,
+    into one fixed-length unit under a fresh nonce."""
     n = len(value)
     if n > fmt.value_capacity:
         raise ValueError(
@@ -142,7 +140,7 @@ def enc_unit(key: bytes, value: bytes, fmt: UnitFormat, rng: random.Random) -> b
 
 
 def dec_unit(key: bytes, unit: bytes, fmt: UnitFormat) -> bytes:
-    """Authenticate and decrypt one unit, returning the value of its slot.
+    """Authenticate and decrypt one unit, returning the value it carries.
 
     Raises DecryptFailure on a wrong key, any tampering, a wrong unit
     length, or a length prefix that exceeds the capacity.

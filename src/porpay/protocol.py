@@ -10,9 +10,10 @@ One session runs eight phases over the ledger clock:
 4. query: the client posts an encrypted challenge key at each G(j,1);
 5. prove: the server answers at G(j,2) with an encrypted padded proof
    vector, or a complaint plus an identically shaped dummy. Each of the phi
-   entries is sealed as one cipher unit holding pi_max fixed-size slots
-   (block, sibling block, sibling digests, leaf index, then zero pads), so
-   the vector is phi equal units whatever the tree height;
+   entries is sealed as one cipher unit whose value is the path's values
+   back to back (block, sibling block, sibling digests, leaf index) and
+   whose zero fill is the pad, 16 bytes per slot up to pi_max, so the
+   vector is phi equal units whatever the tree height;
 6. verify: the client checks each cycle locally and records complaints;
 7. dispute resolution at K1..K6 over both parties' complaint posts;
 8. coin transfer at L (or the refund at T2).
@@ -151,15 +152,14 @@ class QpStatement:
 
     @functools.cached_property
     def pf(self) -> "ProofFormat":
-        """The session's one proof-vector shape, derived on first use. One slot
-        size fits every value: blocks, digests, leaf indices, challenge keys."""
-        slot = UnitFormat(max(self.block_len, PSI_BITS // 8))
+        """The session's one proof-vector shape, derived on first use. A
+        challenge key's unit keeps the capacity of a block, at least a key."""
         real = entry_real_units(self.pp.m)
-        slots = real + self.pad_pi
-        units = -(-slots // (MAX_VALUE_LEN // slot.payload_len))
-        unit = UnitFormat(-(-slots // units) * slot.payload_len)
         lens = (self.block_len, self.block_len, *[HASH_LEN] * (real - 3), por.INDEX_LEN)
-        return ProofFormat(self.pp.phi, real, slot, units, unit, lens)
+        query = UnitFormat(max(self.block_len, PSI_BITS // 8))
+        # a pad slot stands in for the digest of one more tree level
+        entry = UnitFormat(sum(lens) + HASH_LEN * self.pad_pi)
+        return ProofFormat(self.pp.phi, lens, query, entry)
 
     def to_bytes(self) -> bytes:
         pp = self.pp
@@ -256,7 +256,7 @@ class SessionConfig:
         if self.block_payload_len > MAX_BLOCK_PAYLOAD_LEN:
             raise ValueError(
                 f"block_payload_len {self.block_payload_len} above "
-                f"{MAX_BLOCK_PAYLOAD_LEN}: its slot would not fit one unit"
+                f"{MAX_BLOCK_PAYLOAD_LEN}: its largest entry would not fit one unit"
             )
         if self.pi_max is not None and self.pi_max > MAX_ENTRY_SLOTS:
             raise ValueError(
@@ -295,10 +295,12 @@ def entry_real_units(m: int) -> int:
 MAX_ENTRY_SLOTS = entry_real_units(1 << 8 * por.INDEX_LEN)
 
 
-# A slot (length prefix, payload, index) must fit in one unit, whose own
-# length prefix states at most MAX_VALUE_LEN bytes; a larger payload leaves
-# no way to frame a proof entry.
-MAX_BLOCK_PAYLOAD_LEN = MAX_VALUE_LEN - UnitFormat(0).payload_len - por.INDEX_LEN
+# An entry is sealed as one unit, whose length prefix states at most
+# MAX_VALUE_LEN bytes: the largest entry, two blocks, the index and
+# MAX_ENTRY_SLOTS - 3 digests or pads, must fit it.
+MAX_BLOCK_PAYLOAD_LEN = (
+    MAX_VALUE_LEN - 3 * por.INDEX_LEN - HASH_LEN * (MAX_ENTRY_SLOTS - 3)
+) // 2
 
 
 def key_gen(rng: random.Random, pi_max: int, pi_act: int) -> tuple[bytes, int]:
@@ -320,114 +322,77 @@ class ProofFormat:
     """The one shape of every proof vector in a session, fixed by the agreed
     qp statement (``QpStatement.pf``).
 
-    A vector is ``phi`` entries. Each entry's plaintext is ``pi_max`` slots
-    of geometry ``slot``: its ``real`` values (block, sibling block, one
-    digest per upper tree level, leaf index), then all-zero pad slots. That
-    plaintext is sealed as ``units`` cipher units of geometry ``unit``, each
-    carrying an equal share of the slots, the last one zero-filled; one
-    unit, unless the slots exceed the largest value a unit can carry
-    (MAX_VALUE_LEN: kilobyte blocks in a deep tree). Real vectors, dummy
-    vectors and uniformly sampled padding are therefore indistinguishable by
-    length, whatever the tree height.
-
-    The value lengths are fixed too, and ``lens`` lists them. ``layout`` is
-    the whole plaintext of an entry, compiled once: each value's length
-    prefix and bytes, with the zero fill and the pad tail as ``x`` padding.
-    Entries are sealed with one ``layout.pack`` call, and a path of other
-    value lengths is refused. They are opened with one ``layout.unpack``
-    call, and a plaintext whose length fields differ from ``lens`` is a
-    failed entry, like a unit that fails to open.
+    A vector is ``phi`` entries, each sealed as one cipher unit of geometry
+    ``entry``. An entry's value is the path's values back to back at the
+    lengths ``lens`` lists (block, sibling block, one digest per upper tree
+    level, leaf index); the unit's zero fill, 16 bytes per pad slot up to
+    pi_max, is the pad. Real vectors, dummy vectors and uniformly sampled
+    padding are therefore indistinguishable by length, whatever the tree
+    height. ``query`` is the geometry of a challenge-key unit.
     """
 
     phi: int
-    real: int
-    slot: UnitFormat
-    units: int
-    unit: UnitFormat
     lens: tuple[int, ...]
-    layout: struct.Struct = field(init=False, repr=False, compare=False)
+    query: UnitFormat
+    entry: UnitFormat
 
-    def __post_init__(self) -> None:
-        capacity = self.slot.value_capacity
-        slots = "".join([f"H{n}s{capacity - n}x" for n in self.lens])
-        tail = self.units * self.unit.value_capacity - self.real * self.slot.payload_len
-        object.__setattr__(self, "layout", struct.Struct(f">{slots}{tail}x"))
-
-    @property
-    def entry_len(self) -> int:
-        return self.units * self.unit.unit_len
+    @functools.cached_property
+    def split(self):
+        """Cut an entry's value at the ``lens`` boundaries in one call;
+        ``struct.error`` for a value of any other length."""
+        return struct.Struct("".join([f"{n}s" for n in self.lens])).unpack
 
 
 def encode_proof_vector(
     pi: por.ProofVector, qp: QpStatement, rng: random.Random
 ) -> bytes:
-    """Seal every proof entry, its values then zero pad slots, as
-    ``qp.pf.units`` cipher units under ``qp.k_bar``.
+    """Seal every proof entry, its values back to back, as one ``qp.pf.entry``
+    unit under ``qp.k_bar``.
 
     Raises ValueError for a path whose value lengths are not ``qp.pf.lens``.
     """
     pf, k_bar = qp.pf, qp.k_bar
-    unit = pf.unit
-    step = unit.value_capacity
-    plain_len = pf.units * step
-    layout, lens = pf.layout, [*pf.lens]
-    fields = [None] * (2 * pf.real)  # (length, value) per slot, in order
-    fields[0::2] = lens
+    entry, lens = pf.entry, [*pf.lens]
     units = []
     for leaf_block, sibling_block, sibling_digests, leaf_index in pi:
-        values = (
+        # a list, not a tuple: CPython keeps no free list for tuples past 20
+        # items, and at m = 2^20 a new tuple per entry left freed memory pinned
+        values = [
             leaf_block,
             sibling_block,
             *sibling_digests,
             leaf_index.to_bytes(por.INDEX_LEN, "big"),
-        )
-        # compared as lists, not as a new tuple per entry: CPython keeps no
-        # free list for tuples past 20 items, and at m = 2^20 the tuples left
-        # about 16 MB more freed memory pinned after 30 onboard-1m sessions
+        ]
         if list(map(len, values)) != lens:
             raise ValueError("proof entry path does not match the proof format")
-        fields[1::2] = values
-        packed = layout.pack(*fields)
-        units += [
-            enc_unit(k_bar, packed[i : i + step], unit, rng)
-            for i in range(0, plain_len, step)
-        ]
+        units.append(enc_unit(k_bar, b"".join(values), entry, rng))
     return b"".join(units)
 
 
 def dummy_proof_vector(qp: QpStatement, rng: random.Random) -> bytes:
     """All-sampled vector with exactly the shape of a real one."""
     pf = qp.pf
-    return b"".join([sample_unit(pf.unit, rng) for _ in range(pf.phi * pf.units)])
+    return b"".join([sample_unit(pf.entry, rng) for _ in range(pf.phi)])
 
 
 def open_entry(payload: bytes, g: int, qp: QpStatement) -> merkle.MerklePath:
     """Open the 1-based ``g``-th entry of a proof vector, ``pf`` being ``qp.pf``.
 
     Raises DecryptFailure, before any unit is opened, when the vector is not
-    ``pf.phi`` entries of ``pf.entry_len`` bytes; and when a unit fails to
-    open, or the units do not carry exactly the slots ``pf.layout`` fixes.
+    ``pf.phi`` entry units; and when the unit fails to open, or its value is
+    not the ``pf.lens`` values back to back.
     """
-    pf, k_bar = qp.pf, qp.k_bar
-    unit = pf.unit
-    n = unit.unit_len
-    entry_len = pf.entry_len
-    if len(payload) != pf.phi * entry_len:
+    pf = qp.pf
+    n = pf.entry.unit_len
+    if len(payload) != pf.phi * n:
         raise DecryptFailure("proof vector length differs from the proof format")
-    start = (g - 1) * entry_len
-    packed = b"".join(
-        [
-            dec_unit(k_bar, payload[i : i + n], unit)
-            for i in range(start, start + entry_len, n)
-        ]
-    )
-    if len(packed) != pf.units * unit.value_capacity:
-        raise DecryptFailure("entry units do not fill their slots")
-    fields = pf.layout.unpack(packed)
-    if fields[0::2] != pf.lens:
-        raise DecryptFailure("entry slot lengths differ from the proof format")
+    value = dec_unit(qp.k_bar, payload[(g - 1) * n : g * n], pf.entry)
+    try:
+        fields = pf.split(value)
+    except struct.error as exc:
+        raise DecryptFailure("entry value length differs from the proof format") from exc
     return merkle.MerklePath(
-        fields[1], fields[3], fields[5:-2:2], int.from_bytes(fields[-1], "big")
+        fields[0], fields[1], fields[2:-1], int.from_bytes(fields[-1], "big")
     )
 
 
@@ -437,7 +402,7 @@ def decode_proof_vector(
     """Open every entry.
 
     Returns (entries, None) on success or (None, g) where g is the first
-    entry that failed to open or whose slot lengths are not the format's;
+    entry that failed to open or whose value length is not the format's;
     a mis-shaped vector fails at entry 1.
     """
     entries = []
@@ -595,7 +560,7 @@ class Client(_Party):
             k_hat = self.rng.randbytes(8)  # truncated key, outside the key universe
         else:
             k_hat = por.gen_query(self.rng)
-        unit = enc_unit(self.qp.k_bar, k_hat, self.qp.pf.slot, self.rng)
+        unit = enc_unit(self.qp.k_bar, k_hat, self.qp.pf.query, self.rng)
         ledger.post(
             self.contract, LedgerMessage(self.addr, MsgKind.QUERY, unit, slot=j)
         )
@@ -608,7 +573,7 @@ class Client(_Party):
         if j not in self.contract.queries:  # withheld
             return None, None
         qp = self.qp
-        k_hat = dec_unit(qp.k_bar, self.contract.query(j), qp.pf.slot)
+        k_hat = dec_unit(qp.k_bar, self.contract.query(j), qp.pf.query)
         payload = self.contract.proofs.get(j)
         if payload is None:
             verdict = por.Verdict(1)
@@ -680,7 +645,7 @@ class Server(_Party):
             except ValueError:
                 qp = cp = None
 
-        checks_ok = qp is not None and cp is not None
+        checks_ok = qp is not None
         if checks_ok:
             checks_ok = (
                 params.z == cp.z
@@ -883,7 +848,7 @@ def _query_key(contract: RcContract, j: int, qp: QpStatement) -> bytes | None:
     """The phase-5 query checks on the posted ciphertext: the challenge
     key, or None when the query is missing or invalid."""
     try:
-        k_hat = dec_unit(qp.k_bar, contract.query(j), qp.pf.slot)
+        k_hat = dec_unit(qp.k_bar, contract.query(j), qp.pf.query)
     except (MissingQuery, DecryptFailure):
         return None
     return k_hat if len(k_hat) == PSI_BITS // 8 else None

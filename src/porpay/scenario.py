@@ -75,6 +75,15 @@ class SpecInvalid(ValueError):
     """Scenario file failed validation."""
 
 
+def json_int(value: object, name: str) -> int:
+    """``value`` if it is a JSON integer, an ``int`` that is not a ``bool``;
+    SpecInvalid for anything else, so a float, a boolean or a numeric string
+    is refused rather than truncated or converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecInvalid(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A parsed scenario: ``raw`` is the normalized file (every default
@@ -104,14 +113,17 @@ class ScenarioSpec:
         given = raw["session"]
         pi_max = given.get("pi_max")
         session = {
-            "z": int(given["z"]),
-            "phi": int(given["phi"]),
-            "block_payload_len": int(
-                given.get("block_payload_len", por.DEFAULT_BLOCK_PAYLOAD_LEN)
+            "z": json_int(given["z"], "z"),
+            "phi": json_int(given["phi"], "phi"),
+            "block_payload_len": json_int(
+                given.get("block_payload_len", por.DEFAULT_BLOCK_PAYLOAD_LEN),
+                "block_payload_len",
             ),
-            "price_list": [[int(o), int(l)] for o, l in given["price_list"]],
-            "price_choice": [int(x) for x in given["price_choice"]],
-            "pi_max": None if pi_max is None else int(pi_max),
+            "price_list": [
+                [json_int(o, "price"), json_int(l, "price")] for o, l in given["price_list"]
+            ],
+            "price_choice": [json_int(x, "price") for x in given["price_choice"]],
+            "pi_max": None if pi_max is None else json_int(pi_max, "pi_max"),
             "variant": given.get("variant", ARBITER),
             "codec": given.get("codec", "identity"),
         }
@@ -132,7 +144,7 @@ class ScenarioSpec:
             raise SpecInvalid("file source must give exactly one of size or path")
         if path is not None and not isinstance(path, str):
             raise SpecInvalid("file path must be a string")
-        if size is not None and int(size) < 1:
+        if size is not None and json_int(size, "file size") < 1:
             raise SpecInvalid("file size must be positive")
 
         suppress = raw.get("suppress_dummy_complaints", False)
@@ -149,9 +161,9 @@ class ScenarioSpec:
         )
         normalized = {
             "session": session,
-            "file": {"path": path} if size is None else {"size": int(size)},
+            "file": {"path": path} if size is None else {"size": size},
             "behaviors": {"client": client_items, "server": server_items},
-            "seed": int(raw.get("seed", 0)),
+            "seed": json_int(raw.get("seed", 0), "seed"),
             "suppress_dummy_complaints": suppress,
         }
         return cls(normalized, config, client, server)
@@ -173,9 +185,9 @@ class ScenarioSpec:
                 raise SpecInvalid(f"unknown {role} behavior {kind!r}")
             j = item.get("j")
             if kinds[kind]:
-                if j is None or not 1 <= int(j) <= z:
+                if j is None or not 1 <= json_int(j, f"{kind} cycle") <= z:
                     raise SpecInvalid(f"{kind} needs a cycle target in [1, {z}]")
-                j = key = int(j)
+                key = j
                 values[kind] = values.get(kind, frozenset()) | {j}
                 out.append({"kind": kind, "j": j})
             else:
@@ -351,9 +363,9 @@ def run(spec: ScenarioSpec) -> dict:
         "pp": client.qp.pp.to_json(),
         "unit_format": {
             "nonce_len": crypto.NONCE_LEN,
-            "payload_len": client.qp.pf.slot.payload_len,
+            "payload_len": client.qp.pf.query.payload_len,
             "tag_len": crypto.TAG_LEN,
-            "unit_len": client.qp.pf.slot.unit_len,
+            "unit_len": client.qp.pf.query.unit_len,
         },
         "pad_pi": client.qp.pad_pi,
         "deposits": {
@@ -396,8 +408,8 @@ def verify_report(report: dict) -> tuple[bool, list[str]]:
     """Re-check a report's conservation and payout arithmetic from scratch."""
     problems: list[str] = []
     session = report["spec"]["session"]
-    o, l = (int(x) for x in session["price_choice"])
-    z = int(session["z"])
+    o, l = (json_int(x, "price") for x in session["price_choice"])
+    z = json_int(session["z"], "z")
 
     genesis = report["balances"]["genesis"]
     final = report["balances"]["final"]

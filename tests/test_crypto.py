@@ -214,16 +214,17 @@ class TestWireGolden:
 
     def test_padded_proof_vector(self):
         # 13 blocks in a 16-leaf tree: 4 entry units of 6 real + 3 pad slots,
-        # each nonce + 2-byte prefix + 9 slots of 22 bytes + tag
+        # each nonce + 2-byte prefix + two 20-byte blocks + 3 digests + the
+        # 4-byte index + 3 pads of 16 bytes + tag
         blocks, pp = por.setup(random.Random(11).randbytes(200),
                                block_payload_len=16, phi=4)
         tree, _ = merkle.gen_tree(blocks, 16 + por.INDEX_LEN)
         pi = por.prove(tree, bytes(range(16, 32)), pp)
         qp = protocol.QpStatement(3, bytes(range(32, 48)), pp, 16)
         wire = protocol.encode_proof_vector(pi, qp, random.Random(5))
-        assert len(wire) == 4 * (12 + 2 + (6 + 3) * 22 + 16)
+        assert len(wire) == 4 * 170 == 4 * (12 + 2 + 2 * 20 + 3 * 16 + 4 + 3 * 16 + 16)
         assert hashlib.sha256(wire).hexdigest() == (
-            "549f8fec49e468d8751bfaf72b92ab798f8ce488707807524cbc95e69c1f1451"
+            "6ac35b0e9adbd743cbe3d2e107aac41f0d0907f3e4ee112e50edf0759a931a50"
         )
 
 

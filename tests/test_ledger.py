@@ -439,6 +439,14 @@ class TestDeterminismAndTraces:
         assert kinds.count("deposit") == 2
         assert "query" in kinds and "proof" in kinds and "payout" in kinds
 
+    def test_trace_records_the_slot_of_cycle_posts(self):
+        # a QUERY and a PROOF entry carry the cycle they were posted for;
+        # entries of other kinds carry no slot
+        trace = self.run_sequence().export_trace()
+        slots = {e["kind"]: e.get("slot") for e in trace}
+        assert (slots["query"], slots["proof"]) == (1, 1)
+        assert all("slot" not in e for e in trace if e["kind"] not in ("query", "proof"))
+
     def test_trace_jsonl_export(self, tmp_path):
         import json
 

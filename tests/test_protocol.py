@@ -78,11 +78,11 @@ def setup_tree(rng, size, phi):
     return tree, pp
 
 
-def frame_slots(values, capacity):
-    """Each value as one slot: its 2-byte big-endian length, the value,
-    zero fill up to ``capacity``."""
-    return b"".join(len(v).to_bytes(2, "big") + v + bytes(capacity - len(v))
-                    for v in values)
+def entry_len(block_len, pi_max):
+    """Wire length of one proof entry: nonce, the unit's 2-byte length
+    prefix, two blocks, the 4-byte index, 16 bytes per digest or pad slot,
+    and the tag."""
+    return 12 + 2 + 2 * block_len + 4 + 16 * (pi_max - 3) + 16
 
 
 def qp_fields(qp):
@@ -192,6 +192,36 @@ class TestStatements:
     def test_prices_above_maxima_rejected(self):
         with pytest.raises(ValueError):
             CpStatement(o=6, o_max=5, l=2, l_max=2, z=3)
+
+
+class TestSessionRules:
+    """The rules ``SessionConfig``, ``PricePair`` and ``QpStatement`` hold at
+    their edges."""
+
+    @pytest.mark.parametrize("field", ["z", "phi", "payload"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_each_non_positive_field_refused(self, field, value):
+        with pytest.raises(ValueError, match="must be positive"):
+            make_config(**{field: value})
+
+    def test_one_challenge_per_cycle_accepted(self):
+        run = HonestRun(make_config(z=1, phi=1))
+        assert run.client.qp.pp.phi == 1
+        assert run.verdicts[1].accepted
+
+    def test_one_byte_block_payload_runs(self):
+        config = make_config(z=2, payload=1)
+        run = HonestRun(config, file_size=64)
+        qp = run.client.qp
+        assert (qp.block_payload_len, qp.pp.m) == (1, 64)
+        assert QpStatement.from_bytes(qp.to_bytes()) == qp
+        assert run.a == 1
+        assert all(v.accepted for v in run.verdicts.values())
+
+    @pytest.mark.parametrize("o, l", [(-1, 0), (0, -1), (-1, -1)])
+    def test_negative_price_refused(self, o, l):
+        with pytest.raises(ValueError, match="non-negative"):
+            PricePair(o, l)
 
 
 class TestKeyGen:
@@ -335,8 +365,9 @@ class TestServerInit:
         assert server.init(handoff, ledger) == 0
 
     def test_unframeable_block_payload_refunds(self):
-        # a qp statement whose slot overflows a unit's length prefix: the
-        # server refuses before fixing a proof format, then T2 refunds
+        # a qp statement whose largest entry would overflow a unit's length
+        # prefix: the server refuses before fixing a proof format, then T2
+        # refunds
         payload = protocol.MAX_BLOCK_PAYLOAD_LEN + 1
         ledger, addr_c, server, handoff = self.hand_built(payload, 4 * payload)
         contract = handoff.contract
@@ -657,7 +688,7 @@ class TestHonestRuns:
         config = make_config(z=2)
         run = HonestRun(config)
         for j, unit in run.contract.queries.items():
-            key = dec_unit(run.client.qp.k_bar, unit, run.client.qp.pf.slot)
+            key = dec_unit(run.client.qp.k_bar, unit, run.client.qp.pf.query)
             assert len(key) == 16
 
 
@@ -669,29 +700,40 @@ class TestWireShape:
         real = protocol.entry_real_units(m)
         payload = run.contract.proofs[1]
         pf = run.client.qp.pf
-        assert (pf.phi, pf.real, pf.units) == (config.phi, real, 1)
-        assert len(payload) == config.phi * pf.entry_len
+        assert (pf.phi, len(pf.lens)) == (config.phi, real)
+        assert pf.entry.unit_len == entry_len(20, real)
+        assert len(payload) == config.phi * pf.entry.unit_len
 
     def test_padded_vector_shape(self):
         # m=64 blocks -> height 6 -> 8 real slots; budget of 11 pads by 3
         config = make_config(z=1, phi=4, pi_max=11)
         run = HonestRun(config, file_size=1024)
         assert run.client.qp.pad_pi == 3
-        real = protocol.entry_real_units(run.client.qp.pp.m)
         payload = run.contract.proofs[1]
-        entry_len = 12 + 2 + (real + 3) * run.client.qp.pf.slot.payload_len + 16
-        assert run.client.qp.pf.entry_len == entry_len
-        assert len(payload) == config.phi * entry_len
+        assert run.client.qp.pf.entry.unit_len == entry_len(20, 11)
+        assert len(payload) == config.phi * entry_len(20, 11)
 
-    def test_largest_block_payload_frames_one_slot_per_unit(self):
-        # a slot is a 2-byte prefix, the payload and a 4-byte index, and a
-        # unit's own 2-byte prefix states at most 65,535 bytes
-        assert protocol.MAX_BLOCK_PAYLOAD_LEN == 65_529
-        with pytest.raises(ValueError):
-            make_config(payload=65_530)
-        run = HonestRun(make_config(z=1, phi=2, payload=65_529), file_size=2 * 65_529)
+    def test_largest_block_payload_fits_one_entry_unit(self):
+        # the largest entry, 34 slots, is two blocks, the 4-byte index and
+        # 31 digests or pads, and a unit's 2-byte prefix states at most
+        # 65,535 bytes: (65,535 - 12 - 31 * 16) // 2 = 32,513
+        assert protocol.MAX_BLOCK_PAYLOAD_LEN == 32_513
+        payload = protocol.MAX_BLOCK_PAYLOAD_LEN
+        run = HonestRun(make_config(z=1, phi=2, payload=payload,
+                                    pi_max=protocol.MAX_ENTRY_SLOTS),
+                        file_size=2 * payload)
         assert run.verdicts[1].accepted
-        assert run.client.qp.pf.units == run.client.qp.pf.real
+        pf = run.client.qp.pf
+        assert pf.entry.value_capacity == 2 * (payload + 4) + 4 + 31 * 16 <= 0xFFFF
+        assert len(run.contract.proofs[1]) == 2 * pf.entry.unit_len
+        # one byte more is refused by the config and by the statement, so a
+        # server handed such a statement answers a = 0
+        # (TestServerInit::test_unframeable_block_payload_refunds)
+        with pytest.raises(ValueError):
+            make_config(payload=payload + 1)
+        qp = dataclasses.replace(run.client.qp, block_payload_len=payload + 1)
+        with pytest.raises(ValueError, match="block payload"):
+            QpStatement.from_bytes(qp.to_bytes())
 
     def test_dummy_matches_real_shape(self):
         rng = random.Random(0)
@@ -726,7 +768,7 @@ class TestWireShape:
     def test_dummy_fails_decode_at_first_entry(self):
         rng = random.Random(0)
         qp = QpStatement(0, b"\x03" * 16, por.PublicParams(bytes(16), phi=4, m=64))
-        assert qp.pf.real == 8
+        assert len(qp.pf.lens) == 8
         dummy = protocol.dummy_proof_vector(qp, rng)
         entries, failed = protocol.decode_proof_vector(dummy, qp)
         assert entries is None
@@ -764,14 +806,17 @@ class TestEntryUnits:
         pi = por.prove(tree, por.gen_query(rng), pp)
         qp = QpStatement(self.PAD, self.K_BAR, pp)
         payload = protocol.encode_proof_vector(pi, qp, rng)
-        pf = qp.pf
-        assert pf.units == 1
-        return pi, pp, pf.slot, pf.unit, pf.real, payload
+        return pi, qp, qp.pf.entry, payload
 
-    def decode(self, payload, pp, fmt, real):
-        qp = QpStatement(self.PAD, self.K_BAR, pp)
-        assert (qp.pf.slot, qp.pf.real) == (fmt, real)
-        return protocol.decode_proof_vector(payload, qp)
+    def decode(self, payload, qp):
+        return protocol.decode_proof_vector(payload, QpStatement.from_bytes(qp.to_bytes()))
+
+    def reseal(self, payload, g, value, efmt):
+        """``payload`` with entry ``g`` resealed around ``value`` under the
+        right key."""
+        start = (g - 1) * efmt.unit_len
+        sealed = enc_unit(self.K_BAR, value, efmt, random.Random(0))
+        return payload[:start] + sealed + payload[start + efmt.unit_len :]
 
     @pytest.mark.parametrize("reshape", [
         lambda vector, phi: vector + b"\0",
@@ -780,8 +825,7 @@ class TestEntryUnits:
     def test_mis_shaped_vector_opens_nothing(self, reshape, monkeypatch):
         # the vector's shape is checked before any unit is opened, so an
         # entry that would open on its own is refused too
-        pi, pp, fmt, efmt, real, payload = self.vector()
-        qp = QpStatement(self.PAD, self.K_BAR, pp)
+        pi, qp, efmt, payload = self.vector()
         assert protocol.open_entry(payload, 1, qp) == pi[0]
         opens = []
 
@@ -790,74 +834,67 @@ class TestEntryUnits:
             return dec_unit(*args)
 
         monkeypatch.setattr(protocol, "dec_unit", counting_dec_unit)
-        bad = reshape(payload, pp.phi)
-        for g in (1, pp.phi):
+        bad = reshape(payload, qp.pp.phi)
+        for g in (1, qp.pp.phi):
             with pytest.raises(DecryptFailure, match="vector length"):
                 protocol.open_entry(bad, g, qp)
-        assert self.decode(bad, pp, fmt, real) == (None, 1)
+        assert self.decode(bad, qp) == (None, 1)
         assert opens == []
 
     def test_entry_plaintext_layout(self):
         from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-        pi, pp, fmt, efmt, real, payload = self.vector()
-        assert len(payload) == pp.phi * efmt.unit_len
+        pi, qp, efmt, payload = self.vector()
+        assert len(payload) == qp.pp.phi * efmt.unit_len == qp.pp.phi * entry_len(20, 9)
         for g, path in enumerate(pi):
             unit = payload[g * efmt.unit_len : (g + 1) * efmt.unit_len]
             plain = AESGCM(self.K_BAR).decrypt(unit[:12], unit[12:], None)
             values = [path.leaf_block, path.sibling_block, *path.sibling_digests,
                       path.leaf_index.to_bytes(4, "big")]
-            body = frame_slots(values, 20) + bytes(self.PAD * 22)
-            assert len(values) == real
-            assert plain == len(body).to_bytes(2, "big") + body
+            assert len(values) == len(qp.pf.lens) == 7
+            body = b"".join(values)
+            assert plain == len(body).to_bytes(2, "big") + body + bytes(self.PAD * 16)
 
     @pytest.mark.parametrize("g", [1, 3, 6])
     def test_flipped_byte_fails_that_entry(self, g):
-        pi, pp, fmt, efmt, real, payload = self.vector()
+        pi, qp, efmt, payload = self.vector()
         bad = bytearray(payload)
         bad[(g - 1) * efmt.unit_len + efmt.unit_len // 2] ^= 0x01
-        assert self.decode(bytes(bad), pp, fmt, real) == (None, g)
+        assert self.decode(bytes(bad), qp) == (None, g)
 
     @pytest.mark.parametrize(
-        "slot, prefix",
+        "slot, length",
         [(0, 21), (2, 0xFFFF), ("index", 3), ("index", 5)],
     )
-    def test_bad_slot_fails_that_entry(self, slot, prefix):
-        # the entry is resealed under the right key, so only the slot check
-        # can reject it; a correct prefix is resealed as a control
-        pi, pp, fmt, efmt, real, payload = self.vector()
+    def test_bad_slot_fails_that_entry(self, slot, length):
+        # entry 4 is resealed under the right key with one value at another
+        # length (cut to what one unit carries), so only the value-length
+        # check can reject it; its own values are resealed as a control
+        pi, qp, efmt, payload = self.vector()
         g = 4
-        start = (g - 1) * efmt.unit_len
-        unit = payload[start : start + efmt.unit_len]
-        plain = bytearray(dec_unit(self.K_BAR, unit, efmt))
-        offset = (real - 1 if slot == "index" else slot) * fmt.payload_len
-        good = bytes(plain)
-        plain[offset : offset + 2] = prefix.to_bytes(2, "big")
-
-        def splice(packed):
-            sealed = enc_unit(self.K_BAR, packed, efmt, random.Random(0))
-            return payload[:start] + sealed + payload[start + efmt.unit_len :]
-
-        assert self.decode(splice(good), pp, fmt, real) == (pi, None)
-        assert self.decode(splice(bytes(plain)), pp, fmt, real) == (None, g)
+        path = pi[g - 1]
+        values = [path.leaf_block, path.sibling_block, *path.sibling_digests,
+                  path.leaf_index.to_bytes(4, "big")]
+        good = self.reseal(payload, g, b"".join(values), efmt)
+        assert self.decode(good, qp) == (pi, None)
+        k = len(values) - 1 if slot == "index" else slot
+        values[k] = (values[k] + bytes(length))[:length]
+        bad = self.reseal(payload, g, b"".join(values)[: efmt.value_capacity], efmt)
+        assert self.decode(bad, qp) == (None, g)
 
     def test_first_malformed_entry_fails(self):
-        # entry 2 states a 19-byte leaf block, resealed under the right key,
-        # and entry 5 does not open: entry 2 is the first failing entry
-        pi, pp, fmt, efmt, real, payload = self.vector()
-        start = efmt.unit_len
-        plain = bytearray(dec_unit(self.K_BAR, payload[start : 2 * start], efmt))
-        plain[0:2] = (19).to_bytes(2, "big")
-        sealed = enc_unit(self.K_BAR, bytes(plain), efmt, random.Random(0))
-        bad = bytearray(payload[:start] + sealed + payload[2 * start :])
+        # entry 2 opens to a value one byte short, resealed under the right
+        # key, and entry 5 does not open: entry 2 is the first failing entry
+        pi, qp, efmt, payload = self.vector()
+        value = dec_unit(self.K_BAR, payload[efmt.unit_len : 2 * efmt.unit_len], efmt)
+        bad = bytearray(self.reseal(payload, 2, value[:-1], efmt))
         bad[4 * efmt.unit_len + efmt.unit_len // 2] ^= 0x01
-        assert self.decode(bytes(bad), pp, fmt, real) == (None, 2)
+        assert self.decode(bytes(bad), qp) == (None, 2)
 
     def test_short_plaintext_fails_that_entry(self):
-        pi, pp, fmt, efmt, real, payload = self.vector()
-        unit = enc_unit(self.K_BAR, b"\x00" * 40, efmt, random.Random(0))
-        bad = payload[: efmt.unit_len] + unit + payload[2 * efmt.unit_len :]
-        assert self.decode(bad, pp, fmt, real) == (None, 2)
+        pi, qp, efmt, payload = self.vector()
+        bad = self.reseal(payload, 2, b"\x00" * 40, efmt)
+        assert self.decode(bad, qp) == (None, 2)
 
     def test_tree_height_hidden_behind_pi_max(self):
         # m=64 and m=256 need 8 and 10 real slots; both pad to 12
@@ -868,41 +905,21 @@ class TestEntryUnits:
             lengths.update(len(p) for p in run.contract.proofs.values())
             reals.append(protocol.entry_real_units(run.client.qp.pp.m))
         assert reals == [8, 10]
-        assert lengths == {4 * (12 + 2 + 12 * run.client.qp.pf.slot.payload_len + 16)}
-
-    def test_entry_past_one_unit_is_split(self):
-        # 20 slots of 4102 bytes exceed one unit's 65,535-byte limit, so each
-        # entry is sealed as two units of 10 slots
-        config = make_config(z=2, phi=4, pi_max=20, payload=4096)
-        run = HonestRun(config, file_size=8 * 4096)
-        pf = run.client.qp.pf
-        assert pf.units == 2
-        assert pf.unit.value_capacity == 10 * 4102
-        assert pf.entry_len == 2 * pf.unit.unit_len
-        assert all(v.accepted for v in run.verdicts.values())
-        payload = run.contract.proofs[1]
-        assert len(payload) == 4 * pf.entry_len
-        bad = bytearray(payload)
-        bad[2 * pf.entry_len + pf.unit.unit_len + 100] ^= 0x01  # entry 3, unit 2
-        assert protocol.decode_proof_vector(bytes(bad), run.client.qp) == (None, 3)
-        dummy = protocol.dummy_proof_vector(run.client.qp, random.Random(0))
-        assert len(dummy) == len(payload)
+        assert lengths == {4 * entry_len(20, 12)}
 
 
 class TestCompiledEntryLayout:
-    """Entries are packed and opened through the format's compiled layout:
-    sealing gives the slot framing of the path's values, and opening
-    returns the path iff every length field states the agreed length, for
-    honest and hostile entries alike."""
+    """An entry's value is the path's values back to back at the agreed
+    lengths: sealing lays the path out so, and opening returns the path iff
+    the value is exactly that long, whatever the pad holds, for honest and
+    hostile entries alike."""
 
     K_BAR = b"\x05" * 16
-    # length prefixes a hostile plaintext may state, by name
-    PREFIXES = ("zero", "minus_one", "plus_one", "capacity", "past_capacity", "max")
 
     def shape(self, data):
         """A statement under ``K_BAR`` and its expected value lengths: a
-        payload of 1 to 64 bytes with 0 to 4 pad slots, or a payload past
-        4,096 bytes whose 12 pad slots split each entry over 2 units."""
+        payload of 1 to 64 bytes with 0 to 4 pad slots, or a 4,200-byte
+        payload with 12 pad slots."""
         payload, pad = data.draw(
             st.one_of(
                 st.tuples(st.integers(1, 64), st.integers(0, 4)),
@@ -913,8 +930,8 @@ class TestCompiledEntryLayout:
         qp = QpStatement(pad, self.K_BAR, por.PublicParams(bytes(16), phi=1, m=m), payload)
         real = protocol.entry_real_units(m)
         lens = [payload + 4, payload + 4] + [16] * (real - 3) + [4]
-        if payload == 4200:
-            assert qp.pf.units == 2
+        assert qp.pf.lens == tuple(lens)
+        assert qp.pf.entry.value_capacity == sum(lens) + 16 * pad
         return qp, lens
 
     @staticmethod
@@ -923,64 +940,41 @@ class TestCompiledEntryLayout:
             values[0], values[1], tuple(values[2:-1]), int.from_bytes(values[-1], "big")
         )
 
-    def seal(self, plain, pf, rng):
-        step = pf.unit.value_capacity
-        return b"".join(
-            enc_unit(self.K_BAR, plain[i : i + step], pf.unit, rng)
-            for i in range(0, len(plain), step)
-        )
-
     @settings(max_examples=120)
     @given(st.data())
     def test_open_reads_only_the_agreed_lengths(self, data):
         qp, lens = self.shape(data)
-        pf = qp.pf
+        efmt = qp.pf.entry
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         values = [rng.randbytes(n) for n in lens]
-        slot_len, capacity = pf.slot.payload_len, pf.slot.value_capacity
-        plain_len = pf.units * pf.unit.value_capacity
-        plain = bytearray(frame_slots(values, capacity)
-                          + bytes(plain_len - pf.real * slot_len))
-        for _ in range(data.draw(st.integers(0, 4))):
-            k = data.draw(st.integers(0, pf.real))  # pf.real: the pad tail
-            if data.draw(st.booleans()) and k < pf.real:
-                stated = {
-                    "zero": 0,
-                    "minus_one": lens[k] - 1,
-                    "plus_one": lens[k] + 1,
-                    "capacity": capacity,
-                    "past_capacity": capacity + 1,
-                    "max": 0xFFFF,
-                }[data.draw(st.sampled_from(self.PREFIXES))]
-                plain[k * slot_len : k * slot_len + 2] = stated.to_bytes(2, "big")
-            else:
-                # a non-zero byte in a slot's zero fill or in the pad tail
-                lo = k * slot_len + 2 + lens[k] if k < pf.real else pf.real * slot_len
-                hi = (k + 1) * slot_len if k < pf.real else plain_len
-                if lo < hi:
-                    plain[data.draw(st.integers(lo, hi - 1))] = data.draw(st.integers(1, 255))
-        stated_lens = [int.from_bytes(plain[k * slot_len : k * slot_len + 2], "big")
-                       for k in range(pf.real)]
-        sealed = self.seal(bytes(plain), pf, rng)
-        if stated_lens == lens:
+        # the value cut or grown by up to 16 bytes, within the unit
+        delta = data.draw(st.integers(-16, min(16, efmt.value_capacity - sum(lens))))
+        value = b"".join(values)
+        value = value[: len(value) + delta] if delta < 0 else value + rng.randbytes(delta)
+        nonce = rng.randbytes(12)
+        plain = bytearray(efmt.layout.pack(len(value), value))
+        if data.draw(st.booleans()) and len(plain) > 2 + len(value):
+            # a non-zero byte in the zero fill, which the pad slots are
+            plain[data.draw(st.integers(2 + len(value), len(plain) - 1))] = 0xA5
+        from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+        sealed = nonce + AESGCM(self.K_BAR).encrypt(nonce, bytes(plain), None)
+        if delta == 0:
             assert protocol.open_entry(sealed, 1, qp) == self.path(values)
         else:
-            with pytest.raises(DecryptFailure):
+            with pytest.raises(DecryptFailure, match="value length"):
                 protocol.open_entry(sealed, 1, qp)
 
     @settings(max_examples=60)
     @given(st.data())
     def test_encode_frames_the_path_values(self, data):
         qp, lens = self.shape(data)
-        pf = qp.pf
+        efmt = qp.pf.entry
         seed = data.draw(st.integers(0, 2**32))
         rng = random.Random(seed)
         values = [rng.randbytes(n) for n in lens]
         path = self.path(values)
-        tail = bytes(pf.units * pf.unit.value_capacity - pf.real * pf.slot.payload_len)
         got = protocol.encode_proof_vector((path,), qp, random.Random(seed))
-        plain = frame_slots(values, pf.slot.value_capacity) + tail
-        assert got == self.seal(plain, pf, random.Random(seed))
+        assert got == enc_unit(self.K_BAR, b"".join(values), efmt, random.Random(seed))
         assert protocol.open_entry(got, 1, qp) == path
         # a hand-built path carrying a block or digest of another length is
         # refused rather than sealed
@@ -1048,6 +1042,23 @@ class DisputedRun(HonestRun):
 
 
 class TestArbiterResolution:
+    def test_complaint_about_the_last_entry_charges_server(self, monkeypatch):
+        # only entry g = phi of cycle 2 fails: the client names it, and the
+        # complaint is admitted and charged to the server
+        def corrupt_last_entry(pi):
+            path = pi[-1]
+            bad = bytes([path.leaf_block[0] ^ 0x01]) + path.leaf_block[1:]
+            return pi[:-1] + (path._replace(leaf_block=bad),)
+
+        monkeypatch.setattr(protocol, "_corrupt_first_entry", corrupt_last_entry)
+        config = make_config(z=3, phi=4)
+        run = DisputedRun(config, seed=5,
+                          server_behavior=ServerBehavior(corrupt_block=frozenset({2})))
+        assert run.client.complaints == [(2, 4)]
+        arbiter = run.resolve()
+        assert arbiter.report.client_admitted == [(2, 4)]
+        assert run.contract.counters == Counters(server_faults=1)
+
     def test_invalid_query_complaint_lands_in_v(self):
         config = make_config(z=3)
         run = DisputedRun(
@@ -1578,6 +1589,26 @@ class TestHostileComplaintPosts:
 
 
 class TestPayoutGuards:
+    @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
+    def test_short_deposit_takes_the_refund_path(self, variant):
+        # the server answers a = 1 but deposits one coin short: T2 returns
+        # each deposit, and the L payout is refused
+        ledger, client, server, handoff, _, _ = build_session(
+            make_config(z=2, variant=variant),
+            server_behavior=ServerBehavior(short_deposit=True))
+        contract = handoff.contract
+        genesis_supply = ledger.total_supply()
+        goto(ledger, contract, "T1")
+        assert server.init(handoff, ledger) == 1
+        assert contract.server_deposited == contract.params.server_deposit_required - 1
+        assert protocol.refund_applies(contract)
+        goto(ledger, contract, "T2")
+        client.request_payout(ledger)
+        payout = PAYOUT[variant](ledger, contract, client.opening_cp)
+        assert payout == {"client": contract.client_deposited,
+                          "server": contract.server_deposited}
+        assert ledger.total_supply() == genesis_supply
+
     def test_refund_path_raises_on_normal_payout(self):
         config = make_config(z=2)
         ledger, client, server, handoff, _, _ = build_session(

@@ -38,14 +38,13 @@ class TestSpecParsing:
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
     def test_to_dict_is_the_normalized_file(self):
-        # defaults filled in, numbers read as ints, behaviours in file order
+        # defaults filled in, behaviours in file order
         raw = base_raw(
-            behaviors={"server": [{"kind": "withhold_proof", "j": "3"},
+            behaviors={"server": [{"kind": "withhold_proof", "j": 3},
                                   {"kind": "corrupt_block", "j": 1}]}
         )
         for key in ("block_payload_len", "variant", "codec"):
             del raw["session"][key]
-        raw["session"]["z"] = "3"
         del raw["seed"]
         spec = ScenarioSpec.from_dict(raw)
         assert spec.to_dict() == {
@@ -124,12 +123,32 @@ class TestSpecParsing:
             ScenarioSpec.from_dict(base_raw(file={"size": 10, "path": "x"}))
 
     def test_block_payload_past_one_unit_rejected(self):
-        # 65,530 payload bytes plus a slot's 2-byte prefix and 4-byte index
-        # overflow a unit's 2-byte length prefix: no proof entry could be framed
-        raw = base_raw(file={"size": 2 * 65_530})
-        raw["session"]["block_payload_len"] = 65_530
+        # with 32,514 payload bytes the largest entry (two blocks, the index
+        # and 31 digests or pads) overflows a unit's 2-byte length prefix
+        raw = base_raw(file={"size": 2 * 32_514})
+        raw["session"]["block_payload_len"] = 32_514
         raw["session"]["phi"] = 2
         with pytest.raises(SpecInvalid):
+            ScenarioSpec.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("session", "z"), 2.9), (("session", "phi"), True), (("session", "z"), "3"),
+         (("session", "pi_max"), 12.0), (("session", "price_choice"), [5.7, 2]),
+         (("session", "price_list"), [[5, 2], [3, False]]), (("file", "size"), "1024"),
+         (("seed",), 4.5), (("behaviors",), {"server": [{"kind": "corrupt_block", "j": "2"}]})],
+        ids=["z_float", "phi_bool", "z_str", "pi_max_float", "choice_float", "price_bool",
+             "size_str", "seed_float", "cycle_str"],
+    )
+    def test_number_not_an_integer_refused(self, path, value):
+        # a float, a boolean or a numeric string is refused, not truncated
+        raw = base_raw()
+        *parents, key = path
+        target = raw
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        with pytest.raises(SpecInvalid, match="must be an integer"):
             ScenarioSpec.from_dict(raw)
 
     def test_phi_larger_than_m_rejected_at_run(self):
@@ -403,6 +422,15 @@ class TestVerifyReport:
         ok, _ = verify_report(report)
         assert not ok
 
+    @pytest.mark.parametrize("key, value", [("z", 3.0), ("z", True), ("price_choice", [5, "2"])])
+    def test_number_not_an_integer_is_malformed(self, key, value):
+        # read as the spec is: a z or price that is not a JSON integer is a
+        # malformed report, which the CLI exits 2 on
+        report = run(ScenarioSpec.from_dict(base_raw()))
+        report["spec"]["session"][key] = value
+        with pytest.raises(SpecInvalid, match="must be an integer"):
+            verify_report(report)
+
 
 class TestCli:
     def write_spec(self, tmp_path, raw):
@@ -486,6 +514,16 @@ class TestCli:
         spec_path = self.write_spec(tmp_path, raw)
         assert cli.main(["run", str(spec_path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_truncatable_numbers_exit_two(self, tmp_path, capsys):
+        # read with int(), this spec ran a VALID 2-cycle session with phi = 1
+        raw = base_raw(file={"size": "1024"})
+        raw["session"].update(z=2.9, phi=True, price_choice=[5.7, 2])
+        with pytest.raises(SpecInvalid):
+            ScenarioSpec.from_dict(raw)
+        spec_path = self.write_spec(tmp_path, raw)
+        assert cli.main(["run", str(spec_path)]) == 2
+        assert "must be an integer" in capsys.readouterr().err
 
     def test_invalid_spec_exits_two(self, tmp_path, capsys):
         raw = base_raw(behaviors={"client": [{"kind": "nonsense"}]})
