@@ -17,7 +17,8 @@ all hash short inputs:
 
 - ``merkle.gen_tree``, one tally per tree, n - 1 for n padded leaves (two
   blocks or two digests per node, hashed a chunk at a time into the flat
-  lowest levels);
+  lowest levels), made by the calling process: a large tree's forked
+  worker tallies nothing, so the count is the same whether it ran or not;
 - ``merkle.verify``, one tally per path, which always hashes its whole
   path;
 - ``crypto.prf``, one tally per call (a 16-byte key and an 8-byte counter).

@@ -425,16 +425,17 @@ def verify_report(report: dict) -> tuple[bool, list[str]]:
 
     deposits = report["deposits"]
     refund = bool(report["refund_path"])
+    # a refund report's counters play no part in its payout
+    counters = {} if refund else report["counters"]
     try:
         expected = expected_payout(
             session["variant"],
-            # a refund report's counters play no part in its payout
-            Counters() if refund else Counters(**report["counters"]),
+            Counters(**{name: json_int(v, name) for name, v in counters.items()}),
             z=z,
             o=o,
             l=l,
-            client_deposit=deposits["client_actual"],
-            server_deposit=deposits["server_actual"],
+            client_deposit=json_int(deposits["client_actual"], "client_actual"),
+            server_deposit=json_int(deposits["server_actual"], "server_actual"),
             refund=refund,
         )
     except CounterOutOfBounds as exc:

@@ -1,7 +1,10 @@
 """Tree construction, proofs, verification, and tamper detection."""
 
 import hashlib
+import os
 import random
+import signal
+import threading
 import tracemalloc
 
 import pytest
@@ -50,6 +53,12 @@ def reference_levels(buffer: bytes, width: int) -> list[list[bytes]]:
         level = [h16(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
         levels.append(level)
     return levels
+
+
+def tree_levels(tree: merkle.MerkleTree) -> list[list[bytes]]:
+    """Every level of ``tree`` below the root, from level 1, as digest lists."""
+    flat = [[level[i : i + 16] for i in range(0, len(level), 16)] for level in tree.flat_levels]
+    return flat + list(tree.upper_levels)
 
 
 def reference_path(buffer: bytes, width: int, levels: list[list[bytes]],
@@ -120,13 +129,16 @@ class TestGenTree:
 
 
 class TestLayout:
-    """The flat lowest levels and the list levels above them give the same
-    proofs as a tree of plain per-level lists, for shapes of every height
-    around ``FLAT_LEVELS`` and past the hashing chunk."""
+    """The flat lowest levels and the list levels above them hold the same
+    digests, and give the same proofs, as a tree of plain per-level lists,
+    for shapes of every height around ``FLAT_LEVELS``, past the hashing
+    chunk, and on either side of ``_SPLIT_LEAVES``."""
 
     WIDTH = 20  # a 16-byte payload and its 4-byte index
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 9, 17, 715, 2**16])
+    @pytest.mark.parametrize(
+        "m", [1, 2, 3, 5, 8, 9, 17, 715, 2**13, 2**14, 2**14 + 5, 2**16, 70_000]
+    )
     def test_matches_list_reference(self, m):
         buffer = random.Random(m).randbytes(m * self.WIDTH)
         with count_hash_calls() as taken:
@@ -134,6 +146,9 @@ class TestLayout:
             assert taken() == merkle.padded_leaf_count(m) - 1
         levels = reference_levels(buffer, self.WIDTH)
         assert root == levels[-1][0]
+        assert tree_levels(tree) == levels[:-1]
+        # the flat levels are the lowest FLAT_LEVELS, or all below the root
+        assert len(tree.flat_levels) == min(merkle.FLAT_LEVELS, len(levels) - 1)
         if m <= 1024:
             indices = range(1, m + 1)
         else:
@@ -152,14 +167,18 @@ class TestLayout:
         assert (merkle.gen_tree(bytearray(buffer), self.WIDTH)[1]
                 == merkle.gen_tree(buffer, self.WIDTH)[1])
 
-    def test_build_memory_bounded(self):
+    def test_build_memory_bounded(self, monkeypatch):
         # a digest as its own object costs about 72 bytes with its list slot,
         # a flat digest 16: at m = 2^16 the tree of per-level digest lists
         # peaked at 3.76 MB, the flat lowest levels keep it near 1.5 MB.
-        # tracemalloc does not see the flat levels' mappings, so their
-        # length is added
+        # tracemalloc does not see mappings, so the length of every one the
+        # build makes is added: the flat levels, and the worker's part of
+        # the lowest list level when the build splits
         m = 2**16
         buffer = random.Random(1).randbytes(m * self.WIDTH)
+        mapped = []
+        mapping = merkle._mapping
+        monkeypatch.setattr(merkle, "_mapping", lambda size: mapped.append(size) or mapping(size))
         tracemalloc.start()
         try:
             tree, _ = merkle.gen_tree(buffer, self.WIDTH)
@@ -168,7 +187,177 @@ class TestLayout:
             tracemalloc.stop()
         flat = sum(len(level) for level in tree.flat_levels)
         assert flat == (m // 2 + m // 4 + m // 8) * 16
-        assert peak + flat < 2_000_000
+        assert sum(mapped) in (flat, flat + m // 32 * 16)
+        assert peak + sum(mapped) < 2_000_000
+
+
+class TestSplit:
+    """From ``_SPLIT_LEAVES`` padded leaves on, a forked worker hashes the
+    right half of the flat levels. The tree, its root and the hash count
+    are those of the serial build whatever the worker does, and no worker
+    outlives ``gen_tree``."""
+
+    WIDTH = 20
+    M = 2**16
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids ``os.fork`` returns in this process, on a host seen as
+        two CPUs, so the split does not depend on the test host's."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pids = []
+        fork = os.fork
+
+        def recording():
+            pids.append(fork())
+            return pids[-1]
+
+        monkeypatch.setattr(os, "fork", recording)
+        return pids
+
+    @pytest.fixture
+    def parent_calls(self, monkeypatch):
+        """The leaf ranges this process (not a worker) passes to
+        ``_hash_nodes``."""
+        calls = []
+        hash_nodes = merkle._hash_nodes
+
+        def recording(leaves, block_len, flat, first, last):
+            calls.append((first, last))
+            return hash_nodes(leaves, block_len, flat, first, last)
+
+        monkeypatch.setattr(merkle, "_hash_nodes", recording)
+        return calls
+
+    def serial(self, buffer, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(merkle, "_SPLIT_LEAVES", float("inf"))
+            return merkle.gen_tree(buffer, self.WIDTH)
+
+    def assert_same_tree(self, built, serial):
+        (tree, root), (serial_tree, serial_root) = built, serial
+        assert root == serial_root
+        assert tree_levels(tree) == tree_levels(serial_tree)
+
+    def assert_no_worker_left(self):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize(
+        "m, splits", [(2**13, False), (2**14, True), (2**14 + 5, True), (2**16, True), (70_000, True)]
+    )
+    def test_split_tree_equals_serial(self, m, splits, forks, monkeypatch):
+        # 2^14 padded leaves is the least that splits: below it a split
+        # cost more than it saved
+        buffer = random.Random(m).randbytes(m * self.WIDTH)
+        with count_hash_calls() as taken:
+            built = merkle.gen_tree(buffer, self.WIDTH)
+            assert taken() == merkle.padded_leaf_count(m) - 1
+        assert len(forks) == splits
+        self.assert_no_worker_left()
+        self.assert_same_tree(built, self.serial(buffer, monkeypatch))
+        assert len(forks) == splits
+
+    def test_parent_hashes_left_half_only(self, forks, parent_calls):
+        merkle.gen_tree(bytes(self.M * self.WIDTH), self.WIDTH)
+        assert parent_calls == [(0, self.M // 4)]
+
+    def test_fork_failure_hashes_right_half_here(self, forks, parent_calls, monkeypatch):
+        buffer = random.Random(2).randbytes(self.M * self.WIDTH)
+
+        def failing():
+            raise OSError("no fork")
+
+        monkeypatch.setattr(os, "fork", failing)
+        built = merkle.gen_tree(buffer, self.WIDTH)
+        assert parent_calls == [(0, self.M // 4), (self.M // 4, self.M // 2)]
+        self.assert_same_tree(built, self.serial(buffer, monkeypatch))
+
+    @pytest.mark.parametrize("how", ["raises", "killed"])
+    def test_failed_worker_hashes_right_half_here(self, how, forks, parent_calls, monkeypatch):
+        buffer = random.Random(3).randbytes(self.M * self.WIDTH)
+        parent = os.getpid()
+        flat_digests = merkle._flat_digests
+
+        def failing_in_worker(*args):
+            if os.getpid() != parent:
+                if how == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("worker fails")
+            return flat_digests(*args)
+
+        monkeypatch.setattr(merkle, "_flat_digests", failing_in_worker)
+        built = merkle.gen_tree(buffer, self.WIDTH)
+        assert len(forks) == 1
+        assert parent_calls == [(0, self.M // 4), (self.M // 4, self.M // 2)]
+        self.assert_no_worker_left()
+        monkeypatch.setattr(merkle, "_flat_digests", flat_digests)
+        self.assert_same_tree(built, self.serial(buffer, monkeypatch))
+
+    def test_worker_reaped_when_parent_half_raises(self, forks, monkeypatch):
+        parent = os.getpid()
+        flat_digests = merkle._flat_digests
+
+        def failing_in_parent(*args):
+            if os.getpid() == parent:
+                raise RuntimeError("parent fails")
+            return flat_digests(*args)
+
+        monkeypatch.setattr(merkle, "_flat_digests", failing_in_parent)
+        with pytest.raises(RuntimeError, match="parent fails"):
+            merkle.gen_tree(bytes(self.M * self.WIDTH), self.WIDTH)
+        assert len(forks) == 1
+        self.assert_no_worker_left()
+
+    def test_worker_reaped_already(self, forks, monkeypatch):
+        # with SIGCHLD ignored the kernel reaps the worker itself, so its
+        # exit status is lost and the parent hashes the right half
+        buffer = random.Random(4).randbytes(self.M * self.WIDTH)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            built = merkle.gen_tree(buffer, self.WIDTH)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(forks) == 1
+        self.assert_same_tree(built, self.serial(buffer, monkeypatch))
+
+    def test_second_thread_stays_serial(self, forks, parent_calls):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            merkle.gen_tree(bytes(self.M * self.WIDTH), self.WIDTH)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert parent_calls == [(0, self.M // 2)]
+
+    def test_one_cpu_stays_serial(self, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        merkle.gen_tree(bytes(self.M * self.WIDTH), self.WIDTH)
+        assert forks == []
+
+    def test_reads_its_own_affinity(self, forks, monkeypatch):
+        # pid 0 is the calling process; any other process's CPUs say nothing
+        own = {0, os.getpid()}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if pid in own else {0})
+        merkle.gen_tree(bytes(self.M * self.WIDTH), self.WIDTH)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("cpus, splits", [(None, False), (1, False), (2, True)])
+    def test_cpu_count_read_without_affinity(self, cpus, splits, forks, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        merkle.gen_tree(bytes(self.M * self.WIDTH), self.WIDTH)
+        assert len(forks) == splits
+
+    def test_no_fork_stays_serial(self, forks, parent_calls, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        merkle.gen_tree(bytes(self.M * self.WIDTH), self.WIDTH)
+        assert parent_calls == [(0, self.M // 2)]
 
 
 class TestProve:

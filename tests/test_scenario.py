@@ -422,12 +422,25 @@ class TestVerifyReport:
         ok, _ = verify_report(report)
         assert not ok
 
-    @pytest.mark.parametrize("key, value", [("z", 3.0), ("z", True), ("price_choice", [5, "2"])])
-    def test_number_not_an_integer_is_malformed(self, key, value):
-        # read as the spec is: a z or price that is not a JSON integer is a
-        # malformed report, which the CLI exits 2 on
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(("spec", "session", "z"), 3.0, id="z-3.0"),
+        pytest.param(("spec", "session", "z"), True, id="z-True"),
+        pytest.param(("spec", "session", "price_choice"), [5, "2"], id="price_choice-value2"),
+        pytest.param(("counters", "server_faults"), 0.0, id="counter-float"),
+        pytest.param(("counters", "client_faults"), True, id="counter-bool"),
+        pytest.param(("deposits", "client_actual"), float, id="deposit-float"),
+    ])
+    def test_number_not_an_integer_is_malformed(self, path, value):
+        # read as the spec is: a number that is not a JSON integer is a
+        # malformed report, which the CLI exits 2 on. A float or boolean
+        # counter or deposit would otherwise enter the payout arithmetic,
+        # where 0.0 == 0 and True == 1 (``float`` turns the value into one)
         report = run(ScenarioSpec.from_dict(base_raw()))
-        report["spec"]["session"][key] = value
+        *outer, key = path
+        holder = report
+        for name in outer:
+            holder = holder[name]
+        holder[key] = value(holder[key]) if callable(value) else value
         with pytest.raises(SpecInvalid, match="must be an integer"):
             verify_report(report)
 
