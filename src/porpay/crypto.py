@@ -27,7 +27,8 @@ from .hashing import HASH_LEN, digest, node_sha256, tally
 PSI_BITS = 128  # PRF key size
 IOTA_BITS = HASH_LEN * 8  # PRF output size
 LAMBDA_BITS = 128  # commitment randomness size
-PRF_COUNTER_LEN = 8  # eta = 64-bit PRF input
+# The PRF input is the key, then this counter: eta = 64 bits, big-endian.
+PRF_COUNTER = struct.Struct(">Q")
 
 SYM_KEY_LEN = 16
 NONCE_LEN = 12
@@ -50,15 +51,15 @@ class DecryptFailure(Exception):
 
 
 def prf(key: bytes, counter: int) -> bytes:
-    """Keyed hash of (key || 8-byte big-endian counter); deterministic, and
-    IOTA_BITS long because the hash is.
+    """Keyed hash of the key followed by the ``PRF_COUNTER``-packed counter;
+    deterministic, and IOTA_BITS long because the hash is.
 
     The 24-byte input is hashed with the builtin SHA-256 and counted as one
-    hash: a cycle derives phi indices, one PRF call each.
+    hash. ``por.derive_indices`` hashes a cycle's phi inputs inline the same
+    way; the dispute re-check calls this for the one index it needs.
     """
     tally(1)
-    data = key + counter.to_bytes(PRF_COUNTER_LEN, "big")
-    return node_sha256(data).digest()[:HASH_LEN]
+    return node_sha256(key + PRF_COUNTER.pack(counter)).digest()[:HASH_LEN]
 
 
 @dataclass(frozen=True)

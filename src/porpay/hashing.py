@@ -19,9 +19,11 @@ all hash short inputs:
   blocks or two digests per node, hashed a chunk at a time into the flat
   lowest levels), made by the calling process: a large tree's forked
   worker tallies nothing, so the count is the same whether it ran or not;
-- ``merkle.verify``, one tally per path, which always hashes its whole
-  path;
-- ``crypto.prf``, one tally per call (a 16-byte key and an 8-byte counter).
+- ``merkle.verify``, one tally per proof vector: every path it checks is
+  hashed in full, up to and including the first that fails;
+- ``crypto.prf``, one tally per call (a 16-byte key and an 8-byte
+  counter), and ``por.derive_indices``, one tally per challenge for the
+  phi PRF inputs it hashes inline.
 
 ``digest`` keeps ``hashlib.sha256``, because its callers include large
 inputs, where OpenSSL's hardware-accelerated SHA-256 is several times

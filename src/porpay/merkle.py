@@ -28,7 +28,11 @@ the same chunk loop the serial build runs, so the tree is the same.
 
 A membership proof carries the block, its sibling block, and one digest per
 upper level. Verification re-derives left/right placement from the bits of
-the leaf position, so paths carry no direction flags.
+the leaf position, so paths carry no direction flags. Both work on a whole
+challenge vector: ``prove`` gathers each level's sibling digests for every
+index at once, and ``verify`` hashes each path on its own, in full, and
+reports the position of the first that fails. Paths share no hashes, so a
+single re-checked path costs its share of a full verification.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ import os
 import threading
 from array import array
 from dataclasses import dataclass
-from typing import NamedTuple
+from struct import iter_unpack
+from typing import Iterable, NamedTuple, Sequence
 
 from .hashing import HASH_LEN, node_sha256, tally
 
@@ -113,12 +118,14 @@ class MerklePath(NamedTuple):
 
 def _flat_digests(data: bytes, lo: int, hi: int, width: int) -> bytes:
     """The digest of each ``width``-byte slice of ``data[lo:hi]``, back to
-    back: the full digests are joined, and the first HASH_LEN bytes of each
-    are picked out by strided copies of 8-byte words, so no object is made
-    per truncated digest."""
-    full = array("Q", b"".join([
-        node_sha256(data[i : i + width]).digest() for i in range(lo, hi, width)
-    ]))
+    back. ``struct.iter_unpack`` reads the node inputs off a view of the
+    range, so no slice is made per node; the full digests are joined, and
+    the first HASH_LEN bytes of each are picked out by strided copies of
+    8-byte words, so no object is made per truncated digest."""
+    with memoryview(data) as view:
+        full = array("Q", b"".join([
+            node_sha256(node).digest() for node, in iter_unpack(f"{width}s", view[lo:hi])
+        ]))
     kept = array("Q", bytes(len(full) // _DIGEST_WORDS * HASH_LEN))
     for word in range(_KEPT_WORDS):
         kept[word::_KEPT_WORDS] = full[word::_DIGEST_WORDS]
@@ -229,47 +236,60 @@ def gen_tree(blocks: bytes, block_len: int) -> tuple[MerkleTree, bytes]:
     return MerkleTree(blocks, block_len, tuple(flat), tuple(upper_levels)), level[0]
 
 
-def prove(tree: MerkleTree, index: int) -> MerklePath:
-    """Produce the membership proof for the 1-based ``index``-th block."""
-    if not 1 <= index <= tree.m:
-        raise IndexOutOfRange(f"index {index} not in [1, {tree.m}]")
+def prove(tree: MerkleTree, indices: Sequence[int]) -> tuple[MerklePath, ...]:
+    """The membership proof of each 1-based index in ``indices``, in order.
+
+    Every index is checked before any path is built. Each level's sibling
+    digests are gathered for all indices in one comprehension: sliced out
+    of a flat level, indexed in an upper one.
+    """
+    m = tree.m
+    for q in (min(indices, default=1), max(indices, default=1)):
+        if not 1 <= q <= m:
+            raise IndexOutOfRange(f"index {q} not in [1, {m}]")
 
     blocks, block_len = tree.blocks, tree.block_len
-    pos = index - 1
-    start = pos * block_len
+    positions = [q - 1 for q in indices]
+    leaves = [blocks[p * block_len : (p + 1) * block_len] for p in positions]
     # the sibling of an odd m's last block is a padding block, past the buffer
-    sibling_start = (pos ^ 1) * block_len
-    sibling = blocks[sibling_start : sibling_start + block_len] or bytes(block_len)
-    # one sibling digest per level below the root, from level 1 upward:
-    # sliced out of each flat level, indexed in each upper one
-    digests = []
-    for level in tree.flat_levels:
-        pos >>= 1
-        at = (pos ^ 1) * HASH_LEN
-        digests.append(level[at : at + HASH_LEN])
-    for level in tree.upper_levels:
-        pos >>= 1
-        digests.append(level[pos ^ 1])
-    return MerklePath(blocks[start : start + block_len], sibling, tuple(digests), index)
+    pad = bytes(block_len)
+    siblings = [blocks[(at := (p ^ 1) * block_len) : at + block_len] or pad for p in positions]
+    # one sibling digest per level below the root, from level 1 upward
+    levels = []
+    for depth, level in enumerate(tree.flat_levels, 1):
+        levels.append([
+            level[(at := ((p >> depth) ^ 1) * HASH_LEN) : at + HASH_LEN] for p in positions
+        ])
+    for depth, level in enumerate(tree.upper_levels, len(tree.flat_levels) + 1):
+        levels.append([level[(p >> depth) ^ 1] for p in positions])
+    digests = zip(*levels) if levels else [()] * len(positions)
+    return tuple(map(MerklePath, leaves, siblings, digests, indices))
 
 
-def verify(path: MerklePath, root: bytes) -> bool:
-    """Recompute the root from the path; 1-for-match, 0 otherwise. Never raises.
+def verify(paths: Iterable[MerklePath], root: bytes) -> int | None:
+    """The 1-based position of the first path that does not recompute
+    ``root``, or None when every one does. Never raises on decoded bytes.
 
-    Hashes inline and tallies the whole path at once: a path with a valid
-    leaf index always hashes all 1 + len(sibling_digests) nodes.
+    Each path is hashed on its own, in full (1 + len(sibling_digests)
+    nodes), in order, so re-checking any one path costs its share of the
+    whole. The first failure stops the loop, and the hashes made up to it
+    are tallied once. A path whose leaf index is below 1 fails unhashed.
     """
-    leaf_block, sibling_block, sibling_digests, leaf_index = path
-    if leaf_index < 1:
-        return False
-    pos = leaf_index - 1
-    if pos & 1 == 0:
-        node = node_sha256(leaf_block + sibling_block).digest()[:HASH_LEN]
-    else:
-        node = node_sha256(sibling_block + leaf_block).digest()[:HASH_LEN]
-    for sibling in sibling_digests:
-        pos >>= 1
-        pair = node + sibling if pos & 1 == 0 else sibling + node
+    hashes = 0
+    for g, (leaf_block, sibling_block, sibling_digests, leaf_index) in enumerate(paths, 1):
+        if leaf_index < 1:
+            break
+        pos = leaf_index - 1
+        pair = sibling_block + leaf_block if pos & 1 else leaf_block + sibling_block
         node = node_sha256(pair).digest()[:HASH_LEN]
-    tally(1 + len(sibling_digests))
-    return node == root
+        for sibling in sibling_digests:
+            pos >>= 1
+            pair = sibling + node if pos & 1 else node + sibling
+            node = node_sha256(pair).digest()[:HASH_LEN]
+        hashes += 1 + len(sibling_digests)
+        if node != root:
+            break
+    else:
+        g = None
+    tally(hashes)
+    return g

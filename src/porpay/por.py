@@ -6,7 +6,9 @@ is just a PRF key; both sides expand it to the same list of block indices,
 the prover answers with one Merkle path per index (a path carries its
 block), and the verifier reports either acceptance or the position of the
 first failing path. That failing position is what makes third-party dispute
-checking cheap: re-checking one path settles the dispute.
+checking cheap: re-checking one path settles the dispute. A vector is
+proved, and its paths verified, in one ``merkle.prove`` and one
+``merkle.verify`` call.
 """
 
 from __future__ import annotations
@@ -16,14 +18,18 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence, Union
 
 from . import merkle
-from .crypto import IOTA_BITS, PRF_COUNTER_LEN, PSI_BITS, prf
+# ``prf`` is not called here; perfbench/spans.py traces it as ``por.prf``
+from .crypto import IOTA_BITS, PRF_COUNTER, PSI_BITS, prf  # noqa: F401
+from .hashing import HASH_LEN, node_sha256, tally
 
 INDEX_LEN = 4
 DEFAULT_PHI = 460
 DEFAULT_BLOCK_PAYLOAD_LEN = 16
+_WORD_FORMATS = {1: "B", 2: "H", 4: "I"}  # memoryview formats by byte width
 
 
 class EmptyFile(ValueError):
@@ -64,7 +70,7 @@ class XorParityCodec:
 
 # The challenge PRF's bit lengths (key, input, output): the sizes ``prf`` is
 # built with, and the only triple a session supports.
-PRF_TRIPLE = (PSI_BITS, PRF_COUNTER_LEN * 8, IOTA_BITS)
+PRF_TRIPLE = (PSI_BITS, PRF_COUNTER.size * 8, IOTA_BITS)
 
 
 @dataclass(frozen=True)
@@ -130,22 +136,32 @@ def _index_tagged(coded: bytes, payload_len: int) -> bytes:
     """``coded`` cut into zero-filled payloads, each followed by its 1-based
     big-endian index, in one buffer.
 
-    Each payload byte column and index byte column is one strided slice
-    assignment into an anonymous mapping, copied once to ``bytes`` and
-    unmapped: freeing a heap buffer would leave its pages on the heap.
+    Each payload word column and index word column is one strided copy
+    between views, into an anonymous mapping copied once to ``bytes`` and
+    unmapped: freeing a heap buffer would leave its pages on the heap. A
+    word is gcd(payload_len, INDEX_LEN) bytes, so a column copy moves 4
+    bytes per block at a 16-byte payload. Only whole payloads are copied by
+    columns, from a view of ``coded``; a short last one is copied whole.
     """
     m = -(-len(coded) // payload_len)
+    whole = len(coded) // payload_len
     block_len = payload_len + INDEX_LEN
+    width = gcd(payload_len, INDEX_LEN)
+    word = _WORD_FORMATS[width]
+    step, payload_words = block_len // width, payload_len // width
     index = array("I", range(1, m + 1))  # INDEX_LEN-byte unsigned ints
     if sys.byteorder == "little":
         index.byteswap()
-    index_bytes = index.tobytes()
     with mmap.mmap(-1, m * block_len) as out:  # zero-filled
-        for k in range(payload_len):
-            column = coded[k::payload_len]  # m - 1 bytes past a short last payload
-            out[k : k + len(column) * block_len : block_len] = column
-        for k in range(INDEX_LEN):
-            out[payload_len + k :: block_len] = index_bytes[k::INDEX_LEN]
+        with memoryview(out) as raw, raw.cast(word) as words, \
+                memoryview(coded) as src, src[: whole * payload_len].cast(word) as payloads, \
+                memoryview(index).cast("B").cast(word) as indices:
+            for k in range(payload_words):
+                words[k : whole * step : step] = payloads[k::payload_words]
+            for k in range(payload_words, step):
+                words[k::step] = indices[k - payload_words :: step - payload_words]
+        short = coded[whole * payload_len :]
+        out[whole * block_len : whole * block_len + len(short)] = short
         return out[:]
 
 
@@ -155,25 +171,31 @@ def gen_query(rng: random.Random) -> bytes:
 
 
 def derive_indices(key: bytes, phi: int, m: int) -> list[int]:
-    """Expand a challenge key into phi block indices, each in [1, m].
+    """Expand a challenge key into phi block indices, each in [1, m]: index
+    i is ``crypto.prf(key, i)`` as a big-endian integer, mod m, plus 1.
 
-    The full PRF output is read as a big-endian integer before the modulus,
-    keeping the bias below m / 2**iota. Repeats are kept: every occurrence
-    gets its own proof entry.
+    The full PRF output is read before the modulus, keeping the bias below
+    m / 2**iota. Repeats are kept: every occurrence gets its own proof
+    entry. The phi PRF inputs are hashed inline, as ``prf`` hashes one, and
+    tallied at once.
     """
     if phi < 1 or m < 1:
         raise ValueError("phi and m must be positive")
+    tally(phi)
+    pack = PRF_COUNTER.pack
     return [
-        (int.from_bytes(prf(key, i), "big") % m) + 1 for i in range(1, phi + 1)
+        int.from_bytes(node_sha256(key + pack(i)).digest()[:HASH_LEN], "big") % m + 1
+        for i in range(1, phi + 1)
     ]
 
 
 def prove(tree: merkle.MerkleTree, key: bytes, pp: PublicParams) -> ProofVector:
     """Answer the challenge key with the Merkle path of each challenged block
-    of ``tree``, the tree over the encoded file's blocks."""
+    of ``tree``, the tree over the encoded file's blocks, in one
+    ``merkle.prove`` call."""
     if tree.m != pp.m:
         raise ParamMismatch(f"tree has {tree.m} blocks, pp says {pp.m}")
-    return tuple([merkle.prove(tree, q) for q in derive_indices(key, pp.phi, pp.m)])
+    return merkle.prove(tree, derive_indices(key, pp.phi, pp.m))
 
 
 def verify(pi: ProofVector, query: Query, pp: PublicParams) -> Verdict:
@@ -201,9 +223,4 @@ def verify(pi: ProofVector, query: Query, pp: PublicParams) -> Verdict:
             return Verdict(i)
 
     # pass 2: every path must open the root from its block
-    sigma = pp.sigma
-    for i, path in enumerate(pi, start=1):
-        if not merkle.verify(path, sigma):
-            return Verdict(i)
-    return Verdict()
-
+    return Verdict(merkle.verify(pi, pp.sigma))

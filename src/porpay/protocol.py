@@ -375,18 +375,20 @@ def dummy_proof_vector(qp: QpStatement, rng: random.Random) -> bytes:
     return b"".join([sample_unit(pf.entry, rng) for _ in range(pf.phi)])
 
 
-def open_entry(payload: bytes, g: int, qp: QpStatement) -> merkle.MerklePath:
-    """Open the 1-based ``g``-th entry of a proof vector, ``pf`` being ``qp.pf``.
-
-    Raises DecryptFailure, before any unit is opened, when the vector is not
-    ``pf.phi`` entry units; and when the unit fails to open, or its value is
-    not the ``pf.lens`` values back to back.
-    """
-    pf = qp.pf
+def _entry_unit_len(payload: bytes, pf: ProofFormat) -> int:
+    """The vector-shape rule: the entry unit length, if ``payload`` is
+    ``pf.phi`` entry units; DecryptFailure otherwise."""
     n = pf.entry.unit_len
     if len(payload) != pf.phi * n:
         raise DecryptFailure("proof vector length differs from the proof format")
-    value = dec_unit(qp.k_bar, payload[(g - 1) * n : g * n], pf.entry)
+    return n
+
+
+def _parse_entry(unit: bytes, qp: QpStatement) -> merkle.MerklePath:
+    """Open one entry unit; DecryptFailure when it fails to open or its value
+    is not the ``qp.pf.lens`` values back to back."""
+    pf = qp.pf
+    value = dec_unit(qp.k_bar, unit, pf.entry)
     try:
         fields = pf.split(value)
     except struct.error as exc:
@@ -396,19 +398,35 @@ def open_entry(payload: bytes, g: int, qp: QpStatement) -> merkle.MerklePath:
     )
 
 
+def open_entry(payload: bytes, g: int, qp: QpStatement) -> merkle.MerklePath:
+    """Open the 1-based ``g``-th entry of a proof vector, the dispute
+    re-check's one entry.
+
+    Raises DecryptFailure, before any unit is opened, when the vector is not
+    ``qp.pf.phi`` entry units; and when the unit fails to open, or its value
+    is not the ``qp.pf.lens`` values back to back.
+    """
+    n = _entry_unit_len(payload, qp.pf)
+    return _parse_entry(payload[(g - 1) * n : g * n], qp)
+
+
 def decode_proof_vector(
     payload: bytes, qp: QpStatement
 ) -> tuple[por.ProofVector | None, int | None]:
-    """Open every entry.
+    """Open every entry, checking the vector's shape once first.
 
     Returns (entries, None) on success or (None, g) where g is the first
     entry that failed to open or whose value length is not the format's;
-    a mis-shaped vector fails at entry 1.
+    a mis-shaped vector fails at entry 1, with no unit opened.
     """
+    try:
+        n = _entry_unit_len(payload, qp.pf)
+    except DecryptFailure:
+        return None, 1
     entries = []
-    for g in range(1, qp.pp.phi + 1):
+    for g, at in enumerate(range(0, len(payload), n), 1):
         try:
-            entries.append(open_entry(payload, g, qp))
+            entries.append(_parse_entry(payload[at : at + n], qp))
         except DecryptFailure:
             return None, g
     return tuple(entries), None

@@ -395,14 +395,15 @@ class TestPorOracleEquivalence:
             tree, _ = merkle.gen_tree(encoded, PAYLOAD + por.INDEX_LEN)
             blocks = split_blocks(encoded, PAYLOAD + por.INDEX_LEN)
             key = por.gen_query(rng)
+            indices = por.derive_indices(key, pp.phi, pp.m)
             base = [
                 {
                     "block": blocks[q - 1],
-                    "sibling": merkle.prove(tree, q).sibling_block,
-                    "digests": list(merkle.prove(tree, q).sibling_digests),
+                    "sibling": path.sibling_block,
+                    "digests": list(path.sibling_digests),
                     "leaf_index": q,
                 }
-                for q in por.derive_indices(key, pp.phi, pp.m)
+                for q, path in zip(indices, merkle.prove(tree, indices))
             ]
             for trial in range(100):
                 entries = [

@@ -2,10 +2,12 @@
 
 import hashlib
 import random
+import struct
 
 import pytest
 
 from porpay import crypto, merkle, por, protocol
+from porpay.hashing import count_hash_calls
 
 
 class TestPrf:
@@ -38,6 +40,22 @@ class TestPrf:
     def test_output_length(self):
         assert len(crypto.prf(bytes(16), 1)) == crypto.IOTA_BITS // 8
 
+    def test_counts_one_hash_per_call(self):
+        # the dispute re-check's hash count is read against 1.05/phi of a
+        # full verification, so each PRF call must count exactly one
+        with count_hash_calls() as taken:
+            crypto.prf(bytes(16), 1)
+            assert taken() == 1
+            crypto.prf(bytes(16), 2)
+            assert taken() == 2
+
+    @pytest.mark.parametrize("counter", [0, 1, 2**64 - 1])
+    def test_input_is_key_then_8_byte_big_endian_counter(self, counter):
+        key = bytes(range(16))
+        assert crypto.PRF_COUNTER.pack(counter) == counter.to_bytes(8, "big")
+        expected = hashlib.sha256(key + counter.to_bytes(8, "big")).digest()[:16]
+        assert crypto.prf(key, counter) == expected
+
 
 class TestCommitment:
     def test_same_inputs_equal(self):
@@ -54,7 +72,7 @@ class TestCommitment:
         assert c.hex() == "be45cb2605bf36bebde684841a28f0fd"
 
     def test_bad_randomness_length(self):
-        with pytest.raises(crypto.BadRandomnessLength):
+        with pytest.raises(crypto.BadRandomnessLength, match="must be 16 bytes, got 15"):
             crypto.commit(b"x", bytes(15))
 
     def test_verify_honest(self):
@@ -133,6 +151,18 @@ class TestCipherUnits:
         unit = crypto.enc_unit(key, b"m", self.fmt, rng)
         with pytest.raises(crypto.DecryptFailure):
             crypto.dec_unit(key, unit + b"\x00", self.fmt)
+
+    def test_max_value_len_is_the_largest_prefix(self):
+        # a unit of MAX_VALUE_LEN capacity carries a value of that length,
+        # and one byte more cannot be stated by the 2-byte prefix
+        rng = random.Random(3)
+        key = crypto.gen_sym_key(rng)
+        widest = crypto.UnitFormat(value_capacity=crypto.MAX_VALUE_LEN)
+        value = rng.randbytes(crypto.MAX_VALUE_LEN)
+        assert crypto.dec_unit(key, crypto.enc_unit(key, value, widest, rng), widest) == value
+        too_wide = crypto.UnitFormat(value_capacity=crypto.MAX_VALUE_LEN + 1)
+        with pytest.raises(struct.error):
+            crypto.enc_unit(key, value + b"\0", too_wide, rng)
 
     def test_oversized_value_rejected(self):
         rng = random.Random(6)

@@ -155,10 +155,9 @@ class TestLayout:
             # every power-of-two boundary and its neighbours, plus a stride
             edges = {(1 << k) + d for k in range(17) for d in (-1, 0, 1)}
             indices = sorted({i for i in edges if 1 <= i <= m} | set(range(1, m + 1, 61)))
-        for index in indices:
-            path = merkle.prove(tree, index)
-            assert path == reference_path(buffer, self.WIDTH, levels, index)
-            assert merkle.verify(path, root)
+        paths = merkle.prove(tree, indices)
+        assert paths == tuple(reference_path(buffer, self.WIDTH, levels, i) for i in indices)
+        assert merkle.verify(paths, root) is None
 
     @pytest.mark.parametrize("m", [1, 5, 715])
     def test_bytearray_buffer_gives_same_root(self, m):
@@ -364,7 +363,7 @@ class TestProve:
     def test_m4_index1_structure(self):
         blocks = blocks_of(4)
         tree, _ = tree_of(blocks)
-        path = merkle.prove(tree, 1)
+        path, = merkle.prove(tree, [1])
         assert path.leaf_block == blocks[0]
         assert path.sibling_block == blocks[1]
         assert path.sibling_digests == (h16(blocks[2] + blocks[3]),)
@@ -372,7 +371,7 @@ class TestProve:
     def test_m4_index4_structure(self):
         blocks = blocks_of(4)
         tree, _ = tree_of(blocks)
-        path = merkle.prove(tree, 4)
+        path, = merkle.prove(tree, [4])
         assert path.leaf_block == blocks[3]
         assert path.sibling_block == blocks[2]
         assert path.sibling_digests == (h16(blocks[0] + blocks[1]),)
@@ -381,7 +380,7 @@ class TestProve:
         # brute-force enumeration of the m=8 tree
         blocks = blocks_of(8)
         tree, _ = tree_of(blocks)
-        path = merkle.prove(tree, 5)
+        path, = merkle.prove(tree, [5])
         level1 = [h16(blocks[i] + blocks[i + 1]) for i in range(0, 8, 2)]
         level2 = [h16(level1[0] + level1[1]), h16(level1[2] + level1[3])]
         assert path.sibling_block == blocks[5]
@@ -392,24 +391,24 @@ class TestProve:
     def test_last_leaf_of_odd_m_has_zero_sibling(self, m):
         blocks = blocks_of(m)
         tree, root = tree_of(blocks)
-        path = merkle.prove(tree, m)
+        path, = merkle.prove(tree, [m])
         assert path.leaf_block == blocks[-1]
         assert path.sibling_block == bytes(8)
-        assert merkle.verify(path, root)
+        assert merkle.verify((path,), root) is None
 
     @pytest.mark.parametrize("index", [0, 5, -1])
     def test_index_out_of_range(self, index):
         tree, _ = tree_of(blocks_of(4))
         with pytest.raises(merkle.IndexOutOfRange):
-            merkle.prove(tree, index)
+            merkle.prove(tree, [index])
 
 
 class TestVerify:
     def test_rejects_wrong_root(self):
         tree, root = tree_of(blocks_of(4))
-        path = merkle.prove(tree, 2)
-        assert merkle.verify(path, root)
-        assert not merkle.verify(path, bytes(len(root)))
+        paths = merkle.prove(tree, [2])
+        assert merkle.verify(paths, root) is None
+        assert merkle.verify(paths, bytes(len(root))) == 1
 
     @settings(max_examples=40)
     @given(
@@ -422,15 +421,13 @@ class TestVerify:
             data.draw(st.binary(min_size=width, max_size=width)) for _ in range(m)
         ]
         tree, root = tree_of(blocks)
-        for i in range(1, m + 1):
-            assert merkle.verify(merkle.prove(tree, i), root)
+        assert merkle.verify(merkle.prove(tree, range(1, m + 1)), root) is None
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
     def test_tamper_any_byte_rejects(self, m):
         blocks = blocks_of(m)
         tree, root = tree_of(blocks)
-        for index in range(1, m + 1):
-            path = merkle.prove(tree, index)
+        for path in merkle.prove(tree, range(1, m + 1)):
             for attr in ("leaf_block", "sibling_block"):
                 value = getattr(path, attr)
                 for pos in range(len(value)):
@@ -442,7 +439,7 @@ class TestVerify:
                         sibling_digests=path.sibling_digests,
                         leaf_index=path.leaf_index,
                     )
-                    assert not merkle.verify(bad, root)
+                    assert merkle.verify((bad,), root) == 1
             for d_i, digest in enumerate(path.sibling_digests):
                 for pos in range(len(digest)):
                     mutated = bytearray(digest)
@@ -452,20 +449,125 @@ class TestVerify:
                     bad = merkle.MerklePath(
                         path.leaf_block, path.sibling_block, tuple(digests), path.leaf_index
                     )
-                    assert not merkle.verify(bad, root)
+                    assert merkle.verify((bad,), root) == 1
             for pos in range(len(root)):
                 mutated = bytearray(root)
                 mutated[pos] ^= 0x01
-                assert not merkle.verify(path, bytes(mutated))
+                assert merkle.verify((path,), bytes(mutated)) == 1
 
     def test_bad_leaf_index_rejected(self):
         tree, root = tree_of(blocks_of(4))
-        path = merkle.prove(tree, 1)
-        assert not merkle.verify(
-            merkle.MerklePath(path.leaf_block, path.sibling_block,
-                              path.sibling_digests, 0),
-            root,
-        )
+        path, = merkle.prove(tree, [1])
+        bad = merkle.MerklePath(path.leaf_block, path.sibling_block, path.sibling_digests, 0)
+        assert merkle.verify((bad,), root) == 1
+
+
+class TestVector:
+    """``prove`` and ``verify`` take a whole challenge vector: the paths come
+    out in index order, repeats included, and ``verify`` reports the first
+    failing position, having hashed every path up to it in full."""
+
+    WIDTH = 20
+
+    def session(self, m):
+        buffer = random.Random(m).randbytes(m * self.WIDTH)
+        tree, root = merkle.gen_tree(buffer, self.WIDTH)
+        return buffer, tree, root
+
+    def flipped(self, path):
+        """``path`` with the first byte of its block flipped."""
+        block = bytes([path.leaf_block[0] ^ 1]) + path.leaf_block[1:]
+        return path._replace(leaf_block=block)
+
+    @pytest.mark.parametrize("m", [1, 3, 715])
+    def test_odd_m_and_repeats_match_list_reference(self, m):
+        buffer, tree, _ = self.session(m)
+        levels = reference_levels(buffer, self.WIDTH)
+        # the last block of an odd m has a padding sibling; repeats are kept
+        indices = [m, 1, m, (m + 1) // 2, 1, m]
+        paths = merkle.prove(tree, indices)
+        assert paths == tuple(reference_path(buffer, self.WIDTH, levels, i) for i in indices)
+        assert paths[0].sibling_block == bytes(self.WIDTH)
+        assert [p.leaf_index for p in paths] == indices
+
+    def test_empty_vector(self):
+        _, tree, root = self.session(5)
+        assert merkle.prove(tree, []) == ()
+        with count_hash_calls() as taken:
+            assert merkle.verify((), root) is None
+            assert taken() == 0
+
+    def test_first_failing_position_for_every_g(self):
+        _, tree, root = self.session(100)
+        paths = merkle.prove(tree, random.Random(1).choices(range(1, 101), k=12))
+        made = [1 + len(p.sibling_digests) for p in paths]
+        with count_hash_calls() as taken:
+            assert merkle.verify(paths, root) is None
+            assert taken() == sum(made)
+        for g in range(1, len(paths) + 1):
+            # a later path is bad too, so only stopping at g gives g
+            bad = list(paths)
+            for at in {g - 1, len(bad) - 1}:
+                bad[at] = self.flipped(bad[at])
+            with count_hash_calls() as taken:
+                assert merkle.verify(bad, root) == g
+                assert taken() == sum(made[:g])
+
+    @pytest.mark.parametrize("leaf_index", [0, -1, -(2**40)])
+    @pytest.mark.parametrize("g", [1, 3, 5])
+    def test_leaf_index_below_one_fails_unhashed(self, leaf_index, g):
+        _, tree, root = self.session(8)
+        paths = list(merkle.prove(tree, [1, 2, 3, 4, 5]))
+        paths[g - 1] = paths[g - 1]._replace(leaf_index=leaf_index)
+        with count_hash_calls() as taken:
+            assert merkle.verify(paths, root) == g
+            assert taken() == 3 * (g - 1)
+
+    @pytest.mark.parametrize("change", [
+        lambda p: p._replace(leaf_block=b""),
+        lambda p: p._replace(leaf_block=p.leaf_block + b"\0"),
+        lambda p: p._replace(sibling_block=p.sibling_block[:-1]),
+        lambda p: p._replace(sibling_digests=()),
+        lambda p: p._replace(sibling_digests=p.sibling_digests[:-1]),
+        lambda p: p._replace(sibling_digests=p.sibling_digests + (bytes(16),)),
+        lambda p: p._replace(sibling_digests=(b"", *p.sibling_digests[1:])),
+        lambda p: p._replace(sibling_digests=(bytes(17), *p.sibling_digests[1:])),
+        lambda p: p._replace(leaf_index=2**40),
+    ], ids=["empty-block", "long-block", "short-sibling", "no-digests", "digest-missing",
+            "digest-extra", "empty-digest", "long-digest", "index-past-m"])
+    def test_malformed_path_fails_without_raising(self, change):
+        _, tree, root = self.session(715)
+        paths = merkle.prove(tree, [7, 700, 9])
+        assert merkle.verify((paths[0], change(paths[1]), paths[2]), root) == 2
+
+    @pytest.mark.parametrize("indices", [[1, 2, 0], [716, 1], [1, -3, 2], [5, 2**40, 5]])
+    def test_out_of_range_raises_before_any_path(self, indices, monkeypatch):
+        _, tree, _ = self.session(715)
+        built = []
+        path_type = merkle.MerklePath
+        monkeypatch.setattr(merkle, "MerklePath", lambda *args: built.append(args) or path_type(*args))
+        with pytest.raises(merkle.IndexOutOfRange):
+            merkle.prove(tree, indices)
+        assert built == []
+        # the spy does see the paths of a vector in range
+        merkle.prove(tree, [1, 715])
+        assert len(built) == 2
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_vector_roundtrip(self, data):
+        m = data.draw(st.integers(min_value=1, max_value=300))
+        width = data.draw(st.integers(min_value=1, max_value=24))
+        buffer = data.draw(st.binary(min_size=m * width, max_size=m * width))
+        indices = data.draw(st.lists(st.integers(1, m), min_size=1, max_size=24))
+        tree, root = merkle.gen_tree(buffer, width)
+        levels = reference_levels(buffer, width)
+        paths = merkle.prove(tree, indices)
+        assert paths == tuple(reference_path(buffer, width, levels, i) for i in indices)
+        assert merkle.verify(paths, root) is None
+        g = data.draw(st.integers(1, len(paths)))
+        bad = paths[: g - 1] + (self.flipped(paths[g - 1]),) + paths[g:]
+        assert merkle.verify(bad, root) == g
 
 
 class TestHashCounts:
@@ -481,27 +583,27 @@ class TestHashCounts:
 
     def test_accepting_path_hashes_whole_path(self):
         tree, root = tree_of(blocks_of(8))
-        path = merkle.prove(tree, 5)
+        paths = merkle.prove(tree, [5])
         with count_hash_calls() as taken:
-            assert merkle.verify(path, root)
+            assert merkle.verify(paths, root) is None
             assert taken() == 3
 
     def test_tampered_path_still_hashes_whole_path(self):
         tree, root = tree_of(blocks_of(8))
-        path = merkle.prove(tree, 6)
+        path, = merkle.prove(tree, [6])
         bad = merkle.MerklePath(
             path.leaf_block, bytes(8), path.sibling_digests, path.leaf_index
         )
         with count_hash_calls() as taken:
-            assert not merkle.verify(bad, root)
+            assert merkle.verify((bad,), root) == 1
             assert taken() == 3
 
     def test_leaf_index_zero_hashes_nothing(self):
         tree, root = tree_of(blocks_of(8))
-        path = merkle.prove(tree, 1)
+        path, = merkle.prove(tree, [1])
         bad = merkle.MerklePath(
             path.leaf_block, path.sibling_block, path.sibling_digests, 0
         )
         with count_hash_calls() as taken:
-            assert not merkle.verify(bad, root)
+            assert merkle.verify((bad,), root) == 1
             assert taken() == 0

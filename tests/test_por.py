@@ -4,13 +4,14 @@ import dataclasses
 import hashlib
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from porpay import merkle, por
+from porpay import crypto, merkle, por
 from porpay.hashing import count_hash_calls
 
 
@@ -94,6 +95,14 @@ class TestSetup:
         (101, 3, por.XorParityCodec(chunk_len=3)),
         (4000, 7, por.XorParityCodec(chunk_len=7)),
         (1000, 7, None),
+        # 2-byte words: payloads of 2 and 6 bytes
+        (101, 2, None),
+        (1001, 6, None),
+        (1, 6, None),
+        (600, 6, por.XorParityCodec(chunk_len=6)),
+        # 4-byte words at a longer payload, and a file below one payload
+        (1001, 12, None),
+        (5, 8, None),
     ])
     def test_blocks_and_root_match_reference_loop(self, size, payload, codec):
         file = random.Random(size).randbytes(size)
@@ -121,6 +130,22 @@ class TestSetup:
         [tree] = built
         assert tree.blocks is blocks
         assert tree.block_len == 7
+
+    @pytest.mark.parametrize("short", [0, 3, 15])
+    def test_tagging_copies_no_file(self, short):
+        # the payload columns are read through a view of the file, and a
+        # short last payload is copied alone: the peak holds the tagged
+        # blocks (1.25x the file at a 16-byte payload) and the 4-byte
+        # indices (0.25x), and a copy of the file would add 1x more
+        coded = random.Random(short).randbytes((1 << 16) * 16 - short)
+        tracemalloc.start()
+        try:
+            blocks = por._index_tagged(coded, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert blocks == b"".join(reference_blocks(coded, 16))
+        assert peak < 1.75 * len(coded)
 
     def test_empty_file(self):
         with pytest.raises(por.EmptyFile):
@@ -184,6 +209,16 @@ class TestDeriveIndices:
         with count_hash_calls() as taken:
             assert por.derive_indices(key, phi, m) == expected
             assert taken() == phi
+
+
+    @pytest.mark.parametrize("m", [1, 715, 1 << 16])
+    def test_agrees_with_prf_at_every_position(self, m):
+        # the dispute re-check derives q_g alone through crypto.prf; it must
+        # be the index the full derivation put at position g
+        key = random.Random(m).randbytes(16)
+        assert por.derive_indices(key, 460, m) == [
+            int.from_bytes(crypto.prf(key, g), "big") % m + 1 for g in range(1, 461)
+        ]
 
 
 class TestProveVerify:
@@ -348,7 +383,7 @@ class TestDetection:
         tree, pp, rng = make_session(m=8, phi=8)
         all_indices = list(range(1, 9))
         for target in all_indices:
-            entries = tuple(merkle.prove(tree, q) for q in all_indices)
+            entries = merkle.prove(tree, all_indices)
             entries = corrupt_entry(entries, position=target)
             verdict = por.verify(entries, all_indices, pp)
             assert verdict == por.Verdict(target)
@@ -373,6 +408,62 @@ class TestDetection:
 
         assert por.verify(por.prove(rot(unread), key, pp), key, pp).accepted
         assert not por.verify(por.prove(rot(siblings), key, pp), key, pp).accepted
+
+
+class TestGuards:
+    """Each guard in ``por`` pinned by a test: a comparison, an ``and`` or an
+    ``or`` or a bound moved by one in any of them fails one of these."""
+
+    def test_default_phi_is_the_papers(self):
+        # the paper's phi = 460 challenged blocks per cycle
+        _, pp = por.setup(bytes(16 * 500))
+        assert pp.phi == por.DEFAULT_PHI == 460
+
+    @pytest.mark.parametrize("phi, m", [(0, 5), (-1, 5), (5, 0), (5, -1)])
+    def test_derive_needs_positive_phi_and_m(self, phi, m):
+        with pytest.raises(ValueError, match="must be positive"):
+            por.derive_indices(bytes(16), phi, m)
+
+    @pytest.mark.parametrize("phi, m, message", [
+        (1, 0, "block count"), (1, -1, "block count"), (0, 5, "challenge count"),
+        (-1, 5, "challenge count"), (6, 5, "challenge count"),
+    ])
+    def test_public_params_bounds(self, phi, m, message):
+        with pytest.raises(ValueError, match=message):
+            por.PublicParams(bytes(16), phi=phi, m=m)
+        # the bounds themselves are admitted
+        assert por.PublicParams(bytes(16), phi=1, m=1).phi == 1
+
+    @pytest.mark.parametrize("chunk_len", [0, -1])
+    def test_codec_needs_positive_chunk_len(self, chunk_len):
+        with pytest.raises(ValueError, match="chunk_len"):
+            por.XorParityCodec(chunk_len)
+
+    def test_codec_takes_one_byte_chunks(self):
+        # four 1-byte chunks, then their XOR
+        assert por.XorParityCodec(1).encode(bytes([1, 2, 4, 8])) == bytes([1, 2, 4, 8, 15])
+
+    @pytest.mark.parametrize("keep", [0, 1, 2, 3, 5])
+    def test_wrong_vector_length_fails_at_first_unmatched_entry(self, keep):
+        # a short vector fails at its first missing entry; a long one at the
+        # last expected entry
+        tree, pp, rng = make_session(m=16, phi=4)
+        key = por.gen_query(rng)
+        pi = por.prove(tree, key, pp)
+        vector = (pi + pi)[:keep]
+        assert por.verify(vector, key, pp) == por.Verdict(min(keep + 1, 4))
+
+    def test_block_of_index_length_fails_in_pass_one(self):
+        # entry 2's block is its 4-byte index tag alone, and entry 4 carries a
+        # wrong tag: pass 1 stops at entry 2, so no path is hashed
+        tree, pp, rng = make_session(m=32, phi=5)
+        key = por.gen_query(rng)
+        pi = list(por.prove(tree, key, pp))
+        pi[1] = pi[1]._replace(leaf_block=pi[1].leaf_block[-por.INDEX_LEN :])
+        pi[3] = pi[3]._replace(leaf_block=pi[3].leaf_block[:-4] + (99).to_bytes(4, "big"))
+        with count_hash_calls() as taken:
+            assert por.verify(tuple(pi), key, pp) == por.Verdict(2)
+            assert taken() == 5  # the challenge derivation alone
 
 
 class TestCodecs:

@@ -891,6 +891,26 @@ class TestEntryUnits:
         bad[4 * efmt.unit_len + efmt.unit_len // 2] ^= 0x01
         assert self.decode(bytes(bad), qp) == (None, 2)
 
+    @pytest.mark.parametrize("g", [None, 1, 3, 6])
+    def test_decode_opens_each_entry_once_in_order(self, g, monkeypatch):
+        # the vector's shape is checked once; then one dec_unit per entry,
+        # in order, up to and including the first that fails
+        pi, qp, efmt, payload = self.vector()
+        if g is not None:
+            bad = bytearray(payload)
+            bad[(g - 1) * efmt.unit_len + efmt.unit_len // 2] ^= 0x01
+            payload = bytes(bad)
+        opened = []
+
+        def recording_dec_unit(key, unit, fmt):
+            opened.append(payload.index(unit) // efmt.unit_len + 1)
+            return dec_unit(key, unit, fmt)
+
+        monkeypatch.setattr(protocol, "dec_unit", recording_dec_unit)
+        entries, failed = protocol.decode_proof_vector(payload, qp)
+        assert (entries, failed) == ((pi, None) if g is None else (None, g))
+        assert opened == list(range(1, (g or qp.pp.phi) + 1))
+
     def test_short_plaintext_fails_that_entry(self):
         pi, qp, efmt, payload = self.vector()
         bad = self.reseal(payload, 2, b"\x00" * 40, efmt)
