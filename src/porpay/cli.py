@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .scenario import ScenarioSpec, SpecInvalid, report_to_json, run, verify_report
+from .scenario import VARIANTS, ScenarioSpec, SpecInvalid, report_to_json, run, verify_report
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="override the seed")
     p_run.add_argument(
         "--variant",
-        choices=("arbiter", "arbiterless"),
+        choices=VARIANTS,
         default=None,
         help="override the dispute-resolution variant",
     )

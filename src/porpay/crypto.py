@@ -5,9 +5,9 @@ A cipher unit carries one value of at most its geometry's capacity: the
 plaintext is a 2-byte big-endian length prefix, the value, and zero fill up
 to the capacity. A challenge key travels as one unit, and so does each proof
 entry, whose value is the path's values back to back; which geometries a
-session uses is ``protocol.ProofFormat``'s business. Every unit of one
-geometry has the same wire length, and a sampled unit has it too, which is
-the property the padding scheme relies on.
+session uses is fixed by its agreed ``protocol.QpStatement``. Every unit
+of one geometry has the same wire length, and a sampled unit has it too,
+which is the property the padding scheme relies on.
 
 Unit wire format: nonce || ciphertext || tag.
 """

@@ -69,8 +69,6 @@ from .ledger import (
 )
 from .sap import sap_agree, sap_init, sap_verify
 
-ARBITER = "arbiter"
-ARBITERLESS = "arbiterless"
 CODEC_NAMES = ("identity", "xor-parity")
 
 _SAP_QP = 0  # index of the query-parameter session in the contract's sap_refs
@@ -133,6 +131,13 @@ class QpStatement:
     """Query/proof secret parameters: pad count, proof key, public params,
     and the block payload length that fixes the cipher-unit geometry.
 
+    It is also the one shape of its session's proof vectors, derived on
+    first use: ``pp.phi`` entries, each one ``entry_unit`` whose value is the
+    path's values back to back at the ``lens`` lengths (block, sibling block,
+    one digest per upper tree level, leaf index) and whose zero fill, 16
+    bytes per pad slot up to pi_max, is the pad. Real, dummy and sampled
+    vectors thus have one length whatever the tree height.
+
     Its bytes are one fixed layout: the pad count, ``k_bar``, sigma, then
     phi, m, the PRF triple (psi, eta, iota) and the payload length, each
     integer 8 bytes big-endian.
@@ -151,15 +156,25 @@ class QpStatement:
         return self.block_payload_len + por.INDEX_LEN
 
     @functools.cached_property
-    def pf(self) -> "ProofFormat":
-        """The session's one proof-vector shape, derived on first use. A
-        challenge key's unit keeps the capacity of a block, at least a key."""
+    def lens(self) -> tuple[int, ...]:
         real = entry_real_units(self.pp.m)
-        lens = (self.block_len, self.block_len, *[HASH_LEN] * (real - 3), por.INDEX_LEN)
-        query = UnitFormat(max(self.block_len, PSI_BITS // 8))
+        return (self.block_len, self.block_len, *[HASH_LEN] * (real - 3), por.INDEX_LEN)
+
+    @functools.cached_property
+    def query_unit(self) -> UnitFormat:
+        """A challenge key's unit keeps the capacity of a block, at least a key."""
+        return UnitFormat(max(self.block_len, PSI_BITS // 8))
+
+    @functools.cached_property
+    def entry_unit(self) -> UnitFormat:
         # a pad slot stands in for the digest of one more tree level
-        entry = UnitFormat(sum(lens) + HASH_LEN * self.pad_pi)
-        return ProofFormat(self.pp.phi, lens, query, entry)
+        return UnitFormat(sum(self.lens) + HASH_LEN * self.pad_pi)
+
+    @functools.cached_property
+    def split(self):
+        """Cut an entry's value at the ``lens`` boundaries in one call;
+        ``struct.error`` for a value of any other length."""
+        return struct.Struct("".join([f"{n}s" for n in self.lens])).unpack
 
     def to_bytes(self) -> bytes:
         pp = self.pp
@@ -247,7 +262,6 @@ class SessionConfig:
     price_choice: PricePair
     block_payload_len: int
     pi_max: int | None  # per-entry slot budget; None means no padding
-    variant: str
     codec_name: str
 
     def __post_init__(self) -> None:
@@ -264,8 +278,6 @@ class SessionConfig:
             )
         if self.price_choice not in self.price_list:
             raise PriceNotInList(f"{self.price_choice} not offered")
-        if self.variant not in (ARBITER, ARBITERLESS):
-            raise ValueError(f"unknown variant {self.variant!r}")
         if self.codec_name not in CODEC_NAMES:
             raise ValueError(f"unknown codec {self.codec_name!r}")
 
@@ -317,42 +329,15 @@ def key_gen(rng: random.Random, pi_max: int, pi_act: int) -> tuple[bytes, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProofFormat:
-    """The one shape of every proof vector in a session, fixed by the agreed
-    qp statement (``QpStatement.pf``).
-
-    A vector is ``phi`` entries, each sealed as one cipher unit of geometry
-    ``entry``. An entry's value is the path's values back to back at the
-    lengths ``lens`` lists (block, sibling block, one digest per upper tree
-    level, leaf index); the unit's zero fill, 16 bytes per pad slot up to
-    pi_max, is the pad. Real vectors, dummy vectors and uniformly sampled
-    padding are therefore indistinguishable by length, whatever the tree
-    height. ``query`` is the geometry of a challenge-key unit.
-    """
-
-    phi: int
-    lens: tuple[int, ...]
-    query: UnitFormat
-    entry: UnitFormat
-
-    @functools.cached_property
-    def split(self):
-        """Cut an entry's value at the ``lens`` boundaries in one call;
-        ``struct.error`` for a value of any other length."""
-        return struct.Struct("".join([f"{n}s" for n in self.lens])).unpack
-
-
 def encode_proof_vector(
     pi: por.ProofVector, qp: QpStatement, rng: random.Random
 ) -> bytes:
-    """Seal every proof entry, its values back to back, as one ``qp.pf.entry``
-    unit under ``qp.k_bar``.
+    """Seal every proof entry, its values back to back, as one
+    ``qp.entry_unit`` under ``qp.k_bar``.
 
-    Raises ValueError for a path whose value lengths are not ``qp.pf.lens``.
+    Raises ValueError for a path whose value lengths are not ``qp.lens``.
     """
-    pf, k_bar = qp.pf, qp.k_bar
-    entry, lens = pf.entry, [*pf.lens]
+    k_bar, entry, lens = qp.k_bar, qp.entry_unit, [*qp.lens]
     units = []
     for leaf_block, sibling_block, sibling_digests, leaf_index in pi:
         # a list, not a tuple: CPython keeps no free list for tuples past 20
@@ -371,26 +356,24 @@ def encode_proof_vector(
 
 def dummy_proof_vector(qp: QpStatement, rng: random.Random) -> bytes:
     """All-sampled vector with exactly the shape of a real one."""
-    pf = qp.pf
-    return b"".join([sample_unit(pf.entry, rng) for _ in range(pf.phi)])
+    return b"".join([sample_unit(qp.entry_unit, rng) for _ in range(qp.pp.phi)])
 
 
-def _entry_unit_len(payload: bytes, pf: ProofFormat) -> int:
+def _entry_unit_len(payload: bytes, qp: QpStatement) -> int:
     """The vector-shape rule: the entry unit length, if ``payload`` is
-    ``pf.phi`` entry units; DecryptFailure otherwise."""
-    n = pf.entry.unit_len
-    if len(payload) != pf.phi * n:
+    ``qp.pp.phi`` entry units; DecryptFailure otherwise."""
+    n = qp.entry_unit.unit_len
+    if len(payload) != qp.pp.phi * n:
         raise DecryptFailure("proof vector length differs from the proof format")
     return n
 
 
 def _parse_entry(unit: bytes, qp: QpStatement) -> merkle.MerklePath:
     """Open one entry unit; DecryptFailure when it fails to open or its value
-    is not the ``qp.pf.lens`` values back to back."""
-    pf = qp.pf
-    value = dec_unit(qp.k_bar, unit, pf.entry)
+    is not the ``qp.lens`` values back to back."""
+    value = dec_unit(qp.k_bar, unit, qp.entry_unit)
     try:
-        fields = pf.split(value)
+        fields = qp.split(value)
     except struct.error as exc:
         raise DecryptFailure("entry value length differs from the proof format") from exc
     return merkle.MerklePath(
@@ -403,10 +386,10 @@ def open_entry(payload: bytes, g: int, qp: QpStatement) -> merkle.MerklePath:
     re-check's one entry.
 
     Raises DecryptFailure, before any unit is opened, when the vector is not
-    ``qp.pf.phi`` entry units; and when the unit fails to open, or its value
-    is not the ``qp.pf.lens`` values back to back.
+    ``qp.pp.phi`` entry units; and when the unit fails to open, or its value
+    is not the ``qp.lens`` values back to back.
     """
-    n = _entry_unit_len(payload, qp.pf)
+    n = _entry_unit_len(payload, qp)
     return _parse_entry(payload[(g - 1) * n : g * n], qp)
 
 
@@ -420,7 +403,7 @@ def decode_proof_vector(
     a mis-shaped vector fails at entry 1, with no unit opened.
     """
     try:
-        n = _entry_unit_len(payload, qp.pf)
+        n = _entry_unit_len(payload, qp)
     except DecryptFailure:
         return None, 1
     entries = []
@@ -519,14 +502,9 @@ class Client(_Party):
         addr_arbiter: Address | None = None,
     ) -> Handoff:
         """Phase 2: encode, agree on qp and cp, deploy, and deposit at T0.
-        The arbiter variant needs ``addr_arbiter``, the arbiter-free one
-        refuses it."""
+        An ``addr_arbiter`` makes the contract of the arbiter variant;
+        without one the contract resolves its own disputes."""
         cfg = self.config
-        if (cfg.variant == ARBITERLESS) != (addr_arbiter is None):
-            raise ValueError(
-                "the arbiter variant needs an arbiter address; "
-                "the arbiterless variant takes none"
-            )
         codec = make_codec(cfg.codec_name, cfg.block_payload_len)
         blocks, pp = por.setup(file, cfg.block_payload_len, cfg.phi, codec)
         if self.behavior.ill_formed_metadata:
@@ -578,7 +556,7 @@ class Client(_Party):
             k_hat = self.rng.randbytes(8)  # truncated key, outside the key universe
         else:
             k_hat = por.gen_query(self.rng)
-        unit = enc_unit(self.qp.k_bar, k_hat, self.qp.pf.query, self.rng)
+        unit = enc_unit(self.qp.k_bar, k_hat, self.qp.query_unit, self.rng)
         ledger.post(
             self.contract, LedgerMessage(self.addr, MsgKind.QUERY, unit, slot=j)
         )
@@ -591,7 +569,7 @@ class Client(_Party):
         if j not in self.contract.queries:  # withheld
             return None, None
         qp = self.qp
-        k_hat = dec_unit(qp.k_bar, self.contract.query(j), qp.pf.query)
+        k_hat = dec_unit(qp.k_bar, self.contract.query(j), qp.query_unit)
         payload = self.contract.proofs.get(j)
         if payload is None:
             verdict = por.Verdict(1)
@@ -709,8 +687,9 @@ class Server(_Party):
             ledger.deposit(self.addr, contract, amount)
         return a
 
-    def prove_cycle(self, j: int, ledger: Ledger) -> tuple[int, int | None]:
-        """Phase 5 at G(j,2): decrypt the query, answer or complain, post.
+    def prove_cycle(self, j: int, ledger: Ledger) -> int:
+        """Phase 5 at G(j,2): decrypt the query, answer or complain, post;
+        returns b, 1 for a proof and 0 for a complaint about the query.
 
         Valid and invalid cycles post vectors of identical shape, so the
         proof status stays hidden until resolution time.
@@ -719,21 +698,19 @@ class Server(_Party):
         k_hat = _query_key(self.contract, j, qp)
         b = 0 if k_hat is None or j in self.behavior.false_query_complaint else 1
 
-        complaint: int | None = None
         if b == 1:
             pi = por.prove(self.tree, k_hat, qp.pp)
             if j in self.behavior.corrupt_block:
                 pi = _corrupt_first_entry(pi)
             payload = encode_proof_vector(pi, qp, self.rng)
         else:
-            complaint = j
             self.complaints.append(j)
             payload = dummy_proof_vector(qp, self.rng)
         if j not in self.behavior.withhold_proof:
             ledger.post(
                 self.contract, LedgerMessage(self.addr, MsgKind.PROOF, payload, slot=j)
             )
-        return b, complaint
+        return b
 
     def complaint_post(self) -> bytes:
         """The dispute query: the qp opening, then each complaint's cycle."""
@@ -866,7 +843,7 @@ def _query_key(contract: RcContract, j: int, qp: QpStatement) -> bytes | None:
     """The phase-5 query checks on the posted ciphertext: the challenge
     key, or None when the query is missing or invalid."""
     try:
-        k_hat = dec_unit(qp.k_bar, contract.query(j), qp.pf.query)
+        k_hat = dec_unit(qp.k_bar, contract.query(j), qp.query_unit)
     except (MissingQuery, DecryptFailure):
         return None
     return k_hat if len(k_hat) == PSI_BITS // 8 else None

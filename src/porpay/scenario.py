@@ -43,7 +43,6 @@ from pathlib import Path
 from . import crypto, por, protocol
 from .ledger import CounterOutOfBounds, Counters, Ledger, Schedule
 from .protocol import (
-    ARBITER,
     Arbiter,
     Client,
     ClientBehavior,
@@ -66,6 +65,9 @@ def _kinds(behavior_cls) -> dict[str, bool]:
         if f.name != "suppress_dummy_complaints"
     }
 
+
+# the dispute variants a file names; ``run`` gives only ARBITER an arbiter
+VARIANTS = ARBITER, ARBITERLESS = ("arbiter", "arbiterless")
 
 CLIENT_BEHAVIOR_KINDS = _kinds(ClientBehavior)
 SERVER_BEHAVIOR_KINDS = _kinds(ServerBehavior)
@@ -127,6 +129,8 @@ class ScenarioSpec:
             "variant": given.get("variant", ARBITER),
             "codec": given.get("codec", "identity"),
         }
+        if session["variant"] not in VARIANTS:
+            raise SpecInvalid(f"unknown variant {session['variant']!r}")
         config = SessionConfig(
             z=session["z"],
             phi=session["phi"],
@@ -134,7 +138,6 @@ class ScenarioSpec:
             price_choice=PricePair(*session["price_choice"]),
             block_payload_len=session["block_payload_len"],
             pi_max=session["pi_max"],
-            variant=session["variant"],
             codec_name=session["codec"],
         )
 
@@ -218,11 +221,13 @@ def expected_payout(
 ) -> dict[str, int]:
     """Closed-form final amounts by account name: each deposit back when
     ``refund`` is set, else the L payout, with an ``arbiter`` entry only in
-    its variant.
+    its variant. ValueError for a ``variant`` not in VARIANTS.
 
     Kept deliberately separate from the ledger payout path so reports can
     cross-check the two.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     if refund:
         return {"client": client_deposit, "server": server_deposit}
     c = counters
@@ -244,14 +249,12 @@ def expected_payout(
 
 
 def _goto(ledger: Ledger, schedule, label: str) -> None:
-    target = schedule.point(label)
-    if ledger.time.ordinal < target.ordinal:
-        ledger.advance_time(target)
+    ledger.advance_time(schedule.point(label))
 
 
 def run(spec: ScenarioSpec) -> dict:
     """Execute one scenario end to end and return its report dict."""
-    cfg = spec.config
+    cfg, variant = spec.config, spec.raw["session"]["variant"]
     master = random.Random(spec.seed)
     source = spec.raw["file"]
     if "path" in source:
@@ -263,9 +266,7 @@ def run(spec: ScenarioSpec) -> dict:
     ledger = Ledger()
     addr_client = ledger.create_account("client", cp.client_deposit)
     addr_server = ledger.create_account("server", cp.server_deposit)
-    addr_arbiter = (
-        ledger.create_account("arbiter", 0) if cfg.variant == ARBITER else None
-    )
+    addr_arbiter = ledger.create_account("arbiter", 0) if variant == ARBITER else None
     genesis = ledger.balances()
     genesis_supply = ledger.total_supply()
 
@@ -276,8 +277,6 @@ def run(spec: ScenarioSpec) -> dict:
         addr_server, random.Random(master.getrandbits(64)), cfg.price_list,
         spec.server,
     )
-    arbiter = Arbiter(addr_arbiter) if addr_arbiter is not None else None
-
     cycles: list[dict] = []
     resolution = None
 
@@ -300,7 +299,7 @@ def run(spec: ScenarioSpec) -> dict:
             _goto(ledger, schedule, f"G{j}.1")
             client.post_query(j, ledger)
             _goto(ledger, schedule, f"G{j}.2")
-            b_j, _ = server.prove_cycle(j, ledger)
+            b_j = server.prove_cycle(j, ledger)
             verdict, complaint = client.verify_cycle(j, ledger)
             cycles.append(
                 {
@@ -314,7 +313,8 @@ def run(spec: ScenarioSpec) -> dict:
             )
 
         disputed = bool(server.complaints or client.complaints)
-        if disputed and cfg.variant == ARBITER:
+        if disputed and variant == ARBITER:
+            arbiter = Arbiter(addr_arbiter)
             _goto(ledger, schedule, "K2")
             arbiter.resolve_server(server.complaint_post(), ledger, contract)
             _goto(ledger, schedule, "K5")
@@ -334,14 +334,14 @@ def run(spec: ScenarioSpec) -> dict:
 
         _goto(ledger, schedule, "L")
     client.request_payout(ledger)
-    if cfg.variant == ARBITER:
+    if variant == ARBITER:
         actual = protocol.payout_arbiter_variant(ledger, contract, client.opening_cp)
     else:
         actual = protocol.payout_arbiterless_variant(
             ledger, contract, client.opening_cp
         )
     expected = expected_payout(
-        cfg.variant,
+        variant,
         contract.counters,
         z=cfg.z,
         o=cfg.price_choice.o,
@@ -363,9 +363,9 @@ def run(spec: ScenarioSpec) -> dict:
         "pp": client.qp.pp.to_json(),
         "unit_format": {
             "nonce_len": crypto.NONCE_LEN,
-            "payload_len": client.qp.pf.query.payload_len,
+            "payload_len": client.qp.query_unit.payload_len,
             "tag_len": crypto.TAG_LEN,
-            "unit_len": client.qp.pf.query.unit_len,
+            "unit_len": client.qp.query_unit.unit_len,
         },
         "pad_pi": client.qp.pad_pi,
         "deposits": {

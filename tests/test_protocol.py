@@ -12,8 +12,6 @@ from porpay import merkle, por, protocol
 from porpay.crypto import DecryptFailure, Opening, dec_unit, enc_unit
 from porpay.ledger import Counters, DuplicateSlot, Ledger, OutOfWindow, Schedule
 from porpay.protocol import (
-    ARBITER,
-    ARBITERLESS,
     Arbiter,
     Client,
     ClientBehavior,
@@ -26,6 +24,7 @@ from porpay.protocol import (
     SessionConfig,
 )
 from porpay.sap import sap_verify
+from porpay.scenario import ARBITER, ARBITERLESS
 
 PRICES = PriceList((PricePair(5, 2), PricePair(3, 1)))
 # each variant's phase-8 entry point: the T2 refund or the L payout
@@ -35,7 +34,7 @@ PAYOUT = {
 }
 
 
-def make_config(z=3, phi=4, variant=ARBITER, pi_max=None, payload=16, codec="identity",
+def make_config(z=3, phi=4, pi_max=None, payload=16, codec="identity",
                 choice=PricePair(5, 2)):
     return SessionConfig(
         z=z,
@@ -44,13 +43,14 @@ def make_config(z=3, phi=4, variant=ARBITER, pi_max=None, payload=16, codec="ide
         price_choice=choice,
         block_payload_len=payload,
         pi_max=pi_max,
-        variant=variant,
         codec_name=codec,
     )
 
 
 def build_session(config, seed=1, file_size=1024,
-                  client_behavior=None, server_behavior=None):
+                  client_behavior=None, server_behavior=None, variant=ARBITER):
+    """A session initiated at T0; only an ARBITER ``variant`` has an arbiter
+    account, whose address the client passes on."""
     master = random.Random(seed)
     file = master.randbytes(file_size)
     ledger = Ledger()
@@ -59,7 +59,7 @@ def build_session(config, seed=1, file_size=1024,
     addr_c = ledger.create_account("client", coin_client)
     addr_s = ledger.create_account("server", p_server)
     addr_r = (
-        ledger.create_account("arbiter", 0) if config.variant == ARBITER else None
+        ledger.create_account("arbiter", 0) if variant == ARBITER else None
     )
     client = Client(addr_c, random.Random(master.getrandbits(64)), config,
                     client_behavior)
@@ -172,13 +172,14 @@ class TestStatements:
     ))
     def test_any_bytes_parse_or_refuse(self, data):
         # any bytes either read as a statement the session can run, or
-        # raise ValueError; what reads fixes a proof format and round-trips
+        # raise ValueError; what reads fixes a proof-vector shape and
+        # round-trips
         try:
             qp = QpStatement.from_bytes(data)
         except ValueError:
             return
         assert isinstance(qp, QpStatement)
-        assert qp.pf is qp.pf
+        assert qp.entry_unit is qp.entry_unit and qp.query_unit is qp.query_unit
         assert qp.to_bytes() == data
         assert QpStatement.from_bytes(qp.to_bytes()) == qp
 
@@ -274,24 +275,14 @@ class TestMaskedDeposits:
 
 
 class TestClientInit:
-    @pytest.mark.parametrize("variant, with_arbiter", [
-        (ARBITER, False), (ARBITERLESS, True),
-    ])
-    def test_variant_must_match_arbiter_address(self, variant, with_arbiter,
-                                                monkeypatch):
-        ledger = Ledger()
-        addr_c = ledger.create_account("client", 100)
-        addr_s = ledger.create_account("server", 100)
-        addr_r = ledger.create_account("arbiter", 0) if with_arbiter else None
-        client = Client(addr_c, random.Random(1), make_config(variant=variant))
-
-        def no_encoding(*args, **kwargs):
-            raise AssertionError("encoded before the variant check")
-
-        monkeypatch.setattr(por, "setup", no_encoding)
-        with pytest.raises(ValueError):
-            client.init(bytes(1024), ledger, addr_s, addr_r)
-        assert ledger.export_trace() == []  # nothing agreed, deployed or paid
+    @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
+    def test_arbiter_address_makes_the_variant(self, variant):
+        # the one statement of a session's variant is the contract's
+        # arbiter address, which only the arbiter variant passes
+        _, _, _, handoff, addr_r, _ = build_session(make_config(), variant=variant)
+        params = handoff.contract.params
+        assert params.addr_arbiter == addr_r
+        assert params.arbiterless == (variant == ARBITERLESS) == (addr_r is None)
 
 
 class TestServerInit:
@@ -641,11 +632,11 @@ class HonestRun:
     """Drive one session through the billing cycles, keeping the pieces."""
 
     def __init__(self, config, seed=1, file_size=1024,
-                 client_behavior=None, server_behavior=None):
+                 client_behavior=None, server_behavior=None, variant=ARBITER):
         self.ledger, self.client, self.server, self.handoff, self.addr_r, self.file = (
             build_session(config, seed=seed, file_size=file_size,
                           client_behavior=client_behavior,
-                          server_behavior=server_behavior)
+                          server_behavior=server_behavior, variant=variant)
         )
         self.contract = self.handoff.contract
         goto(self.ledger, self.contract, "T1")
@@ -657,7 +648,7 @@ class HonestRun:
                 goto(self.ledger, self.contract, f"G{j}.1")
                 self.client.post_query(j, self.ledger)
                 goto(self.ledger, self.contract, f"G{j}.2")
-                self.b[j], _ = self.server.prove_cycle(j, self.ledger)
+                self.b[j] = self.server.prove_cycle(j, self.ledger)
                 verdict, _ = self.client.verify_cycle(j, self.ledger)
                 self.verdicts[j] = verdict
 
@@ -684,11 +675,23 @@ class TestHonestRuns:
             "arbiter": 0,
         }
 
+    def test_prove_cycle_returns_b_and_files_each_complaint(self):
+        # b is 1 for a proof and 0 for a complaint about the query, whether
+        # the query is invalid or the server lies; each 0 files its cycle
+        run = HonestRun(
+            make_config(z=3), seed=21,
+            client_behavior=ClientBehavior(invalid_query=frozenset({3})),
+            server_behavior=ServerBehavior(false_query_complaint=frozenset({2})),
+        )
+        assert run.b == {1: 1, 2: 0, 3: 0}
+        assert all(type(b) is int for b in run.b.values())
+        assert run.server.complaints == [2, 3]
+
     def test_query_units_decrypt_to_challenge_keys(self):
         config = make_config(z=2)
         run = HonestRun(config)
         for j, unit in run.contract.queries.items():
-            key = dec_unit(run.client.qp.k_bar, unit, run.client.qp.pf.query)
+            key = dec_unit(run.client.qp.k_bar, unit, run.client.qp.query_unit)
             assert len(key) == 16
 
 
@@ -699,10 +702,10 @@ class TestWireShape:
         m = run.client.qp.pp.m
         real = protocol.entry_real_units(m)
         payload = run.contract.proofs[1]
-        pf = run.client.qp.pf
-        assert (pf.phi, len(pf.lens)) == (config.phi, real)
-        assert pf.entry.unit_len == entry_len(20, real)
-        assert len(payload) == config.phi * pf.entry.unit_len
+        qp = run.client.qp
+        assert (qp.pp.phi, len(qp.lens)) == (config.phi, real)
+        assert qp.entry_unit.unit_len == entry_len(20, real)
+        assert len(payload) == config.phi * qp.entry_unit.unit_len
 
     def test_padded_vector_shape(self):
         # m=64 blocks -> height 6 -> 8 real slots; budget of 11 pads by 3
@@ -710,7 +713,7 @@ class TestWireShape:
         run = HonestRun(config, file_size=1024)
         assert run.client.qp.pad_pi == 3
         payload = run.contract.proofs[1]
-        assert run.client.qp.pf.entry.unit_len == entry_len(20, 11)
+        assert run.client.qp.entry_unit.unit_len == entry_len(20, 11)
         assert len(payload) == config.phi * entry_len(20, 11)
 
     def test_largest_block_payload_fits_one_entry_unit(self):
@@ -723,9 +726,9 @@ class TestWireShape:
                                     pi_max=protocol.MAX_ENTRY_SLOTS),
                         file_size=2 * payload)
         assert run.verdicts[1].accepted
-        pf = run.client.qp.pf
-        assert pf.entry.value_capacity == 2 * (payload + 4) + 4 + 31 * 16 <= 0xFFFF
-        assert len(run.contract.proofs[1]) == 2 * pf.entry.unit_len
+        entry_unit = run.client.qp.entry_unit
+        assert entry_unit.value_capacity == 2 * (payload + 4) + 4 + 31 * 16 <= 0xFFFF
+        assert len(run.contract.proofs[1]) == 2 * entry_unit.unit_len
         # one byte more is refused by the config and by the statement, so a
         # server handed such a statement answers a = 0
         # (TestServerInit::test_unframeable_block_payload_refunds)
@@ -768,7 +771,7 @@ class TestWireShape:
     def test_dummy_fails_decode_at_first_entry(self):
         rng = random.Random(0)
         qp = QpStatement(0, b"\x03" * 16, por.PublicParams(bytes(16), phi=4, m=64))
-        assert len(qp.pf.lens) == 8
+        assert len(qp.lens) == 8
         dummy = protocol.dummy_proof_vector(qp, rng)
         entries, failed = protocol.decode_proof_vector(dummy, qp)
         assert entries is None
@@ -778,15 +781,19 @@ class TestWireShape:
 class TestOneShapePerSession:
     @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
     def test_shape_derived_once_from_the_statement(self, variant):
-        # the client's, the server's and the resolvers' statements fix one
-        # proof format, and each statement derives it once
-        run = HonestRun(make_config(z=2, variant=variant))
+        # the client's, the server's and the resolvers' statements are one
+        # statement, so they fix one proof-vector shape, and each statement
+        # derives its geometry once
+        run = HonestRun(make_config(z=2), variant=variant)
         client_qp, server_qp = run.client.qp, run.server.qp
         agreed = protocol._agreed_qp(run.client.opening_qp, run.contract, run.ledger)
         assert agreed == QpStatement.from_bytes(run.client.opening_qp.statement)
-        assert client_qp.pf == server_qp.pf == agreed.pf
+        assert client_qp == server_qp == agreed
+        for name in ("lens", "query_unit", "entry_unit"):
+            assert getattr(client_qp, name) == getattr(server_qp, name) == getattr(agreed, name)
         for qp in (client_qp, server_qp, agreed):
-            assert qp.pf is qp.pf
+            for name in ("lens", "query_unit", "entry_unit", "split"):
+                assert getattr(qp, name) is getattr(qp, name)
         assert all(v.accepted for v in run.verdicts.values())
         # derived on first use: a hand-built statement whose pad count admits
         # no shape still builds
@@ -806,7 +813,7 @@ class TestEntryUnits:
         pi = por.prove(tree, por.gen_query(rng), pp)
         qp = QpStatement(self.PAD, self.K_BAR, pp)
         payload = protocol.encode_proof_vector(pi, qp, rng)
-        return pi, qp, qp.pf.entry, payload
+        return pi, qp, qp.entry_unit, payload
 
     def decode(self, payload, qp):
         return protocol.decode_proof_vector(payload, QpStatement.from_bytes(qp.to_bytes()))
@@ -851,7 +858,7 @@ class TestEntryUnits:
             plain = AESGCM(self.K_BAR).decrypt(unit[:12], unit[12:], None)
             values = [path.leaf_block, path.sibling_block, *path.sibling_digests,
                       path.leaf_index.to_bytes(4, "big")]
-            assert len(values) == len(qp.pf.lens) == 7
+            assert len(values) == len(qp.lens) == 7
             body = b"".join(values)
             assert plain == len(body).to_bytes(2, "big") + body + bytes(self.PAD * 16)
 
@@ -950,8 +957,8 @@ class TestCompiledEntryLayout:
         qp = QpStatement(pad, self.K_BAR, por.PublicParams(bytes(16), phi=1, m=m), payload)
         real = protocol.entry_real_units(m)
         lens = [payload + 4, payload + 4] + [16] * (real - 3) + [4]
-        assert qp.pf.lens == tuple(lens)
-        assert qp.pf.entry.value_capacity == sum(lens) + 16 * pad
+        assert qp.lens == tuple(lens)
+        assert qp.entry_unit.value_capacity == sum(lens) + 16 * pad
         return qp, lens
 
     @staticmethod
@@ -964,7 +971,7 @@ class TestCompiledEntryLayout:
     @given(st.data())
     def test_open_reads_only_the_agreed_lengths(self, data):
         qp, lens = self.shape(data)
-        efmt = qp.pf.entry
+        efmt = qp.entry_unit
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         values = [rng.randbytes(n) for n in lens]
         # the value cut or grown by up to 16 bytes, within the unit
@@ -988,7 +995,7 @@ class TestCompiledEntryLayout:
     @given(st.data())
     def test_encode_frames_the_path_values(self, data):
         qp, lens = self.shape(data)
-        efmt = qp.pf.entry
+        efmt = qp.entry_unit
         seed = data.draw(st.integers(0, 2**32))
         rng = random.Random(seed)
         values = [rng.randbytes(n) for n in lens]
@@ -1218,9 +1225,9 @@ class TestArbiterResolution:
 
 class TestArbiterlessResolution:
     def drive(self, client_behavior=None, server_behavior=None, seed=21):
-        config = make_config(z=3, variant=ARBITERLESS)
+        config = make_config(z=3)
         run = HonestRun(config, seed=seed, client_behavior=client_behavior,
-                        server_behavior=server_behavior)
+                        server_behavior=server_behavior, variant=ARBITERLESS)
         ledger, contract = run.ledger, run.contract
         if run.server.complaints:
             goto(ledger, contract, "K1")
@@ -1320,8 +1327,8 @@ class TestMisShapedProof:
             return wire
 
         monkeypatch.setattr(protocol, "encode_proof_vector", encode_first_reshaped)
-        config = make_config(z=2, phi=self.PHI, variant=variant)
-        run = HonestRun(config, seed=3)
+        config = make_config(z=2, phi=self.PHI)
+        run = HonestRun(config, seed=3, variant=variant)
         ledger, contract = run.ledger, run.contract
         start = ledger.total_supply()
         assert len(contract.proofs[1]) != len(reshaped[0])
@@ -1362,8 +1369,8 @@ class TestHostileComplaintPosts:
     the run, so a test can build a post from the parties' real openings."""
 
     def resolve_and_pay(self, server_post=None, client_post=None):
-        config = make_config(z=3, variant=ARBITERLESS)
-        run = HonestRun(config, seed=21,
+        config = make_config(z=3)
+        run = HonestRun(config, seed=21, variant=ARBITERLESS,
                         server_behavior=ServerBehavior(corrupt_block=frozenset({2})))
         ledger, contract = run.ledger, run.contract
         start = ledger.total_supply()
@@ -1523,8 +1530,9 @@ class TestHostileComplaintPosts:
                 false_accusation=data.draw(cycles),
                 withhold_query=data.draw(cycles),
             )
-        config = make_config(z=3, variant=variant)
-        run = HonestRun(config, seed=data.draw(st.integers(0, 2**16)), **behaviors)
+        config = make_config(z=3)
+        run = HonestRun(config, seed=data.draw(st.integers(0, 2**16)), variant=variant,
+                        **behaviors)
         ledger, contract = run.ledger, run.contract
         start = ledger.total_supply()
 
@@ -1614,7 +1622,7 @@ class TestPayoutGuards:
         # the server answers a = 1 but deposits one coin short: T2 returns
         # each deposit, and the L payout is refused
         ledger, client, server, handoff, _, _ = build_session(
-            make_config(z=2, variant=variant),
+            make_config(z=2), variant=variant,
             server_behavior=ServerBehavior(short_deposit=True))
         contract = handoff.contract
         genesis_supply = ledger.total_supply()
@@ -1650,8 +1658,8 @@ class TestPayoutGuards:
             protocol.payout_arbiter_variant(run.ledger, run.contract, bogus)
 
     def test_variant_mismatch_rejected(self):
-        config = make_config(z=1, variant=ARBITERLESS)
-        run = HonestRun(config)
+        config = make_config(z=1)
+        run = HonestRun(config, variant=ARBITERLESS)
         goto(run.ledger, run.contract, "L")
         with pytest.raises(ValueError):
             protocol.payout_arbiter_variant(
@@ -1663,7 +1671,7 @@ class TestPayoutGuards:
         (ARBITERLESS, protocol.payout_arbiterless_variant),
     ])
     def test_payout_needs_pay_request(self, variant, payout):
-        run = HonestRun(make_config(z=2, variant=variant))
+        run = HonestRun(make_config(z=2), variant=variant)
         goto(run.ledger, run.contract, "L")
         with pytest.raises(protocol.PayNotRequested):
             payout(run.ledger, run.contract, run.client.opening_cp)
@@ -1685,7 +1693,7 @@ class TestPayoutGuards:
     @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
     def test_agreed_session_has_no_refund(self, variant):
         ledger, client, server, handoff, _, _ = build_session(
-            make_config(z=2, variant=variant)
+            make_config(z=2), variant=variant
         )
         contract = handoff.contract
         goto(ledger, contract, "T1")
@@ -1699,7 +1707,7 @@ class TestPayoutGuards:
 
     @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
     def test_no_payout_before_l(self, variant):
-        run = HonestRun(make_config(z=2, variant=variant))
+        run = HonestRun(make_config(z=2), variant=variant)
         goto(run.ledger, run.contract, "K6")
         self.assert_refused(
             lambda: PAYOUT[variant](run.ledger, run.contract, run.client.opening_cp),
@@ -1711,7 +1719,7 @@ class TestPayoutGuards:
     ])
     def test_refund_through_other_variant_rejected(self, variant, other):
         ledger, client, server, handoff, _, _ = build_session(
-            make_config(z=2, variant=variant),
+            make_config(z=2), variant=variant,
             client_behavior=ClientBehavior(ill_formed_metadata=True),
         )
         contract = handoff.contract
@@ -1732,7 +1740,7 @@ class TestPayoutGuards:
         Opening("text", bytes(16)), Opening(b"x", None),
     ], ids=["str-statement", "none-randomness"])
     def test_opening_not_bytes_rejected(self, variant, opening):
-        run = HonestRun(make_config(z=2, variant=variant))
+        run = HonestRun(make_config(z=2), variant=variant)
         goto(run.ledger, run.contract, "L")
         run.client.request_payout(run.ledger)
         self.assert_refused(
@@ -1742,7 +1750,7 @@ class TestPayoutGuards:
 
     @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
     def test_missing_opening_rejected(self, variant):
-        run = HonestRun(make_config(z=2, variant=variant))
+        run = HonestRun(make_config(z=2), variant=variant)
         goto(run.ledger, run.contract, "L")
         run.client.request_payout(run.ledger)
         self.assert_refused(

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from porpay import cli, por, scenario
-from porpay.ledger import CounterOutOfBounds, Counters
+from porpay.ledger import CounterOutOfBounds, Counters, Ledger
 from porpay.scenario import ScenarioSpec, SpecInvalid, expected_payout, run, verify_report
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -84,9 +84,18 @@ class TestSpecParsing:
             ScenarioSpec.from_dict(raw)
 
     def test_target_out_of_range(self):
-        raw = base_raw(behaviors={"server": [{"kind": "corrupt_block", "j": 4}]})
-        with pytest.raises(SpecInvalid):
-            ScenarioSpec.from_dict(raw)
+        # cycles are 1 to z = 3
+        for j in (0, 4):
+            raw = base_raw(behaviors={"server": [{"kind": "corrupt_block", "j": j}]})
+            with pytest.raises(SpecInvalid, match="cycle target"):
+                ScenarioSpec.from_dict(raw)
+
+    def test_file_size_must_be_positive(self):
+        # refused at the parse, before any file is made; one byte parses
+        for size in (0, -1):
+            with pytest.raises(SpecInvalid, match="file size must be positive"):
+                ScenarioSpec.from_dict(base_raw(file={"size": size}))
+        assert ScenarioSpec.from_dict(base_raw(file={"size": 1})).raw["file"] == {"size": 1}
 
     def test_missing_target(self):
         raw = base_raw(behaviors={"client": [{"kind": "invalid_query"}]})
@@ -108,6 +117,13 @@ class TestSpecParsing:
     def test_flag_behavior_rejects_target(self):
         raw = base_raw(behaviors={"client": [{"kind": "ill_formed_metadata", "j": 1}]})
         with pytest.raises(SpecInvalid):
+            ScenarioSpec.from_dict(raw)
+
+    @pytest.mark.parametrize("variant", ["nonsense", ["x"]], ids=["str", "list"])
+    def test_unknown_variant_refused(self, variant):
+        raw = base_raw()
+        raw["session"]["variant"] = variant
+        with pytest.raises(SpecInvalid, match="unknown variant"):
             ScenarioSpec.from_dict(raw)
 
     def test_price_choice_must_be_listed(self):
@@ -199,6 +215,16 @@ class TestExpectedPayout:
             z=3, o=5, l=2, client_deposit=21, server_deposit=0, refund=True,
         ) == {"client": 21, "server": 0}
 
+    @pytest.mark.parametrize("variant", ["nonsense", ["x"]], ids=["str", "list"])
+    @pytest.mark.parametrize("refund", [False, True])
+    def test_unknown_variant_raises(self, variant, refund):
+        # any name but the two read as arbiterless before
+        with pytest.raises(ValueError, match="unknown variant"):
+            expected_payout(
+                variant, Counters(),
+                z=3, o=5, l=2, client_deposit=21, server_deposit=6, refund=refund,
+            )
+
     def test_counter_bounds(self):
         with pytest.raises(CounterOutOfBounds):
             expected_payout(
@@ -209,6 +235,20 @@ class TestExpectedPayout:
 
 
 class TestRunner:
+    def test_payout_mismatch_makes_report_invalid(self, monkeypatch):
+        # a report is VALID only if the payout matches and the supply is
+        # conserved; here only the first fails
+        def off_by_one(*args, **kwargs):
+            payout = expected_payout(*args, **kwargs)
+            payout["server"] += 1
+            return payout
+
+        monkeypatch.setattr(scenario, "expected_payout", off_by_one)
+        report = run(ScenarioSpec.from_dict(base_raw()))
+        assert report["conservation"]["exact"]
+        assert not report["payout"]["match"]
+        assert not report["valid"]
+
     def test_honest_deltas(self):
         report = run(ScenarioSpec.from_dict(base_raw()))
         assert report["valid"]
@@ -372,6 +412,34 @@ class TestReportGolden:
         assert digest == self.UNEVEN_DIGESTS[variant]
 
 
+class TestTraceGolden:
+    """SHA-256 of the ledger trace of ``malicious_server.json`` in both
+    variants. A report holds no ciphertext, so only the trace pins how a
+    run's seed becomes each party's randomness."""
+
+    DIGESTS = {
+        "arbiter": "5ea48ff401d9b99ca7cdb32e89d3e8bde201be26fa34373f4481a03bc5ea79d5",
+        "arbiterless": "22bd492f64f0d635013e75a73ff099e7a211399fecb0f16db94c433f3c68ea21",
+    }
+
+    @pytest.mark.parametrize("variant", sorted(DIGESTS))
+    def test_ledger_trace_digest(self, variant, monkeypatch):
+        ledgers = []
+
+        class KeptLedger(Ledger):
+            def __init__(self):
+                super().__init__()
+                ledgers.append(self)
+
+        monkeypatch.setattr(scenario, "Ledger", KeptLedger)
+        raw = json.loads((SCENARIOS / "malicious_server.json").read_text(encoding="utf-8"))
+        raw["session"]["variant"] = variant
+        run(ScenarioSpec.from_dict(raw))
+        [ledger] = ledgers
+        text = json.dumps(ledger.export_trace(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[variant]
+
+
 class TestCoinRange:
     """Deposits must fit the trace's 8 bytes; balances and payouts need not."""
 
@@ -415,6 +483,25 @@ class TestVerifyReport:
         assert not ok
         assert problems
 
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(("payout", "expected", "server"), 22, id="expected-payout"),
+        pytest.param(("payout", "match"), False, id="match-flag"),
+        pytest.param(("conservation", "exact"), False, id="exact-flag"),
+    ])
+    def test_tampered_record_detected(self, path, value):
+        # each recorded fact is checked on its own: the recorded expected
+        # payout against the recomputation, and the match and exact flags
+        # against the validity flag
+        report = run(ScenarioSpec.from_dict(base_raw()))
+        *outer, key = path
+        holder = report
+        for name in outer:
+            holder = holder[name]
+        assert holder[key] != value
+        holder[key] = value
+        ok, problems = verify_report(report)
+        assert not ok and problems
+
     def test_tampered_counters_detected(self):
         raw = base_raw(behaviors={"server": [{"kind": "corrupt_block", "j": 2}]})
         report = run(ScenarioSpec.from_dict(raw))
@@ -443,6 +530,22 @@ class TestVerifyReport:
         holder[key] = value(holder[key]) if callable(value) else value
         with pytest.raises(SpecInvalid, match="must be an integer"):
             verify_report(report)
+
+
+    @pytest.mark.parametrize("variant", ["nonsense", ["x"]], ids=["str", "list"])
+    def test_unknown_variant_is_malformed(self, variant):
+        report = _malicious_server_report()
+        assert verify_report(report) == (True, [])
+        report["spec"]["session"]["variant"] = variant
+        with pytest.raises(ValueError, match="unknown variant"):
+            verify_report(report)
+
+
+def _malicious_server_report():
+    """The arbiterless report of ``scenarios/malicious_server.json``."""
+    raw = json.loads((SCENARIOS / "malicious_server.json").read_text(encoding="utf-8"))
+    raw["session"]["variant"] = "arbiterless"
+    return run(ScenarioSpec.from_dict(raw))
 
 
 class TestCli:
@@ -503,6 +606,20 @@ class TestCli:
         report_path.write_text(json.dumps(report))
         assert cli.main(["verify-report", str(report_path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("variant", ["nonsense", ["x"]], ids=["str", "list"])
+    def test_verify_unknown_variant_exits_two(self, tmp_path, capsys, variant):
+        report = _malicious_server_report()
+        report["spec"]["session"]["variant"] = variant
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        assert cli.main(["verify-report", str(report_path)]) == 2
+        assert "unknown variant" in capsys.readouterr().err
+
+    def test_variant_choices_are_scenario_names(self):
+        [sub] = [a for a in cli.build_parser()._actions if a.choices and "run" in a.choices]
+        [variant] = [a for a in sub.choices["run"]._actions if a.dest == "variant"]
+        assert tuple(variant.choices) == scenario.VARIANTS == ("arbiter", "arbiterless")
 
     @pytest.mark.parametrize(
         "raw", [[1, 2], {"session": [1], "file": {"size": 64}}],
