@@ -6,8 +6,10 @@ and the contract schedule, append to an ordered trace, and conserve the
 total coin supply. Time is purely logical: the scenario driver advances the
 clock through named points, and a message is accepted only when its kind is
 permitted for its sender at the current point. Sender attribution stands in
-for transaction signatures; a caller must present its own Address handle, so
-impersonation is impossible in-process.
+for transaction signatures: a caller must present the Address handle the
+ledger issued for its account. Handles compare by identity and the ledger
+issues one per name, so a handle built elsewhere, even under a party's name,
+is refused as an unknown address and impersonation is impossible in-process.
 """
 
 from __future__ import annotations
@@ -73,11 +75,20 @@ class MalformedPayload(ValueError):
     """Payload the contract must decode does not have the fixed wire shape."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Address:
-    """Opaque party identifier; the handle doubles as the send capability."""
+    """Opaque party identifier; the handle doubles as the send capability.
+
+    Equal only to itself, and a copy is the same handle, so holding the
+    object the ledger issued is the one way to act as its account."""
 
     id: str
+
+    def __copy__(self) -> "Address":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "Address":
+        return self
 
 
 @dataclass(frozen=True)
@@ -188,7 +199,8 @@ class ContractParams:
     addr_client: Address
     addr_server: Address
     addr_arbiter: Address | None = None  # None: the arbiter-free variant
-    sap_refs: tuple[int, ...] = ()
+    sap_qp: int | None = None  # the qp agreement's session id
+    sap_cp: int | None = None  # the cp agreement's session id
 
     def __post_init__(self) -> None:
         if self.z < 1:
@@ -285,8 +297,6 @@ class RcContract:
                 raise WrongSender("no arbiter counters in the arbiterless variant")
             self._require(msg.sender, p.addr_arbiter, kind)
             require_time(now, "K6")
-            if self.resolved:
-                raise DuplicateSlot("arbiter counters already posted")
             if len(msg.payload) != Counters.PACKED_LEN:
                 raise MalformedPayload(
                     f"counters payload of {len(msg.payload)} bytes, "
@@ -319,22 +329,22 @@ class Ledger:
 
     # -- accounts ---------------------------------------------------------
     def create_account(self, name: str, balance: int = 0) -> Address:
-        addr = Address(name)
-        if addr in self._balances:
+        if any(addr.id == name for addr in self._balances):
             raise ValueError(f"address {name!r} already exists")
         if not _is_coins(balance):
             raise ValueError(f"genesis balance {balance!r} is not a non-negative int")
+        addr = Address(name)
         self._balances[addr] = balance
         return addr
 
-    def has_address(self, addr: Address) -> bool:
-        return addr in self._balances
+    def has_address(self, addr: object) -> bool:
+        """Whether ``addr`` is a handle this ledger issued."""
+        return isinstance(addr, Address) and addr in self._balances
 
     def balance(self, addr: Address) -> int:
-        try:
-            return self._balances[addr]
-        except KeyError:
-            raise UnknownAddress(addr.id) from None
+        if not self.has_address(addr):
+            raise UnknownAddress(addr)
+        return self._balances[addr]
 
     def balances(self) -> dict[str, int]:
         return {a.id: b for a, b in sorted(self._balances.items(), key=lambda kv: kv[0].id)}
@@ -353,11 +363,9 @@ class Ledger:
 
     # -- contracts ---------------------------------------------------------
     def deploy_contract(self, deployer: Address, params: ContractParams) -> RcContract:
-        if not self.has_address(deployer):
-            raise UnknownAddress(deployer.id)
-        for addr in (params.addr_client, params.addr_server, params.addr_arbiter):
+        for addr in (deployer, params.addr_client, params.addr_server, params.addr_arbiter):
             if addr is not None and not self.has_address(addr):
-                raise UnknownAddress(addr.id)
+                raise UnknownAddress(addr)
         contract = RcContract(len(self._contracts), params)
         self._contracts.append(contract)
         self._log("deploy", deployer, str(contract.handle).encode())
@@ -375,6 +383,8 @@ class Ledger:
     def deposit(self, sender: Address, contract: RcContract, amount: int) -> None:
         """Escrow ``amount`` from ``sender``; client deposits at T0, server at T1."""
         self._require_deployed(contract)
+        if not self.has_address(sender):
+            raise UnknownAddress(sender)
         if contract.paid_out:
             raise AlreadyPaid("contract already paid out")
         # the trace records the amount in 8 bytes
@@ -402,7 +412,7 @@ class Ledger:
         """Admit a message if the schedule permits it; accepted payloads are immutable."""
         self._require_deployed(contract)
         if not self.has_address(msg.sender):
-            raise UnknownAddress(msg.sender.id)
+            raise UnknownAddress(msg.sender)
         contract.accept(msg, self.time)
         self._log(msg.kind.value, msg.sender, msg.payload, slot=msg.slot)
 
@@ -422,7 +432,7 @@ class Ledger:
             raise Unbalanced(f"distribution {total} != escrow {contract.escrow}")
         for addr, _ in dist:
             if not self.has_address(addr):
-                raise UnknownAddress(addr.id)
+                raise UnknownAddress(addr)
         payout: dict[str, int] = {}
         for addr, amount in dist:
             self._balances[addr] += amount
@@ -438,7 +448,9 @@ class Ledger:
         return len(self._sessions) - 1
 
     def session(self, session_id: int):
-        if not isinstance(session_id, int) or not 0 <= session_id < len(self._sessions):
+        """The session registered under ``session_id``; UnknownSession for
+        anything but an ``int`` (not a bool) in [0, n)."""
+        if type(session_id) is not int or not 0 <= session_id < len(self._sessions):
             raise UnknownSession(session_id)
         return self._sessions[session_id]
 

@@ -40,32 +40,21 @@ class ParamMismatch(ValueError):
     """Encoded file does not match the public parameters."""
 
 
-class XorParityCodec:
-    """Erasure-style pre-encoding applied before block splitting: appends
-    one XOR-parity chunk after every group of four data chunks.
-
-    Demonstrates the encoding hook; a short final chunk is zero-filled.
-    """
-
-    GROUP = 4  # data chunks per parity chunk
-
-    def __init__(self, chunk_len: int = DEFAULT_BLOCK_PAYLOAD_LEN):
-        if chunk_len < 1:
-            raise ValueError("chunk_len must be positive")
-        self.chunk_len = chunk_len
-
-    def encode(self, data: bytes) -> bytes:
-        n = self.chunk_len
-        data = data.ljust(-(-len(data) // n) * n, b"\x00")
-        span = n * self.GROUP
-        pieces: list[bytes] = []
-        for start in range(0, len(data), span):
-            group = data[start : start + span]
-            parity = 0
-            for i in range(0, len(group), n):
-                parity ^= int.from_bytes(group[i : i + n], "big")
-            pieces += (group, parity.to_bytes(n, "big"))
-        return b"".join(pieces)
+def xor_parity(data: bytes, n: int) -> bytes:
+    """Erasure-style pre-encoding applied before block splitting: ``data``
+    cut into n-byte chunks, the short last one zero-filled, with one XOR
+    parity chunk after every group of four. ValueError for n < 1."""
+    if n < 1:
+        raise ValueError("chunk length n must be positive")
+    data = data.ljust(-(-len(data) // n) * n, b"\x00")
+    pieces: list[bytes] = []
+    for start in range(0, len(data), 4 * n):
+        group = data[start : start + 4 * n]
+        parity = 0
+        for i in range(0, len(group), n):
+            parity ^= int.from_bytes(group[i : i + n], "big")
+        pieces += (group, parity.to_bytes(n, "big"))
+    return b"".join(pieces)
 
 
 # The challenge PRF's bit lengths (key, input, output): the sizes ``prf`` is
@@ -111,21 +100,22 @@ def setup(
     file: bytes,
     block_payload_len: int = DEFAULT_BLOCK_PAYLOAD_LEN,
     phi: int = DEFAULT_PHI,
-    codec: XorParityCodec | None = None,
+    parity: bool = False,
 ) -> tuple[bytes, PublicParams]:
     """Encode ``file`` into indexed blocks and publish the Merkle root.
 
     Returns the blocks, each its payload then its 4-byte big-endian index
     (1..m), back to back in one buffer, and the public parameters. One
     buffer, because a 20-byte block as its own object costs 72 bytes. The
-    final payload is zero-padded to the payload length. ``phi`` must not
-    exceed the resulting block count.
+    final payload is zero-padded to the payload length. With ``parity`` the
+    file is first pre-encoded by ``xor_parity`` in payload-length chunks.
+    ``phi`` must not exceed the resulting block count.
     """
     if not file:
         raise EmptyFile("cannot set up a proof of retrievability over an empty file")
     if block_payload_len < 1:
         raise ValueError("block_payload_len must be positive")
-    coded = codec.encode(file) if codec is not None else file
+    coded = xor_parity(file, block_payload_len) if parity else file
     blocks = _index_tagged(coded, block_payload_len)
     block_len = block_payload_len + INDEX_LEN
     _, root = merkle.gen_tree(blocks, block_len)

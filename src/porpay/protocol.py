@@ -69,11 +69,6 @@ from .ledger import (
 )
 from .sap import sap_agree, sap_init, sap_verify
 
-CODEC_NAMES = ("identity", "xor-parity")
-
-_SAP_QP = 0  # index of the query-parameter session in the contract's sap_refs
-_SAP_CP = 1
-
 
 class PriceNotInList(ValueError):
     """Chosen (o, l) pair is not in the public price list."""
@@ -262,7 +257,7 @@ class SessionConfig:
     price_choice: PricePair
     block_payload_len: int
     pi_max: int | None  # per-entry slot budget; None means no padding
-    codec_name: str
+    parity: bool  # pre-encode the file with por.xor_parity
 
     def __post_init__(self) -> None:
         if self.z < 1 or self.phi < 1 or self.block_payload_len < 1:
@@ -278,21 +273,12 @@ class SessionConfig:
             )
         if self.price_choice not in self.price_list:
             raise PriceNotInList(f"{self.price_choice} not offered")
-        if self.codec_name not in CODEC_NAMES:
-            raise ValueError(f"unknown codec {self.codec_name!r}")
 
     @property
     def cp(self) -> CpStatement:
         """The client's coin statement: its price choice, the list maxima, z."""
         choice, prices = self.price_choice, self.price_list
         return CpStatement(choice.o, prices.o_max, choice.l, prices.l_max, self.z)
-
-
-def make_codec(name: str, block_payload_len: int) -> por.XorParityCodec | None:
-    """The pre-encoding ``name`` selects; None is the identity."""
-    if name == "xor-parity":
-        return por.XorParityCodec(chunk_len=block_payload_len)
-    return None
 
 
 def entry_real_units(m: int) -> int:
@@ -505,8 +491,7 @@ class Client(_Party):
         An ``addr_arbiter`` makes the contract of the arbiter variant;
         without one the contract resolves its own disputes."""
         cfg = self.config
-        codec = make_codec(cfg.codec_name, cfg.block_payload_len)
-        blocks, pp = por.setup(file, cfg.block_payload_len, cfg.phi, codec)
+        blocks, pp = por.setup(file, cfg.block_payload_len, cfg.phi, cfg.parity)
         if self.behavior.ill_formed_metadata:
             # advertise the root of a different file
             twisted = bytearray(blocks)
@@ -521,14 +506,12 @@ class Client(_Party):
 
         qp = self.qp = QpStatement(pad_pi, k_bar, pp, cfg.block_payload_len)
         cp = cfg.cp
-        r_qp, _, sid_qp = sap_init(
+        self.opening_qp, sid_qp = sap_init(
             ledger, self.addr, addr_server, qp.to_bytes(), self.rng
         )
-        r_cp, _, sid_cp = sap_init(
+        self.opening_cp, sid_cp = sap_init(
             ledger, self.addr, addr_server, cp.to_bytes(), self.rng
         )
-        self.opening_qp = Opening(qp.to_bytes(), r_qp)
-        self.opening_cp = Opening(cp.to_bytes(), r_cp)
 
         params = ContractParams(
             z=cfg.z,
@@ -537,7 +520,8 @@ class Client(_Party):
             addr_client=self.addr,
             addr_server=addr_server,
             addr_arbiter=addr_arbiter,
-            sap_refs=(sid_qp, sid_cp),
+            sap_qp=sid_qp,
+            sap_cp=sid_cp,
         )
         self.contract = ledger.deploy_contract(self.addr, params)
         ledger.deposit(self.addr, self.contract, cp.client_deposit)
@@ -633,7 +617,7 @@ class Server(_Party):
         self.opening_qp = handoff.opening_qp
 
         qp = cp = None
-        # the openings are the client's choice, as the refs below are
+        # the openings are the client's choice, as the session ids below are
         if isinstance(handoff.opening_qp, Opening) and isinstance(handoff.opening_cp, Opening):
             try:
                 qp = QpStatement.from_bytes(handoff.opening_qp.statement)
@@ -658,16 +642,12 @@ class Server(_Party):
                 and len(handoff.blocks) == qp.pp.m * qp.block_len
             )
 
-        # the refs are the client's choice: any count but two is no agreement
-        agreed = len(params.sap_refs) == 2
-        if agreed:
-            for sid, opening in (
-                (params.sap_refs[_SAP_QP], handoff.opening_qp),
-                (params.sap_refs[_SAP_CP], handoff.opening_cp),
-            ):
-                # both agreements run, whatever the first one's outcome
-                ok = sap_agree(ledger, opening, params.addr_client, sid, self.addr)
-                agreed = agreed and ok
+        # a missing or foreign session id is no agreement; a list, not
+        # ``and``, so both agreements run, whatever the first one's outcome
+        agreed = all([
+            sap_agree(ledger, handoff.opening_qp, params.addr_client, params.sap_qp, self.addr),
+            sap_agree(ledger, handoff.opening_cp, params.addr_client, params.sap_cp, self.addr),
+        ])
 
         a = 0
         if checks_ok and agreed:
@@ -767,15 +747,6 @@ class ResolutionReport:
         }
 
 
-def _opening_valid(
-    opening: Opening, contract: RcContract, ledger: Ledger, ref: int
-) -> bool:
-    params = contract.params
-    return len(params.sap_refs) == 2 and sap_verify(
-        opening, params.addr_client, params.addr_server, params.sap_refs[ref], ledger
-    )
-
-
 def _agreed_qp(
     opening: Opening | None, contract: RcContract, ledger: Ledger
 ) -> QpStatement | None:
@@ -788,7 +759,8 @@ def _agreed_qp(
         qp = QpStatement.from_bytes(opening.statement)
     except ValueError:
         return None
-    return qp if _opening_valid(opening, contract, ledger, _SAP_QP) else None
+    p = contract.params
+    return qp if sap_verify(opening, p.addr_client, p.addr_server, p.sap_qp, ledger) else None
 
 
 # A complaint post is one party's dispute query, the same bytes in both
@@ -1038,7 +1010,9 @@ def _payout(
         require_time(ledger.time, "L")
         if refund_applies(contract):
             raise RefundPath("server never agreed or under-deposited")
-        if not _opening_valid(opening_cp, contract, ledger, _SAP_CP):
+        if not sap_verify(
+            opening_cp, params.addr_client, params.addr_server, params.sap_cp, ledger
+        ):
             raise BadOpening("coin statement opening rejected")
         cp = CpStatement.from_bytes(opening_cp.statement)
         c = contract.counters

@@ -39,20 +39,21 @@ def sap_init(
     addr_server: Address,
     statement: bytes,
     rng: random.Random,
-) -> tuple[bytes, bytes, int]:
-    """Deploy a session and post the client's commitment.
+) -> tuple[Opening, int]:
+    """Deploy a session and post the client's commitment to ``statement``
+    under fresh randomness.
 
-    Returns (randomness, commitment, session_id); the (statement, randomness)
-    opening travels to the server out of band.
+    Returns (opening, session_id): the opening travels to the server out of
+    band, and the commitment it opens is ``ledger.session(session_id).g_client``.
     """
     for addr in (addr_client, addr_server):
         if not ledger.has_address(addr):
-            raise UnknownAddress(addr.id)
-    r = gen_commit_randomness(rng)
-    g_client = commit(statement, r)
+            raise UnknownAddress(addr)
+    opening = Opening(statement, gen_commit_randomness(rng))
+    g_client = commit(statement, opening.randomness)
     session_id = ledger.register_session(SapSession(addr_client, addr_server, g_client))
     ledger.log_session_event("sap_commit_client", addr_client, g_client)
-    return r, g_client, session_id
+    return opening, session_id
 
 
 def sap_agree(

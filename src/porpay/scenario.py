@@ -68,6 +68,8 @@ def _kinds(behavior_cls) -> dict[str, bool]:
 
 # the dispute variants a file names; ``run`` gives only ARBITER an arbiter
 VARIANTS = ARBITER, ARBITERLESS = ("arbiter", "arbiterless")
+# the file pre-encodings a file names; only XOR_PARITY sets the session's parity
+CODECS = IDENTITY, XOR_PARITY = ("identity", "xor-parity")
 
 CLIENT_BEHAVIOR_KINDS = _kinds(ClientBehavior)
 SERVER_BEHAVIOR_KINDS = _kinds(ServerBehavior)
@@ -127,10 +129,12 @@ class ScenarioSpec:
             "price_choice": [json_int(x, "price") for x in given["price_choice"]],
             "pi_max": None if pi_max is None else json_int(pi_max, "pi_max"),
             "variant": given.get("variant", ARBITER),
-            "codec": given.get("codec", "identity"),
+            "codec": given.get("codec", IDENTITY),
         }
         if session["variant"] not in VARIANTS:
             raise SpecInvalid(f"unknown variant {session['variant']!r}")
+        if session["codec"] not in CODECS:
+            raise SpecInvalid(f"unknown codec {session['codec']!r}")
         config = SessionConfig(
             z=session["z"],
             phi=session["phi"],
@@ -138,7 +142,7 @@ class ScenarioSpec:
             price_choice=PricePair(*session["price_choice"]),
             block_payload_len=session["block_payload_len"],
             pi_max=session["pi_max"],
-            codec_name=session["codec"],
+            parity=session["codec"] == XOR_PARITY,
         )
 
         source = raw["file"]

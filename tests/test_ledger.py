@@ -6,6 +6,7 @@ import random
 import pytest
 
 from porpay.ledger import (
+    Address,
     AlreadyPaid,
     ContractParams,
     CounterOutOfBounds,
@@ -21,6 +22,7 @@ from porpay.ledger import (
     RcContract,
     Schedule,
     Unbalanced,
+    UnknownAddress,
     UnknownContract,
     WrongSender,
 )
@@ -136,6 +138,51 @@ class TestDeployAndDeposit:
         goto(ledger, contract, "T1")
         ledger.deposit(server, contract, 6)
         assert ledger.total_supply() == start
+
+
+class TestAddresses:
+    """A handle is the send capability: only the object the ledger issued
+    acts as its account."""
+
+    @pytest.mark.parametrize("sender", [Address("server"), "server"],
+                             ids=["forged", "str"])
+    def test_post_from_a_handle_not_issued_refused(self, sender):
+        ledger, contract, client, server, _ = make_env()
+        goto(ledger, contract, "T1")
+        trace = ledger.export_trace()
+        with pytest.raises(UnknownAddress):
+            ledger.post(contract, LedgerMessage(sender, MsgKind.SERVER_RESPONSE, b"\x01"))
+        assert contract.a_flag is None
+        assert ledger.export_trace() == trace
+
+    @pytest.mark.parametrize("sender", [Address("server"), "server"],
+                             ids=["forged", "str"])
+    def test_deposit_from_a_handle_not_issued_refused(self, sender):
+        ledger, contract, client, server, _ = make_env()
+        goto(ledger, contract, "T1")
+        balances, trace = ledger.balances(), ledger.export_trace()
+        with pytest.raises(UnknownAddress):
+            ledger.deposit(sender, contract, 1)
+        assert ledger.balances() == balances
+        assert ledger.export_trace() == trace
+        assert contract.server_deposited == 0
+        assert ledger.balance(server) == 50
+
+    def test_repeated_name_refused(self):
+        ledger, contract, client, *_ = make_env()
+        balances = ledger.balances()
+        with pytest.raises(ValueError, match="already exists"):
+            ledger.create_account("client", 7)
+        assert ledger.balances() == balances
+        assert ledger.has_address(client)
+
+    def test_copy_is_the_same_handle(self):
+        ledger, contract, client, *_ = make_env()
+        assert copy.copy(client) is client
+        assert copy.deepcopy(client) is client
+        assert copy.deepcopy(contract.params) == contract.params
+        assert client != Address("client")
+        assert not ledger.has_address(Address("client"))
 
 
 class TestCounters:
@@ -304,6 +351,26 @@ class TestPost:
             LedgerMessage(arbiter, MsgKind.COUNTERS, Counters(1, 0, 1, 0).pack()),
         )
         assert contract.counters == Counters(1, 0, 1, 0)
+
+    @pytest.mark.parametrize("payload", [Counters(1, 0, 0, 0).pack(), bytes(31)],
+                             ids=["packed", "wrong_length"])
+    def test_counters_resolve_once(self, payload):
+        # a second counters post is refused whatever its length, with nothing
+        # stored: the counters, the trace and the escrow stay as they were
+        ledger, contract, client, server, arbiter = make_env(z=2)
+        goto(ledger, contract, "T0")
+        ledger.deposit(client, contract, 21)
+        goto(ledger, contract, "K6")
+        ledger.post(
+            contract,
+            LedgerMessage(arbiter, MsgKind.COUNTERS, Counters(0, 1, 0, 0).pack()),
+        )
+        trace, escrow = ledger.export_trace(), contract.escrow
+        with pytest.raises((DuplicateSlot, MalformedPayload)):
+            ledger.post(contract, LedgerMessage(arbiter, MsgKind.COUNTERS, payload))
+        assert contract.counters == Counters(0, 1, 0, 0)
+        assert ledger.export_trace() == trace
+        assert contract.escrow == escrow == 21
 
     @pytest.mark.parametrize("payload", [b"", b"short", bytes(31), bytes(33)])
     def test_malformed_counters_payload_rejected(self, payload):

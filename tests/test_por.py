@@ -5,6 +5,7 @@ import hashlib
 import random
 import re
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -87,33 +88,34 @@ class TestSetup:
         (1024, 16, None),
         (1, 16, None),
         (77, 8, None),
-        (1000, 16, por.XorParityCodec()),
-        (333, 8, por.XorParityCodec(chunk_len=8)),
+        (1000, 16, partial(por.xor_parity, n=16)),
+        (333, 8, partial(por.xor_parity, n=8)),
         (1, 1, None),
         (77, 1, None),
         (100, 3, None),
-        (101, 3, por.XorParityCodec(chunk_len=3)),
-        (4000, 7, por.XorParityCodec(chunk_len=7)),
+        (101, 3, partial(por.xor_parity, n=3)),
+        (4000, 7, partial(por.xor_parity, n=7)),
         (1000, 7, None),
         # 2-byte words: payloads of 2 and 6 bytes
         (101, 2, None),
         (1001, 6, None),
         (1, 6, None),
-        (600, 6, por.XorParityCodec(chunk_len=6)),
+        (600, 6, partial(por.xor_parity, n=6)),
         # 4-byte words at a longer payload, and a file below one payload
         (1001, 12, None),
         (5, 8, None),
     ])
     def test_blocks_and_root_match_reference_loop(self, size, payload, codec):
+        # ``codec`` is the pre-encoding setup applies with parity, or None
         file = random.Random(size).randbytes(size)
-        blocks, pp = por.setup(file, payload, phi=1, codec=codec)
-        coded = codec.encode(file) if codec is not None else file
+        blocks, pp = por.setup(file, payload, phi=1, parity=codec is not None)
+        coded = codec(file) if codec is not None else file
         expected = reference_blocks(coded, payload)
         assert blocks == b"".join(expected)
         assert pp.m == len(expected)
         assert pp.sigma == reference_root(expected)
 
-    @pytest.mark.parametrize("codec", [None, por.XorParityCodec(chunk_len=3)])
+    @pytest.mark.parametrize("codec", [None, partial(por.xor_parity, n=3)])
     def test_blocks_are_one_buffer_shared_with_the_tree(self, codec, monkeypatch):
         built = []
         gen_tree = merkle.gen_tree
@@ -124,7 +126,7 @@ class TestSetup:
             return tree, root
 
         monkeypatch.setattr(merkle, "gen_tree", recording_gen_tree)
-        blocks, pp = por.setup(bytes(range(200)), 3, phi=1, codec=codec)
+        blocks, pp = por.setup(bytes(range(200)), 3, phi=1, parity=codec is not None)
         assert type(blocks) is bytes
         assert len(blocks) == pp.m * 7
         [tree] = built
@@ -436,12 +438,12 @@ class TestGuards:
 
     @pytest.mark.parametrize("chunk_len", [0, -1])
     def test_codec_needs_positive_chunk_len(self, chunk_len):
-        with pytest.raises(ValueError, match="chunk_len"):
-            por.XorParityCodec(chunk_len)
+        with pytest.raises(ValueError, match="chunk length"):
+            por.xor_parity(b"data", chunk_len)
 
     def test_codec_takes_one_byte_chunks(self):
         # four 1-byte chunks, then their XOR
-        assert por.XorParityCodec(1).encode(bytes([1, 2, 4, 8])) == bytes([1, 2, 4, 8, 15])
+        assert por.xor_parity(bytes([1, 2, 4, 8]), 1) == bytes([1, 2, 4, 8, 15])
 
     @pytest.mark.parametrize("keep", [0, 1, 2, 3, 5])
     def test_wrong_vector_length_fails_at_first_unmatched_entry(self, keep):
@@ -468,9 +470,8 @@ class TestGuards:
 
 class TestCodecs:
     def test_xor_parity_appends_group_parity(self):
-        codec = por.XorParityCodec(chunk_len=4)
         data = bytes(range(16))
-        coded = codec.encode(data)
+        coded = por.xor_parity(data, 4)
         chunks = [coded[i : i + 4] for i in range(0, len(coded), 4)]
         assert len(chunks) == 5
         parity = bytes(a ^ b ^ c ^ d for a, b, c, d in zip(*chunks[:4]))
@@ -480,7 +481,7 @@ class TestCodecs:
         # 6 whole chunks plus 1 byte: groups of 4 and 3 chunks, the last
         # chunk zero-filled
         data = bytes(range(1, 26))
-        coded = por.XorParityCodec(chunk_len=4).encode(data)
+        coded = por.xor_parity(data, 4)
         chunks = [data[i : i + 4].ljust(4, b"\x00") for i in range(0, 25, 4)]
         assert len(chunks) == 7
 
@@ -499,7 +500,7 @@ class TestCodecs:
     def test_setup_with_parity_codec_adds_blocks(self):
         file = bytes(range(64))
         plain, plain_pp = por.setup(file, 16, phi=4)
-        coded, pp = por.setup(file, 16, phi=4, codec=por.XorParityCodec(chunk_len=16))
+        coded, pp = por.setup(file, 16, phi=4, parity=True)
         assert (len(plain), plain_pp.m) == (4 * 20, 4)
         assert (len(coded), pp.m) == (5 * 20, 5)
 

@@ -34,7 +34,7 @@ PAYOUT = {
 }
 
 
-def make_config(z=3, phi=4, pi_max=None, payload=16, codec="identity",
+def make_config(z=3, phi=4, pi_max=None, payload=16, parity=False,
                 choice=PricePair(5, 2)):
     return SessionConfig(
         z=z,
@@ -43,7 +43,7 @@ def make_config(z=3, phi=4, pi_max=None, payload=16, codec="identity",
         price_choice=choice,
         block_payload_len=payload,
         pi_max=pi_max,
-        codec_name=codec,
+        parity=parity,
     )
 
 
@@ -311,7 +311,8 @@ class TestServerInit:
         statement and the contract's agreement refs can carry what
         Client.init would refuse. ``qp_server`` names the server account
         the qp session is opened with (default: the contract's server);
-        ``refs`` maps the (qp, cp) session ids to the contract's sap_refs;
+        ``refs`` maps the (qp, cp) session ids to the contract's
+        (``sap_qp``, ``sap_cp``);
         ``pad`` is the qp statement's pad count, and ``qp_bytes`` turns the
         statement into the bytes both parties commit to; only an ARBITER
         ``variant`` has an arbiter account."""
@@ -329,8 +330,9 @@ class TestServerInit:
         cp = CpStatement(5, 5, 2, 2, config.z)
         from porpay.sap import sap_init
 
-        r_qp, _, sid_qp = sap_init(ledger, addr_c, addr_qp, statement, rng)
-        r_cp, _, sid_cp = sap_init(ledger, addr_c, addr_s, cp.to_bytes(), rng)
+        opening_qp, sid_qp = sap_init(ledger, addr_c, addr_qp, statement, rng)
+        opening_cp, sid_cp = sap_init(ledger, addr_c, addr_s, cp.to_bytes(), rng)
+        sap_qp, sap_cp = refs(sid_qp, sid_cp) if refs else (sid_qp, sid_cp)
         params = protocol.ContractParams(
             z=config.z,
             client_deposit_required=21,
@@ -339,14 +341,13 @@ class TestServerInit:
             addr_server=addr_s,
             addr_arbiter=(ledger.create_account("arbiter", 0) if variant == ARBITER
                           else None),
-            sap_refs=refs(sid_qp, sid_cp) if refs else (sid_qp, sid_cp),
+            sap_qp=sap_qp,
+            sap_cp=sap_cp,
         )
         contract = ledger.deploy_contract(addr_c, params)
         ledger.advance_time(Schedule(config.z).point("T0"))
         ledger.deposit(addr_c, contract, client_deposit)
-        handoff = protocol.Handoff(
-            blocks, Opening(statement, r_qp), Opening(cp.to_bytes(), r_cp), contract,
-        )
+        handoff = protocol.Handoff(blocks, opening_qp, opening_cp, contract)
         return ledger, addr_c, Server(addr_s, rng, PRICES), handoff
 
     def test_underfunded_client_rejected(self):
@@ -380,9 +381,11 @@ class TestServerInit:
             # list indexing would read -2 as the qp session, and agree
             pytest.param(None, lambda qp, cp: (-2, cp), False, id="negative_id"),
             pytest.param(None, lambda qp, cp: (qp, cp + 1), False, id="id_past_end"),
-            # fewer refs than the two agreements need
-            pytest.param(None, lambda qp, cp: (qp,), False, id="one_ref"),
-            pytest.param(None, lambda qp, cp: (), False, id="no_refs"),
+            # a missing ref is None, the default
+            pytest.param(None, lambda qp, cp: (qp, None), False, id="one_ref"),
+            pytest.param(None, lambda qp, cp: (None, None), False, id="no_refs"),
+            # the qp session's id as text
+            pytest.param(None, lambda qp, cp: (str(qp), cp), False, id="non_int_ref"),
         ],
     )
     def test_hostile_sap_refs_refund(self, qp_server, refs, same_opening):
@@ -418,7 +421,8 @@ class TestServerInit:
         assert server.init(bad, ledger) == 0
         # the cp agreement still runs, so the ledger trace does not depend
         # on which agreement failed
-        sid_qp, sid_cp = handoff.contract.params.sap_refs
+        params = handoff.contract.params
+        sid_qp, sid_cp = params.sap_qp, params.sap_cp
         assert ledger.session(sid_qp).g_server is None
         assert ledger.session(sid_cp).g_server is not None
 
@@ -493,7 +497,7 @@ class TestServerInit:
         genesis_supply = ledger.total_supply()
         goto(ledger, contract, "T1")
         assert server.init(handoff, ledger) == 0
-        assert sap_verify(opening, addr_c, server.addr, contract.params.sap_refs[0], ledger)
+        assert sap_verify(opening, addr_c, server.addr, contract.params.sap_qp, ledger)
         goto(ledger, contract, "T2")
         ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
         PAYOUT[variant](ledger, contract, handoff.opening_cp)
@@ -572,7 +576,7 @@ class TestServerInit:
         goto(ledger, contract, "T1")
         assert server.init(handoff, ledger) == 0
         assert (contract.a_flag, contract.server_deposited) == (0, 0)
-        sid_qp, sid_cp = contract.params.sap_refs
+        sid_qp, sid_cp = contract.params.sap_qp, contract.params.sap_cp
         other = sid_cp if field == "opening_qp" else sid_qp
         assert ledger.session(other).g_server is not None
         goto(ledger, contract, "T2")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from porpay.crypto import Opening
+from porpay.crypto import Opening, commit, commit_verify
 from porpay.ledger import Ledger, UnknownAddress, UnknownSession
 from porpay.sap import sap_agree, sap_init, sap_verify
 
@@ -24,22 +24,30 @@ STATEMENT = b"the privately agreed statement"
 class TestInit:
     def test_session_holds_client_commitment_only(self, env):
         ledger, client, server = env
-        _, g, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
+        opening, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
         session = ledger.session(sid)
-        assert session.g_client == g
+        assert session.g_client == commit(STATEMENT, opening.randomness)
         assert session.g_server is None
+
+    def test_returned_opening_opens_the_client_commitment(self, env):
+        ledger, client, server = env
+        opening, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
+        g_client = ledger.session(sid).g_client
+        assert opening.statement == STATEMENT
+        assert commit_verify(g_client, opening)
+        assert not commit_verify(g_client, Opening(STATEMENT, bytes(16)))
 
     def test_fresh_randomness_gives_distinct_commitments(self, env):
         ledger, client, server = env
         rng = random.Random(0)
-        _, g1, _ = sap_init(ledger, client, server, STATEMENT, rng)
-        _, g2, _ = sap_init(ledger, client, server, STATEMENT, rng)
-        assert g1 != g2
+        _, sid1 = sap_init(ledger, client, server, STATEMENT, rng)
+        _, sid2 = sap_init(ledger, client, server, STATEMENT, rng)
+        assert ledger.session(sid1).g_client != ledger.session(sid2).g_client
 
     def test_randomness_length(self, env):
         ledger, client, server = env
-        r, _, _ = sap_init(ledger, client, server, STATEMENT, random.Random(0))
-        assert len(r) == 16
+        opening, _ = sap_init(ledger, client, server, STATEMENT, random.Random(0))
+        assert len(opening.randomness) == 16
 
     def test_unknown_address(self, env):
         ledger, client, _ = env
@@ -51,75 +59,78 @@ class TestInit:
 class TestAgree:
     def test_honest_flow(self, env):
         ledger, client, server = env
-        r, g, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
-        assert sap_agree(ledger, Opening(STATEMENT, r), client, sid, server)
-        assert ledger.session(sid).g_server == g
+        opening, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
+        assert sap_agree(ledger, opening, client, sid, server)
+        assert ledger.session(sid).g_server == ledger.session(sid).g_client
 
     def test_tampered_statement_rejected(self, env):
         ledger, client, server = env
-        r, g, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
-        assert not sap_agree(ledger, Opening(STATEMENT + b"!", r), client, sid, server)
+        opening, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
+        tampered = Opening(STATEMENT + b"!", opening.randomness)
+        assert not sap_agree(ledger, tampered, client, sid, server)
         assert ledger.session(sid).g_server is None
 
     def test_wrong_attribution_rejected(self, env):
         ledger, client, server = env
-        r, g, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
-        assert not sap_agree(ledger, Opening(STATEMENT, r), server, sid, server)
+        opening, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
+        assert not sap_agree(ledger, opening, server, sid, server)
 
     def test_session_of_another_server_rejected(self, env):
         ledger, client, server = env
         other = ledger.create_account("other", 0)
-        r, g, sid = sap_init(ledger, client, other, STATEMENT, random.Random(0))
-        assert not sap_agree(ledger, Opening(STATEMENT, r), client, sid, server)
+        opening, sid = sap_init(ledger, client, other, STATEMENT, random.Random(0))
+        assert not sap_agree(ledger, opening, client, sid, server)
         assert ledger.session(sid).g_server is None
 
     def test_second_agreement_rejected(self, env):
         ledger, client, server = env
-        r, g, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
-        assert sap_agree(ledger, Opening(STATEMENT, r), client, sid, server)
-        assert not sap_agree(ledger, Opening(STATEMENT, r), client, sid, server)
-        assert ledger.session(sid).g_server == g
+        opening, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
+        assert sap_agree(ledger, opening, client, sid, server)
+        assert not sap_agree(ledger, opening, client, sid, server)
+        assert ledger.session(sid).g_server == ledger.session(sid).g_client
 
-    @pytest.mark.parametrize("sid", [-1, 1, 2])
+    @pytest.mark.parametrize(
+        "sid", [-1, 1, 2, pytest.param(False, id="bool"), pytest.param("0", id="str")]
+    )
     def test_unknown_session_rejected(self, env, sid):
-        # one session is registered, so only id 0 names it
+        # one session is registered, so only the int 0 names it
         ledger, client, server = env
-        r, _, _ = sap_init(ledger, client, server, STATEMENT, random.Random(0))
+        opening, _ = sap_init(ledger, client, server, STATEMENT, random.Random(0))
         with pytest.raises(UnknownSession):
             ledger.session(sid)
-        assert not sap_agree(ledger, Opening(STATEMENT, r), client, sid, server)
-        assert not sap_verify(Opening(STATEMENT, r), client, server, sid, ledger)
+        assert not sap_agree(ledger, opening, client, sid, server)
+        assert not sap_verify(opening, client, server, sid, ledger)
 
 
 class TestVerify:
     def setup_session(self, env):
         ledger, client, server = env
-        r, g, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
-        sap_agree(ledger, Opening(STATEMENT, r), client, sid, server)
-        return ledger, client, server, r, g, sid
+        opening, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
+        sap_agree(ledger, opening, client, sid, server)
+        return ledger, client, server, opening, sid
 
     def test_honest_opening_accepted(self, env):
-        ledger, client, server, r, g, sid = self.setup_session(env)
-        assert sap_verify(Opening(STATEMENT, r), client, server, sid, ledger)
+        ledger, client, server, opening, sid = self.setup_session(env)
+        assert sap_verify(opening, client, server, sid, ledger)
 
     def test_different_statement_rejected(self, env):
-        ledger, client, server, r, g, sid = self.setup_session(env)
-        assert not sap_verify(Opening(b"another", r), client, server, sid, ledger)
+        ledger, client, server, opening, sid = self.setup_session(env)
+        other = Opening(b"another", opening.randomness)
+        assert not sap_verify(other, client, server, sid, ledger)
 
     def test_missing_server_commitment_rejected(self, env):
         ledger, client, server = env
-        r, g, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
-        assert not sap_verify(Opening(STATEMENT, r), client, server, sid, ledger)
+        opening, sid = sap_init(ledger, client, server, STATEMENT, random.Random(0))
+        assert not sap_verify(opening, client, server, sid, ledger)
 
     def test_swapped_addresses_rejected(self, env):
-        ledger, client, server, r, g, sid = self.setup_session(env)
-        opening = Opening(STATEMENT, r)
+        ledger, client, server, opening, sid = self.setup_session(env)
         assert sap_verify(opening, client, server, sid, ledger)
         assert not sap_verify(opening, server, client, sid, ledger)
         assert not sap_verify(opening, client, client, sid, ledger)
 
     def test_binding_search(self, env):
-        ledger, client, server, r, g, sid = self.setup_session(env)
+        ledger, client, server, _, sid = self.setup_session(env)
         rng = random.Random(13)
         for _ in range(2**12):
             opening = Opening(rng.randbytes(12), rng.randbytes(16))
@@ -127,8 +138,7 @@ class TestVerify:
 
     def test_verdict_fixed_after_agreement(self, env):
         # later ledger writes cannot change the outcome for a given opening
-        ledger, client, server, r, g, sid = self.setup_session(env)
-        opening = Opening(STATEMENT, r)
+        ledger, client, server, opening, sid = self.setup_session(env)
         before = sap_verify(opening, client, server, sid, ledger)
         sap_init(ledger, client, server, b"unrelated statement", random.Random(9))
         ledger.create_account("bystander", 5)
@@ -141,13 +151,13 @@ class TestPrivacy:
         ledger, client, server = env
         rng = random.Random(3)
         secret = rng.randbytes(48)  # high-entropy statement
-        r, g, sid = sap_init(ledger, client, server, secret, rng)
-        assert sap_agree(ledger, Opening(secret, r), client, sid, server)
+        opening, sid = sap_init(ledger, client, server, secret, rng)
+        assert sap_agree(ledger, opening, client, sid, server)
         # what the ledger keeps of an agreement: its trace and two commitments
         session = ledger.session(sid)
-        assert session.g_client == session.g_server == g
+        assert session.g_client == session.g_server
         trace = json.dumps(ledger.export_trace()).encode()
         state = trace + session.g_client + session.g_server
-        for hidden in (secret, r):
+        for hidden in (secret, opening.randomness):
             assert hidden not in state
             assert hidden.hex().encode() not in state

@@ -126,6 +126,13 @@ class TestSpecParsing:
         with pytest.raises(SpecInvalid, match="unknown variant"):
             ScenarioSpec.from_dict(raw)
 
+    @pytest.mark.parametrize("codec", ["nonsense", ["x"]], ids=["str", "list"])
+    def test_unknown_codec_refused(self, codec):
+        raw = base_raw()
+        raw["session"]["codec"] = codec
+        with pytest.raises(SpecInvalid, match="unknown codec"):
+            ScenarioSpec.from_dict(raw)
+
     def test_price_choice_must_be_listed(self):
         raw = base_raw()
         raw["session"]["price_choice"] = [4, 2]
@@ -316,13 +323,13 @@ class TestRunner:
 
     def test_file_encoded_once(self, monkeypatch):
         calls = []
-        encode = por.XorParityCodec.encode
+        xor_parity = por.xor_parity
 
-        def counting_encode(self, data):
+        def counting_xor_parity(data, n):
             calls.append(len(data))
-            return encode(self, data)
+            return xor_parity(data, n)
 
-        monkeypatch.setattr(por.XorParityCodec, "encode", counting_encode)
+        monkeypatch.setattr(por, "xor_parity", counting_xor_parity)
         raw = base_raw()
         raw["session"]["codec"] = "xor-parity"
         assert run(ScenarioSpec.from_dict(raw))["valid"]
