@@ -28,8 +28,9 @@ all hash short inputs:
 ``digest`` keeps ``hashlib.sha256``, because its callers include large
 inputs, where OpenSSL's hardware-accelerated SHA-256 is several times
 faster than the builtin: ``crypto.commit`` (a statement and its
-randomness) and the ledger's trace, which hashes every posted payload, a
-whole proof vector included.
+randomness) and ``Ledger.export_trace``, which hashes each logged payload,
+a whole proof vector included; the ledger's calls during a run hash
+nothing.
 """
 
 from __future__ import annotations

@@ -325,7 +325,8 @@ class Ledger:
         self._contracts: list[RcContract] = []
         self._sessions: list = []  # SAP sessions and similar sub-contracts
         self.time: TimePoint = GENESIS
-        self.trace: list[dict] = []
+        # (time label, sender id, kind, payload, slot) per logged entry
+        self._trace: list[tuple[str, str, str, bytes, int | None]] = []
 
     # -- accounts ---------------------------------------------------------
     def create_account(self, name: str, balance: int = 0) -> Address:
@@ -459,21 +460,29 @@ class Ledger:
 
     # -- trace ---------------------------------------------------------------
     def _log(self, kind: str, sender: Address, payload: bytes, slot: int | None = None) -> None:
-        entry = {
-            "seq": len(self.trace),
-            "time": self.time.label,
-            "sender": sender.id,
-            "kind": kind,
-            "payload_digest": digest(payload).hex(),
-        }
-        if slot is not None:
-            entry["slot"] = slot
-        self.trace.append(entry)
+        # bytes() is the object itself for bytes and a snapshot of any other
+        # buffer, so a caller's later write cannot change the exported digest
+        self._trace.append((self.time.label, sender.id, kind, bytes(payload), slot))
 
     def export_trace(self) -> list[dict]:
-        return [dict(e) for e in self.trace]
+        """The trace, one dict per entry in order. Each payload is hashed
+        here, one ``digest`` per entry: logging an entry hashes nothing."""
+        trace = []
+        for seq, (time, sender, kind, payload, slot) in enumerate(self._trace):
+            entry = {
+                "seq": seq,
+                "time": time,
+                "sender": sender,
+                "kind": kind,
+                "payload_digest": digest(payload).hex(),
+            }
+            if slot is not None:
+                entry["slot"] = slot
+            trace.append(entry)
+        return trace
 
     def write_trace_jsonl(self, path: str) -> None:
+        """Write ``export_trace()``, one sorted-key JSON line per entry."""
         with open(path, "w", encoding="utf-8") as fh:
-            for entry in self.trace:
+            for entry in self.export_trace():
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")

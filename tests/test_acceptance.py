@@ -590,7 +590,7 @@ class TestBillingPeriodPrivacy:
         last = schedule.point(f"G{self.Z}.2").ordinal
         posts = [
             (e["time"], e["sender"], e["kind"], n)
-            for e, n in zip(ledger.trace, ledger.lengths)
+            for e, n in zip(ledger.export_trace(), ledger.lengths)
             if schedule.point(e["time"]).ordinal <= last
         ]
         return posts, report["deposits"], report

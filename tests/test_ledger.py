@@ -1,10 +1,12 @@
 """Accounts, schedule windows, escrow accounting, and determinism."""
 
 import copy
+import json
 import random
 
 import pytest
 
+from porpay.hashing import count_hash_calls, digest
 from porpay.ledger import (
     Address,
     AlreadyPaid,
@@ -479,6 +481,7 @@ class TestDeterminismAndTraces:
     def run_sequence(self) -> Ledger:
         ledger, contract, client, server, arbiter = make_env()
         goto(ledger, contract, "T0")
+        ledger.log_session_event("sap_client", client, b"commitment")
         ledger.deposit(client, contract, 21)
         goto(ledger, contract, "T1")
         ledger.post(contract, LedgerMessage(server, MsgKind.SERVER_RESPONSE, b"\x01"))
@@ -490,6 +493,12 @@ class TestDeterminismAndTraces:
         goto(ledger, contract, "L")
         ledger.execute_payout(contract, [(client, 6), (server, 21), (arbiter, 0)])
         return ledger
+
+    # each payload run_sequence logs, in order
+    PAYLOADS = (
+        b"0", b"commitment", (21).to_bytes(8, "big"), b"\x01", (6).to_bytes(8, "big"),
+        b"q1", b"p1", b'{"arbiter": 0, "client": 6, "server": 21}',
+    )
 
     def test_replay_is_bit_identical(self):
         one, two = self.run_sequence(), self.run_sequence()
@@ -515,14 +524,36 @@ class TestDeterminismAndTraces:
         assert all("slot" not in e for e in trace if e["kind"] not in ("query", "proof"))
 
     def test_trace_jsonl_export(self, tmp_path):
-        import json
-
+        # each line is one exported entry, digest included, as sorted-key JSON
         ledger = self.run_sequence()
         target = tmp_path / "trace.jsonl"
         ledger.write_trace_jsonl(target)
-        lines = target.read_text().splitlines()
-        assert len(lines) == len(ledger.trace)
-        assert json.loads(lines[0])["seq"] == 0
+        lines = target.read_text(encoding="utf-8").splitlines()
+        trace = ledger.export_trace()
+        assert [json.loads(line) for line in lines] == trace
+        assert lines == [json.dumps(entry, sort_keys=True) for entry in trace]
+
+    def test_logged_buffer_is_snapshot(self):
+        # a caller that writes to its buffer after logging it cannot change
+        # the digest the export reports
+        ledger, _, client, _, _ = make_env()
+        buffer = bytearray(b"statement commitment")
+        ledger.log_session_event("sap_client", client, buffer)
+        buffer[:] = b"X" * len(buffer)
+        [entry] = [e for e in ledger.export_trace() if e["kind"] == "sap_client"]
+        assert entry["payload_digest"] == digest(b"statement commitment").hex()
+
+    def test_ledger_operations_hash_nothing(self):
+        # deploy_contract, log_session_event, deposit, post and
+        # execute_payout hash nothing; the export hashes each logged payload
+        # once, as it was logged
+        with count_hash_calls() as taken:
+            ledger = self.run_sequence()
+        assert taken() == 0
+        with count_hash_calls() as taken:
+            trace = ledger.export_trace()
+        assert taken() == len(self.PAYLOADS)
+        assert [e["payload_digest"] for e in trace] == [digest(p).hex() for p in self.PAYLOADS]
 
 
 class TestConservationProperty:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from porpay import merkle, por, protocol
 from porpay.crypto import DecryptFailure, Opening, dec_unit, enc_unit
+from porpay.hashing import count_hash_calls
 from porpay.ledger import Counters, DuplicateSlot, Ledger, OutOfWindow, Schedule
 from porpay.protocol import (
     Arbiter,
@@ -690,6 +691,29 @@ class TestHonestRuns:
         assert run.b == {1: 1, 2: 0, 3: 0}
         assert all(type(b) is int for b in run.b.values())
         assert run.server.complaints == [2, 3]
+
+    @pytest.mark.parametrize("behavior", [
+        ClientBehavior(invalid_query=frozenset({1})),
+        ClientBehavior(withhold_query=frozenset({1})),
+    ], ids=["invalid_query", "withhold_query"])
+    def test_dummy_answered_cycle_hashes_nothing(self, behavior):
+        # the query post, the server's dummy vector and its post, and the
+        # client's check of it: the ledger hashes a payload only when its
+        # trace is exported
+        ledger, client, server, handoff, _, _ = build_session(
+            make_config(z=1), seed=5, client_behavior=behavior
+        )
+        contract = handoff.contract
+        goto(ledger, contract, "T1")
+        assert server.init(handoff, ledger) == 1
+        with count_hash_calls() as taken:
+            goto(ledger, contract, "G1.1")
+            client.post_query(1, ledger)
+            goto(ledger, contract, "G1.2")
+            assert server.prove_cycle(1, ledger) == 0
+            client.verify_cycle(1, ledger)
+        assert 1 in contract.proofs
+        assert taken() == 0
 
     def test_query_units_decrypt_to_challenge_keys(self):
         config = make_config(z=2)

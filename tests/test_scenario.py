@@ -369,6 +369,12 @@ class TestReportGolden:
     to a report re-pins these."""
 
     DIGESTS = {
+    ("disputed.json", "arbiter", None): "7f643755f03788d45ac89d354f85ed5abe79ec546f074a0a5123b30d4dddc7f5",
+    ("disputed.json", "arbiter", 3): "0ec4bc28fe23677c5e3f48b4f3f21d23d06baf75731235b1dd27a866af5b44bc",
+    ("disputed.json", "arbiter", 11): "ed8ca2aec10ec981e5d10877d70f15a7be856791bff70d3aa3aa1a2701f526ca",
+    ("disputed.json", "arbiterless", None): "6bd08b2840bd7e8635a304c339c5f8222cb4bbd434eec8a528470efcfe245bb9",
+    ("disputed.json", "arbiterless", 3): "02afc63b8d10062bbcf1a55a35de10ea1b26e7436dc38da840ebc62067da4943",
+    ("disputed.json", "arbiterless", 11): "811d5e0594e4a198f5c82e7f7e28516859fa673cf3fabc7ef3182c16fe0b4649",
     ("free_riding.json", "arbiter", None): "89c9661c4301653df6c1b0e18c597fa7a2ecc065ecc564f713e30e815f63b291",
     ("free_riding.json", "arbiter", 3): "6178486a4974ffbcae81b5edd0a5b90bc8699d492d81bcee0176104d692c3417",
     ("free_riding.json", "arbiter", 11): "b7ff12b32bbd5b508f7fb93fd04e2b336015dbb70f5bac0ff08da5cdce3354b1",
@@ -420,17 +426,22 @@ class TestReportGolden:
 
 
 class TestTraceGolden:
-    """SHA-256 of the ledger trace of ``malicious_server.json`` in both
-    variants. A report holds no ciphertext, so only the trace pins how a
-    run's seed becomes each party's randomness."""
+    """SHA-256 of the ledger trace of ``malicious_server.json`` and of
+    ``disputed.json``, whose server posts dummy vectors, in both variants.
+    A report holds no ciphertext, so only the trace pins how a run's seed
+    becomes each party's randomness."""
 
     DIGESTS = {
         "arbiter": "5ea48ff401d9b99ca7cdb32e89d3e8bde201be26fa34373f4481a03bc5ea79d5",
         "arbiterless": "22bd492f64f0d635013e75a73ff099e7a211399fecb0f16db94c433f3c68ea21",
     }
+    DISPUTED_DIGESTS = {
+        "arbiter": "42a55929b05252e14cf04df35061eac4de318107607a1a5959275eae1ebe0014",
+        "arbiterless": "a774dae02db022877d812e610ab613954523e927dd4cd41e84a24a0dd52b5896",
+    }
 
-    @pytest.mark.parametrize("variant", sorted(DIGESTS))
-    def test_ledger_trace_digest(self, variant, monkeypatch):
+    @staticmethod
+    def trace_digest(name, variant, monkeypatch):
         ledgers = []
 
         class KeptLedger(Ledger):
@@ -439,12 +450,22 @@ class TestTraceGolden:
                 ledgers.append(self)
 
         monkeypatch.setattr(scenario, "Ledger", KeptLedger)
-        raw = json.loads((SCENARIOS / "malicious_server.json").read_text(encoding="utf-8"))
+        raw = json.loads((SCENARIOS / name).read_text(encoding="utf-8"))
         raw["session"]["variant"] = variant
         run(ScenarioSpec.from_dict(raw))
         [ledger] = ledgers
         text = json.dumps(ledger.export_trace(), sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[variant]
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize("variant", sorted(DIGESTS))
+    def test_ledger_trace_digest(self, variant, monkeypatch):
+        digest = self.trace_digest("malicious_server.json", variant, monkeypatch)
+        assert digest == self.DIGESTS[variant]
+
+    @pytest.mark.parametrize("variant", sorted(DISPUTED_DIGESTS))
+    def test_disputed_trace_digest(self, variant, monkeypatch):
+        digest = self.trace_digest("disputed.json", variant, monkeypatch)
+        assert digest == self.DISPUTED_DIGESTS[variant]
 
 
 class TestCoinRange:
