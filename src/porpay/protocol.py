@@ -27,9 +27,9 @@ complaint post in both: its qp opening, then fixed-width complaint items.
 The arbiter is handed it, the contract reads it off the ledger, and both
 read it with one parse.
 
-The roles accept fault-injection switches covering the misbehaviours the
-dispute machinery exists to punish; an unset behaviour object gives the
-honest protocol.
+Each role takes a script of the misbehaviours the dispute machinery exists
+to punish, drawn from ``CLIENT_KINDS`` and ``SERVER_KINDS``; the empty
+script gives the honest protocol.
 """
 
 from __future__ import annotations
@@ -402,27 +402,18 @@ def decode_proof_vector(
 
 
 # ---------------------------------------------------------------------------
-# behaviours (fault injection)
+# misbehaviour scripts (fault injection)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClientBehavior:
-    ill_formed_metadata: bool = False
-    invalid_query: frozenset[int] = frozenset()
-    false_accusation: frozenset[int] = frozenset()
-    withhold_query: frozenset[int] = frozenset()
-    # policy switch, not a misbehaviour: skip complaints for cycles whose
-    # dummy proof the client itself provoked with an invalid query
-    suppress_dummy_complaints: bool = False
-
-
-@dataclass(frozen=True)
-class ServerBehavior:
-    corrupt_block: frozenset[int] = frozenset()
-    withhold_proof: frozenset[int] = frozenset()
-    false_query_complaint: frozenset[int] = frozenset()
-    short_deposit: bool = False
+# The misbehaviour catalogue: each kind a party's script can name, mapped
+# to whether it targets one cycle. A script is a set of (kind, j) pairs,
+# j None for a session-wide kind.
+CLIENT_KINDS = {"ill_formed_metadata": False, "invalid_query": True,
+                "false_accusation": True, "withhold_query": True}
+SERVER_KINDS = {"corrupt_block": True, "withhold_proof": True,
+                "false_query_complaint": True, "short_deposit": False}
+Script = frozenset[tuple[str, int | None]]
 
 
 @dataclass(frozen=True)
@@ -468,12 +459,16 @@ class Client(_Party):
         addr: Address,
         rng: random.Random,
         config: SessionConfig,
-        behavior: ClientBehavior | None = None,
+        script: Script = frozenset(),
+        suppress_dummy_complaints: bool = False,
     ):
         self.addr = addr
         self.rng = rng
         self.config = config
-        self.behavior = behavior or ClientBehavior()
+        self.script = script
+        # policy, not a misbehaviour: skip complaints for cycles whose dummy
+        # proof the client itself provoked with an invalid query
+        self.suppress_dummy_complaints = suppress_dummy_complaints
         self.qp: QpStatement | None = None
         self.contract: RcContract | None = None
         self.opening_qp: Opening | None = None
@@ -492,7 +487,7 @@ class Client(_Party):
         without one the contract resolves its own disputes."""
         cfg = self.config
         blocks, pp = por.setup(file, cfg.block_payload_len, cfg.phi, cfg.parity)
-        if self.behavior.ill_formed_metadata:
+        if ("ill_formed_metadata", None) in self.script:
             # advertise the root of a different file
             twisted = bytearray(blocks)
             twisted[0] ^= 0xFF
@@ -534,9 +529,9 @@ class Client(_Party):
 
     def post_query(self, j: int, ledger: Ledger) -> bytes | None:
         """Phase 4 at G(j,1): encrypt a fresh challenge key into slot j."""
-        if j in self.behavior.withhold_query:
+        if ("withhold_query", j) in self.script:
             return None
-        if j in self.behavior.invalid_query:
+        if ("invalid_query", j) in self.script:
             k_hat = self.rng.randbytes(8)  # truncated key, outside the key universe
         else:
             k_hat = por.gen_query(self.rng)
@@ -566,10 +561,10 @@ class Client(_Party):
 
         complaint = None
         if not verdict.accepted:
-            own_fault = j in self.behavior.invalid_query
-            if not (self.behavior.suppress_dummy_complaints and own_fault):
+            own_fault = ("invalid_query", j) in self.script
+            if not (self.suppress_dummy_complaints and own_fault):
                 complaint = (j, verdict.failing_index)
-        elif j in self.behavior.false_accusation:
+        elif ("false_accusation", j) in self.script:
             complaint = (j, 1)
         if complaint is not None:
             self.complaints.append(complaint)
@@ -588,12 +583,12 @@ class Server(_Party):
         addr: Address,
         rng: random.Random,
         price_list: PriceList,
-        behavior: ServerBehavior | None = None,
+        script: Script = frozenset(),
     ):
         self.addr = addr
         self.rng = rng
         self.price_list = price_list
-        self.behavior = behavior or ServerBehavior()
+        self.script = script
         self.contract: RcContract | None = None
         self.tree: merkle.MerkleTree | None = None
         self.qp: QpStatement | None = None
@@ -662,7 +657,7 @@ class Server(_Party):
         )
         if a == 1:
             amount = params.server_deposit_required
-            if self.behavior.short_deposit:
+            if ("short_deposit", None) in self.script:
                 amount = max(0, amount - 1)
             ledger.deposit(self.addr, contract, amount)
         return a
@@ -676,17 +671,17 @@ class Server(_Party):
         """
         qp = self.qp
         k_hat = _query_key(self.contract, j, qp)
-        b = 0 if k_hat is None or j in self.behavior.false_query_complaint else 1
+        b = 0 if k_hat is None or ("false_query_complaint", j) in self.script else 1
 
         if b == 1:
             pi = por.prove(self.tree, k_hat, qp.pp)
-            if j in self.behavior.corrupt_block:
+            if ("corrupt_block", j) in self.script:
                 pi = _corrupt_first_entry(pi)
             payload = encode_proof_vector(pi, qp, self.rng)
         else:
             self.complaints.append(j)
             payload = dummy_proof_vector(qp, self.rng)
-        if j not in self.behavior.withhold_proof:
+        if ("withhold_proof", j) not in self.script:
             ledger.post(
                 self.contract, LedgerMessage(self.addr, MsgKind.PROOF, payload, slot=j)
             )
@@ -934,7 +929,6 @@ class Arbiter:
         _client_pass(self.report, post, ledger, contract)
 
     def post_counters(self, ledger: Ledger, contract: RcContract) -> None:
-        require_time(ledger.time, "K6")
         ledger.post(
             contract,
             LedgerMessage(

@@ -34,7 +34,6 @@ Scenario schema::
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 import random
 from dataclasses import dataclass
@@ -43,36 +42,22 @@ from pathlib import Path
 from . import crypto, por, protocol
 from .ledger import CounterOutOfBounds, Counters, Ledger, Schedule
 from .protocol import (
+    CLIENT_KINDS,
+    SERVER_KINDS,
     Arbiter,
     Client,
-    ClientBehavior,
     PriceList,
     PricePair,
+    Script,
     Server,
-    ServerBehavior,
     SessionConfig,
 )
-
-
-def _kinds(behavior_cls) -> dict[str, bool]:
-    """The misbehaviour kinds a behaviour class offers, each mapped to
-    whether it targets one cycle: a frozenset field holds the cycles it
-    targets, a bool field switches a session-wide kind on. The one policy
-    field is not a misbehaviour."""
-    return {
-        f.name: isinstance(f.default, frozenset)
-        for f in dataclasses.fields(behavior_cls)
-        if f.name != "suppress_dummy_complaints"
-    }
 
 
 # the dispute variants a file names; ``run`` gives only ARBITER an arbiter
 VARIANTS = ARBITER, ARBITERLESS = ("arbiter", "arbiterless")
 # the file pre-encodings a file names; only XOR_PARITY sets the session's parity
 CODECS = IDENTITY, XOR_PARITY = ("identity", "xor-parity")
-
-CLIENT_BEHAVIOR_KINDS = _kinds(ClientBehavior)
-SERVER_BEHAVIOR_KINDS = _kinds(ServerBehavior)
 
 
 class SpecInvalid(ValueError):
@@ -91,13 +76,14 @@ def json_int(value: object, name: str) -> int:
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A parsed scenario: ``raw`` is the normalized file (every default
-    filled in, every number an int, behaviours in file order) and the
-    session objects built from it."""
+    filled in, every number an int, behaviours in file order), the
+    session config built from it, and each party's script of (kind, j)
+    pairs."""
 
     raw: dict
     config: SessionConfig
-    client: ClientBehavior
-    server: ServerBehavior
+    client: Script
+    server: Script
 
     @property
     def seed(self) -> int:
@@ -159,12 +145,10 @@ class ScenarioSpec:
             raise SpecInvalid("suppress_dummy_complaints must be true or false")
         behaviors = raw.get("behaviors", {})
         client_items, client = cls._parse_behaviors(
-            behaviors.get("client", []), ClientBehavior, CLIENT_BEHAVIOR_KINDS,
-            config.z, "client", suppress_dummy_complaints=suppress,
+            behaviors.get("client", []), CLIENT_KINDS, config.z, "client"
         )
         server_items, server = cls._parse_behaviors(
-            behaviors.get("server", []), ServerBehavior, SERVER_BEHAVIOR_KINDS,
-            config.z, "server",
+            behaviors.get("server", []), SERVER_KINDS, config.z, "server"
         )
         normalized = {
             "session": session,
@@ -177,14 +161,12 @@ class ScenarioSpec:
 
     @staticmethod
     def _parse_behaviors(
-        items: list, behavior_cls, kinds: dict[str, bool], z: int, role: str,
-        **policy,
-    ) -> tuple[list[dict], object]:
-        """The listed behaviours, normalized, and ``behavior_cls`` with each
-        kind switched on: a session-wide kind set to True, a per-cycle kind
-        holding all the cycles it targets."""
+        items: list, kinds: dict[str, bool], z: int, role: str
+    ) -> tuple[list[dict], Script]:
+        """The listed behaviours, normalized, and the party's script: one
+        (kind, j) pair each, j None for a session-wide kind. A role has at
+        most one per-cycle kind per cycle."""
         out: list[dict] = []
-        values: dict[str, object] = {}
         used: set[object] = set()
         for item in items:
             kind = item["kind"]
@@ -195,18 +177,16 @@ class ScenarioSpec:
                 if j is None or not 1 <= json_int(j, f"{kind} cycle") <= z:
                     raise SpecInvalid(f"{kind} needs a cycle target in [1, {z}]")
                 key = j
-                values[kind] = values.get(kind, frozenset()) | {j}
                 out.append({"kind": kind, "j": j})
             else:
                 if j is not None:
                     raise SpecInvalid(f"{kind} takes no cycle target")
                 key = (kind, None)
-                values[kind] = True
                 out.append({"kind": kind})
             if key in used:
                 raise SpecInvalid(f"more than one {role} behavior for {key!r}")
             used.add(key)
-        return out, behavior_cls(**values, **policy)
+        return out, frozenset((b["kind"], b.get("j")) for b in out)
 
     def to_dict(self) -> dict:
         return copy.deepcopy(self.raw)
@@ -275,7 +255,8 @@ def run(spec: ScenarioSpec) -> dict:
     genesis_supply = ledger.total_supply()
 
     client = Client(
-        addr_client, random.Random(master.getrandbits(64)), cfg, spec.client
+        addr_client, random.Random(master.getrandbits(64)), cfg, spec.client,
+        suppress_dummy_complaints=spec.raw["suppress_dummy_complaints"],
     )
     server = Server(
         addr_server, random.Random(master.getrandbits(64)), cfg.price_list,

@@ -26,6 +26,12 @@ def _pass(line: str) -> None:
     print(f"PASS: {line}")
 
 
+def catalogue_kinds(kinds: dict[str, bool], per_cycle: bool = True) -> tuple[str, ...]:
+    """The per-cycle (or the session-wide) kinds of a party's catalogue,
+    ``protocol.CLIENT_KINDS`` or ``SERVER_KINDS``, in its order."""
+    return tuple(kind for kind, targets_cycle in kinds.items() if targets_cycle == per_cycle)
+
+
 def base_raw(**overrides):
     raw = {
         "session": {
@@ -171,8 +177,8 @@ class TestFreeRidingMitigation:
 
 
 class TestConservationFuzz:
-    CLIENT_KINDS = ("invalid_query", "false_accusation", "withhold_query")
-    SERVER_KINDS = ("corrupt_block", "withhold_proof", "false_query_complaint")
+    CLIENT_KINDS = catalogue_kinds(protocol.CLIENT_KINDS)
+    SERVER_KINDS = catalogue_kinds(protocol.SERVER_KINDS)
 
     def random_spec(self, rng: random.Random) -> dict:
         z = rng.randrange(1, 5)
@@ -186,10 +192,10 @@ class TestConservationFuzz:
                 client.append({"kind": rng.choice(self.CLIENT_KINDS), "j": j})
             elif roll < 0.5:
                 server.append({"kind": rng.choice(self.SERVER_KINDS), "j": j})
-        if rng.random() < 0.05:
-            client.append({"kind": "ill_formed_metadata"})
-        if rng.random() < 0.05:
-            server.append({"kind": "short_deposit"})
+        for kinds, items in ((protocol.CLIENT_KINDS, client), (protocol.SERVER_KINDS, server)):
+            for kind in catalogue_kinds(kinds, per_cycle=False):
+                if rng.random() < 0.05:
+                    items.append({"kind": kind})
         return {
             "session": {
                 "z": z,
@@ -239,10 +245,14 @@ class TestHonestPartyCatalogue:
     cycle whose query the client spoiled or withheld."""
 
     Z, O, L = 2, 5, 2
-    CLIENT_KINDS = (None, "invalid_query", "false_accusation", "withhold_query")
-    SERVER_KINDS = (None, "corrupt_block", "withhold_proof", "false_query_complaint")
+    CLIENT_KINDS = (None,) + catalogue_kinds(protocol.CLIENT_KINDS)
+    SERVER_KINDS = (None,) + catalogue_kinds(protocol.SERVER_KINDS)
+    # each per-cycle kind judged by hand: it fails the cycle for the other
+    # party, or it leaves what that party is due unchanged
     CLIENT_FAILS = {"invalid_query", "withhold_query"}
+    CLIENT_HARMLESS = {"false_accusation"}
     SERVER_FAILS = {"corrupt_block", "withhold_proof", "false_query_complaint"}
+    SERVER_HARMLESS = set()
 
     # ROADMAP item 1: with an arbiter, a server's complaint about a valid
     # query is charged as an unneeded dispute and the client's complaint
@@ -281,6 +291,15 @@ class TestHonestPartyCatalogue:
                 if any(delta[name] != amount for name, amount in want.items()):
                     failing.add((client_mix, server_mix))
         return failing
+
+    def test_every_kind_is_judged(self):
+        # a kind added to the catalogue cannot go unjudged
+        for kinds, fails, harmless in (
+            (protocol.CLIENT_KINDS, self.CLIENT_FAILS, self.CLIENT_HARMLESS),
+            (protocol.SERVER_KINDS, self.SERVER_FAILS, self.SERVER_HARMLESS),
+        ):
+            assert not fails & harmless
+            assert fails | harmless == set(catalogue_kinds(kinds))
 
     @pytest.mark.parametrize("suppress", [False, True], ids=["complain", "suppress"])
     @pytest.mark.parametrize("variant", ["arbiter", "arbiterless"])
@@ -495,26 +514,16 @@ class TestPaddingPrivacy:
             master = random.Random(spec.seed)
             file = master.randbytes(spec.raw["file"]["size"])
             from porpay.ledger import Ledger, Schedule
-            from porpay.protocol import Client, ClientBehavior, Server, ServerBehavior
+            from porpay.protocol import Client, Server
 
             ledger = Ledger()
             addr_c = ledger.create_account("client", 21)
             addr_s = ledger.create_account("server", 6)
             addr_r = ledger.create_account("arbiter", 0)
-            behaviors_raw = raw.get("behaviors", {}).get("server", [])
-            server_behavior = ServerBehavior(
-                corrupt_block=frozenset(
-                    b["j"] for b in behaviors_raw if b["kind"] == "corrupt_block"
-                ),
-                false_query_complaint=frozenset(
-                    b["j"] for b in behaviors_raw
-                    if b["kind"] == "false_query_complaint"
-                ),
-            )
             client = Client(addr_c, random.Random(master.getrandbits(64)),
-                            spec.config, ClientBehavior())
+                            spec.config, spec.client)
             server = Server(addr_s, random.Random(master.getrandbits(64)),
-                            spec.config.price_list, server_behavior)
+                            spec.config.price_list, spec.server)
             schedule = Schedule(spec.config.z)
             ledger.advance_time(schedule.point("T0"))
             handoff = client.init(file, ledger, addr_s, addr_r)
@@ -576,7 +585,7 @@ class TestBillingPeriodPrivacy:
         behaviors = {"client": [], "server": []}
         for j, kind in enumerate(outcomes, start=1):
             if kind != "honest":
-                role = "client" if kind in scenario.CLIENT_BEHAVIOR_KINDS else "server"
+                role = "client" if kind in protocol.CLIENT_KINDS else "server"
                 behaviors[role].append({"kind": kind, "j": j})
         raw = base_raw(seed=seed, behaviors=behaviors)
         raw["session"].update(

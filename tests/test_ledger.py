@@ -374,6 +374,22 @@ class TestPost:
         assert ledger.export_trace() == trace
         assert contract.escrow == escrow == 21
 
+    @pytest.mark.parametrize("label", ["K5", "L"])
+    def test_counters_only_at_k6(self, label):
+        # the contract holds the K6 rule: an arbiter post on either side of
+        # it resolves nothing and logs nothing
+        ledger, contract, client, server, arbiter = make_env(z=2)
+        goto(ledger, contract, label)
+        trace = ledger.export_trace()
+        with pytest.raises(OutOfWindow):
+            ledger.post(
+                contract,
+                LedgerMessage(arbiter, MsgKind.COUNTERS, Counters(0, 1, 0, 0).pack()),
+            )
+        assert contract.counters == Counters()
+        assert not contract.resolved
+        assert ledger.export_trace() == trace
+
     @pytest.mark.parametrize("payload", [b"", b"short", bytes(31), bytes(33)])
     def test_malformed_counters_payload_rejected(self, payload):
         ledger, contract, client, server, arbiter = make_env(z=2)

@@ -15,13 +15,11 @@ from porpay.ledger import Counters, DuplicateSlot, Ledger, OutOfWindow, Schedule
 from porpay.protocol import (
     Arbiter,
     Client,
-    ClientBehavior,
     CpStatement,
     PriceList,
     PricePair,
     QpStatement,
     Server,
-    ServerBehavior,
     SessionConfig,
 )
 from porpay.sap import sap_verify
@@ -49,7 +47,7 @@ def make_config(z=3, phi=4, pi_max=None, payload=16, parity=False,
 
 
 def build_session(config, seed=1, file_size=1024,
-                  client_behavior=None, server_behavior=None, variant=ARBITER):
+                  client_script=frozenset(), server_script=frozenset(), variant=ARBITER):
     """A session initiated at T0; only an ARBITER ``variant`` has an arbiter
     account, whose address the client passes on."""
     master = random.Random(seed)
@@ -63,9 +61,9 @@ def build_session(config, seed=1, file_size=1024,
         ledger.create_account("arbiter", 0) if variant == ARBITER else None
     )
     client = Client(addr_c, random.Random(master.getrandbits(64)), config,
-                    client_behavior)
+                    client_script)
     server = Server(addr_s, random.Random(master.getrandbits(64)), PRICES,
-                    server_behavior)
+                    server_script)
     ledger.advance_time(Schedule(config.z).point("T0"))
     handoff = client.init(file, ledger, addr_s, addr_r)
     return ledger, client, server, handoff, addr_r, file
@@ -299,7 +297,7 @@ class TestServerInit:
     def test_ill_formed_metadata_rejected(self):
         config = make_config()
         ledger, client, server, handoff, _, _ = build_session(
-            config, client_behavior=ClientBehavior(ill_formed_metadata=True)
+            config, client_script=frozenset({("ill_formed_metadata", None)})
         )
         goto(ledger, handoff.contract, "T1")
         assert server.init(handoff, ledger) == 0
@@ -637,11 +635,11 @@ class HonestRun:
     """Drive one session through the billing cycles, keeping the pieces."""
 
     def __init__(self, config, seed=1, file_size=1024,
-                 client_behavior=None, server_behavior=None, variant=ARBITER):
+                 client_script=frozenset(), server_script=frozenset(), variant=ARBITER):
         self.ledger, self.client, self.server, self.handoff, self.addr_r, self.file = (
             build_session(config, seed=seed, file_size=file_size,
-                          client_behavior=client_behavior,
-                          server_behavior=server_behavior, variant=variant)
+                          client_script=client_script,
+                          server_script=server_script, variant=variant)
         )
         self.contract = self.handoff.contract
         goto(self.ledger, self.contract, "T1")
@@ -685,23 +683,23 @@ class TestHonestRuns:
         # the query is invalid or the server lies; each 0 files its cycle
         run = HonestRun(
             make_config(z=3), seed=21,
-            client_behavior=ClientBehavior(invalid_query=frozenset({3})),
-            server_behavior=ServerBehavior(false_query_complaint=frozenset({2})),
+            client_script=frozenset({("invalid_query", 3)}),
+            server_script=frozenset({("false_query_complaint", 2)}),
         )
         assert run.b == {1: 1, 2: 0, 3: 0}
         assert all(type(b) is int for b in run.b.values())
         assert run.server.complaints == [2, 3]
 
-    @pytest.mark.parametrize("behavior", [
-        ClientBehavior(invalid_query=frozenset({1})),
-        ClientBehavior(withhold_query=frozenset({1})),
+    @pytest.mark.parametrize("script", [
+        frozenset({("invalid_query", 1)}),
+        frozenset({("withhold_query", 1)}),
     ], ids=["invalid_query", "withhold_query"])
-    def test_dummy_answered_cycle_hashes_nothing(self, behavior):
+    def test_dummy_answered_cycle_hashes_nothing(self, script):
         # the query post, the server's dummy vector and its post, and the
         # client's check of it: the ledger hashes a payload only when its
         # trace is exported
         ledger, client, server, handoff, _, _ = build_session(
-            make_config(z=1), seed=5, client_behavior=behavior
+            make_config(z=1), seed=5, client_script=script
         )
         contract = handoff.contract
         goto(ledger, contract, "T1")
@@ -1108,7 +1106,7 @@ class TestArbiterResolution:
         monkeypatch.setattr(protocol, "_corrupt_first_entry", corrupt_last_entry)
         config = make_config(z=3, phi=4)
         run = DisputedRun(config, seed=5,
-                          server_behavior=ServerBehavior(corrupt_block=frozenset({2})))
+                          server_script=frozenset({("corrupt_block", 2)}))
         assert run.client.complaints == [(2, 4)]
         arbiter = run.resolve()
         assert arbiter.report.client_admitted == [(2, 4)]
@@ -1118,7 +1116,7 @@ class TestArbiterResolution:
         config = make_config(z=3)
         run = DisputedRun(
             config, seed=5,
-            client_behavior=ClientBehavior(invalid_query=frozenset({1})),
+            client_script=frozenset({("invalid_query", 1)}),
         )
         arbiter = run.resolve()
         assert arbiter.report.v == [1]
@@ -1129,7 +1127,7 @@ class TestArbiterResolution:
         config = make_config(z=3)
         run = DisputedRun(
             config, seed=6,
-            server_behavior=ServerBehavior(false_query_complaint=frozenset({2})),
+            server_script=frozenset({("false_query_complaint", 2)}),
         )
         arbiter = run.resolve()
         # the server pre-paid with one unneeded invocation; the client's
@@ -1141,7 +1139,7 @@ class TestArbiterResolution:
         config = make_config(z=3)
         run = DisputedRun(
             config, seed=8,
-            server_behavior=ServerBehavior(corrupt_block=frozenset({2})),
+            server_script=frozenset({("corrupt_block", 2)}),
         )
         arbiter = run.resolve()
         assert run.contract.counters == Counters(server_faults=1)
@@ -1151,7 +1149,7 @@ class TestArbiterResolution:
         config = make_config(z=3)
         run = DisputedRun(
             config, seed=9,
-            client_behavior=ClientBehavior(false_accusation=frozenset({3})),
+            client_script=frozenset({("false_accusation", 3)}),
         )
         run.resolve()
         assert run.contract.counters == Counters(client_unneeded_disputes=1)
@@ -1160,7 +1158,7 @@ class TestArbiterResolution:
         config = make_config(z=2)
         run = HonestRun(
             config, seed=7,
-            server_behavior=ServerBehavior(corrupt_block=frozenset({1})),
+            server_script=frozenset({("corrupt_block", 1)}),
         )
         arbiter = Arbiter(run.addr_r)
         goto(run.ledger, run.contract, "K5")
@@ -1177,7 +1175,7 @@ class TestArbiterResolution:
         config = make_config(z=4)
         run = DisputedRun(
             config, seed=10,
-            server_behavior=ServerBehavior(corrupt_block=frozenset({1, 3, 4})),
+            server_script=frozenset({("corrupt_block", 1), ("corrupt_block", 3), ("corrupt_block", 4)}),
         )
         arbiter = run.resolve()
         assert sorted(j for j, _ in arbiter.report.client_admitted) == [1, 3, 4]
@@ -1193,7 +1191,7 @@ class TestArbiterResolution:
         config = make_config(z=3)
         run = DisputedRun(
             config, seed=9,
-            client_behavior=ClientBehavior(false_accusation=frozenset({3})),
+            client_script=frozenset({("false_accusation", 3)}),
         )
         run.server.complaints.append(3)
         arbiter = run.resolve()
@@ -1214,11 +1212,11 @@ class TestArbiterResolution:
         )
 
     def test_second_server_pass_is_refused(self):
-        behavior = ClientBehavior(invalid_query=frozenset({1}))
+        script = frozenset({("invalid_query", 1)})
         config = make_config(z=3)
-        reference = DisputedRun(config, seed=5, client_behavior=behavior)
+        reference = DisputedRun(config, seed=5, client_script=script)
         reference.resolve()
-        run = HonestRun(config, seed=5, client_behavior=behavior)
+        run = HonestRun(config, seed=5, client_script=script)
         arbiter = Arbiter(run.addr_r)
         goto(run.ledger, run.contract, "K2")
         args = (run.server.complaint_post(), run.ledger, run.contract)
@@ -1234,11 +1232,11 @@ class TestArbiterResolution:
         assert self.pay(run) == self.pay(reference)
 
     def test_second_client_pass_is_refused(self):
-        behavior = ServerBehavior(corrupt_block=frozenset({2}))
+        script = frozenset({("corrupt_block", 2)})
         config = make_config(z=3)
-        reference = DisputedRun(config, seed=8, server_behavior=behavior)
+        reference = DisputedRun(config, seed=8, server_script=script)
         reference.resolve()
-        run = HonestRun(config, seed=8, server_behavior=behavior)
+        run = HonestRun(config, seed=8, server_script=script)
         arbiter = Arbiter(run.addr_r)
         goto(run.ledger, run.contract, "K5")
         args = (run.client.complaint_post(), run.ledger, run.contract)
@@ -1252,10 +1250,10 @@ class TestArbiterResolution:
 
 
 class TestArbiterlessResolution:
-    def drive(self, client_behavior=None, server_behavior=None, seed=21):
+    def drive(self, client_script=frozenset(), server_script=frozenset(), seed=21):
         config = make_config(z=3)
-        run = HonestRun(config, seed=seed, client_behavior=client_behavior,
-                        server_behavior=server_behavior, variant=ARBITERLESS)
+        run = HonestRun(config, seed=seed, client_script=client_script,
+                        server_script=server_script, variant=ARBITERLESS)
         ledger, contract = run.ledger, run.contract
         if run.server.complaints:
             goto(ledger, contract, "K1")
@@ -1269,7 +1267,7 @@ class TestArbiterlessResolution:
 
     def test_invalid_query_charges_client(self):
         run, report = self.drive(
-            client_behavior=ClientBehavior(invalid_query=frozenset({1}))
+            client_script=frozenset({("invalid_query", 1)})
         )
         assert report.v == [1]
         assert run.contract.counters == Counters(client_faults=1)
@@ -1277,21 +1275,21 @@ class TestArbiterlessResolution:
 
     def test_corrupt_proof_charges_server(self):
         run, report = self.drive(
-            server_behavior=ServerBehavior(corrupt_block=frozenset({2}))
+            server_script=frozenset({("corrupt_block", 2)})
         )
         assert run.contract.counters == Counters(server_faults=1)
         assert report.client_admitted == [(2, 1)]
 
     def test_false_accusation_changes_nothing(self):
         run, report = self.drive(
-            client_behavior=ClientBehavior(false_accusation=frozenset({3}))
+            client_script=frozenset({("false_accusation", 3)})
         )
         assert run.contract.counters == Counters()
         assert report.client_admitted == [(3, 1)]
 
     def test_unneeded_server_complaint_changes_nothing(self):
         run, report = self.drive(
-            server_behavior=ServerBehavior(false_query_complaint=frozenset({2}))
+            server_script=frozenset({("false_query_complaint", 2)})
         )
         # valid query: no counter in this variant; the client's complaint
         # about the dummy still charges the server fault
@@ -1300,7 +1298,7 @@ class TestArbiterlessResolution:
 
     def test_payout_applies_fee_transfers(self):
         run, _ = self.drive(
-            server_behavior=ServerBehavior(corrupt_block=frozenset({2}))
+            server_script=frozenset({("corrupt_block", 2)})
         )
         goto(run.ledger, run.contract, "L")
         run.client.request_payout(run.ledger)
@@ -1312,7 +1310,7 @@ class TestArbiterlessResolution:
 
     def test_second_resolve_is_refused(self):
         run, _ = self.drive(
-            server_behavior=ServerBehavior(corrupt_block=frozenset({2}))
+            server_script=frozenset({("corrupt_block", 2)})
         )
         with pytest.raises(DuplicateSlot):
             protocol.contract_resolve(run.ledger, run.contract)
@@ -1399,7 +1397,7 @@ class TestHostileComplaintPosts:
     def resolve_and_pay(self, server_post=None, client_post=None):
         config = make_config(z=3)
         run = HonestRun(config, seed=21, variant=ARBITERLESS,
-                        server_behavior=ServerBehavior(corrupt_block=frozenset({2})))
+                        server_script=frozenset({("corrupt_block", 2)}))
         ledger, contract = run.ledger, run.contract
         start = ledger.total_supply()
         for label, addr, kind, post in (
@@ -1503,8 +1501,8 @@ class TestHostileComplaintPosts:
     def test_post_not_bytes_is_filtered_by_arbiter(self, wrap):
         # the arbiter is handed each party's post off the ledger, which
         # refuses a payload that is not bytes; the arbiter refuses it too
-        run = HonestRun(make_config(z=3), seed=21, server_behavior=ServerBehavior(
-            corrupt_block=frozenset({2}), false_query_complaint=frozenset({1})))
+        run = HonestRun(make_config(z=3), seed=21, server_script=frozenset(
+            {("corrupt_block", 2), ("false_query_complaint", 1)}))
         assert run.server.complaints == [1] and (2, 1) in run.client.complaints
         ledger, contract = run.ledger, run.contract
         arbiter = Arbiter(run.addr_r)
@@ -1530,7 +1528,7 @@ class TestHostileComplaintPosts:
         assert protocol.unpack_complaints(post, width) == (fields, opening)
         assert protocol.unpack_complaints(post[:_HEAD_LEN], width) == ([], opening)
         run = HonestRun(make_config(z=3), seed=21,
-                        server_behavior=ServerBehavior(corrupt_block=frozenset({2})))
+                        server_script=frozenset({("corrupt_block", 2)}))
         assert protocol.unpack_complaints(run.client.complaint_post(), 2) == (
             [2, 1], run.client.opening_qp
         )
@@ -1544,23 +1542,17 @@ class TestHostileComplaintPosts:
         # is honest: resolution raises nothing, each item it reads is either
         # admitted or filtered, coins are conserved, and the honest party is
         # never charged
+        # at most one cycle per per-cycle kind of the hostile party, drawn
+        # in catalogue order
         cycles = st.frozensets(st.integers(1, 3), max_size=1)
-        behaviors = {}
-        if hostile == "server":
-            behaviors["server_behavior"] = ServerBehavior(
-                corrupt_block=data.draw(cycles),
-                withhold_proof=data.draw(cycles),
-                false_query_complaint=data.draw(cycles),
-            )
-        else:
-            behaviors["client_behavior"] = ClientBehavior(
-                invalid_query=data.draw(cycles),
-                false_accusation=data.draw(cycles),
-                withhold_query=data.draw(cycles),
-            )
+        kinds = protocol.SERVER_KINDS if hostile == "server" else protocol.CLIENT_KINDS
+        script = frozenset(
+            (kind, j) for kind, per_cycle in kinds.items() if per_cycle
+            for j in data.draw(cycles)
+        )
         config = make_config(z=3)
         run = HonestRun(config, seed=data.draw(st.integers(0, 2**16)), variant=variant,
-                        **behaviors)
+                        **{f"{hostile}_script": script})
         ledger, contract = run.ledger, run.contract
         start = ledger.total_supply()
 
@@ -1651,7 +1643,7 @@ class TestPayoutGuards:
         # each deposit, and the L payout is refused
         ledger, client, server, handoff, _, _ = build_session(
             make_config(z=2), variant=variant,
-            server_behavior=ServerBehavior(short_deposit=True))
+            server_script=frozenset({("short_deposit", None)}))
         contract = handoff.contract
         genesis_supply = ledger.total_supply()
         goto(ledger, contract, "T1")
@@ -1668,7 +1660,7 @@ class TestPayoutGuards:
     def test_refund_path_raises_on_normal_payout(self):
         config = make_config(z=2)
         ledger, client, server, handoff, _, _ = build_session(
-            config, client_behavior=ClientBehavior(ill_formed_metadata=True)
+            config, client_script=frozenset({("ill_formed_metadata", None)})
         )
         goto(ledger, handoff.contract, "T1")
         server.init(handoff, ledger)
@@ -1748,7 +1740,7 @@ class TestPayoutGuards:
     def test_refund_through_other_variant_rejected(self, variant, other):
         ledger, client, server, handoff, _, _ = build_session(
             make_config(z=2), variant=variant,
-            client_behavior=ClientBehavior(ill_formed_metadata=True),
+            client_script=frozenset({("ill_formed_metadata", None)}),
         )
         contract = handoff.contract
         goto(ledger, contract, "T1")
@@ -1789,7 +1781,7 @@ class TestPayoutGuards:
     def test_refund_needs_pay_request(self):
         config = make_config(z=2)
         ledger, client, server, handoff, _, _ = build_session(
-            config, client_behavior=ClientBehavior(ill_formed_metadata=True)
+            config, client_script=frozenset({("ill_formed_metadata", None)})
         )
         contract = handoff.contract
         goto(ledger, contract, "T1")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from porpay import cli, por, scenario
+from porpay import cli, por, protocol, scenario
 from porpay.ledger import CounterOutOfBounds, Counters, Ledger
 from porpay.scenario import ScenarioSpec, SpecInvalid, expected_payout, run, verify_report
 
@@ -344,6 +344,25 @@ class TestRunner:
         assert report["valid"]
         assert report["disputes"]["client_complaints_filed"] == []
         assert report["counters"]["client_faults"] == 1
+
+    KINDS = {"client": protocol.CLIENT_KINDS, "server": protocol.SERVER_KINDS}
+
+    @pytest.mark.parametrize("variant", scenario.VARIANTS)
+    @pytest.mark.parametrize(
+        "role, kind", [(role, kind) for role, kinds in KINDS.items() for kind in kinds]
+    )
+    def test_every_catalogued_kind_takes_effect(self, role, kind, variant):
+        # a kind the parse accepts but no branch point tests (a misspelt
+        # literal, say) would run as the honest protocol
+        def report(behaviors):
+            raw = base_raw(behaviors=behaviors)
+            raw["session"].update(z=2, variant=variant)
+            out = run(ScenarioSpec.from_dict(raw))
+            del out["spec"]
+            return out
+
+        item = {"kind": kind, "j": 1} if self.KINDS[role][kind] else {"kind": kind}
+        assert report({role: [item]}) != report({})
 
     def test_resolution_attribution_exclusive_per_cycle(self):
         raw = base_raw(
