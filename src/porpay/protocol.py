@@ -452,6 +452,10 @@ class _Party:
 
 
 class Client(_Party):
+    """The data owner. It files a complaint for every cycle it rejects, one
+    its own invalid query provoked included: the server's complaint has
+    already put that cycle in v, so resolution filters it."""
+
     COMPLAINTS = MsgKind.CLIENT_COMPLAINTS
 
     def __init__(
@@ -460,15 +464,11 @@ class Client(_Party):
         rng: random.Random,
         config: SessionConfig,
         script: Script = frozenset(),
-        suppress_dummy_complaints: bool = False,
     ):
         self.addr = addr
         self.rng = rng
         self.config = config
         self.script = script
-        # policy, not a misbehaviour: skip complaints for cycles whose dummy
-        # proof the client itself provoked with an invalid query
-        self.suppress_dummy_complaints = suppress_dummy_complaints
         self.qp: QpStatement | None = None
         self.contract: RcContract | None = None
         self.opening_qp: Opening | None = None
@@ -544,7 +544,8 @@ class Client(_Party):
     def verify_cycle(
         self, j: int, ledger: Ledger
     ) -> tuple[por.Verdict | None, tuple[int, int] | None]:
-        """Phase 6: unpad, decrypt, verify; a rejection yields complaint [j, g]."""
+        """Phase 6: unpad, decrypt, verify; a rejection yields complaint [j, g],
+        and so does an accepted cycle the script falsely accuses."""
         if j not in self.contract.queries:  # withheld
             return None, None
         qp = self.qp
@@ -559,15 +560,13 @@ class Client(_Party):
             else:
                 verdict = por.verify(entries, k_hat, qp.pp)
 
-        complaint = None
         if not verdict.accepted:
-            own_fault = ("invalid_query", j) in self.script
-            if not (self.suppress_dummy_complaints and own_fault):
-                complaint = (j, verdict.failing_index)
+            complaint = (j, verdict.failing_index)
         elif ("false_accusation", j) in self.script:
             complaint = (j, 1)
-        if complaint is not None:
-            self.complaints.append(complaint)
+        else:
+            return verdict, None
+        self.complaints.append(complaint)
         return verdict, complaint
 
     def complaint_post(self) -> bytes:
@@ -978,21 +977,20 @@ def refund_applies(contract: RcContract) -> bool:
     )
 
 
-def _payout(
-    ledger: Ledger, contract: RcContract, opening_cp: Opening | None, arbiterless: bool
+def payout(
+    ledger: Ledger, contract: RcContract, opening_cp: Opening | None
 ) -> dict[str, int]:
-    """Phase 8, the one payout core for both time points.
+    """Phase 8, one payout for both time points and both variants.
 
     At T2, when ``refund_applies``, each party withdraws exactly what it
     deposited; ``opening_cp`` is not read. At L the client pays o per cycle
     not attributed to the server, and each party is charged l per own fault
     or unneeded dispute: with an arbiter every charged l goes to the arbiter,
-    without one each party's l goes to the other. Either way the whole
-    escrow is distributed exactly, once a party has posted PAY at that point.
+    without one (``params.arbiterless``) each party's l goes to the other.
+    Either way the whole escrow is distributed exactly, once a party has
+    posted PAY at that point.
     """
     params = contract.params
-    if params.arbiterless != arbiterless:
-        raise ValueError("payout entry point does not match the contract's variant")
     if ledger.time.label == "T2":
         if not refund_applies(contract):
             raise ValueError("parties reached agreement; the refund path does not apply")
@@ -1015,7 +1013,7 @@ def _payout(
         server_l = cp.l * (c.server_faults + c.server_unneeded_disputes)
         coin_client = contract.client_deposited - paid - client_l
         coin_server = contract.server_deposited + paid - server_l
-        if arbiterless:
+        if params.arbiterless:
             dist = [
                 (params.addr_client, coin_client + server_l),
                 (params.addr_server, coin_server + client_l),
@@ -1031,15 +1029,6 @@ def _payout(
     return ledger.execute_payout(contract, dist)
 
 
-def payout_arbiter_variant(
-    ledger: Ledger, contract: RcContract, opening_cp: Opening | None
-) -> dict[str, int]:
-    """Phase 8 with a third-party arbiter: the T2 refund or the L payout."""
-    return _payout(ledger, contract, opening_cp, arbiterless=False)
-
-
-def payout_arbiterless_variant(
-    ledger: Ledger, contract: RcContract, opening_cp: Opening | None
-) -> dict[str, int]:
-    """Phase 8 without an arbiter: the T2 refund or the L payout."""
-    return _payout(ledger, contract, opening_cp, arbiterless=True)
+# one payout under each variant's name, the names perfbench/spans.py times
+# settlement by; scenario.run calls the one that matches its variant
+payout_arbiter_variant = payout_arbiterless_variant = payout

@@ -26,9 +26,11 @@ Scenario schema::
         "client": [{"kind": "invalid_query", "j": 1}],
         "server": [{"kind": "corrupt_block", "j": 2}]
       },
-      "seed": 7,
-      "suppress_dummy_complaints": false
+      "seed": 7
     }
+
+The parse ignores any key the schema does not name, and the normalized
+form it builds (the report's ``spec`` block) keeps none.
 """
 
 from __future__ import annotations
@@ -140,9 +142,6 @@ class ScenarioSpec:
         if size is not None and json_int(size, "file size") < 1:
             raise SpecInvalid("file size must be positive")
 
-        suppress = raw.get("suppress_dummy_complaints", False)
-        if not isinstance(suppress, bool):
-            raise SpecInvalid("suppress_dummy_complaints must be true or false")
         behaviors = raw.get("behaviors", {})
         client_items, client = cls._parse_behaviors(
             behaviors.get("client", []), CLIENT_KINDS, config.z, "client"
@@ -155,7 +154,6 @@ class ScenarioSpec:
             "file": {"path": path} if size is None else {"size": size},
             "behaviors": {"client": client_items, "server": server_items},
             "seed": json_int(raw.get("seed", 0), "seed"),
-            "suppress_dummy_complaints": suppress,
         }
         return cls(normalized, config, client, server)
 
@@ -254,10 +252,7 @@ def run(spec: ScenarioSpec) -> dict:
     genesis = ledger.balances()
     genesis_supply = ledger.total_supply()
 
-    client = Client(
-        addr_client, random.Random(master.getrandbits(64)), cfg, spec.client,
-        suppress_dummy_complaints=spec.raw["suppress_dummy_complaints"],
-    )
+    client = Client(addr_client, random.Random(master.getrandbits(64)), cfg, spec.client)
     server = Server(
         addr_server, random.Random(master.getrandbits(64)), cfg.price_list,
         spec.server,

@@ -26,7 +26,8 @@ from porpay.sap import sap_verify
 from porpay.scenario import ARBITER, ARBITERLESS
 
 PRICES = PriceList((PricePair(5, 2), PricePair(3, 1)))
-# each variant's phase-8 entry point: the T2 refund or the L payout
+# phase 8 under each variant's name, one function that reads the variant off
+# the contract: the T2 refund or the L payout
 PAYOUT = {
     ARBITER: protocol.payout_arbiter_variant,
     ARBITERLESS: protocol.payout_arbiterless_variant,
@@ -1677,20 +1678,12 @@ class TestPayoutGuards:
         with pytest.raises(protocol.BadOpening):
             protocol.payout_arbiter_variant(run.ledger, run.contract, bogus)
 
-    def test_variant_mismatch_rejected(self):
-        config = make_config(z=1)
-        run = HonestRun(config, variant=ARBITERLESS)
-        goto(run.ledger, run.contract, "L")
-        with pytest.raises(ValueError):
-            protocol.payout_arbiter_variant(
-                run.ledger, run.contract, run.client.opening_cp
-            )
-
-    @pytest.mark.parametrize("variant, payout", [
-        (ARBITER, protocol.payout_arbiter_variant),
-        (ARBITERLESS, protocol.payout_arbiterless_variant),
+    @pytest.mark.parametrize("variant, name", [
+        (ARBITER, "payout_arbiter_variant"),
+        (ARBITERLESS, "payout_arbiterless_variant"),
     ])
-    def test_payout_needs_pay_request(self, variant, payout):
+    def test_payout_needs_pay_request(self, variant, name):
+        payout = getattr(protocol, name)
         run = HonestRun(make_config(z=2), variant=variant)
         goto(run.ledger, run.contract, "L")
         with pytest.raises(protocol.PayNotRequested):
@@ -1734,10 +1727,52 @@ class TestPayoutGuards:
             run.ledger, run.contract, OutOfWindow,
         )
 
-    @pytest.mark.parametrize("variant, other", [
-        (ARBITER, ARBITERLESS), (ARBITERLESS, ARBITER),
-    ])
-    def test_refund_through_other_variant_rejected(self, variant, other):
+    @staticmethod
+    def settle_corrupt_cycle(variant):
+        """A z = 2 session whose server corrupts cycle 1, resolved the
+        variant's way, at L with the client's pay request posted."""
+        run = HonestRun(make_config(z=2), variant=variant,
+                        server_script=frozenset({("corrupt_block", 1)}))
+        ledger, contract = run.ledger, run.contract
+        if variant == ARBITER:
+            arbiter = Arbiter(run.addr_r)
+            goto(ledger, contract, "K2")
+            arbiter.resolve_server(run.server.complaint_post(), ledger, contract)
+            goto(ledger, contract, "K5")
+            arbiter.resolve_client(run.client.complaint_post(), ledger, contract)
+            goto(ledger, contract, "K6")
+            arbiter.post_counters(ledger, contract)
+        else:
+            goto(ledger, contract, "K4")
+            run.client.post_complaints(ledger)
+            goto(ledger, contract, "K5")
+            protocol.contract_resolve(ledger, contract)
+        goto(ledger, contract, "L")
+        run.client.request_payout(ledger)
+        return run
+
+    def test_one_payout_under_both_names(self):
+        assert protocol.payout_arbiter_variant is protocol.payout
+        assert protocol.payout_arbiterless_variant is protocol.payout
+
+    @pytest.mark.parametrize("name", PAYOUT)
+    @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
+    def test_either_name_pays_by_the_contract_variant(self, variant, name):
+        # the contract states the variant; the name called does not
+        run = self.settle_corrupt_cycle(variant)
+        assert run.contract.counters == Counters(server_faults=1)
+        # deposits 14 and 4; the client pays o = 5 for the one honest cycle,
+        # and the server's l = 2 goes to the arbiter, or without one to the
+        # client
+        want = {
+            ARBITER: {"client": 9, "server": 7, "arbiter": 2},
+            ARBITERLESS: {"client": 11, "server": 7},
+        }[variant]
+        assert PAYOUT[name](run.ledger, run.contract, run.client.opening_cp) == want
+
+    @pytest.mark.parametrize("name", PAYOUT)
+    @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
+    def test_either_name_refunds_at_t2(self, variant, name):
         ledger, client, server, handoff, _, _ = build_session(
             make_config(z=2), variant=variant,
             client_script=frozenset({("ill_formed_metadata", None)}),
@@ -1747,11 +1782,7 @@ class TestPayoutGuards:
         assert server.init(handoff, ledger) == 0
         goto(ledger, contract, "T2")
         client.request_payout(ledger)
-        self.assert_refused(
-            lambda: PAYOUT[other](ledger, contract, client.opening_cp),
-            ledger, contract, ValueError,
-        )
-        assert PAYOUT[variant](ledger, contract, client.opening_cp) == {
+        assert PAYOUT[name](ledger, contract, client.opening_cp) == {
             "client": 14, "server": 0,
         }
 

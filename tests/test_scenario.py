@@ -38,10 +38,12 @@ class TestSpecParsing:
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
     def test_to_dict_is_the_normalized_file(self):
-        # defaults filled in, behaviours in file order
+        # defaults filled in, behaviours in file order, a key the schema does
+        # not name dropped
         raw = base_raw(
             behaviors={"server": [{"kind": "withhold_proof", "j": 3},
-                                  {"kind": "corrupt_block", "j": 1}]}
+                                  {"kind": "corrupt_block", "j": 1}]},
+            suppress_dummy_complaints=True,
         )
         for key in ("block_payload_len", "variant", "codec"):
             del raw["session"][key]
@@ -60,7 +62,6 @@ class TestSpecParsing:
                            {"kind": "corrupt_block", "j": 1}],
             },
             "seed": 0,
-            "suppress_dummy_complaints": False,
         }
         # a copy: editing it leaves the spec as parsed
         spec.to_dict()["session"]["z"] = 9
@@ -70,13 +71,6 @@ class TestSpecParsing:
     def test_file_path_must_be_a_string(self, path):
         with pytest.raises(SpecInvalid, match="path"):
             ScenarioSpec.from_dict(base_raw(file={"path": path}))
-
-    @pytest.mark.parametrize("flag", ["false", 0, None], ids=["str", "int", "null"])
-    def test_suppress_flag_must_be_a_boolean(self, flag):
-        # bool("false") is True: a string would switch suppression on
-        raw = base_raw(suppress_dummy_complaints=flag)
-        with pytest.raises(SpecInvalid, match="suppress_dummy_complaints"):
-            ScenarioSpec.from_dict(raw)
 
     def test_unknown_behavior_kind(self):
         raw = base_raw(behaviors={"client": [{"kind": "set_fire", "j": 1}]})
@@ -256,6 +250,26 @@ class TestRunner:
         assert not report["payout"]["match"]
         assert not report["valid"]
 
+    @pytest.mark.parametrize(
+        "behaviors", [{}, {"server": [{"kind": "short_deposit"}]}], ids=["L", "refund"]
+    )
+    @pytest.mark.parametrize("variant", scenario.VARIANTS)
+    def test_payout_called_by_its_variant_name(self, monkeypatch, variant, behaviors):
+        # perfbench/spans.py ends a session's settlement at the span of the
+        # payout name that matches its variant
+        calls = []
+        for name in ("payout_arbiter_variant", "payout_arbiterless_variant"):
+            def spy(*args, name=name, paid=getattr(protocol, name)):
+                calls.append(name)
+                return paid(*args)
+
+            monkeypatch.setattr(protocol, name, spy)
+        raw = base_raw(behaviors=behaviors)
+        raw["session"]["variant"] = variant
+        report = run(ScenarioSpec.from_dict(raw))
+        assert report["valid"] and report["refund_path"] == bool(behaviors)
+        assert calls == [f"payout_{variant}_variant"]
+
     def test_honest_deltas(self):
         report = run(ScenarioSpec.from_dict(base_raw()))
         assert report["valid"]
@@ -335,16 +349,6 @@ class TestRunner:
         assert run(ScenarioSpec.from_dict(raw))["valid"]
         assert calls == [1024]
 
-    def test_suppressed_dummy_complaint(self):
-        raw = base_raw(
-            behaviors={"client": [{"kind": "invalid_query", "j": 1}]},
-            suppress_dummy_complaints=True,
-        )
-        report = run(ScenarioSpec.from_dict(raw))
-        assert report["valid"]
-        assert report["disputes"]["client_complaints_filed"] == []
-        assert report["counters"]["client_faults"] == 1
-
     KINDS = {"client": protocol.CLIENT_KINDS, "server": protocol.SERVER_KINDS}
 
     @pytest.mark.parametrize("variant", scenario.VARIANTS)
@@ -388,30 +392,30 @@ class TestReportGolden:
     to a report re-pins these."""
 
     DIGESTS = {
-    ("disputed.json", "arbiter", None): "7f643755f03788d45ac89d354f85ed5abe79ec546f074a0a5123b30d4dddc7f5",
-    ("disputed.json", "arbiter", 3): "0ec4bc28fe23677c5e3f48b4f3f21d23d06baf75731235b1dd27a866af5b44bc",
-    ("disputed.json", "arbiter", 11): "ed8ca2aec10ec981e5d10877d70f15a7be856791bff70d3aa3aa1a2701f526ca",
-    ("disputed.json", "arbiterless", None): "6bd08b2840bd7e8635a304c339c5f8222cb4bbd434eec8a528470efcfe245bb9",
-    ("disputed.json", "arbiterless", 3): "02afc63b8d10062bbcf1a55a35de10ea1b26e7436dc38da840ebc62067da4943",
-    ("disputed.json", "arbiterless", 11): "811d5e0594e4a198f5c82e7f7e28516859fa673cf3fabc7ef3182c16fe0b4649",
-    ("free_riding.json", "arbiter", None): "89c9661c4301653df6c1b0e18c597fa7a2ecc065ecc564f713e30e815f63b291",
-    ("free_riding.json", "arbiter", 3): "6178486a4974ffbcae81b5edd0a5b90bc8699d492d81bcee0176104d692c3417",
-    ("free_riding.json", "arbiter", 11): "b7ff12b32bbd5b508f7fb93fd04e2b336015dbb70f5bac0ff08da5cdce3354b1",
-    ("free_riding.json", "arbiterless", None): "e1d70cb5372a122c3768f146a9dc11dde50a3e6348bc79829bc514173cb19e7d",
-    ("free_riding.json", "arbiterless", 3): "210466989564350dd2ef97bd44d0dd4c6a2941bc71ac32e55ed17689296642c1",
-    ("free_riding.json", "arbiterless", 11): "2888dadc8eaaf686ff635a6c453aa26218400fd5201479a194698e7fdd2a82ad",
-    ("honest.json", "arbiter", None): "c45c1aef0bab531751d6421ea44543eddb8573df70787c1e83c4f0999e7c5735",
-    ("honest.json", "arbiter", 3): "9bc8cc62b2ead1f3dbca832d8fcab7065185ac5ae2d627a7e284e3f950be0940",
-    ("honest.json", "arbiter", 11): "98a60e6107dbd894fa6dfe6a9bfb424f2269ce20a0813b5e4aff121692cea6c7",
-    ("honest.json", "arbiterless", None): "681ff8076b85d6ad6d9af559c4afa9e02d8a94b5c06d6d61c094f041e3ded9e8",
-    ("honest.json", "arbiterless", 3): "b5c763f411d66412c5e3af28771ad31fb13f1d129dcf768ed8b812467ff99ece",
-    ("honest.json", "arbiterless", 11): "8147b76f30302bdf63813c80a6d8990bef0555d39eaec8acfff4ea6e52356f71",
-    ("malicious_server.json", "arbiter", None): "004a32433cd34dbf54bfce153e31f8c0c7e6644cbce203a3b0bd75fd95325573",
-    ("malicious_server.json", "arbiter", 3): "40b65694adc72d2a5a46447eca311b9b4fa8c86896dd2f940aea93f45da94162",
-    ("malicious_server.json", "arbiter", 11): "792d72a0a44ad9751601559746231ecd601525dc7bc0ea8fa33e8a50d2ef3d84",
-    ("malicious_server.json", "arbiterless", None): "480e28d69048a10b67a4bc6e766cf0a54e3e3e9fd50a7992dab0ad39a92cead0",
-    ("malicious_server.json", "arbiterless", 3): "79cd30e49b631622ee26f652943ebf1c435ad32066420c07043ef8289b877125",
-    ("malicious_server.json", "arbiterless", 11): "cfb7cb2d1722a01c1b5a7774a08c3d98912f7d539812dcd6cca971520956e59d",
+    ("disputed.json", "arbiter", None): "a2c244860cdf2c884bc08f359335248fb0a35e4e91f7a3908334db5fbfc0a005",
+    ("disputed.json", "arbiter", 3): "87d7aa971a61bff366129cf6b15c2a001aad0fd59c6716472d9a5e619975c229",
+    ("disputed.json", "arbiter", 11): "69fac15e542dea3e75f63ba48402e96f3aa43e35554bbc309efed7a9acba5da4",
+    ("disputed.json", "arbiterless", None): "c9d4783798cc8fa4997201a299b897dffca321f46b97463a49bc7af074de3153",
+    ("disputed.json", "arbiterless", 3): "62da086d6ef2b1eaa82e464de3e8db1e5db81f2ebd4824d4c32a8719adf77281",
+    ("disputed.json", "arbiterless", 11): "28f6d4022a58fadcea64c7d336fb78a040234d53d2959823a9fda213872f9186",
+    ("free_riding.json", "arbiter", None): "b3ad434086cfd1f864e6dea1b5e68fddb690271e172f6fa70654e8682fa09021",
+    ("free_riding.json", "arbiter", 3): "158c80c2ea87e638cb44a54e13223fdc2147a344d6417cb7e14cbbaab4d7c1b2",
+    ("free_riding.json", "arbiter", 11): "da3ba8baa2c5152e437bb2253035094db834cfaa8b3a5322aa88284d6585a2c0",
+    ("free_riding.json", "arbiterless", None): "ca18a97017f0d152ec444bd998eb305a607e236821753bd6ab137e335a641495",
+    ("free_riding.json", "arbiterless", 3): "a539824f7aa713ad92441d00e8f9726df3180b7a5c6faacac1e259f5bd4e14bc",
+    ("free_riding.json", "arbiterless", 11): "e3a80d32547366b76845bcea04c6611ef7b2de58a5c4d922ecabbad5927911d7",
+    ("honest.json", "arbiter", None): "951df5a994760d25d99c0133812de0a2b0676b23b48fecc0c20dce21e7128ad9",
+    ("honest.json", "arbiter", 3): "a0d54eaba1443edcd1712a79800d85fd29bd76b27399d690a78ffd613da1dead",
+    ("honest.json", "arbiter", 11): "7ba7688fe3d14faef6a743380e851d535ebd2ac5cd811c83346eddd7e7d9aed8",
+    ("honest.json", "arbiterless", None): "b1693753327cb8fa4d7e2820fe0c8679ad437da0dd99fe0e21741e635685180f",
+    ("honest.json", "arbiterless", 3): "1e2466a9b6f331480c02acdeda0775af7d05cc6d3a15c18a228a62bf97f3b9f9",
+    ("honest.json", "arbiterless", 11): "f0a83f3cab88852637fc567bc43de6e6cf4c1bc223d314051618e8946561ee47",
+    ("malicious_server.json", "arbiter", None): "510c9189e88068e37e2696ac74c223b8ef2c55601713199de9eb36844a4c62c0",
+    ("malicious_server.json", "arbiter", 3): "a26480a49a16bed845f31bf017fe4a0b5fe7b876073fe11fad4396b7ebd1b61e",
+    ("malicious_server.json", "arbiter", 11): "476f7321756348d1c0fb6640746b36ea3c9e6ac66cf5c131b716ffdce56b2fce",
+    ("malicious_server.json", "arbiterless", None): "5abb7e9707d9d648c2d1d4d5b6d4eed923dd82ac0db195e463c1793835eea91b",
+    ("malicious_server.json", "arbiterless", 3): "351d89973cb33a0ebc852fb050a4cfe7520b6d35c36d9b2eb06cb736636778b5",
+    ("malicious_server.json", "arbiterless", 11): "398473f1c5673d578a3dbc9ecfd6b43c7885684e5b3c29e22a1bec05a5bc8262",
     }
 
     @pytest.mark.parametrize("name, variant, seed", sorted(DIGESTS, key=str))
@@ -427,8 +431,8 @@ class TestReportGolden:
     # honest.json over an uneven shape: 4000 bytes in 7-byte payloads with
     # xor-parity gives m = 715, not a power of two, and a block length of 11
     UNEVEN_DIGESTS = {
-        "arbiter": "79a5a88865a8e6e6faa2d6ee7f2c93f8c73a025b5466a5cb9c9bb7c0fcf876c2",
-        "arbiterless": "f7d74adc55ce54ac79d2badd711dea07ac60eee272f6f58838fd1ba770023365",
+        "arbiter": "b8c41dc3627683913784e19bc6ec79a64fb0e7a2378e95719d318fc5a59970ac",
+        "arbiterless": "978c740928894edcccf9788f523cb41acb1757d7d305fef5002163d63074c10d",
     }
 
     @pytest.mark.parametrize("variant", sorted(UNEVEN_DIGESTS))
@@ -684,8 +688,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "raw",
-        [base_raw(file={"path": 5}), base_raw(suppress_dummy_complaints="false")],
-        ids=["path_int", "suppress_str"],
+        [base_raw(file={"path": 5})],
+        ids=["path_int"],
     )
     def test_misread_spec_exits_two(self, tmp_path, capsys, raw):
         spec_path = self.write_spec(tmp_path, raw)
