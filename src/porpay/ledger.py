@@ -63,10 +63,6 @@ class AlreadyPaid(RuntimeError):
     pass
 
 
-class MissingQuery(KeyError):
-    """No query ciphertext was posted for the requested cycle."""
-
-
 class CounterOutOfBounds(ValueError):
     """Counter update would violate the per-session counter bounds."""
 
@@ -237,12 +233,6 @@ class RcContract:
         """Coins held: both deposits, less what the payout distributed."""
         paid = sum(self.payout.values()) if self.payout else 0
         return self.client_deposited + self.server_deposited - paid
-
-    def query(self, j: int) -> bytes:
-        try:
-            return self.queries[j]
-        except KeyError:
-            raise MissingQuery(f"no query posted for cycle {j}") from None
 
     def add_counters(self, delta: Counters) -> None:
         """Resolve the session's disputes by adding ``delta``, once.

@@ -62,7 +62,6 @@ from .ledger import (
     DuplicateSlot,
     Ledger,
     LedgerMessage,
-    MissingQuery,
     MsgKind,
     RcContract,
     require_time,
@@ -242,6 +241,27 @@ class CpStatement:
     @classmethod
     def from_bytes(cls, data: bytes) -> "CpStatement":
         return cls(*_unpack(cls._LAYOUT, data, "cp"))
+
+
+def _read(opening: object, kind: type) -> QpStatement | CpStatement | None:
+    """The one reader of an agreed statement: ``kind.from_bytes`` of the
+    opening's statement, or None for anything it refuses or that has none."""
+    try:
+        return kind.from_bytes(opening.statement)
+    except (AttributeError, ValueError):
+        return None
+
+
+def _agreed(
+    opening: object, kind: type, sid: int | None, contract: RcContract, ledger: Ledger
+) -> QpStatement | CpStatement | None:
+    """The statement ``_read`` reads off ``opening``, or None unless it also
+    opens both commitments of the contract's agreement ``sid``."""
+    statement = _read(opening, kind)
+    p = contract.params
+    if statement is None or not sap_verify(opening, p.addr_client, p.addr_server, sid, ledger):
+        return None
+    return statement
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +472,10 @@ class _Party:
 
 
 class Client(_Party):
-    """The data owner. It files a complaint for every cycle it rejects, one
-    its own invalid query provoked included: the server's complaint has
-    already put that cycle in v, so resolution filters it."""
+    """The data owner. It reads its own posted query as the server and the
+    resolvers do (``_query_key``), and files a complaint for every cycle it
+    rejects, one its own invalid query provoked included: the server's
+    complaint has already put that cycle in v, so resolution filters it."""
 
     COMPLAINTS = MsgKind.CLIENT_COMPLAINTS
 
@@ -488,12 +509,8 @@ class Client(_Party):
         cfg = self.config
         blocks, pp = por.setup(file, cfg.block_payload_len, cfg.phi, cfg.parity)
         if ("ill_formed_metadata", None) in self.script:
-            # advertise the root of a different file
-            twisted = bytearray(blocks)
-            twisted[0] ^= 0xFF
-            block_len = cfg.block_payload_len + por.INDEX_LEN
-            _, bogus_root = merkle.gen_tree(twisted, block_len)
-            pp = por.PublicParams(bogus_root, pp.phi, pp.m)
+            # advertise a root other than the file's: every bit flipped
+            pp = por.PublicParams(bytes(b ^ 0xFF for b in pp.sigma), pp.phi, pp.m)
 
         pi_act = entry_real_units(pp.m)
         pi_max = cfg.pi_max if cfg.pi_max is not None else pi_act
@@ -545,13 +562,15 @@ class Client(_Party):
         self, j: int, ledger: Ledger
     ) -> tuple[por.Verdict | None, tuple[int, int] | None]:
         """Phase 6: unpad, decrypt, verify; a rejection yields complaint [j, g],
-        and so does an accepted cycle the script falsely accuses."""
+        and so does an accepted cycle the script falsely accuses. A withheld
+        query gives (None, None); one ``_query_key`` refuses, or a missing
+        proof, fails the cycle at entry 1 with no entry opened."""
         if j not in self.contract.queries:  # withheld
             return None, None
         qp = self.qp
-        k_hat = dec_unit(qp.k_bar, self.contract.query(j), qp.query_unit)
+        k_hat = _query_key(self.contract, j, qp)
         payload = self.contract.proofs.get(j)
-        if payload is None:
+        if k_hat is None or payload is None:
             verdict = por.Verdict(1)
         else:
             entries, failed_at = decode_proof_vector(payload, qp)
@@ -597,44 +616,37 @@ class Server(_Party):
     def init(self, handoff: Handoff, ledger: Ledger) -> int:
         """Phase 3: re-check statements, deposits, and metadata; answer at T1.
 
-        An opening that is not an ``Opening``, a statement ``from_bytes``
-        refuses (the qp rules live there), mismatched counts or prices,
-        wrong deposits, a block buffer that is not m whole blocks in one
-        ``bytes``, an advertised root other than the buffer's, or a failed
-        agreement all end in a = 0 and no deposit, which later triggers the
-        T2 refund path. Both agreements run whatever the
-        checks say, so the ledger trace does not tell which one failed.
+        An opening ``_read`` refuses (the qp rules live in ``from_bytes``),
+        mismatched counts or prices, wrong deposits, a block buffer that is
+        not m whole blocks in one ``bytes``, an advertised root other than
+        the buffer's, or a failed agreement all end in a = 0 and no deposit,
+        which later triggers the T2 refund path. Both agreements run whatever
+        the checks say, so the ledger trace does not tell which one failed.
         """
         contract = handoff.contract
         params = contract.params
         self.contract = contract
         self.opening_qp = handoff.opening_qp
 
-        qp = cp = None
         # the openings are the client's choice, as the session ids below are
-        if isinstance(handoff.opening_qp, Opening) and isinstance(handoff.opening_cp, Opening):
-            try:
-                qp = QpStatement.from_bytes(handoff.opening_qp.statement)
-                cp = CpStatement.from_bytes(handoff.opening_cp.statement)
-            except ValueError:
-                qp = cp = None
-
-        checks_ok = qp is not None
-        if checks_ok:
-            checks_ok = (
-                params.z == cp.z
-                and contract.client_deposited >= params.client_deposit_required
-                and params.client_deposit_required == cp.client_deposit
-                and params.server_deposit_required == cp.server_deposit
-                and PricePair(cp.o, cp.l) in self.price_list
-                and cp.o_max == self.price_list.o_max
-                and cp.l_max == self.price_list.l_max
-                and contract.counters == Counters()
-                # exactly m whole blocks of the agreed length in one bytes
-                # buffer, so the tree rebuild below cannot raise
-                and isinstance(handoff.blocks, bytes)
-                and len(handoff.blocks) == qp.pp.m * qp.block_len
-            )
+        qp = _read(handoff.opening_qp, QpStatement)
+        cp = _read(handoff.opening_cp, CpStatement)
+        checks_ok = (
+            qp is not None
+            and cp is not None
+            and params.z == cp.z
+            and contract.client_deposited >= params.client_deposit_required
+            and params.client_deposit_required == cp.client_deposit
+            and params.server_deposit_required == cp.server_deposit
+            and PricePair(cp.o, cp.l) in self.price_list
+            and cp.o_max == self.price_list.o_max
+            and cp.l_max == self.price_list.l_max
+            and contract.counters == Counters()
+            # exactly m whole blocks of the agreed length in one bytes
+            # buffer, so the tree rebuild below cannot raise
+            and isinstance(handoff.blocks, bytes)
+            and len(handoff.blocks) == qp.pp.m * qp.block_len
+        )
 
         # a missing or foreign session id is no agreement; a list, not
         # ``and``, so both agreements run, whatever the first one's outcome
@@ -741,22 +753,6 @@ class ResolutionReport:
         }
 
 
-def _agreed_qp(
-    opening: Opening | None, contract: RcContract, ledger: Ledger
-) -> QpStatement | None:
-    """The query/proof statement an opening reveals, or None unless it
-    parses, which checks the same qp rules ``Server.init`` relies on, and
-    opens both recorded commitments."""
-    if opening is None:
-        return None
-    try:
-        qp = QpStatement.from_bytes(opening.statement)
-    except ValueError:
-        return None
-    p = contract.params
-    return qp if sap_verify(opening, p.addr_client, p.addr_server, p.sap_qp, ledger) else None
-
-
 # A complaint post is one party's dispute query, the same bytes in both
 # variants: the contract reads it off the ledger at K1/K4, and the arbiter is
 # handed it. It is the qp opening (statement, then commitment randomness),
@@ -806,11 +802,15 @@ def _filter(items: list, cycle, admissible) -> tuple[list, list]:
 
 
 def _query_key(contract: RcContract, j: int, qp: QpStatement) -> bytes | None:
-    """The phase-5 query checks on the posted ciphertext: the challenge
-    key, or None when the query is missing or invalid."""
+    """The one reader of a posted query, for the client, the server and the
+    re-check: the challenge key, or None when none is posted for cycle ``j``
+    or it is not a 16-byte key in a unit that opens."""
+    unit = contract.queries.get(j)
+    if unit is None:
+        return None
     try:
-        k_hat = dec_unit(qp.k_bar, contract.query(j), qp.query_unit)
-    except (MissingQuery, DecryptFailure):
+        k_hat = dec_unit(qp.k_bar, unit, qp.query_unit)
+    except DecryptFailure:
         return None
     return k_hat if len(k_hat) == PSI_BITS // 8 else None
 
@@ -849,7 +849,7 @@ def _server_pass(
 ) -> None:
     """Server complaints: a bad query charges the client and lands in v."""
     cycles, opening = unpack_complaints(post, 1)
-    qp = _agreed_qp(opening, contract, ledger)
+    qp = _agreed(opening, QpStatement, contract.params.sap_qp, contract, ledger)
     if qp is None:
         rep.server_filtered.extend(cycles)
         return
@@ -872,7 +872,7 @@ def _client_pass(
     them), each settled by re-checking the one entry it names."""
     fields, opening = unpack_complaints(post, 2)
     items = list(zip(fields[0::2], fields[1::2]))
-    qp = _agreed_qp(opening, contract, ledger)
+    qp = _agreed(opening, QpStatement, contract.params.sap_qp, contract, ledger)
     if qp is None:
         rep.client_filtered.extend(items)
         return
@@ -1002,11 +1002,9 @@ def payout(
         require_time(ledger.time, "L")
         if refund_applies(contract):
             raise RefundPath("server never agreed or under-deposited")
-        if not sap_verify(
-            opening_cp, params.addr_client, params.addr_server, params.sap_cp, ledger
-        ):
+        cp = _agreed(opening_cp, CpStatement, params.sap_cp, contract, ledger)
+        if cp is None:
             raise BadOpening("coin statement opening rejected")
-        cp = CpStatement.from_bytes(opening_cp.statement)
         c = contract.counters
         paid = cp.o * (cp.z - c.server_faults)
         client_l = cp.l * (c.client_faults + c.client_unneeded_disputes)

@@ -29,8 +29,8 @@ Scenario schema::
       "seed": 7
     }
 
-The parse ignores any key the schema does not name, and the normalized
-form it builds (the report's ``spec`` block) keeps none.
+The parse refuses any key the schema does not name, at every level, with
+``SpecInvalid``: a misspelt key does not run with its default.
 """
 
 from __future__ import annotations
@@ -64,6 +64,14 @@ CODECS = IDENTITY, XOR_PARITY = ("identity", "xor-parity")
 
 class SpecInvalid(ValueError):
     """Scenario file failed validation."""
+
+
+def _known(given: dict, keys: tuple | dict, where: str) -> dict:
+    """``given``; SpecInvalid for a key not in ``keys``, AttributeError if not a dict."""
+    for key in given.keys():
+        if key not in keys:
+            raise SpecInvalid(f"unknown key {key!r} in {where}")
+    return given
 
 
 def json_int(value: object, name: str) -> int:
@@ -102,6 +110,7 @@ class ScenarioSpec:
 
     @classmethod
     def _parse(cls, raw: dict) -> "ScenarioSpec":
+        _known(raw, ("session", "file", "behaviors", "seed"), "the scenario")
         given = raw["session"]
         pi_max = given.get("pi_max")
         session = {
@@ -119,6 +128,7 @@ class ScenarioSpec:
             "variant": given.get("variant", ARBITER),
             "codec": given.get("codec", IDENTITY),
         }
+        _known(given, session, "session")
         if session["variant"] not in VARIANTS:
             raise SpecInvalid(f"unknown variant {session['variant']!r}")
         if session["codec"] not in CODECS:
@@ -133,7 +143,7 @@ class ScenarioSpec:
             parity=session["codec"] == XOR_PARITY,
         )
 
-        source = raw["file"]
+        source = _known(raw["file"], ("size", "path"), "file")
         size, path = source.get("size"), source.get("path")
         if (size is None) == (path is None):
             raise SpecInvalid("file source must give exactly one of size or path")
@@ -142,7 +152,7 @@ class ScenarioSpec:
         if size is not None and json_int(size, "file size") < 1:
             raise SpecInvalid("file size must be positive")
 
-        behaviors = raw.get("behaviors", {})
+        behaviors = _known(raw.get("behaviors", {}), ("client", "server"), "behaviors")
         client_items, client = cls._parse_behaviors(
             behaviors.get("client", []), CLIENT_KINDS, config.z, "client"
         )
@@ -166,8 +176,8 @@ class ScenarioSpec:
         most one per-cycle kind per cycle."""
         out: list[dict] = []
         used: set[object] = set()
-        for item in items:
-            kind = item["kind"]
+        for n, item in enumerate(items, 1):
+            kind = _known(item, ("kind", "j"), f"{role} behavior {n}")["kind"]
             if kind not in kinds:
                 raise SpecInvalid(f"unknown {role} behavior {kind!r}")
             j = item.get("j")

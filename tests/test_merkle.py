@@ -161,7 +161,7 @@ class TestLayout:
 
     @pytest.mark.parametrize("m", [1, 5, 715])
     def test_bytearray_buffer_gives_same_root(self, m):
-        # the client hashes a bytearray for its ill_formed_metadata root
+        # a buffer that is bytes-like but not bytes hashes to the same root
         buffer = random.Random(m).randbytes(m * self.WIDTH)
         assert (merkle.gen_tree(bytearray(buffer), self.WIDTH)[1]
                 == merkle.gen_tree(buffer, self.WIDTH)[1])

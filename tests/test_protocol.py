@@ -284,6 +284,19 @@ class TestClientInit:
         assert params.addr_arbiter == addr_r
         assert params.arbiterless == (variant == ARBITERLESS) == (addr_r is None)
 
+    def test_ill_formed_metadata_flips_the_honest_root(self, monkeypatch):
+        # the bogus root is an edit of the file's own root, so set-up builds
+        # one tree, the file's
+        calls = []
+        gen_tree = merkle.gen_tree
+        monkeypatch.setattr(merkle, "gen_tree", lambda *a: calls.append(a) or gen_tree(*a))
+        _, client, _, handoff, _, _ = build_session(
+            make_config(), client_script=frozenset({("ill_formed_metadata", None)})
+        )
+        assert len(calls) == 1
+        _, root = gen_tree(handoff.blocks, 16 + por.INDEX_LEN)
+        assert client.qp.pp.sigma == bytes(b ^ 0xFF for b in root)
+
 
 class TestServerInit:
     def test_honest_inputs_accepted(self):
@@ -691,6 +704,19 @@ class TestHonestRuns:
         assert all(type(b) is int for b in run.b.values())
         assert run.server.complaints == [2, 3]
 
+    def test_invalid_query_fails_the_cycle_unopened(self, monkeypatch):
+        # the client reads its own query as the server does, and a key that
+        # is not 16 bytes fails the cycle at entry 1 with no proof opened
+        calls = []
+        decode = protocol.decode_proof_vector
+        monkeypatch.setattr(protocol, "decode_proof_vector",
+                            lambda *a: calls.append(a) or decode(*a))
+        run = HonestRun(make_config(z=2), client_script=frozenset({("invalid_query", 1)}))
+        assert run.b == {1: 0, 2: 1}
+        assert run.verdicts[1] == por.Verdict(1)
+        assert run.client.complaints == [(1, 1)]
+        assert len(calls) == 1  # cycle 2's proof alone
+
     @pytest.mark.parametrize("script", [
         frozenset({("invalid_query", 1)}),
         frozenset({("withhold_query", 1)}),
@@ -813,7 +839,8 @@ class TestOneShapePerSession:
         # derives its geometry once
         run = HonestRun(make_config(z=2), variant=variant)
         client_qp, server_qp = run.client.qp, run.server.qp
-        agreed = protocol._agreed_qp(run.client.opening_qp, run.contract, run.ledger)
+        agreed = protocol._agreed(run.client.opening_qp, QpStatement,
+                                  run.contract.params.sap_qp, run.contract, run.ledger)
         assert agreed == QpStatement.from_bytes(run.client.opening_qp.statement)
         assert client_qp == server_qp == agreed
         for name in ("lens", "query_unit", "entry_unit"):

@@ -38,12 +38,10 @@ class TestSpecParsing:
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
     def test_to_dict_is_the_normalized_file(self):
-        # defaults filled in, behaviours in file order, a key the schema does
-        # not name dropped
+        # defaults filled in, behaviours in file order
         raw = base_raw(
             behaviors={"server": [{"kind": "withhold_proof", "j": 3},
                                   {"kind": "corrupt_block", "j": 1}]},
-            suppress_dummy_complaints=True,
         )
         for key in ("block_payload_len", "variant", "codec"):
             del raw["session"][key]
@@ -166,6 +164,25 @@ class TestSpecParsing:
             target = target[name]
         target[key] = value
         with pytest.raises(SpecInvalid, match="must be an integer"):
+            ScenarioSpec.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "path, key, where",
+        [(("session",), "varient", "session"), ((), "sede", "the scenario"),
+         ((), "suppress_dummy_complaints", "the scenario"),
+         (("behaviors", "server", 0), "jj", "server behavior 1"),
+         (("file",), "sizes", "file")],
+        ids=["varient", "sede", "suppress_dummy_complaints", "item_jj", "file_sizes"],
+    )
+    def test_unknown_key_refused(self, path, key, where):
+        # a misspelt key would otherwise run with its default: "varient"
+        # ran an arbiter session, "sede" the file's seed
+        raw = base_raw(behaviors={"server": [{"kind": "corrupt_block", "j": 2}]})
+        target = raw
+        for name in path:
+            target = target[name]
+        target[key] = "arbiterless" if key == "varient" else 3
+        with pytest.raises(SpecInvalid, match=f"unknown key '{key}' in {where}$"):
             ScenarioSpec.from_dict(raw)
 
     def test_phi_larger_than_m_rejected_at_run(self):
@@ -398,12 +415,12 @@ class TestReportGolden:
     ("disputed.json", "arbiterless", None): "c9d4783798cc8fa4997201a299b897dffca321f46b97463a49bc7af074de3153",
     ("disputed.json", "arbiterless", 3): "62da086d6ef2b1eaa82e464de3e8db1e5db81f2ebd4824d4c32a8719adf77281",
     ("disputed.json", "arbiterless", 11): "28f6d4022a58fadcea64c7d336fb78a040234d53d2959823a9fda213872f9186",
-    ("free_riding.json", "arbiter", None): "b3ad434086cfd1f864e6dea1b5e68fddb690271e172f6fa70654e8682fa09021",
-    ("free_riding.json", "arbiter", 3): "158c80c2ea87e638cb44a54e13223fdc2147a344d6417cb7e14cbbaab4d7c1b2",
-    ("free_riding.json", "arbiter", 11): "da3ba8baa2c5152e437bb2253035094db834cfaa8b3a5322aa88284d6585a2c0",
-    ("free_riding.json", "arbiterless", None): "ca18a97017f0d152ec444bd998eb305a607e236821753bd6ab137e335a641495",
-    ("free_riding.json", "arbiterless", 3): "a539824f7aa713ad92441d00e8f9726df3180b7a5c6faacac1e259f5bd4e14bc",
-    ("free_riding.json", "arbiterless", 11): "e3a80d32547366b76845bcea04c6611ef7b2de58a5c4d922ecabbad5927911d7",
+    ("free_riding.json", "arbiter", None): "a4850a9843b486f5e1495da5f2962fb24615ec391ceeaf6afc018b9a6a456ada",
+    ("free_riding.json", "arbiter", 3): "55cdf7f6a9c186337dbb549937603c1fdc131f791cf9d2dd545813581cec248b",
+    ("free_riding.json", "arbiter", 11): "612bfbf805342b641548855b8d4db3f05a14b7d31086162142e01edd6b426cc6",
+    ("free_riding.json", "arbiterless", None): "89668e2fb72be69c3237b3cf8fbf2f2e27e2d25b17d8dd1ebd76fae292db1c60",
+    ("free_riding.json", "arbiterless", 3): "18207dbe1572def86d947dfba926beb074598046668f2655a65482d9660645bd",
+    ("free_riding.json", "arbiterless", 11): "9c6c2f971e384cd426c5b10584204ee00e4ad068bb25c2433c9faf820526932d",
     ("honest.json", "arbiter", None): "951df5a994760d25d99c0133812de0a2b0676b23b48fecc0c20dce21e7128ad9",
     ("honest.json", "arbiter", 3): "a0d54eaba1443edcd1712a79800d85fd29bd76b27399d690a78ffd613da1dead",
     ("honest.json", "arbiter", 11): "7ba7688fe3d14faef6a743380e851d535ebd2ac5cd811c83346eddd7e7d9aed8",
@@ -705,6 +722,14 @@ class TestCli:
         spec_path = self.write_spec(tmp_path, raw)
         assert cli.main(["run", str(spec_path)]) == 2
         assert "must be an integer" in capsys.readouterr().err
+
+    def test_unknown_key_exits_two(self, tmp_path, capsys):
+        raw = base_raw()
+        raw["session"]["varient"] = raw["session"].pop("variant")
+        spec_path = self.write_spec(tmp_path, raw)
+        assert cli.main(["run", str(spec_path), "--report", str(tmp_path / "r.json")]) == 2
+        assert "unknown key 'varient' in session" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_invalid_spec_exits_two(self, tmp_path, capsys):
         raw = base_raw(behaviors={"client": [{"kind": "nonsense"}]})
