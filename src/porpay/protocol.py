@@ -25,7 +25,8 @@ resolves disputes, keeps only the two fault counters, and folds dispute
 compensation into the payout formulas. A party's dispute query is the same
 complaint post in both: its qp opening, then fixed-width complaint items.
 The arbiter is handed it, the contract reads it off the ledger, and both
-read it with one parse.
+read it with one parse. Both resolve it with one core, whose passes rule
+on each item; only ``charges``, the payment rule, reads the variant.
 
 Each role takes a script of the misbehaviours the dispute machinery exists
 to punish, drawn from ``CLIENT_KINDS`` and ``SERVER_KINDS``; the empty
@@ -38,6 +39,7 @@ import functools
 import random
 import struct
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from . import merkle, por
 from .crypto import (
@@ -720,35 +722,69 @@ Y_SERVER = "server_faults"
 Y_CLIENT_UNNEEDED = "client_unneeded_disputes"
 Y_SERVER_UNNEEDED = "server_unneeded_disputes"
 
+# the ruling on each complaint item a pass reads
+FILTERED, BAD_QUERY, BAD_PROOF, NOBODY = "filtered", "bad_query", "bad_proof", "nobody"
+Ruling = tuple[int, int | None, str]  # (j, g or None for a server item, outcome)
+
+
+def charges(rulings: list[Ruling], arbiterless: bool) -> list[tuple[int, str]]:
+    """The payment rule, and the one place the variants differ: each
+    ruling's charge as (j, counter), in order. A bad query charges the
+    client a fault. A bad proof charges the server one, except on a cycle
+    whose valid query the server already paid for as an unneeded dispute:
+    its dummy proof is not charged again. Nobody at fault charges its
+    poster an unneeded dispute, and only with an arbiter."""
+    out: list[tuple[int, str]] = []
+    for j, g, outcome in rulings:
+        if outcome == BAD_QUERY:
+            out.append((j, Y_CLIENT))
+        elif outcome == BAD_PROOF and (j, Y_SERVER_UNNEEDED) not in out:
+            out.append((j, Y_SERVER))
+        elif outcome == NOBODY and not arbiterless:
+            out.append((j, Y_SERVER_UNNEEDED if g is None else Y_CLIENT_UNNEEDED))
+    return out
+
 
 @dataclass
 class ResolutionReport:
-    """What resolution admitted, filtered and charged. ``increments`` tallies
-    every charge; ``attribution`` names, per cycle, the counter charged
-    last. Each pass charges a cycle at most once, so a cycle can be charged
-    twice: with an arbiter, a server complaint about a valid query and a
-    client complaint that identifies nobody charge both parties, and
+    """Resolution's ruling on each complaint item it read, in posted order,
+    under its variant. The rest is read off the rulings: ``v``, the cycles
+    whose query a server complaint showed bad; ``increments``, the sum of
+    the ``charges``; ``attribution``, the counter charged last per cycle.
+    With an arbiter a cycle can be charged twice, by a server complaint
+    about a valid query and a client complaint that identifies nobody, and
     ``attribution`` keeps only the client's charge."""
 
-    server_admitted: list[int] = field(default_factory=list)
-    server_filtered: list[int] = field(default_factory=list)
-    client_admitted: list[tuple[int, int]] = field(default_factory=list)
-    client_filtered: list[tuple[int, int]] = field(default_factory=list)
-    v: list[int] = field(default_factory=list)
-    increments: Counters = Counters()
-    attribution: dict[int, str] = field(default_factory=dict)
+    arbiterless: bool
+    rulings: list[Ruling] = field(default_factory=list)
 
-    def charge(self, j: int, counter: str) -> None:
-        self.increments += Counters(**{counter: 1})
-        self.attribution[j] = counter
+    @property
+    def v(self) -> list[int]:
+        return [j for j, g, outcome in self.rulings if g is None and outcome == BAD_QUERY]
+
+    @property
+    def increments(self) -> Counters:
+        ones = [Counters(**{c: 1}) for _, c in charges(self.rulings, self.arbiterless)]
+        return sum(ones, Counters())
+
+    @property
+    def attribution(self) -> dict[int, str]:
+        return dict(charges(self.rulings, self.arbiterless))
 
     def as_dict(self) -> dict:
+        def items(server: bool, admitted: bool) -> list:
+            return [
+                j if server else [j, g]
+                for j, g, outcome in self.rulings
+                if (g is None) == server and (outcome != FILTERED) == admitted
+            ]
+
         return {
-            "server_admitted": list(self.server_admitted),
-            "server_filtered": list(self.server_filtered),
-            "client_admitted": [list(c) for c in self.client_admitted],
-            "client_filtered": [list(c) for c in self.client_filtered],
-            "v": list(self.v),
+            "server_admitted": items(True, True),
+            "server_filtered": items(True, False),
+            "client_admitted": items(False, True),
+            "client_filtered": items(False, False),
+            "v": self.v,
             "attribution": {str(j): c for j, c in sorted(self.attribution.items())},
         }
 
@@ -785,20 +821,17 @@ def unpack_complaints(post: bytes, width: int) -> tuple[list[int], Opening | Non
     return fields, Opening(post[:_QP_LEN], post[_QP_LEN:_HEAD_LEN])
 
 
-def _filter(items: list, cycle, admissible) -> tuple[list, list]:
-    """Split read complaint items into those kept, the first admissible item
-    for each ``cycle(item)``, and those dropped, each list in posted order."""
-    kept: list = []
-    dropped: list = []
+def _rule(items, admissible, judge) -> Iterator[Ruling]:
+    """One ruling per complaint item (j, g), in posted order: ``judge``'s
+    outcome for the first admissible item of each cycle j, FILTERED for
+    every other."""
     seen: set[int] = set()
-    for item in items:
-        j = cycle(item)
-        if admissible(item) and j not in seen:
+    for j, g in items:
+        if admissible(j, g) and j not in seen:
             seen.add(j)
-            kept.append(item)
+            yield j, g, judge(j, g)
         else:
-            dropped.append(item)
-    return kept, dropped
+            yield j, g, FILTERED
 
 
 def _query_key(contract: RcContract, j: int, qp: QpStatement) -> bytes | None:
@@ -817,93 +850,62 @@ def _query_key(contract: RcContract, j: int, qp: QpStatement) -> bytes | None:
 
 def _judge_client_complaint(
     contract: RcContract, j: int, g: int, qp: QpStatement
-) -> str | None:
-    """Identify the misbehaving party for complaint [j, g].
-
-    Returns Y_CLIENT (bad query), Y_SERVER (bad proof: missing, mis-shaped,
-    or entry g fails), or None when the single re-checked proof verifies,
-    i.e. the complaint identified nobody.
+) -> str:
+    """Rule on complaint [j, g]: BAD_QUERY, BAD_PROOF (missing, mis-shaped,
+    or entry g fails), or NOBODY when the single re-checked entry verifies.
     """
     k_hat = _query_key(contract, j, qp)
     if k_hat is None:
-        return Y_CLIENT
+        return BAD_QUERY
     q_g = (int.from_bytes(prf(k_hat, g), "big") % qp.pp.m) + 1
-    payload = contract.proofs.get(j)
-    if payload is None:
-        return Y_SERVER
     try:
-        entry = open_entry(payload, g, qp)
+        # a missing proof is read as an empty, so mis-shaped, vector
+        entry = open_entry(contract.proofs.get(j, b""), g, qp)
     except DecryptFailure:
-        return Y_SERVER
+        return BAD_PROOF
     verdict = por.verify((entry,), [q_g], qp.pp)
-    return None if verdict.accepted else Y_SERVER
-
-
-# The two passes serve both variants. The only difference: an unneeded
-# invocation (a server complaint about a valid query, or a client complaint
-# that identifies nobody) is tallied only when an arbiter charges for it.
+    return NOBODY if verdict.accepted else BAD_PROOF
 
 
 def _server_pass(
-    rep: ResolutionReport, post: bytes, ledger: Ledger, contract: RcContract
+    rep: ResolutionReport, post: bytes | None, ledger: Ledger, contract: RcContract
 ) -> None:
-    """Server complaints: a bad query charges the client and lands in v."""
+    """Server complaints: a cycle whose posted query ``_query_key`` refuses
+    is a bad query, and lands in v; any other, nobody's fault."""
     cycles, opening = unpack_complaints(post, 1)
     qp = _agreed(opening, QpStatement, contract.params.sap_qp, contract, ledger)
-    if qp is None:
-        rep.server_filtered.extend(cycles)
-        return
     z = contract.params.z
-    kept, dropped = _filter(cycles, lambda i: i, lambda i: 1 <= i <= z)
-    rep.server_admitted.extend(kept)
-    rep.server_filtered.extend(dropped)
-    for i in kept:
-        if _query_key(contract, i, qp) is None:
-            rep.charge(i, Y_CLIENT)
-            rep.v.append(i)
-        elif not contract.params.arbiterless:
-            rep.charge(i, Y_SERVER_UNNEEDED)
+    rep.rulings += _rule(
+        [(j, None) for j in cycles],
+        lambda j, g: qp is not None and 1 <= j <= z,
+        lambda j, g: BAD_QUERY if _query_key(contract, j, qp) is None else NOBODY,
+    )
 
 
 def _client_pass(
-    rep: ResolutionReport, post: bytes, ledger: Ledger, contract: RcContract
+    rep: ResolutionReport, post: bytes | None, ledger: Ledger, contract: RcContract
 ) -> None:
     """Client complaints, minus those the filters drop (cycles in v among
-    them), each settled by re-checking the one entry it names."""
+    them), each ruled on by re-checking the one entry it names."""
     fields, opening = unpack_complaints(post, 2)
-    items = list(zip(fields[0::2], fields[1::2]))
     qp = _agreed(opening, QpStatement, contract.params.sap_qp, contract, ledger)
-    if qp is None:
-        rep.client_filtered.extend(items)
-        return
-    z, phi, v = contract.params.z, qp.pp.phi, set(rep.v)
-    kept, dropped = _filter(
-        items,
-        lambda c: c[0],
-        lambda c: 1 <= c[0] <= z and 1 <= c[1] <= phi and c[0] not in v,
+    z, v = contract.params.z, set(rep.v)
+    rep.rulings += _rule(
+        zip(fields[0::2], fields[1::2]),
+        lambda j, g: qp is not None and 1 <= j <= z and 1 <= g <= qp.pp.phi and j not in v,
+        lambda j, g: _judge_client_complaint(contract, j, g, qp),
     )
-    rep.client_admitted.extend(kept)
-    rep.client_filtered.extend(dropped)
-    for j, g in kept:
-        party = _judge_client_complaint(contract, j, g, qp)
-        if party is None:
-            if not contract.params.arbiterless:
-                rep.charge(j, Y_CLIENT_UNNEEDED)
-        elif party == Y_CLIENT or rep.attribution.get(j) != Y_SERVER_UNNEEDED:
-            # a server that complained about this cycle's valid query has
-            # already paid for it; its dummy proof is not charged again
-            rep.charge(j, party)
 
 
 class Arbiter:
     """Third-party resolver: is handed each party's complaint post
-    off-ledger at K1/K4, re-checks it at K2/K5, and posts the counter update
-    at K6. Each pass runs once: a second run would charge the same
-    complaints again."""
+    off-ledger at K1/K4, rules on it at K2/K5, and posts the charges of its
+    rulings, unneeded disputes among them, at K6. Each pass runs once: a
+    second run would rule on the same complaints again."""
 
     def __init__(self, addr: Address):
         self.addr = addr
-        self.report = ResolutionReport()
+        self.report = ResolutionReport(arbiterless=False)
         self._passes_run: set[str] = set()
 
     def _run_once(self, name: str) -> None:
@@ -943,20 +945,17 @@ def contract_resolve(ledger: Ledger, contract: RcContract) -> ResolutionReport:
     """Contract-run dispute resolution for the arbiter-free variant.
 
     Runs the two passes over the complaint payloads posted at K1/K4 and adds
-    the resulting fault counts to the contract in one step. The contract
-    resolves once: a second call raises DuplicateSlot.
+    the charges of their rulings, faults only, to the contract in one step.
+    The contract resolves once: a second call raises DuplicateSlot.
     """
     if not contract.params.arbiterless:
         raise ValueError("contract_resolve only runs in the arbiter-free variant")
     require_time(ledger.time, "K5")
-    rep = ResolutionReport()
-    for kind, resolve_pass in (
-        (MsgKind.SERVER_COMPLAINTS, _server_pass),
-        (MsgKind.CLIENT_COMPLAINTS, _client_pass),
-    ):
-        post = contract.complaint_posts.get(kind.value)
-        if post is not None:
-            resolve_pass(rep, post, ledger, contract)
+    rep = ResolutionReport(arbiterless=True)
+    # a party that posted nothing is read as a post that is not bytes: no items
+    posts = contract.complaint_posts
+    _server_pass(rep, posts.get(MsgKind.SERVER_COMPLAINTS.value), ledger, contract)
+    _client_pass(rep, posts.get(MsgKind.CLIENT_COMPLAINTS.value), ledger, contract)
     # without an arbiter at most one counter moves per cycle, so the sum
     # stays within bounds
     contract.add_counters(rep.increments)

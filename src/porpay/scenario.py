@@ -57,7 +57,8 @@ from .protocol import (
 
 
 # the dispute variants a file names; ``run`` gives only ARBITER an arbiter
-VARIANTS = ARBITER, ARBITERLESS = ("arbiter", "arbiterless")
+ARBITER = "arbiter"
+VARIANTS = (ARBITER, "arbiterless")
 # the file pre-encodings a file names; only XOR_PARITY sets the session's parity
 CODECS = IDENTITY, XOR_PARITY = ("identity", "xor-parity")
 

@@ -267,31 +267,57 @@ class TestHonestPartyCatalogue:
         if "false_query_complaint" in mix
     )
 
-    def failures(self, variant: str) -> set:
+    def session(self, variant: str, client_mix: tuple, server_mix: tuple) -> dict:
+        raw = base_raw(
+            behaviors={
+                role: [{"kind": k, "j": j} for j, k in enumerate(mix, 1) if k]
+                for role, mix in (("client", client_mix), ("server", server_mix))
+            }
+        )
+        raw["session"].update(z=self.Z, phi=4, variant=variant)
+        raw["file"] = {"size": 64 * PAYLOAD}
+        return run(ScenarioSpec.from_dict(raw))
+
+    @pytest.fixture(scope="class")
+    def catalogue(self):
+        """``reports(variant, suppress)``: the report of every (client mix,
+        server mix), run once per argument pair for all the class's tests."""
+        runs = {}
+
+        def reports(variant: str, suppress: bool = False) -> dict:
+            if (variant, suppress) not in runs:
+                with pytest.MonkeyPatch.context() as patch:
+                    if suppress:
+                        patch.setattr(
+                            protocol.Client,
+                            "verify_cycle",
+                            self.keeping_back_own_fault(protocol.Client.verify_cycle),
+                        )
+                    runs[variant, suppress] = {
+                        (client_mix, server_mix): self.session(variant, client_mix, server_mix)
+                        for client_mix in itertools.product(self.CLIENT_KINDS, repeat=self.Z)
+                        for server_mix in itertools.product(self.SERVER_KINDS, repeat=self.Z)
+                    }
+            return runs[variant, suppress]
+
+        return reports
+
+    def failures(self, variant: str, reports: dict) -> set:
         arbiterless = variant == "arbiterless"
         honest = (None,) * self.Z
         failing = set()
-        for client_mix in itertools.product(self.CLIENT_KINDS, repeat=self.Z):
-            for server_mix in itertools.product(self.SERVER_KINDS, repeat=self.Z):
-                raw = base_raw(
-                    behaviors={
-                        role: [{"kind": k, "j": j} for j, k in enumerate(mix, 1) if k]
-                        for role, mix in (("client", client_mix), ("server", server_mix))
-                    }
-                )
-                raw["session"].update(z=self.Z, phi=4, variant=variant)
-                raw["file"] = {"size": 64 * PAYLOAD}
-                delta = run(ScenarioSpec.from_dict(raw))["balances"]["delta"]
-                server_failed = sum(k in self.SERVER_FAILS for k in server_mix)
-                client_failed = sum(k in self.CLIENT_FAILS for k in client_mix)
-                fee = self.L if arbiterless else 0
-                want = {}
-                if client_mix == honest:
-                    want["client"] = -self.O * (self.Z - server_failed) + fee * server_failed
-                if server_mix == honest:
-                    want["server"] = self.O * self.Z + fee * client_failed
-                if any(delta[name] != amount for name, amount in want.items()):
-                    failing.add((client_mix, server_mix))
+        for (client_mix, server_mix), report in reports.items():
+            delta = report["balances"]["delta"]
+            server_failed = sum(k in self.SERVER_FAILS for k in server_mix)
+            client_failed = sum(k in self.CLIENT_FAILS for k in client_mix)
+            fee = self.L if arbiterless else 0
+            want = {}
+            if client_mix == honest:
+                want["client"] = -self.O * (self.Z - server_failed) + fee * server_failed
+            if server_mix == honest:
+                want["server"] = self.O * self.Z + fee * client_failed
+            if any(delta[name] != amount for name, amount in want.items()):
+                failing.add((client_mix, server_mix))
         return failing
 
     def test_every_kind_is_judged(self):
@@ -320,21 +346,52 @@ class TestHonestPartyCatalogue:
 
     @pytest.mark.parametrize("suppress", [False, True], ids=["complain", "suppress"])
     @pytest.mark.parametrize("variant", ["arbiter", "arbiterless"])
-    def test_honest_party_is_never_worse_off(self, variant, suppress, monkeypatch):
+    def test_honest_party_is_never_worse_off(self, variant, suppress, catalogue):
         # the complaint kept back is one resolution filters, the server's
         # complaint having put that cycle in v, so it moves no coin either way
-        if suppress:
-            monkeypatch.setattr(
-                protocol.Client,
-                "verify_cycle",
-                self.keeping_back_own_fault(protocol.Client.verify_cycle),
-            )
         known = self.ARBITER_KNOWN_FAILURES if variant == "arbiter" else frozenset()
-        assert self.failures(variant) == known
+        assert self.failures(variant, catalogue(variant, suppress)) == known
         _pass(
             f"honest-party catalogue ({variant}, suppress={suppress}): "
             f"{len(self.CLIENT_KINDS) ** self.Z * len(self.SERVER_KINDS) ** self.Z} "
             f"mixes, {len(known)} known failures and no other"
+        )
+
+    def test_variants_differ_only_in_the_charge_rule(self, catalogue):
+        # resolution reads the variant only in its payment rule, so both
+        # variants rule alike on every mix and charge the client alike. The
+        # server's charges differ only where the server complained about a
+        # query the client neither spoiled nor withheld: with an arbiter it
+        # pays one unneeded dispute and its dummy proof goes uncharged,
+        # without one the dummy proof is its fault (ROADMAP item 1)
+        arbiter, arbiterless = catalogue("arbiter"), catalogue("arbiterless")
+
+        def ruled(report):
+            block = report["disputes"]["resolution"]
+            return block and {key: block[key] for key in block if key != "attribution"}
+
+        server_differs = set()
+        for mix, report in arbiter.items():
+            other = arbiterless[mix]
+            assert ruled(report) == ruled(other), mix
+            counters, other_counters = report["counters"], other["counters"]
+            assert counters["client_faults"] == other_counters["client_faults"], mix
+            if counters["server_faults"] != other_counters["server_faults"]:
+                server_differs.add(mix)
+        needless = {
+            (client_mix, server_mix)
+            for client_mix, server_mix in arbiter
+            if any(
+                s == "false_query_complaint" and c not in self.CLIENT_FAILS
+                for c, s in zip(client_mix, server_mix)
+            )
+        }
+        assert len(needless) == 60
+        assert server_differs == needless
+        _pass(
+            f"honest-party catalogue across variants: {len(arbiter)} mixes rule "
+            f"alike; server faults differ in the {len(needless)} with a needless "
+            "server complaint and no other"
         )
 
 

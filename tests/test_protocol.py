@@ -23,7 +23,9 @@ from porpay.protocol import (
     SessionConfig,
 )
 from porpay.sap import sap_verify
-from porpay.scenario import ARBITER, ARBITERLESS
+from porpay.scenario import VARIANTS
+
+ARBITER, ARBITERLESS = VARIANTS
 
 PRICES = PriceList((PricePair(5, 2), PricePair(3, 1)))
 # phase 8 under each variant's name, one function that reads the variant off
@@ -540,9 +542,10 @@ class TestServerInit:
                 ledger.post(contract, protocol.LedgerMessage(addr, kind, post))
             goto(ledger, contract, "K5")
             report = protocol.contract_resolve(ledger, contract)
-        assert report.server_admitted == report.client_admitted == []
-        assert report.server_filtered == server_items
-        assert report.client_filtered == client_items
+        listed = report.as_dict()
+        assert listed["server_admitted"] == listed["client_admitted"] == []
+        assert listed["server_filtered"] == server_items
+        assert listed["client_filtered"] == [list(c) for c in client_items]
         assert contract.counters == Counters()
         assert ledger.balances() == refunded
         assert ledger.total_supply() == genesis_supply
@@ -1070,15 +1073,22 @@ class TestCompiledEntryLayout:
 
 class TestResolutionFilters:
     @staticmethod
-    def server(items, z=3):
-        return protocol._filter(items, lambda i: i, lambda i: 1 <= i <= z)
+    def split(items, admissible):
+        """The items ``protocol._rule`` admits and those it filters; each
+        admitted item is judged nobody's fault."""
+        rulings = [*protocol._rule(items, admissible, lambda j, g: protocol.NOBODY)]
+        assert [(j, g) for j, g, _ in rulings] == list(items)
+        kept = [(j, g) for j, g, o in rulings if o == protocol.NOBODY]
+        dropped = [(j, g) for j, g, o in rulings if o == protocol.FILTERED]
+        return kept, dropped
 
-    @staticmethod
-    def client(items, z=3, phi=4, v=()):
-        return protocol._filter(
-            items,
-            lambda c: c[0],
-            lambda c: 1 <= c[0] <= z and 1 <= c[1] <= phi and c[0] not in v,
+    def server(self, cycles, z=3):
+        kept, dropped = self.split([(j, None) for j in cycles], lambda j, g: 1 <= j <= z)
+        return [j for j, _ in kept], [j for j, _ in dropped]
+
+    def client(self, items, z=3, phi=4, v=()):
+        return self.split(
+            items, lambda j, g: 1 <= j <= z and 1 <= g <= phi and j not in v
         )
 
     def test_duplicate_server_complaints_collapse(self):
@@ -1105,6 +1115,56 @@ class TestResolutionFilters:
         kept, dropped = self.client([(1, 5)])
         assert kept == []
         assert dropped == [(1, 5)]
+
+
+FILTERED, BAD_QUERY, BAD_PROOF, NOBODY = (
+    protocol.FILTERED, protocol.BAD_QUERY, protocol.BAD_PROOF, protocol.NOBODY
+)
+
+# rulings, then their charges with an arbiter and without one; g is None on
+# a server item and 1 on a client item
+CHARGE_TABLE = {
+    "server-filtered": ([(1, None, FILTERED)], [], []),
+    "server-bad-query": ([(1, None, BAD_QUERY)],
+                         [(1, "client_faults")], [(1, "client_faults")]),
+    "server-bad-proof": ([(1, None, BAD_PROOF)],
+                         [(1, "server_faults")], [(1, "server_faults")]),
+    "server-nobody": ([(1, None, NOBODY)], [(1, "server_unneeded_disputes")], []),
+    "client-filtered": ([(1, 1, FILTERED)], [], []),
+    "client-bad-query": ([(1, 1, BAD_QUERY)],
+                         [(1, "client_faults")], [(1, "client_faults")]),
+    "client-bad-proof": ([(1, 1, BAD_PROOF)],
+                         [(1, "server_faults")], [(1, "server_faults")]),
+    "client-nobody": ([(1, 1, NOBODY)], [(1, "client_unneeded_disputes")], []),
+    # a server complaint about a valid query, then the client's complaint
+    # about the dummy proof: with an arbiter the server pays only the
+    # unneeded dispute, so the honest client still pays o for the cycle.
+    # ROADMAP item 1 flips this row to a server fault with an arbiter too
+    "server-nobody-then-client-bad-proof": (
+        [(2, None, NOBODY), (2, 1, BAD_PROOF)],
+        [(2, "server_unneeded_disputes")], [(2, "server_faults")],
+    ),
+    # both parties disputed cycle 3 needlessly: with an arbiter, two charges
+    # but one attribution entry, the client's
+    "both-parties-nobody": (
+        [(3, None, NOBODY), (3, 1, NOBODY)],
+        [(3, "server_unneeded_disputes"), (3, "client_unneeded_disputes")], [],
+    ),
+}
+
+
+class TestCharges:
+    @pytest.mark.parametrize("rulings, with_arbiter, without", CHARGE_TABLE.values(),
+                             ids=CHARGE_TABLE)
+    def test_charges(self, rulings, with_arbiter, without):
+        for arbiterless, want in ((False, with_arbiter), (True, without)):
+            assert protocol.charges(rulings, arbiterless) == want
+            report = protocol.ResolutionReport(arbiterless, list(rulings))
+            assert report.increments == sum(
+                (Counters(**{counter: 1}) for _, counter in want), Counters()
+            )
+            # one counter per cycle: the one charged last
+            assert report.attribution == dict(want)
 
 
 class DisputedRun(HonestRun):
@@ -1137,7 +1197,7 @@ class TestArbiterResolution:
                           server_script=frozenset({("corrupt_block", 2)}))
         assert run.client.complaints == [(2, 4)]
         arbiter = run.resolve()
-        assert arbiter.report.client_admitted == [(2, 4)]
+        assert arbiter.report.as_dict()["client_admitted"] == [[2, 4]]
         assert run.contract.counters == Counters(server_faults=1)
 
     def test_invalid_query_complaint_lands_in_v(self):
@@ -1149,7 +1209,7 @@ class TestArbiterResolution:
         arbiter = run.resolve()
         assert arbiter.report.v == [1]
         assert run.contract.counters == Counters(client_faults=1)
-        assert (1, 1) in arbiter.report.client_filtered
+        assert [1, 1] in arbiter.report.as_dict()["client_filtered"]
 
     def test_false_query_complaint_charges_server_once(self):
         config = make_config(z=3)
@@ -1171,7 +1231,7 @@ class TestArbiterResolution:
         )
         arbiter = run.resolve()
         assert run.contract.counters == Counters(server_faults=1)
-        assert arbiter.report.client_admitted == [(2, 1)]
+        assert arbiter.report.as_dict()["client_admitted"] == [[2, 1]]
 
     def test_false_accusation_charges_unneeded_dispute(self):
         config = make_config(z=3)
@@ -1194,8 +1254,9 @@ class TestArbiterResolution:
         post = protocol.pack_complaints(bogus, [1, 1])
         arbiter.resolve_client(post, run.ledger, run.contract)
         assert run.contract.counters == Counters()
-        assert arbiter.report.client_admitted == []
-        assert arbiter.report.client_filtered == [(1, 1)]
+        listed = arbiter.report.as_dict()
+        assert listed["client_admitted"] == []
+        assert listed["client_filtered"] == [[1, 1]]
 
     def test_verdict_agreement_on_admitted_complaints(self):
         # the single re-check settles each admitted complaint the same way
@@ -1206,8 +1267,9 @@ class TestArbiterResolution:
             server_script=frozenset({("corrupt_block", 1), ("corrupt_block", 3), ("corrupt_block", 4)}),
         )
         arbiter = run.resolve()
-        assert sorted(j for j, _ in arbiter.report.client_admitted) == [1, 3, 4]
-        for j, _ in arbiter.report.client_admitted:
+        admitted = arbiter.report.as_dict()["client_admitted"]
+        assert sorted(j for j, _ in admitted) == [1, 3, 4]
+        for j, _ in admitted:
             assert not run.verdicts[j].accepted
             assert arbiter.report.attribution[j] == "server_faults"
         assert run.contract.counters == Counters(server_faults=3)
@@ -1299,21 +1361,21 @@ class TestArbiterlessResolution:
         )
         assert report.v == [1]
         assert run.contract.counters == Counters(client_faults=1)
-        assert (1, 1) in report.client_filtered
+        assert [1, 1] in report.as_dict()["client_filtered"]
 
     def test_corrupt_proof_charges_server(self):
         run, report = self.drive(
             server_script=frozenset({("corrupt_block", 2)})
         )
         assert run.contract.counters == Counters(server_faults=1)
-        assert report.client_admitted == [(2, 1)]
+        assert report.as_dict()["client_admitted"] == [[2, 1]]
 
     def test_false_accusation_changes_nothing(self):
         run, report = self.drive(
             client_script=frozenset({("false_accusation", 3)})
         )
         assert run.contract.counters == Counters()
-        assert report.client_admitted == [(3, 1)]
+        assert report.as_dict()["client_admitted"] == [[3, 1]]
 
     def test_unneeded_server_complaint_changes_nothing(self):
         run, report = self.drive(
@@ -1322,7 +1384,7 @@ class TestArbiterlessResolution:
         # valid query: no counter in this variant; the client's complaint
         # about the dummy still charges the server fault
         assert run.contract.counters == Counters(server_faults=1)
-        assert report.server_admitted == [2]
+        assert report.as_dict()["server_admitted"] == [2]
 
     def test_payout_applies_fee_transfers(self):
         run, _ = self.drive(
@@ -1475,15 +1537,17 @@ class TestHostileComplaintPosts:
         run, report, payout = self.resolve_and_pay(
             server_post=post, client_post=self.client_complains
         )
-        assert report.server_admitted == report.server_filtered == []
-        assert report.client_admitted == [(2, 1)]
+        listed = report.as_dict()
+        assert listed["server_admitted"] == listed["server_filtered"] == []
+        assert listed["client_admitted"] == [[2, 1]]
         assert run.contract.counters == Counters(server_faults=1)
         # z=3, o=5, l=2: client 21-10+2, server 6+10-2
         assert payout == {"client": 13, "server": 14}
 
     def test_unparseable_client_post_is_filtered(self):
         run, report, payout = self.resolve_and_pay(client_post=lambda run: b"not json")
-        assert report.client_admitted == report.client_filtered == []
+        listed = report.as_dict()
+        assert listed["client_admitted"] == listed["client_filtered"] == []
         assert run.contract.counters == Counters()
         # the unproven cycle is paid like the others: client 21-15, server 6+15
         assert payout == {"client": 6, "server": 21}
@@ -1498,7 +1562,8 @@ class TestHostileComplaintPosts:
         run, report, payout = self.resolve_and_pay(
             client_post=lambda run: cut(run.client.complaint_post())
         )
-        assert report.client_admitted == report.client_filtered == []
+        listed = report.as_dict()
+        assert listed["client_admitted"] == listed["client_filtered"] == []
         assert run.contract.counters == Counters()
         assert payout == {"client": 6, "server": 21}
 
@@ -1516,10 +1581,11 @@ class TestHostileComplaintPosts:
                 run.client.opening_qp, [n for c in client_items for n in c]
             ),
         )
-        assert report.server_admitted == [1]
-        assert report.server_filtered == [0, 4, top, 1]
-        assert report.client_admitted == [(2, 1)]
-        assert report.client_filtered == client_items[:-2] + [(2, 1)]
+        listed = report.as_dict()
+        assert listed["server_admitted"] == [1]
+        assert listed["server_filtered"] == [0, 4, top, 1]
+        assert listed["client_admitted"] == [[2, 1]]
+        assert listed["client_filtered"] == [list(c) for c in client_items[:-2] + [(2, 1)]]
         assert run.contract.counters == Counters(server_faults=1)
         assert payout == {"client": 13, "server": 14}
 
@@ -1542,7 +1608,8 @@ class TestHostileComplaintPosts:
         goto(ledger, contract, "K6")
         arbiter.post_counters(ledger, contract)
         report = arbiter.report
-        assert report.server_admitted == report.client_admitted == []
+        listed = report.as_dict()
+        assert listed["server_admitted"] == listed["client_admitted"] == []
         assert report.increments == Counters() == contract.counters
 
     @pytest.mark.parametrize("width, fields", [
@@ -1632,10 +1699,10 @@ class TestHostileComplaintPosts:
             goto(ledger, contract, "K5")
             report = protocol.contract_resolve(ledger, contract)
 
-        listed = {
-            "server": report.server_admitted + report.server_filtered,
-            "client": report.client_admitted + report.client_filtered,
-        }
+        # every item read, admitted or filtered, as the tuples it was read as
+        listed = {"server": [], "client": []}
+        for j, g, _ in report.rulings:
+            listed["server" if g is None else "client"].append(j if g is None else (j, g))
         honest = "client" if hostile == "server" else "server"
         assert sorted(listed[honest]) == sorted(getattr(run, honest).complaints)
         assert sorted(listed[hostile]) == sorted(read)
