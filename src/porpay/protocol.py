@@ -367,19 +367,18 @@ def dummy_proof_vector(qp: QpStatement, rng: random.Random) -> bytes:
     return b"".join([sample_unit(qp.entry_unit, rng) for _ in range(qp.pp.phi)])
 
 
-def _entry_unit_len(payload: bytes, qp: QpStatement) -> int:
-    """The vector-shape rule: the entry unit length, if ``payload`` is
-    ``qp.pp.phi`` entry units; DecryptFailure otherwise."""
+def open_entry(payload: bytes, g: int, qp: QpStatement) -> merkle.MerklePath:
+    """The one reader of a posted proof vector: open its 1-based ``g``-th
+    entry, for the client's decode and the dispute re-check alike.
+
+    Raises DecryptFailure, before any unit is opened, when the vector is not
+    ``qp.pp.phi`` entry units; and when the unit fails to open, or its value
+    is not the ``qp.lens`` values back to back.
+    """
     n = qp.entry_unit.unit_len
     if len(payload) != qp.pp.phi * n:
         raise DecryptFailure("proof vector length differs from the proof format")
-    return n
-
-
-def _parse_entry(unit: bytes, qp: QpStatement) -> merkle.MerklePath:
-    """Open one entry unit; DecryptFailure when it fails to open or its value
-    is not the ``qp.lens`` values back to back."""
-    value = dec_unit(qp.k_bar, unit, qp.entry_unit)
+    value = dec_unit(qp.k_bar, payload[(g - 1) * n : g * n], qp.entry_unit)
     try:
         fields = qp.split(value)
     except struct.error as exc:
@@ -389,35 +388,19 @@ def _parse_entry(unit: bytes, qp: QpStatement) -> merkle.MerklePath:
     )
 
 
-def open_entry(payload: bytes, g: int, qp: QpStatement) -> merkle.MerklePath:
-    """Open the 1-based ``g``-th entry of a proof vector, the dispute
-    re-check's one entry.
-
-    Raises DecryptFailure, before any unit is opened, when the vector is not
-    ``qp.pp.phi`` entry units; and when the unit fails to open, or its value
-    is not the ``qp.lens`` values back to back.
-    """
-    n = _entry_unit_len(payload, qp)
-    return _parse_entry(payload[(g - 1) * n : g * n], qp)
-
-
 def decode_proof_vector(
     payload: bytes, qp: QpStatement
 ) -> tuple[por.ProofVector | None, int | None]:
-    """Open every entry, checking the vector's shape once first.
+    """Open every entry with ``open_entry``, in order.
 
     Returns (entries, None) on success or (None, g) where g is the first
-    entry that failed to open or whose value length is not the format's;
-    a mis-shaped vector fails at entry 1, with no unit opened.
+    entry ``open_entry`` refuses; a mis-shaped vector fails at entry 1, with
+    no unit opened.
     """
-    try:
-        n = _entry_unit_len(payload, qp)
-    except DecryptFailure:
-        return None, 1
     entries = []
-    for g, at in enumerate(range(0, len(payload), n), 1):
+    for g in range(1, qp.pp.phi + 1):
         try:
-            entries.append(_parse_entry(payload[at : at + n], qp))
+            entries.append(open_entry(payload, g, qp))
         except DecryptFailure:
             return None, g
     return tuple(entries), None
@@ -565,21 +548,17 @@ class Client(_Party):
     ) -> tuple[por.Verdict | None, tuple[int, int] | None]:
         """Phase 6: unpad, decrypt, verify; a rejection yields complaint [j, g],
         and so does an accepted cycle the script falsely accuses. A withheld
-        query gives (None, None); one ``_query_key`` refuses, or a missing
-        proof, fails the cycle at entry 1 with no entry opened."""
+        query gives (None, None); one ``_query_key`` refuses fails the cycle
+        at entry 1 with no entry opened. A missing proof is read as the
+        re-check reads it, as an empty vector, so it fails at entry 1 too."""
         if j not in self.contract.queries:  # withheld
             return None, None
         qp = self.qp
         k_hat = _query_key(self.contract, j, qp)
-        payload = self.contract.proofs.get(j)
-        if k_hat is None or payload is None:
-            verdict = por.Verdict(1)
-        else:
-            entries, failed_at = decode_proof_vector(payload, qp)
-            if entries is None:
-                verdict = por.Verdict(failed_at)
-            else:
-                verdict = por.verify(entries, k_hat, qp.pp)
+        entries, failed_at = None, 1
+        if k_hat is not None:
+            entries, failed_at = decode_proof_vector(self.contract.proofs.get(j, b""), qp)
+        verdict = por.Verdict(failed_at) if entries is None else por.verify(entries, k_hat, qp.pp)
 
         if not verdict.accepted:
             complaint = (j, verdict.failing_index)

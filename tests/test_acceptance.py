@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from porpay import merkle, por, protocol, scenario
-from porpay.crypto import prf
+from porpay.crypto import enc_unit
 from porpay.hashing import count_hash_calls
 from porpay.ledger import Ledger, Schedule
 from porpay.scenario import ScenarioSpec, run
@@ -530,7 +530,9 @@ class TestPorOracleEquivalence:
 
 @pytest.fixture(scope="module")
 def big_session():
-    """phi=460 over 2**20 blocks: the scaled stand-in for the 4 GB setting."""
+    """phi=460 over 2**20 blocks: the scaled stand-in for the 4 GB setting.
+    ``posted`` stands in for a contract whose cycle 1 holds the sealed
+    query and the proof vector, as the dispute re-check reads them."""
     rng = random.Random(2024)
     m = 2**20
     file = rng.randbytes(m * PAYLOAD)
@@ -540,7 +542,9 @@ def big_session():
     pi = por.prove(tree, key, pp)
     qp = protocol.QpStatement(0, b"\x5a" * 16, pp, PAYLOAD)
     wire = protocol.encode_proof_vector(pi, qp, rng)
-    return SimpleNamespace(pp=pp, key=key, qp=qp, wire=wire)
+    posted = SimpleNamespace(queries={1: enc_unit(qp.k_bar, key, qp.query_unit, rng)},
+                             proofs={1: wire})
+    return SimpleNamespace(pp=pp, key=key, qp=qp, wire=wire, posted=posted)
 
 
 class TestDisputeWorkRatio:
@@ -554,12 +558,13 @@ class TestDisputeWorkRatio:
             client_hashes = taken()
         assert verdict.accepted
 
+        # the resolvers' re-check of complaint [1, g]: the posted query and
+        # entry g opened, and that one entry verified
         g = 7
         with count_hash_calls() as taken:
-            q_g = (int.from_bytes(prf(s.key, g), "big") % s.pp.m) + 1
-            single = por.verify((entries[g - 1],), [q_g], s.pp)
+            ruling = protocol._judge_client_complaint(s.posted, 1, g, s.qp)
             arbiter_hashes = taken()
-        assert single.accepted
+        assert ruling == protocol.NOBODY
 
         bound = client_hashes * 1.05 / s.pp.phi
         assert arbiter_hashes <= bound, (
@@ -718,15 +723,14 @@ class TestScaledTiming:
         assert failed is None and verdict.accepted
         assert verify_seconds <= 2.0, f"cycle verification took {verify_seconds:.2f}s"
 
+        # the resolvers' re-check of complaint [1, g], as they run it
         g = 3
         best = float("inf")
         for _ in range(3):
             started = time.perf_counter()
-            entry = protocol.open_entry(s.wire, g, s.qp)
-            q_g = (int.from_bytes(prf(s.key, g), "big") % s.pp.m) + 1
-            single = por.verify((entry,), [q_g], s.pp)
+            ruling = protocol._judge_client_complaint(s.posted, 1, g, s.qp)
             best = min(best, time.perf_counter() - started)
-            assert single.accepted
+            assert ruling == protocol.NOBODY
         assert best <= 0.010, f"single-proof check took {best * 1000:.2f} ms"
         _pass(
             "scaled timing at m=2**20, phi=460: cycle verification "

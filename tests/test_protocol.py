@@ -123,6 +123,33 @@ def goto(ledger, contract, label):
         ledger.advance_time(target)
 
 
+def resolve_posts(variant, ledger, contract, server_post, client_post):
+    """Phase 7 over the two complaint posts, the ``variant``'s way; returns
+    the report. The arbiter is handed them at K2 and K5 and posts its
+    counters at K6; without one, each goes on the ledger, at K1 and K4, and
+    the contract resolves at K5. A post of None is no post: the ledger gets
+    nothing, and the arbiter reads no items."""
+    p = contract.params
+    if variant == ARBITER:
+        arbiter = Arbiter(p.addr_arbiter)
+        goto(ledger, contract, "K2")
+        arbiter.resolve_server(server_post, ledger, contract)
+        goto(ledger, contract, "K5")
+        arbiter.resolve_client(client_post, ledger, contract)
+        goto(ledger, contract, "K6")
+        arbiter.post_counters(ledger, contract)
+        return arbiter.report
+    for label, addr, kind, post in (
+        ("K1", p.addr_server, protocol.MsgKind.SERVER_COMPLAINTS, server_post),
+        ("K4", p.addr_client, protocol.MsgKind.CLIENT_COMPLAINTS, client_post),
+    ):
+        if post is not None:
+            goto(ledger, contract, label)
+            ledger.post(contract, protocol.LedgerMessage(addr, kind, post))
+    goto(ledger, contract, "K5")
+    return protocol.contract_resolve(ledger, contract)
+
+
 class TestStatements:
     def test_qp_roundtrip(self):
         pp = por.PublicParams(sigma=bytes(range(16)), phi=4, m=9)
@@ -522,26 +549,11 @@ class TestServerInit:
         assert ledger.balances() == refunded
 
         server_items, client_items = [1, 2], [(1, 1), (3, 2)]
-        server_post = protocol.pack_complaints(opening, server_items)
-        client_post = protocol.pack_complaints(opening, [1, 1, 3, 2])
-        if variant == ARBITER:
-            arbiter = Arbiter(contract.params.addr_arbiter)
-            goto(ledger, contract, "K2")
-            arbiter.resolve_server(server_post, ledger, contract)
-            goto(ledger, contract, "K5")
-            arbiter.resolve_client(client_post, ledger, contract)
-            goto(ledger, contract, "K6")
-            arbiter.post_counters(ledger, contract)
-            report = arbiter.report
-        else:
-            for label, addr, kind, post in (
-                ("K1", server.addr, protocol.MsgKind.SERVER_COMPLAINTS, server_post),
-                ("K4", addr_c, protocol.MsgKind.CLIENT_COMPLAINTS, client_post),
-            ):
-                goto(ledger, contract, label)
-                ledger.post(contract, protocol.LedgerMessage(addr, kind, post))
-            goto(ledger, contract, "K5")
-            report = protocol.contract_resolve(ledger, contract)
+        report = resolve_posts(
+            variant, ledger, contract,
+            protocol.pack_complaints(opening, server_items),
+            protocol.pack_complaints(opening, [1, 1, 3, 2]),
+        )
         listed = report.as_dict()
         assert listed["server_admitted"] == listed["client_admitted"] == []
         assert listed["server_filtered"] == server_items
@@ -653,6 +665,7 @@ class HonestRun:
 
     def __init__(self, config, seed=1, file_size=1024,
                  client_script=frozenset(), server_script=frozenset(), variant=ARBITER):
+        self.variant = variant
         self.ledger, self.client, self.server, self.handoff, self.addr_r, self.file = (
             build_session(config, seed=seed, file_size=file_size,
                           client_script=client_script,
@@ -671,6 +684,13 @@ class HonestRun:
                 self.b[j] = self.server.prove_cycle(j, self.ledger)
                 verdict, _ = self.client.verify_cycle(j, self.ledger)
                 self.verdicts[j] = verdict
+
+    def resolve(self):
+        """Phase 7 over the complaint post of each party that filed any, as
+        ``scenario.run`` posts them; returns the report."""
+        posts = [p.complaint_post() if p.complaints else None
+                 for p in (self.server, self.client)]
+        return resolve_posts(self.variant, self.ledger, self.contract, *posts)
 
 
 class TestHonestRuns:
@@ -957,8 +977,9 @@ class TestEntryUnits:
 
     @pytest.mark.parametrize("g", [None, 1, 3, 6])
     def test_decode_opens_each_entry_once_in_order(self, g, monkeypatch):
-        # the vector's shape is checked once; then one dec_unit per entry,
-        # in order, up to and including the first that fails
+        # decode opens each entry through open_entry, which checks the
+        # vector's shape first: one dec_unit per entry, in order, up to and
+        # including the first that fails
         pi, qp, efmt, payload = self.vector()
         if g is not None:
             bad = bytearray(payload)
@@ -979,6 +1000,43 @@ class TestEntryUnits:
         pi, qp, efmt, payload = self.vector()
         bad = self.reseal(payload, 2, b"\x00" * 40, efmt)
         assert self.decode(bad, qp) == (None, 2)
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_decode_and_open_entry_agree(self, data):
+        # the client's decode and the dispute re-check read one vector alike:
+        # after up to three edits (a flipped byte, a cut, added bytes, or one
+        # entry resealed around a value of any length), decode fails at the
+        # first entry open_entry refuses, and otherwise returns what
+        # open_entry opens, entry by entry
+        pi, qp, efmt, payload = self.vector()
+        phi = qp.pp.phi
+        # edits that keep the vector's shape are drawn three times as often
+        edits = st.sampled_from(["flip"] * 3 + ["reseal"] * 3 + ["cut", "add"])
+        for edit in data.draw(st.lists(edits, max_size=3)):
+            if edit == "flip" and payload:
+                at = data.draw(st.integers(0, len(payload) - 1))
+                payload = payload[:at] + bytes([payload[at] ^ 0x01]) + payload[at + 1 :]
+            elif edit == "cut":
+                payload = payload[: data.draw(st.integers(0, len(payload)))]
+            elif edit == "add":
+                payload += data.draw(st.binary(min_size=1, max_size=efmt.unit_len + 1))
+            elif edit == "reseal":
+                # the right length reseals a path the decode returns as is
+                n = data.draw(st.sampled_from([sum(qp.lens), sum(qp.lens) - 1,
+                                               sum(qp.lens) + 1, 0, efmt.value_capacity]))
+                payload = self.reseal(payload, data.draw(st.integers(1, phi)), bytes(n), efmt)
+        opened = []
+        for g in range(1, phi + 1):
+            try:
+                opened.append(protocol.open_entry(payload, g, qp))
+            except DecryptFailure:
+                break
+        entries, failed = protocol.decode_proof_vector(payload, qp)
+        if len(opened) == phi:
+            assert (entries, failed) == (tuple(opened), None)
+        else:
+            assert (entries, failed) == (None, len(opened) + 1)
 
     def test_tree_height_hidden_behind_pi_max(self):
         # m=64 and m=256 need 8 and 10 real slots; both pad to 12
@@ -1167,21 +1225,6 @@ class TestCharges:
             assert report.attribution == dict(want)
 
 
-class DisputedRun(HonestRun):
-    """Honest run plus the resolution phase with the parties' complaints."""
-
-    def resolve(self):
-        ledger, contract = self.ledger, self.contract
-        arbiter = Arbiter(self.addr_r)
-        goto(ledger, contract, "K2")
-        arbiter.resolve_server(self.server.complaint_post(), ledger, contract)
-        goto(ledger, contract, "K5")
-        arbiter.resolve_client(self.client.complaint_post(), ledger, contract)
-        goto(ledger, contract, "K6")
-        arbiter.post_counters(ledger, contract)
-        return arbiter
-
-
 class TestArbiterResolution:
     def test_complaint_about_the_last_entry_charges_server(self, monkeypatch):
         # only entry g = phi of cycle 2 fails: the client names it, and the
@@ -1193,49 +1236,49 @@ class TestArbiterResolution:
 
         monkeypatch.setattr(protocol, "_corrupt_first_entry", corrupt_last_entry)
         config = make_config(z=3, phi=4)
-        run = DisputedRun(config, seed=5,
-                          server_script=frozenset({("corrupt_block", 2)}))
+        run = HonestRun(config, seed=5,
+                        server_script=frozenset({("corrupt_block", 2)}))
         assert run.client.complaints == [(2, 4)]
-        arbiter = run.resolve()
-        assert arbiter.report.as_dict()["client_admitted"] == [[2, 4]]
+        report = run.resolve()
+        assert report.as_dict()["client_admitted"] == [[2, 4]]
         assert run.contract.counters == Counters(server_faults=1)
 
     def test_invalid_query_complaint_lands_in_v(self):
         config = make_config(z=3)
-        run = DisputedRun(
+        run = HonestRun(
             config, seed=5,
             client_script=frozenset({("invalid_query", 1)}),
         )
-        arbiter = run.resolve()
-        assert arbiter.report.v == [1]
+        report = run.resolve()
+        assert report.v == [1]
         assert run.contract.counters == Counters(client_faults=1)
-        assert [1, 1] in arbiter.report.as_dict()["client_filtered"]
+        assert [1, 1] in report.as_dict()["client_filtered"]
 
     def test_false_query_complaint_charges_server_once(self):
         config = make_config(z=3)
-        run = DisputedRun(
+        run = HonestRun(
             config, seed=6,
             server_script=frozenset({("false_query_complaint", 2)}),
         )
-        arbiter = run.resolve()
+        report = run.resolve()
         # the server pre-paid with one unneeded invocation; the client's
         # complaint about the dummy must not also charge a server fault
         assert run.contract.counters == Counters(server_unneeded_disputes=1)
-        assert arbiter.report.attribution == {2: "server_unneeded_disputes"}
+        assert report.attribution == {2: "server_unneeded_disputes"}
 
     def test_corrupt_block_charges_server_fault(self):
         config = make_config(z=3)
-        run = DisputedRun(
+        run = HonestRun(
             config, seed=8,
             server_script=frozenset({("corrupt_block", 2)}),
         )
-        arbiter = run.resolve()
+        report = run.resolve()
         assert run.contract.counters == Counters(server_faults=1)
-        assert arbiter.report.as_dict()["client_admitted"] == [[2, 1]]
+        assert report.as_dict()["client_admitted"] == [[2, 1]]
 
     def test_false_accusation_charges_unneeded_dispute(self):
         config = make_config(z=3)
-        run = DisputedRun(
+        run = HonestRun(
             config, seed=9,
             client_script=frozenset({("false_accusation", 3)}),
         )
@@ -1262,16 +1305,16 @@ class TestArbiterResolution:
         # the single re-check settles each admitted complaint the same way
         # the client's full verification did
         config = make_config(z=4)
-        run = DisputedRun(
+        run = HonestRun(
             config, seed=10,
             server_script=frozenset({("corrupt_block", 1), ("corrupt_block", 3), ("corrupt_block", 4)}),
         )
-        arbiter = run.resolve()
-        admitted = arbiter.report.as_dict()["client_admitted"]
+        report = run.resolve()
+        admitted = report.as_dict()["client_admitted"]
         assert sorted(j for j, _ in admitted) == [1, 3, 4]
         for j, _ in admitted:
             assert not run.verdicts[j].accepted
-            assert arbiter.report.attribution[j] == "server_faults"
+            assert report.attribution[j] == "server_faults"
         assert run.contract.counters == Counters(server_faults=3)
 
     def test_cycle_both_parties_disputed_needlessly(self):
@@ -1279,17 +1322,17 @@ class TestArbiterResolution:
         # client falsely accuses the same cycle: neither complaint identifies
         # a fault, so each party pays one unneeded dispute
         config = make_config(z=3)
-        run = DisputedRun(
+        run = HonestRun(
             config, seed=9,
             client_script=frozenset({("false_accusation", 3)}),
         )
         run.server.complaints.append(3)
-        arbiter = run.resolve()
+        report = run.resolve()
         both = Counters(client_unneeded_disputes=1, server_unneeded_disputes=1)
-        assert arbiter.report.increments == both
+        assert report.increments == both
         assert run.contract.counters == both
         # the attribution names only the counter charged last
-        assert arbiter.report.attribution == {3: "client_unneeded_disputes"}
+        assert report.attribution == {3: "client_unneeded_disputes"}
         # o=5, l=2: the arbiter earns both fees
         assert self.pay(run)["arbiter"] == 4
 
@@ -1304,7 +1347,7 @@ class TestArbiterResolution:
     def test_second_server_pass_is_refused(self):
         script = frozenset({("invalid_query", 1)})
         config = make_config(z=3)
-        reference = DisputedRun(config, seed=5, client_script=script)
+        reference = HonestRun(config, seed=5, client_script=script)
         reference.resolve()
         run = HonestRun(config, seed=5, client_script=script)
         arbiter = Arbiter(run.addr_r)
@@ -1324,7 +1367,7 @@ class TestArbiterResolution:
     def test_second_client_pass_is_refused(self):
         script = frozenset({("corrupt_block", 2)})
         config = make_config(z=3)
-        reference = DisputedRun(config, seed=8, server_script=script)
+        reference = HonestRun(config, seed=8, server_script=script)
         reference.resolve()
         run = HonestRun(config, seed=8, server_script=script)
         arbiter = Arbiter(run.addr_r)
@@ -1344,16 +1387,7 @@ class TestArbiterlessResolution:
         config = make_config(z=3)
         run = HonestRun(config, seed=seed, client_script=client_script,
                         server_script=server_script, variant=ARBITERLESS)
-        ledger, contract = run.ledger, run.contract
-        if run.server.complaints:
-            goto(ledger, contract, "K1")
-            run.server.post_complaints(ledger)
-        if run.client.complaints:
-            goto(ledger, contract, "K4")
-            run.client.post_complaints(ledger)
-        goto(ledger, contract, "K5")
-        report = protocol.contract_resolve(ledger, contract)
-        return run, report
+        return run, run.resolve()
 
     def test_invalid_query_charges_client(self):
         run, report = self.drive(
@@ -1450,13 +1484,7 @@ class TestMisShapedProof:
         assert len(contract.proofs[1]) != len(reshaped[0])
         assert run.client.complaints == [(1, 1)]
         assert run.verdicts[2].accepted
-        if variant == ARBITER:
-            DisputedRun.resolve(run)
-        else:
-            goto(ledger, contract, "K4")
-            run.client.post_complaints(ledger)
-            goto(ledger, contract, "K5")
-            protocol.contract_resolve(ledger, contract)
+        run.resolve()
         assert contract.counters == Counters(server_faults=1)
 
         goto(ledger, contract, "L")
@@ -1490,15 +1518,9 @@ class TestHostileComplaintPosts:
                         server_script=frozenset({("corrupt_block", 2)}))
         ledger, contract = run.ledger, run.contract
         start = ledger.total_supply()
-        for label, addr, kind, post in (
-            ("K1", run.server.addr, protocol.MsgKind.SERVER_COMPLAINTS, server_post),
-            ("K4", run.client.addr, protocol.MsgKind.CLIENT_COMPLAINTS, client_post),
-        ):
-            if post is not None:
-                goto(ledger, contract, label)
-                ledger.post(contract, protocol.LedgerMessage(addr, kind, post(run)))
-        goto(ledger, contract, "K5")
-        report = protocol.contract_resolve(ledger, contract)
+        report = resolve_posts(ARBITERLESS, ledger, contract,
+                               server_post and server_post(run),
+                               client_post and client_post(run))
         goto(ledger, contract, "L")
         run.client.request_payout(ledger)
         payout = protocol.payout_arbiterless_variant(
@@ -1598,19 +1620,13 @@ class TestHostileComplaintPosts:
         run = HonestRun(make_config(z=3), seed=21, server_script=frozenset(
             {("corrupt_block", 2), ("false_query_complaint", 1)}))
         assert run.server.complaints == [1] and (2, 1) in run.client.complaints
-        ledger, contract = run.ledger, run.contract
-        arbiter = Arbiter(run.addr_r)
-        goto(ledger, contract, "K2")
-        v = arbiter.resolve_server(wrap(run.server.complaint_post()), ledger, contract)
-        assert v == []
-        goto(ledger, contract, "K5")
-        arbiter.resolve_client(wrap(run.client.complaint_post()), ledger, contract)
-        goto(ledger, contract, "K6")
-        arbiter.post_counters(ledger, contract)
-        report = arbiter.report
+        report = resolve_posts(ARBITER, run.ledger, run.contract,
+                               wrap(run.server.complaint_post()),
+                               wrap(run.client.complaint_post()))
+        assert report.v == []
         listed = report.as_dict()
         assert listed["server_admitted"] == listed["client_admitted"] == []
-        assert report.increments == Counters() == contract.counters
+        assert report.increments == Counters() == run.contract.counters
 
     @pytest.mark.parametrize("width, fields", [
         (1, [1, 0, 2**32 - 1, 1]),
@@ -1681,23 +1697,7 @@ class TestHostileComplaintPosts:
                  "client": run.client.complaint_post()}
         posts[hostile] = post
 
-        if variant == ARBITER:
-            arbiter = Arbiter(run.addr_r)
-            goto(ledger, contract, "K2")
-            arbiter.resolve_server(posts["server"], ledger, contract)
-            goto(ledger, contract, "K5")
-            arbiter.resolve_client(posts["client"], ledger, contract)
-            goto(ledger, contract, "K6")
-            arbiter.post_counters(ledger, contract)
-            report = arbiter.report
-        else:
-            for label, name in (("K1", "server"), ("K4", "client")):
-                party = getattr(run, name)
-                goto(ledger, contract, label)
-                ledger.post(contract, protocol.LedgerMessage(
-                    party.addr, party.COMPLAINTS, posts[name]))
-            goto(ledger, contract, "K5")
-            report = protocol.contract_resolve(ledger, contract)
+        report = resolve_posts(variant, ledger, contract, posts["server"], posts["client"])
 
         # every item read, admitted or filtered, as the tuples it was read as
         listed = {"server": [], "client": []}
@@ -1827,22 +1827,9 @@ class TestPayoutGuards:
         variant's way, at L with the client's pay request posted."""
         run = HonestRun(make_config(z=2), variant=variant,
                         server_script=frozenset({("corrupt_block", 1)}))
-        ledger, contract = run.ledger, run.contract
-        if variant == ARBITER:
-            arbiter = Arbiter(run.addr_r)
-            goto(ledger, contract, "K2")
-            arbiter.resolve_server(run.server.complaint_post(), ledger, contract)
-            goto(ledger, contract, "K5")
-            arbiter.resolve_client(run.client.complaint_post(), ledger, contract)
-            goto(ledger, contract, "K6")
-            arbiter.post_counters(ledger, contract)
-        else:
-            goto(ledger, contract, "K4")
-            run.client.post_complaints(ledger)
-            goto(ledger, contract, "K5")
-            protocol.contract_resolve(ledger, contract)
-        goto(ledger, contract, "L")
-        run.client.request_payout(ledger)
+        run.resolve()
+        goto(run.ledger, run.contract, "L")
+        run.client.request_payout(run.ledger)
         return run
 
     def test_one_payout_under_both_names(self):
