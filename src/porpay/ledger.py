@@ -4,7 +4,8 @@ logical clock of named time points.
 All mutation flows through explicit operations that check sender attribution
 and the contract schedule, append to an ordered trace, and conserve the
 total coin supply. Time is purely logical: the scenario driver advances the
-clock through named points, and a message is accepted only when its kind is
+clock through named points. Every party action on a contract, a deposit
+included, is a post that ``RcContract.accept`` admits only when its kind is
 permitted for its sender at the current point. Sender attribution stands in
 for transaction signatures: a caller must present the Address handle the
 ledger issued for its account. Handles compare by identity and the ledger
@@ -40,7 +41,7 @@ class InsufficientBalance(ValueError):
 
 
 class OutOfWindow(RuntimeError):
-    """Message or deposit arrived outside its scheduled time point."""
+    """Message arrived outside its scheduled time point."""
 
 
 class WrongSender(PermissionError):
@@ -130,6 +131,7 @@ def require_time(now: TimePoint, label: str) -> None:
 
 
 class MsgKind(str, Enum):
+    DEPOSIT = "deposit"  # the amount, 8 bytes big-endian
     QUERY = "query"
     PROOF = "proof"
     SERVER_RESPONSE = "server_response"
@@ -247,13 +249,31 @@ class RcContract:
         self.counters = total
         self.resolved = True
 
-    def accept(self, msg: LedgerMessage, now: TimePoint) -> None:
-        """Admit ``msg`` at ``now``: its kind's checks, that (kind, sender,
-        time) line up and the slot is free, then its store. A refused
-        message raises before anything is stored."""
+    def accept(self, msg: LedgerMessage, now: TimePoint, balance: int) -> int:
+        """Admit ``msg`` at ``now`` from a sender holding ``balance``: its
+        kind's checks, that (kind, sender, time) line up and the slot is
+        free, then its store. Returns the coins it escrows, a DEPOSIT's
+        amount or 0. A refused message raises before anything is stored."""
         p, kind = self.params, msg.kind
         if not isinstance(msg.payload, bytes):
             raise MalformedPayload("payload must be bytes")
+        if kind is MsgKind.DEPOSIT:
+            if self.paid_out:
+                raise AlreadyPaid("contract already paid out")
+            by_client = msg.sender == p.addr_client
+            if not by_client and msg.sender != p.addr_server:
+                raise WrongSender(f"{msg.sender.id} is not a party to this contract")
+            require_time(now, "T0" if by_client else "T1")
+            if len(msg.payload) != 8:
+                raise MalformedPayload(f"deposit of {len(msg.payload)} bytes, expected 8")
+            amount = int.from_bytes(msg.payload, "big")
+            if balance < amount:
+                raise InsufficientBalance(f"{msg.sender.id} holds {balance}, needs {amount}")
+            if by_client:
+                self.client_deposited += amount
+            else:
+                self.server_deposited += amount
+            return amount
         if kind is MsgKind.QUERY or kind is MsgKind.PROOF:
             by_client = kind is MsgKind.QUERY
             self._require(msg.sender, p.addr_client if by_client else p.addr_server, kind)
@@ -301,6 +321,7 @@ class RcContract:
             self.pay_requests.append(now.label)
         else:
             raise WrongSender(f"unknown message kind {kind!r}")
+        return 0
 
     def _require(self, sender: Address, expected: Address | None, kind: MsgKind) -> None:
         if sender != expected:
@@ -371,40 +392,13 @@ class Ledger:
         if not deployed:
             raise UnknownContract(contract.handle)
 
-    def deposit(self, sender: Address, contract: RcContract, amount: int) -> None:
-        """Escrow ``amount`` from ``sender``; client deposits at T0, server at T1."""
-        self._require_deployed(contract)
-        if not self.has_address(sender):
-            raise UnknownAddress(sender)
-        if contract.paid_out:
-            raise AlreadyPaid("contract already paid out")
-        # the trace records the amount in 8 bytes
-        if not _is_coins(amount) or amount >= 2**64:
-            raise ValueError(f"deposit {amount!r} is not an int in [0, 2**64)")
-        if sender == contract.params.addr_client:
-            window = "T0"
-        elif sender == contract.params.addr_server:
-            window = "T1"
-        else:
-            raise WrongSender(f"{sender.id} is not a party to this contract")
-        require_time(self.time, window)
-        if self.balance(sender) < amount:
-            raise InsufficientBalance(
-                f"{sender.id} holds {self.balance(sender)}, needs {amount}"
-            )
-        self._balances[sender] -= amount
-        if window == "T0":
-            contract.client_deposited += amount
-        else:
-            contract.server_deposited += amount
-        self._log("deposit", sender, amount.to_bytes(8, "big"))
-
     def post(self, contract: RcContract, msg: LedgerMessage) -> None:
-        """Admit a message if the schedule permits it; accepted payloads are immutable."""
+        """Admit ``msg`` by ``RcContract.accept``, debit its sender what it
+        escrows, and log it; a refused message moves and logs nothing."""
         self._require_deployed(contract)
         if not self.has_address(msg.sender):
             raise UnknownAddress(msg.sender)
-        contract.accept(msg, self.time)
+        self._balances[msg.sender] -= contract.accept(msg, self.time, self.balance(msg.sender))
         self._log(msg.kind.value, msg.sender, msg.payload, slot=msg.slot)
 
     def execute_payout(

@@ -212,7 +212,9 @@ def _unpack(layout: struct.Struct, data: bytes, name: str) -> tuple:
 @dataclass(frozen=True)
 class CpStatement:
     """Coin secret parameters: the private price pair, list maxima, and z,
-    laid out as five 8-byte big-endian integers in that order."""
+    laid out as five 8-byte big-endian integers in that order. The masked
+    client deposit, which bounds the server's, is below 2**64: a deposit
+    post states its amount in 8 bytes."""
 
     o: int
     o_max: int
@@ -225,6 +227,8 @@ class CpStatement:
     def __post_init__(self) -> None:
         if self.o > self.o_max or self.l > self.l_max:
             raise ValueError("chosen prices exceed the list maxima")
+        if self.client_deposit >= 2**64:
+            raise ValueError(f"masked client deposit {self.client_deposit} is not below 2**64")
 
     @property
     def client_deposit(self) -> int:
@@ -295,8 +299,9 @@ class SessionConfig:
             )
         if self.price_choice not in self.price_list:
             raise PriceNotInList(f"{self.price_choice} not offered")
+        self.cp  # built here, so a deposit past 8 bytes refuses the config
 
-    @property
+    @functools.cached_property
     def cp(self) -> CpStatement:
         """The client's coin statement: its price choice, the list maxima, z."""
         choice, prices = self.price_choice, self.price_list
@@ -439,10 +444,15 @@ class Handoff:
 
 
 class _Party:
-    """Settlement posts a client and a server make alike: the complaint post
-    of its ``COMPLAINTS`` kind, and the pay request."""
+    """Posts a client and a server make alike: the deposit, the complaint
+    post of its ``COMPLAINTS`` kind, and the pay request."""
 
     COMPLAINTS: MsgKind
+
+    def deposit(self, ledger: Ledger, amount: int) -> None:
+        """Escrow ``amount``: a DEPOSIT post of it, 8 bytes big-endian."""
+        msg = LedgerMessage(self.addr, MsgKind.DEPOSIT, amount.to_bytes(8, "big"))
+        ledger.post(self.contract, msg)
 
     def post_complaints(self, ledger: Ledger) -> None:
         """Arbiter-free phase 7: the complaint post, at K1 from the server
@@ -521,7 +531,7 @@ class Client(_Party):
             sap_cp=sid_cp,
         )
         self.contract = ledger.deploy_contract(self.addr, params)
-        ledger.deposit(self.addr, self.contract, cp.client_deposit)
+        self.deposit(ledger, cp.client_deposit)
         return Handoff(
             blocks=blocks,
             opening_qp=self.opening_qp,
@@ -651,7 +661,7 @@ class Server(_Party):
             amount = params.server_deposit_required
             if ("short_deposit", None) in self.script:
                 amount = max(0, amount - 1)
-            ledger.deposit(self.addr, contract, amount)
+            self.deposit(ledger, amount)
         return a
 
     def prove_cycle(self, j: int, ledger: Ledger) -> int:
@@ -948,10 +958,11 @@ def contract_resolve(ledger: Ledger, contract: RcContract) -> ResolutionReport:
 
 def refund_applies(contract: RcContract) -> bool:
     """The T2 withdrawal conditions: the server declined, under-deposited,
-    or never answered."""
+    or never answered, or the client under-deposited."""
     return (
         contract.a_flag != 1
         or contract.server_deposited < contract.params.server_deposit_required
+        or contract.client_deposited < contract.params.client_deposit_required
     )
 
 
@@ -979,7 +990,7 @@ def payout(
     else:
         require_time(ledger.time, "L")
         if refund_applies(contract):
-            raise RefundPath("server never agreed or under-deposited")
+            raise RefundPath("server never agreed, or a party under-deposited")
         cp = _agreed(opening_cp, CpStatement, params.sap_cp, contract, ledger)
         if cp is None:
             raise BadOpening("coin statement opening rejected")

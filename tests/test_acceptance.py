@@ -578,12 +578,41 @@ class TestDisputeWorkRatio:
         )
 
 
+@pytest.fixture
+def observe(monkeypatch):
+    """Run one scenario dict through ``scenario.run``; return its report and
+    each entry its ledger logged from T0 through the last G(z,2), as (time
+    label, sender, kind, payload): what the public sees of the billing
+    period."""
+    ledgers = []
+
+    class KeptLedger(Ledger):
+        def __init__(self):
+            super().__init__()
+            ledgers.append(self)
+
+    monkeypatch.setattr(scenario, "Ledger", KeptLedger)
+
+    def run_observed(raw):
+        report = run(ScenarioSpec.from_dict(raw))
+        z = report["spec"]["session"]["z"]
+        schedule = Schedule(z)
+        last = schedule.point(f"G{z}.2").ordinal
+        entries = [
+            (time, sender, kind, payload)
+            for time, sender, kind, payload, _ in ledgers.pop()._trace
+            if schedule.point(time).ordinal <= last
+        ]
+        return report, entries
+
+    return run_observed
+
+
 class TestPaddingPrivacy:
-    def test_wire_sizes_leak_nothing(self):
+    def test_wire_sizes_leak_nothing(self, observe):
         # two sessions over different files, equal (m, phi, pad, z); within
         # the second session: a valid, a corrupted, and a dummy proof cycle
         raw_a = base_raw(seed=101)
-        raw_a["session"]["pi_max"] = 12  # m=256 -> real units 10, so 2 pads
         raw_b = base_raw(
             seed=202,
             behaviors={
@@ -593,45 +622,19 @@ class TestPaddingPrivacy:
                 ]
             },
         )
-        raw_b["session"]["pi_max"] = 12
+        lengths = {"query": [], "proof": []}
+        for raw in (raw_a, raw_b):
+            raw["session"]["pi_max"] = 12  # m=256 -> real units 10, so 2 pads
+            report, entries = observe(raw)
+            assert report["a"] == 1
+            assert report["pad_pi"] == 2
+            for _, _, kind, payload in entries:
+                if kind in lengths:
+                    lengths[kind].append(len(payload))
 
-        lengths = {}
-        for name, raw in (("a", raw_a), ("b", raw_b)):
-            spec = ScenarioSpec.from_dict(raw)
-            master = random.Random(spec.seed)
-            file = master.randbytes(spec.raw["file"]["size"])
-            from porpay.ledger import Ledger, Schedule
-            from porpay.protocol import Client, Server
-
-            ledger = Ledger()
-            addr_c = ledger.create_account("client", 21)
-            addr_s = ledger.create_account("server", 6)
-            addr_r = ledger.create_account("arbiter", 0)
-            client = Client(addr_c, random.Random(master.getrandbits(64)),
-                            spec.config, spec.client)
-            server = Server(addr_s, random.Random(master.getrandbits(64)),
-                            spec.config.price_list, spec.server)
-            schedule = Schedule(spec.config.z)
-            ledger.advance_time(schedule.point("T0"))
-            handoff = client.init(file, ledger, addr_s, addr_r)
-            contract = handoff.contract
-            ledger.advance_time(schedule.point("T1"))
-            assert server.init(handoff, ledger) == 1
-            assert client.qp.pad_pi == 2
-            for j in range(1, spec.config.z + 1):
-                ledger.advance_time(schedule.point(f"G{j}.1"))
-                client.post_query(j, ledger)
-                ledger.advance_time(schedule.point(f"G{j}.2"))
-                server.prove_cycle(j, ledger)
-            lengths[name] = {
-                "queries": [len(contract.queries[j]) for j in range(1, 4)],
-                "proofs": [len(contract.proofs[j]) for j in range(1, 4)],
-            }
-
-        all_query_lengths = set(lengths["a"]["queries"] + lengths["b"]["queries"])
-        all_proof_lengths = set(lengths["a"]["proofs"] + lengths["b"]["proofs"])
-        assert len(all_query_lengths) == 1
-        assert len(all_proof_lengths) == 1  # valid == corrupt == dummy sizes
+        assert len(lengths["query"]) == len(lengths["proof"]) == 6
+        assert len(set(lengths["query"])) == 1
+        assert len(set(lengths["proof"])) == 1  # valid == corrupt == dummy sizes
         _pass(
             "padding privacy: query and proof wire sizes identical across "
             "files and across valid, corrupt, and dummy proof cycles"
@@ -640,75 +643,56 @@ class TestPaddingPrivacy:
 
 class TestBillingPeriodPrivacy:
     """Nothing posted during the billing period reveals file contents, prices
-    or proof outcomes: two sessions with equal public parameters (price
-    list, z, phi, m, pi_max) but different files, price choices and cycle
-    outcomes post the same sequence from T0 through the last G(z,2).
-    Withheld posts are visible by design, so neither session withholds."""
+    or proof outcomes: sessions with equal public parameters (price list, z,
+    phi, m, pi_max) but different files, price choices and cycle outcomes
+    post the same sequence from T0 through the last G(z,2). Every mix of the
+    outcomes below at z = 3 runs under both (file seed, price choice) pairs.
+    Withheld posts are visible by design, so no session withholds."""
 
-    Z = 4
-    # per session: the file seed, the price choice and each cycle's outcome
-    SESSIONS = (
-        (101, [5, 2],
-         ("honest", "corrupt_block", "invalid_query", "false_query_complaint")),
-        (202, [3, 1],
-         ("corrupt_block", "invalid_query", "false_query_complaint", "honest")),
-    )
-
-    def observe(self, monkeypatch, variant, seed, choice, outcomes):
-        """Run one session; return its (time label, sender, kind, payload
-        length) posts up to the last G(z,2), its deposits and its report."""
-        ledgers = []
-
-        class LengthLedger(Ledger):
-            def __init__(self):
-                super().__init__()
-                self.lengths = []
-                ledgers.append(self)
-
-            def _log(self, kind, sender, payload, slot=None):
-                super()._log(kind, sender, payload, slot)
-                self.lengths.append(len(payload))
-
-        behaviors = {"client": [], "server": []}
-        for j, kind in enumerate(outcomes, start=1):
-            if kind != "honest":
-                role = "client" if kind in protocol.CLIENT_KINDS else "server"
-                behaviors[role].append({"kind": kind, "j": j})
-        raw = base_raw(seed=seed, behaviors=behaviors)
-        raw["session"].update(
-            z=self.Z, variant=variant, pi_max=12,
-            price_list=[[5, 2], [3, 1]], price_choice=choice,
-        )
-        monkeypatch.setattr(scenario, "Ledger", LengthLedger)
-        report = run(ScenarioSpec.from_dict(raw))
-        [ledger] = ledgers
-        schedule = Schedule(self.Z)
-        last = schedule.point(f"G{self.Z}.2").ordinal
-        posts = [
-            (e["time"], e["sender"], e["kind"], n)
-            for e, n in zip(ledger.export_trace(), ledger.lengths)
-            if schedule.point(e["time"]).ordinal <= last
-        ]
-        return posts, report["deposits"], report
+    Z = 3
+    OUTCOMES = ("honest", "corrupt_block", "invalid_query", "false_query_complaint")
+    SESSIONS = ((101, [5, 2]), (202, [3, 1]))  # (file seed, price choice)
 
     @pytest.mark.parametrize("variant", ["arbiter", "arbiterless"])
-    def test_billing_period_posts_are_equal(self, monkeypatch, variant):
-        (posts_a, deposits_a, report_a), (posts_b, deposits_b, report_b) = (
-            self.observe(monkeypatch, variant, *session) for session in self.SESSIONS
-        )
-        # the sessions differ in file, price choice and cycle outcomes
-        assert report_a["pp"]["sigma"] != report_b["pp"]["sigma"]
-        assert report_a["pp"]["m"] == report_b["pp"]["m"] == 256
-        assert report_a["cycles"] != report_b["cycles"]
-        assert report_a["payout"] != report_b["payout"]
+    def test_billing_period_posts_are_equal(self, observe, variant):
+        observed, reports = set(), []
+        for (seed, choice), outcomes in itertools.product(
+            self.SESSIONS, itertools.product(self.OUTCOMES, repeat=self.Z)
+        ):
+            behaviors = {"client": [], "server": []}
+            for j, kind in enumerate(outcomes, start=1):
+                if kind != "honest":
+                    role = "client" if kind in protocol.CLIENT_KINDS else "server"
+                    behaviors[role].append({"kind": kind, "j": j})
+            raw = base_raw(seed=seed, behaviors=behaviors)
+            raw["session"].update(
+                z=self.Z, variant=variant, pi_max=12,
+                price_list=[[5, 2], [3, 1]], price_choice=choice,
+            )
+            report, entries = observe(raw)
+            reports.append(report)
+            # a deposit's amount is public; of any other post, its length
+            observed.add(tuple(
+                (time, sender, kind, payload if kind == "deposit" else len(payload))
+                for time, sender, kind, payload in entries
+            ))
 
-        assert len(posts_a) == 8 + 2 * self.Z
-        assert posts_a == posts_b
-        assert deposits_a == deposits_b
+        # the sessions differ in file, price choice and cycle outcomes
+        assert len(reports) == 2 * len(self.OUTCOMES) ** self.Z
+        assert len({r["pp"]["sigma"] for r in reports}) == 2
+        assert {r["pp"]["m"] for r in reports} == {256}
+        assert len({repr(r["cycles"]) for r in reports}) > 1
+        assert len({repr(r["payout"]) for r in reports}) > 1
+
+        assert len(observed) == 1, f"{len(observed)} distinct observations"
+        [posts] = observed
+        assert len(posts) == 8 + 2 * self.Z
+        assert sum(kind == "deposit" for _, _, kind, _ in posts) == 2
         _pass(
-            f"billing-period privacy ({variant}): {len(posts_a)} posts from T0 "
-            f"to G{self.Z}.2 equal in time, sender, kind and length, and equal "
-            "deposits, across files, price choices and cycle outcomes"
+            f"billing-period privacy ({variant}): {len(reports)} sessions post "
+            f"the same {len(posts)} entries from T0 to G{self.Z}.2, equal in "
+            "time, sender, kind and length and in each deposit's amount, across "
+            "files, price choices and every cycle-outcome mix"
         )
 
 

@@ -29,10 +29,15 @@ from porpay.ledger import (
     WrongSender,
 )
 
-# every refusal a deposit or a post may raise; ValueError covers
-# InsufficientBalance, MalformedPayload, CounterOutOfBounds and a deposit
-# amount out of range
+# every refusal a post may raise; ValueError covers InsufficientBalance,
+# MalformedPayload and CounterOutOfBounds
 REFUSALS = (ValueError, OutOfWindow, WrongSender, DuplicateSlot)
+
+
+def deposit(ledger, sender, contract, amount):
+    """Escrow ``amount`` from ``sender``: a DEPOSIT post of it in 8 bytes."""
+    msg = LedgerMessage(sender, MsgKind.DEPOSIT, amount.to_bytes(8, "big"))
+    ledger.post(contract, msg)
 
 
 def make_env(z=2, arbiterless=False, client_balance=100, server_balance=50):
@@ -80,14 +85,14 @@ class TestDeployAndDeposit:
         second = ledger.deploy_contract(client, contract.params)
         assert second.handle != contract.handle
         goto(ledger, contract, "T0")
-        ledger.deposit(client, contract, 21)
+        deposit(ledger, client, contract, 21)
         assert contract.escrow == 21
         assert second.escrow == 0
 
     def test_deposit_moves_balance_to_escrow(self):
         ledger, contract, client, *_ = make_env()
         goto(ledger, contract, "T0")
-        ledger.deposit(client, contract, 21)
+        deposit(ledger, client, contract, 21)
         assert ledger.balance(client) == 79
         assert contract.escrow == 21
         assert contract.client_deposited == 21
@@ -96,7 +101,7 @@ class TestDeployAndDeposit:
         ledger, contract, client, *_ = make_env(client_balance=10)
         goto(ledger, contract, "T0")
         with pytest.raises(InsufficientBalance):
-            ledger.deposit(client, contract, 21)
+            deposit(ledger, client, contract, 21)
         assert ledger.balance(client) == 10
         assert contract.escrow == 0
 
@@ -104,9 +109,9 @@ class TestDeployAndDeposit:
         ledger, contract, client, server, _ = make_env()
         goto(ledger, contract, "T0")
         with pytest.raises(OutOfWindow):
-            ledger.deposit(server, contract, 6)  # server deposits at T1
+            deposit(ledger, server, contract, 6)  # server deposits at T1
         goto(ledger, contract, "T1")
-        ledger.deposit(server, contract, 6)
+        deposit(ledger, server, contract, 6)
         assert contract.server_deposited == 6
 
     @pytest.mark.parametrize("balance", [1.5, -1, True, "5"],
@@ -122,12 +127,12 @@ class TestDeployAndDeposit:
         # coins deposited into a paid-out contract could never leave it
         ledger, contract, client, server, _ = make_env()
         goto(ledger, contract, "T0")
-        ledger.deposit(client, contract, 21)
+        deposit(ledger, client, contract, 21)
         ledger.execute_payout(contract, [(client, 21)])
         goto(ledger, contract, "T1")
         balances, trace = ledger.balances(), ledger.export_trace()
         with pytest.raises(AlreadyPaid):
-            ledger.deposit(server, contract, 6)
+            deposit(ledger, server, contract, 6)
         assert ledger.balances() == balances
         assert ledger.export_trace() == trace
         assert (contract.server_deposited, contract.escrow) == (0, 0)
@@ -136,9 +141,9 @@ class TestDeployAndDeposit:
         ledger, contract, client, server, _ = make_env()
         start = ledger.total_supply()
         goto(ledger, contract, "T0")
-        ledger.deposit(client, contract, 21)
+        deposit(ledger, client, contract, 21)
         goto(ledger, contract, "T1")
-        ledger.deposit(server, contract, 6)
+        deposit(ledger, server, contract, 6)
         assert ledger.total_supply() == start
 
 
@@ -164,7 +169,7 @@ class TestAddresses:
         goto(ledger, contract, "T1")
         balances, trace = ledger.balances(), ledger.export_trace()
         with pytest.raises(UnknownAddress):
-            ledger.deposit(sender, contract, 1)
+            deposit(ledger, sender, contract, 1)
         assert ledger.balances() == balances
         assert ledger.export_trace() == trace
         assert contract.server_deposited == 0
@@ -211,7 +216,7 @@ class TestUndeployedContract:
         return twin, elsewhere, RcContract(5, contract.params)
 
     @pytest.mark.parametrize("label, operation", [
-        ("T1", lambda ledger, c, client, server: ledger.deposit(server, c, 6)),
+        ("T1", lambda ledger, c, client, server: deposit(ledger, server, c, 6)),
         ("G1.1", lambda ledger, c, client, server: ledger.post(
             c, LedgerMessage(client, MsgKind.QUERY, b"q", slot=1))),
         ("L", lambda ledger, c, client, server: ledger.execute_payout(
@@ -230,31 +235,46 @@ class TestUndeployedContract:
 
 
 class TestRefusedOperationChangesNothing:
-    @pytest.mark.parametrize("label, operation, error", [
-        ("T0", lambda ledger, c, client, server: ledger.deposit(client, c, 2**64),
-         ValueError),
-        ("T0", lambda ledger, c, client, server: ledger.deposit(client, c, 1.5),
-         ValueError),
-        ("T0", lambda ledger, c, client, server: ledger.deposit(client, c, -1),
-         ValueError),
-        ("G1.1", lambda ledger, c, client, server: ledger.post(
+    @pytest.mark.parametrize("label, paid, operation, error", [
+        ("T0", False, lambda ledger, c, client, server, arbiter: ledger.post(
+            c, LedgerMessage(client, MsgKind.DEPOSIT, bytes(7))), MalformedPayload),
+        # the amount 2**64 needs a ninth byte
+        ("T0", False, lambda ledger, c, client, server, arbiter: ledger.post(
+            c, LedgerMessage(client, MsgKind.DEPOSIT, (2**64).to_bytes(9, "big"))),
+         MalformedPayload),
+        ("T0", False, lambda ledger, c, client, server, arbiter: deposit(
+            ledger, client, c, 80), InsufficientBalance),  # it holds 79
+        ("T0", False, lambda ledger, c, client, server, arbiter: deposit(
+            ledger, arbiter, c, 1), WrongSender),
+        ("T1", False, lambda ledger, c, client, server, arbiter: deposit(
+            ledger, client, c, 21), OutOfWindow),
+        ("T1", True, lambda ledger, c, client, server, arbiter: deposit(
+            ledger, server, c, 6), AlreadyPaid),
+        ("G1.1", False, lambda ledger, c, client, server, arbiter: ledger.post(
             c, LedgerMessage(client, MsgKind.QUERY, "q", slot=1)), MalformedPayload),
-        ("G1.2", lambda ledger, c, client, server: ledger.post(
+        ("G1.2", False, lambda ledger, c, client, server, arbiter: ledger.post(
             c, LedgerMessage(server, MsgKind.PROOF, bytearray(b"p"), slot=1)),
          MalformedPayload),
-        ("T2", lambda ledger, c, client, server: ledger.post(
+        ("T2", False, lambda ledger, c, client, server, arbiter: ledger.post(
             c, LedgerMessage(client, MsgKind.PAY, "pay")), MalformedPayload),
-        ("G1.1", lambda ledger, c, client, server: ledger.post(
+        ("G1.1", False, lambda ledger, c, client, server, arbiter: ledger.post(
             c, LedgerMessage(client, MsgKind.QUERY, b"q", slot="1")), OutOfWindow),
-    ], ids=["deposit-2**64", "deposit-float", "deposit-negative", "str-payload",
-            "bytearray-payload", "str-pay", "str-slot"])
-    def test_no_state_changes(self, label, operation, error):
-        ledger, contract, client, server, _ = make_env(client_balance=2**65)
-        goto(ledger, contract, label)
+    ], ids=["deposit-7-bytes", "deposit-2**64", "deposit-above-balance",
+            "deposit-from-arbiter", "client-deposit-at-T1", "deposit-after-payout",
+            "str-payload", "bytearray-payload", "str-pay", "str-slot"])
+    def test_no_state_changes(self, label, paid, operation, error):
+        # ``paid``: the client's deposit is paid out at T0, before the operation
+        ledger, contract, client, server, arbiter = make_env()
+        goto(ledger, contract, "T0")
+        deposit(ledger, client, contract, 21)
+        if paid:
+            ledger.execute_payout(contract, [(client, 21)])
+        if label != "T0":
+            goto(ledger, contract, label)
         balances, trace = ledger.balances(), ledger.export_trace()
         fields = copy.deepcopy(vars(contract))
         with pytest.raises(error):
-            operation(ledger, contract, client, server)
+            operation(ledger, contract, client, server, arbiter)
         assert ledger.balances() == balances
         assert ledger.export_trace() == trace
         assert vars(contract) == fields
@@ -361,7 +381,7 @@ class TestPost:
         # stored: the counters, the trace and the escrow stay as they were
         ledger, contract, client, server, arbiter = make_env(z=2)
         goto(ledger, contract, "T0")
-        ledger.deposit(client, contract, 21)
+        deposit(ledger, client, contract, 21)
         goto(ledger, contract, "K6")
         ledger.post(
             contract,
@@ -442,9 +462,9 @@ class TestTime:
 class TestPayout:
     def fund(self, ledger, contract, client, server):
         goto(ledger, contract, "T0")
-        ledger.deposit(client, contract, 21)
+        deposit(ledger, client, contract, 21)
         goto(ledger, contract, "T1")
-        ledger.deposit(server, contract, 6)
+        deposit(ledger, server, contract, 6)
 
     def test_distribution_empties_escrow(self):
         ledger, contract, client, server, arbiter = make_env()
@@ -498,10 +518,10 @@ class TestDeterminismAndTraces:
         ledger, contract, client, server, arbiter = make_env()
         goto(ledger, contract, "T0")
         ledger.log_session_event("sap_client", client, b"commitment")
-        ledger.deposit(client, contract, 21)
+        deposit(ledger, client, contract, 21)
         goto(ledger, contract, "T1")
         ledger.post(contract, LedgerMessage(server, MsgKind.SERVER_RESPONSE, b"\x01"))
-        ledger.deposit(server, contract, 6)
+        deposit(ledger, server, contract, 6)
         goto(ledger, contract, "G1.1")
         ledger.post(contract, LedgerMessage(client, MsgKind.QUERY, b"q1", slot=1))
         goto(ledger, contract, "G1.2")
@@ -573,10 +593,9 @@ class TestDeterminismAndTraces:
 
 
 class TestConservationProperty:
-    # besides well-formed operations, draws that are not: an amount past the
-    # trace's 8 bytes or not an int, a payload that is not bytes, a slot
-    # that is not an int
-    AMOUNTS = (2**64, 1.5, -1)
+    # besides well-formed operations, draws that are not: a deposit above the
+    # sender's balance, a payload that is not bytes (or, for a DEPOSIT drawn
+    # as a post, not 8 bytes), a slot that is not an int
     PAYLOADS = ("text", bytearray(b"mutable"))
     SLOTS = ("1", 1.0, None)
 
@@ -584,9 +603,7 @@ class TestConservationProperty:
         rng = random.Random(20250809)
         for _ in range(60):
             z = rng.randrange(1, 4)
-            ledger, contract, client, server, arbiter = make_env(
-                z=z, client_balance=2**65
-            )
+            ledger, contract, client, server, arbiter = make_env(z=z)
             start = ledger.total_supply()
             for point in Schedule(z).points:
                 if rng.random() < 0.25:
@@ -601,9 +618,9 @@ class TestConservationProperty:
                     odd = rng.random() < 0.2
                     try:
                         if rng.random() < 0.5:
-                            amount = (rng.choice(self.AMOUNTS) if odd
-                                      else rng.randrange(0, 30))
-                            ledger.deposit(actor, contract, amount)
+                            amount = (rng.choice([ledger.balance(actor) + 1, 2**64 - 1])
+                                      if odd else rng.randrange(0, 30))
+                            deposit(ledger, actor, contract, amount)
                         else:
                             kind = rng.choice(list(MsgKind))
                             slot = rng.randrange(0, z + 2)

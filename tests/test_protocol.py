@@ -22,8 +22,9 @@ from porpay.protocol import (
     Server,
     SessionConfig,
 )
-from porpay.sap import sap_verify
+from porpay.sap import sap_agree, sap_init, sap_verify
 from porpay.scenario import VARIANTS
+from test_ledger import deposit
 
 ARBITER, ARBITERLESS = VARIANTS
 
@@ -223,6 +224,15 @@ class TestStatements:
         with pytest.raises(ValueError):
             CpStatement(o=6, o_max=5, l=2, l_max=2, z=3)
 
+    def test_masked_deposit_fits_eight_bytes(self):
+        # a deposit post states its amount in 8 bytes, and the client's
+        # masked deposit z * (o_max + l_max) bounds the server's z * l_max
+        assert CpStatement(0, 0, 2**64 - 1, 2**64 - 1, 1).client_deposit == 2**64 - 1
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            CpStatement(0, 0, 2**63, 2**63, 2)
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            CpStatement.from_bytes(CpStatement._LAYOUT.pack(1, 1, 2**64 - 1, 2**64 - 1, 1))
+
 
 class TestSessionRules:
     """The rules ``SessionConfig``, ``PricePair`` and ``QpStatement`` hold at
@@ -370,8 +380,6 @@ class TestServerInit:
                                     protocol.entry_real_units(pp.m))
         statement = qp_bytes(QpStatement(pad, k_bar, pp, payload))
         cp = CpStatement(5, 5, 2, 2, config.z)
-        from porpay.sap import sap_init
-
         opening_qp, sid_qp = sap_init(ledger, addr_c, addr_qp, statement, rng)
         opening_cp, sid_cp = sap_init(ledger, addr_c, addr_s, cp.to_bytes(), rng)
         sap_qp, sap_cp = refs(sid_qp, sid_cp) if refs else (sid_qp, sid_cp)
@@ -388,7 +396,7 @@ class TestServerInit:
         )
         contract = ledger.deploy_contract(addr_c, params)
         ledger.advance_time(Schedule(config.z).point("T0"))
-        ledger.deposit(addr_c, contract, client_deposit)
+        deposit(ledger, addr_c, contract, client_deposit)
         handoff = protocol.Handoff(blocks, opening_qp, opening_cp, contract)
         return ledger, addr_c, Server(addr_s, rng, PRICES), handoff
 
@@ -397,6 +405,63 @@ class TestServerInit:
         ledger, _, server, handoff = self.hand_built(client_deposit=20)
         goto(ledger, handoff.contract, "T1")
         assert server.init(handoff, ledger) == 0
+
+    @pytest.mark.parametrize("label", ["T2", "L"])
+    def test_underfunded_client_refunds_when_server_agrees(self, label):
+        # a server that agrees anyway to a client that escrowed 1 of its 21:
+        # T2 refunds both deposits, and L, which cannot pay o per cycle out
+        # of 1 coin, refuses rather than locking the escrow
+        ledger, addr_c, server, handoff = self.hand_built(client_deposit=1)
+        contract, params = handoff.contract, handoff.contract.params
+        goto(ledger, contract, "T1")
+        assert sap_agree(ledger, handoff.opening_qp, addr_c, params.sap_qp, server.addr)
+        assert sap_agree(ledger, handoff.opening_cp, addr_c, params.sap_cp, server.addr)
+        ledger.post(contract, protocol.LedgerMessage(
+            server.addr, protocol.MsgKind.SERVER_RESPONSE, b"\x01"))
+        deposit(ledger, server.addr, contract, 6)
+        assert protocol.refund_applies(contract)
+        goto(ledger, contract, label)
+        ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
+        if label == "L":
+            with pytest.raises(protocol.RefundPath):
+                protocol.payout(ledger, contract, handoff.opening_cp)
+            assert contract.escrow == 7
+        else:
+            assert protocol.payout(ledger, contract, handoff.opening_cp) == {
+                "client": 1, "server": 6}
+            assert ledger.balances() == {"client": 100, "server": 100, "arbiter": 0}
+
+    def test_deposit_past_eight_bytes_refunds(self):
+        # prices [(0, 2**63)] at z = 2 mask both deposits as 2**64, one past
+        # a deposit post's 8 bytes. The client escrows its 2**64 in two
+        # posts; the server refuses to read the cp statement, answers a = 0
+        # and deposits nothing, and T2 refunds
+        z, half = 2, 2**63
+        ledger = Ledger()
+        addr_c = ledger.create_account("client", 2 * half)
+        addr_s = ledger.create_account("server", 2 * half)
+        rng = random.Random(3)
+        blocks, pp = por.setup(rng.randbytes(512), 16, 4)
+        pi = protocol.entry_real_units(pp.m)
+        k_bar, _ = protocol.key_gen(rng, pi, pi)
+        qp = QpStatement(0, k_bar, pp, 16).to_bytes()
+        cp = CpStatement._LAYOUT.pack(0, 0, half, half, z)
+        opening_qp, sid_qp = sap_init(ledger, addr_c, addr_s, qp, rng)
+        opening_cp, sid_cp = sap_init(ledger, addr_c, addr_s, cp, rng)
+        contract = ledger.deploy_contract(addr_c, protocol.ContractParams(
+            z, 2 * half, 2 * half, addr_c, addr_s, None, sid_qp, sid_cp))
+        goto(ledger, contract, "T0")
+        deposit(ledger, addr_c, contract, half)
+        deposit(ledger, addr_c, contract, half)
+        server = Server(addr_s, rng, PriceList((PricePair(0, half),)))
+        goto(ledger, contract, "T1")
+        handoff = protocol.Handoff(blocks, opening_qp, opening_cp, contract)
+        assert server.init(handoff, ledger) == 0
+        assert (contract.a_flag, contract.server_deposited) == (0, 0)
+        goto(ledger, contract, "T2")
+        ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
+        protocol.payout(ledger, contract, opening_cp)
+        assert ledger.balances() == {"client": 2 * half, "server": 2 * half}
 
     def test_unframeable_block_payload_refunds(self):
         # a qp statement whose largest entry would overflow a unit's length
