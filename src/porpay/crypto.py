@@ -7,7 +7,9 @@ to the capacity. A challenge key travels as one unit, and so does each proof
 entry, whose value is the path's values back to back; which geometries a
 session uses is fixed by its agreed ``protocol.QpStatement``. Every unit
 of one geometry has the same wire length, and a sampled unit has it too,
-which is the property the padding scheme relies on.
+which is the property the padding scheme relies on. Sampled units are not
+sealed: ``sample_unit`` draws a run of them as one AES keystream under a
+fresh key, so they are pseudorandom bytes of the unit length.
 
 Unit wire format: nonce || ciphertext || tag.
 """
@@ -158,6 +160,11 @@ def dec_unit(key: bytes, unit: bytes, fmt: UnitFormat) -> bytes:
     return value[:n]
 
 
-def sample_unit(fmt: UnitFormat, rng: random.Random) -> bytes:
-    """Uniformly random bytes of exactly the unit wire length."""
-    return rng.randbytes(fmt.unit_len)
+def sample_unit(fmt: UnitFormat, rng: random.Random, count: int = 1) -> bytes:
+    """``count`` units of pseudorandom bytes back to back, each the unit wire
+    length: AES-GCM's encryption of zeros under a fresh key from ``rng``,
+    whose ciphertext is the CTR keystream and whose tag encrypts its own
+    counter block. The key encrypts nothing else, so the fixed nonce is
+    safe; the cipher is built here because ``_aead`` caches session keys."""
+    zeros = bytes(count * fmt.unit_len - TAG_LEN)
+    return AESGCM(gen_sym_key(rng)).encrypt(bytes(NONCE_LEN), zeros, None)

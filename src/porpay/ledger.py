@@ -146,7 +146,7 @@ class LedgerMessage:
     sender: Address
     kind: MsgKind
     payload: bytes
-    slot: int | None = None  # cycle number for QUERY / PROOF
+    slot: int | None = None  # cycle number for QUERY / PROOF, None otherwise
 
 
 class Counters(NamedTuple):
@@ -252,11 +252,15 @@ class RcContract:
     def accept(self, msg: LedgerMessage, now: TimePoint, balance: int) -> int:
         """Admit ``msg`` at ``now`` from a sender holding ``balance``: its
         kind's checks, that (kind, sender, time) line up and the slot is
-        free, then its store. Returns the coins it escrows, a DEPOSIT's
-        amount or 0. A refused message raises before anything is stored."""
+        free, then its store. Only a QUERY or PROOF names a slot. Returns the
+        coins it escrows, a DEPOSIT's amount or 0. A refused message raises
+        before anything is stored."""
         p, kind = self.params, msg.kind
         if not isinstance(msg.payload, bytes):
             raise MalformedPayload("payload must be bytes")
+        slotted = kind is MsgKind.QUERY or kind is MsgKind.PROOF
+        if not slotted and msg.slot is not None:
+            raise MalformedPayload(f"{kind} takes no slot, got {msg.slot!r}")
         if kind is MsgKind.DEPOSIT:
             if self.paid_out:
                 raise AlreadyPaid("contract already paid out")
@@ -274,7 +278,7 @@ class RcContract:
             else:
                 self.server_deposited += amount
             return amount
-        if kind is MsgKind.QUERY or kind is MsgKind.PROOF:
+        if slotted:
             by_client = kind is MsgKind.QUERY
             self._require(msg.sender, p.addr_client if by_client else p.addr_server, kind)
             j = msg.slot

@@ -369,7 +369,7 @@ def encode_proof_vector(
 
 def dummy_proof_vector(qp: QpStatement, rng: random.Random) -> bytes:
     """All-sampled vector with exactly the shape of a real one."""
-    return b"".join([sample_unit(qp.entry_unit, rng) for _ in range(qp.pp.phi)])
+    return sample_unit(qp.entry_unit, rng, qp.pp.phi)
 
 
 def open_entry(payload: bytes, g: int, qp: QpStatement) -> merkle.MerklePath:

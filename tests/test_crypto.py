@@ -227,6 +227,10 @@ class TestCipherCache:
                 crypto.dec_unit(bytes(15), bytes(self.fmt.unit_len), self.fmt)
 
 
+# a small agreed statement: phi = 8 entry units over a 64-block file
+DUMMY_QP = protocol.QpStatement(0, b"\x03" * 16, por.PublicParams(bytes(16), phi=8, m=64))
+
+
 class TestWireGolden:
     """Digests of sealed bytes; any change to the unit format, the entry
     layout or the order of RNG draws shows here."""
@@ -257,6 +261,13 @@ class TestWireGolden:
             "6ac35b0e9adbd743cbe3d2e107aac41f0d0907f3e4ee112e50edf0759a931a50"
         )
 
+    def test_dummy_proof_vector(self):
+        wire = protocol.dummy_proof_vector(DUMMY_QP, random.Random(17))
+        assert len(wire) == DUMMY_QP.pp.phi * DUMMY_QP.entry_unit.unit_len
+        assert hashlib.sha256(wire).hexdigest() == (
+            "dcab9c0e98c5a18292556784f77e749226fa250c11f879eec2a6f12327bcbdcb"
+        )
+
 
 class TestSampleUnit:
     fmt = crypto.UnitFormat(value_capacity=20)
@@ -275,3 +286,28 @@ class TestSampleUnit:
         one = crypto.sample_unit(self.fmt, random.Random(1234))
         two = crypto.sample_unit(self.fmt, random.Random(1234))
         assert one == two
+
+    @pytest.mark.parametrize("count", [1, 2, 460])
+    def test_count_units_back_to_back(self, count):
+        sampled = crypto.sample_unit(self.fmt, random.Random(10), count)
+        assert len(sampled) == count * self.fmt.unit_len
+
+    def test_dummy_draws_one_key_from_rng(self):
+        # the vector is a keystream under one 16-byte key: the server's later
+        # nonces follow as if it had drawn that key and nothing else
+        rng, twin = random.Random(11), random.Random(11)
+        protocol.dummy_proof_vector(DUMMY_QP, rng)
+        twin.randbytes(crypto.SYM_KEY_LEN)
+        assert rng.randbytes(64) == twin.randbytes(64)
+
+    def test_dummy_leaves_the_cipher_cache_alone(self):
+        # the throwaway key never enters the cache of session keys
+        before = crypto._aead.cache_info()
+        protocol.dummy_proof_vector(DUMMY_QP, random.Random(12))
+        assert crypto._aead.cache_info() == before
+
+    def test_dummy_units_pairwise_distinct(self):
+        dummy = protocol.dummy_proof_vector(DUMMY_QP, random.Random(13))
+        n = DUMMY_QP.entry_unit.unit_len
+        units = {dummy[i : i + n] for i in range(0, len(dummy), n)}
+        assert len(units) == DUMMY_QP.pp.phi

@@ -280,6 +280,41 @@ class TestRefusedOperationChangesNothing:
         assert vars(contract) == fields
 
 
+class TestSlotOnlyOnCyclePosts:
+    """Only a QUERY or PROOF names a cycle. A post of any other kind that
+    names a slot is refused before anything is stored or logged, so no slot
+    the contract ignores can reach the trace, JSON or not."""
+
+    # (kind, arbiterless, time, sender role, payload, slot), one per kind;
+    # the same post without its slot is accepted
+    CASES = {
+        "deposit": (MsgKind.DEPOSIT, False, "T0", "client", (21).to_bytes(8, "big"), 7),
+        "server-response": (MsgKind.SERVER_RESPONSE, False, "T1", "server", b"\x01", 0),
+        "server-complaints": (MsgKind.SERVER_COMPLAINTS, True, "K1", "server", b"{}", 1),
+        "client-complaints": (MsgKind.CLIENT_COMPLAINTS, True, "K4", "client", b"{}", 1.0),
+        "counters": (MsgKind.COUNTERS, False, "K6", "arbiter", Counters().pack(), object()),
+        "pay": (MsgKind.PAY, False, "T2", "client", b"pay", "x"),
+    }
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_refused_with_a_slot_accepted_without(self, case, tmp_path):
+        kind, arbiterless, label, role, payload, slot = case
+        ledger, contract, client, server, arbiter = make_env(arbiterless=arbiterless)
+        sender = {"client": client, "server": server, "arbiter": arbiter}[role]
+        goto(ledger, contract, label)
+        balances, trace = ledger.balances(), ledger.export_trace()
+        fields = copy.deepcopy(vars(contract))
+        with pytest.raises(MalformedPayload, match="takes no slot"):
+            ledger.post(contract, LedgerMessage(sender, kind, payload, slot=slot))
+        assert ledger.balances() == balances
+        assert ledger.export_trace() == trace
+        assert vars(contract) == fields
+        ledger.post(contract, LedgerMessage(sender, kind, payload))
+        assert ledger.export_trace()[-1]["kind"] == kind.value
+        assert "slot" not in ledger.export_trace()[-1]
+        ledger.write_trace_jsonl(tmp_path / "trace.jsonl")
+
+
 class TestPost:
     def test_query_stored_under_slot(self):
         ledger, contract, client, *_ = make_env()
@@ -595,7 +630,8 @@ class TestDeterminismAndTraces:
 class TestConservationProperty:
     # besides well-formed operations, draws that are not: a deposit above the
     # sender's balance, a payload that is not bytes (or, for a DEPOSIT drawn
-    # as a post, not 8 bytes), a slot that is not an int
+    # as a post, not 8 bytes), a slot that is not an int or that a kind other
+    # than QUERY and PROOF names
     PAYLOADS = ("text", bytearray(b"mutable"))
     SLOTS = ("1", 1.0, None)
 
@@ -623,7 +659,8 @@ class TestConservationProperty:
                             deposit(ledger, actor, contract, amount)
                         else:
                             kind = rng.choice(list(MsgKind))
-                            slot = rng.randrange(0, z + 2)
+                            cycle_post = kind in (MsgKind.QUERY, MsgKind.PROOF)
+                            slot = rng.randrange(0, z + 2) if cycle_post else None
                             payload = rng.randbytes(4)
                             if odd and rng.random() < 0.5:
                                 payload = rng.choice(self.PAYLOADS)

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import struct
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -918,6 +919,21 @@ class TestWireShape:
         assert entries is None
         assert failed == 1
 
+    def test_dummy_refused_at_every_entry(self):
+        # each entry of the keystream fails to open on its own, so a
+        # re-check of any entry the client names finds a bad proof
+        rng = random.Random(0)
+        qp = QpStatement(0, b"\x03" * 16, por.PublicParams(bytes(16), phi=8, m=64))
+        dummy = protocol.dummy_proof_vector(qp, rng)
+        posted = SimpleNamespace(
+            queries={1: enc_unit(qp.k_bar, por.gen_query(rng), qp.query_unit, rng)},
+            proofs={1: dummy},
+        )
+        for g in range(1, qp.pp.phi + 1):
+            with pytest.raises(DecryptFailure):
+                protocol.open_entry(dummy, g, qp)
+            assert protocol._judge_client_complaint(posted, 1, g, qp) == protocol.BAD_PROOF
+
 
 class TestOneShapePerSession:
     @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
@@ -1518,6 +1534,44 @@ def _cut_last_entry(wire, phi):
 
 def _one_byte_long(wire, phi):
     return wire + b"\x00"
+
+
+class TestDummyComplaintAtAnyEntry:
+    """A client may name any entry of a dummy vector in its complaint; the
+    ruling and the charge do not depend on which entry it names."""
+
+    ENTRIES = range(1, make_config().phi + 1)
+
+    @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
+    @pytest.mark.parametrize("g", ENTRIES)
+    def test_false_query_complaint_cycle(self, variant, g):
+        # the query is valid, so cycle 2 stays out of v and the dummy is
+        # re-checked at g: a bad proof, charged as the variant charges one
+        # (with an arbiter, the server's unneeded dispute already covers it)
+        run = HonestRun(make_config(z=3), seed=6, variant=variant,
+                        server_script=frozenset({("false_query_complaint", 2)}))
+        assert run.client.complaints == [(2, 1)]
+        client_post = protocol.pack_complaints(run.client.opening_qp, [2, g])
+        report = resolve_posts(variant, run.ledger, run.contract,
+                               run.server.complaint_post(), client_post)
+        assert report.v == []
+        assert report.rulings == [(2, None, NOBODY), (2, g, BAD_PROOF)]
+        assert run.contract.counters == (
+            Counters(server_unneeded_disputes=1) if variant == ARBITER
+            else Counters(server_faults=1)
+        )
+
+    @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
+    @pytest.mark.parametrize("g", ENTRIES)
+    def test_invalid_query_cycle_filtered_through_v(self, variant, g):
+        run = HonestRun(make_config(z=3), seed=5, variant=variant,
+                        client_script=frozenset({("invalid_query", 1)}))
+        client_post = protocol.pack_complaints(run.client.opening_qp, [1, g])
+        report = resolve_posts(variant, run.ledger, run.contract,
+                               run.server.complaint_post(), client_post)
+        assert report.v == [1]
+        assert report.rulings == [(1, None, BAD_QUERY), (1, g, FILTERED)]
+        assert run.contract.counters == Counters(client_faults=1)
 
 
 class TestMisShapedProof:
