@@ -223,7 +223,7 @@ class RcContract:
         self.queries: dict[int, bytes] = {}
         self.proofs: dict[int, bytes] = {}
         self.complaint_posts: dict[str, bytes] = {}
-        self.pay_requests: list[str] = []
+        self.pay_requests: dict[str, list[bytes]] = {}  # PAY payloads by time label
         self.payout: dict[str, int] | None = None
 
     @property
@@ -322,7 +322,7 @@ class RcContract:
                 raise WrongSender("pay must come from a session party")
             if now.label not in ("T2", "L"):
                 raise OutOfWindow(f"pay not accepted at {now.label}")
-            self.pay_requests.append(now.label)
+            self.pay_requests.setdefault(now.label, []).append(msg.payload)
         else:
             raise WrongSender(f"unknown message kind {kind!r}")
         return 0

@@ -16,7 +16,7 @@ One session runs eight phases over the ledger clock:
    vector is phi equal units whatever the tree height;
 6. verify: the client checks each cycle locally and records complaints;
 7. dispute resolution at K1..K6 over both parties' complaint posts;
-8. coin transfer at L (or the refund at T2).
+8. coin transfer at L, priced by the cp opening a PAY post carries (or the T2 refund).
 
 Both dispute variants are provided: a third-party arbiter that tallies four
 counters (faults plus unnecessary invocations, the latter paying the
@@ -444,10 +444,18 @@ class Handoff:
 
 
 class _Party:
-    """Posts a client and a server make alike: the deposit, the complaint
-    post of its ``COMPLAINTS`` kind, and the pay request."""
+    """What a client and a server hold and post alike: the deposit, the
+    complaint post of its ``COMPLAINTS`` kind, and the pay request."""
 
     COMPLAINTS: MsgKind
+
+    def __init__(self, addr: Address, rng: random.Random, script: Script):
+        self.addr, self.rng, self.script = addr, rng, script
+        self.qp: QpStatement | None = None
+        self.contract: RcContract | None = None
+        self.opening_qp: Opening | None = None
+        self.opening_cp: Opening | None = None
+        self.complaints: list = []  # the client's (j, g) items, the server's cycles
 
     def deposit(self, ledger: Ledger, amount: int) -> None:
         """Escrow ``amount``: a DEPOSIT post of it, 8 bytes big-endian."""
@@ -463,7 +471,11 @@ class _Party:
         )
 
     def request_payout(self, ledger: Ledger) -> None:
-        ledger.post(self.contract, LedgerMessage(self.addr, MsgKind.PAY, b"pay"))
+        """Phase 8: PAY with the cp opening, statement then randomness, at L;
+        else b"": the T2 refund reads no payload, so (o, l) stay hidden there."""
+        o = self.opening_cp if ledger.time.label == "L" else None
+        payload = b"" if o is None else o.statement + o.randomness
+        ledger.post(self.contract, LedgerMessage(self.addr, MsgKind.PAY, payload))
 
 
 class Client(_Party):
@@ -481,15 +493,8 @@ class Client(_Party):
         config: SessionConfig,
         script: Script = frozenset(),
     ):
-        self.addr = addr
-        self.rng = rng
+        super().__init__(addr, rng, script)
         self.config = config
-        self.script = script
-        self.qp: QpStatement | None = None
-        self.contract: RcContract | None = None
-        self.opening_qp: Opening | None = None
-        self.opening_cp: Opening | None = None
-        self.complaints: list[tuple[int, int]] = []
 
     def init(
         self,
@@ -553,9 +558,7 @@ class Client(_Party):
         )
         return unit
 
-    def verify_cycle(
-        self, j: int, ledger: Ledger
-    ) -> tuple[por.Verdict | None, tuple[int, int] | None]:
+    def verify_cycle(self, j: int) -> tuple[por.Verdict | None, tuple[int, int] | None]:
         """Phase 6: unpad, decrypt, verify; a rejection yields complaint [j, g],
         and so does an accepted cycle the script falsely accuses. A withheld
         query gives (None, None); one ``_query_key`` refuses fails the cycle
@@ -594,15 +597,9 @@ class Server(_Party):
         price_list: PriceList,
         script: Script = frozenset(),
     ):
-        self.addr = addr
-        self.rng = rng
+        super().__init__(addr, rng, script)
         self.price_list = price_list
-        self.script = script
-        self.contract: RcContract | None = None
         self.tree: merkle.MerkleTree | None = None
-        self.qp: QpStatement | None = None
-        self.complaints: list[int] = []
-        self.opening_qp: Opening | None = None
 
     def init(self, handoff: Handoff, ledger: Ledger) -> int:
         """Phase 3: re-check statements, deposits, and metadata; answer at T1.
@@ -613,6 +610,7 @@ class Server(_Party):
         the buffer's, or a failed agreement all end in a = 0 and no deposit,
         which later triggers the T2 refund path. Both agreements run whatever
         the checks say, so the ledger trace does not tell which one failed.
+        The server keeps qp, the tree and the cp opening only when it agrees.
         """
         contract = handoff.contract
         params = contract.params
@@ -653,6 +651,7 @@ class Server(_Party):
                 a = 1
                 self.tree = tree
                 self.qp = qp
+                self.opening_cp = handoff.opening_cp
 
         ledger.post(
             contract, LedgerMessage(self.addr, MsgKind.SERVER_RESPONSE, bytes([a]))
@@ -786,6 +785,7 @@ class ResolutionReport:
 # hold any entry of a file that index can address and any cycle a schedule
 # of 2z + 11 time points can reach.
 _QP_LEN = QpStatement._LAYOUT.size
+_CP_LEN = CpStatement._LAYOUT.size  # a PAY post is the cp opening alone
 _HEAD_LEN = _QP_LEN + LAMBDA_BITS // 8
 _FIELD_LEN = 4
 
@@ -966,53 +966,56 @@ def refund_applies(contract: RcContract) -> bool:
     )
 
 
-def payout(
-    ledger: Ledger, contract: RcContract, opening_cp: Opening | None
-) -> dict[str, int]:
-    """Phase 8, one payout for both time points and both variants.
+def payout(ledger: Ledger, contract: RcContract) -> dict[str, int]:
+    """Phase 8, one payout for both time points and both variants, read off
+    the contract alone, once a party has posted PAY at that point.
 
     At T2, when ``refund_applies``, each party withdraws exactly what it
-    deposited; ``opening_cp`` is not read. At L the client pays o per cycle
-    not attributed to the server, and each party is charged l per own fault
-    or unneeded dispute: with an arbiter every charged l goes to the arbiter,
+    deposited, and no PAY payload is read. At L the first PAY post, in
+    posted order, whose bytes open the agreed cp statement (``BadOpening``
+    when none does) sets the prices: the client pays o per cycle not
+    attributed to the server, and each party is charged l per own fault or
+    unneeded dispute: with an arbiter every charged l goes to the arbiter,
     without one (``params.arbiterless``) each party's l goes to the other.
-    Either way the whole escrow is distributed exactly, once a party has
-    posted PAY at that point.
+    Either way the whole escrow is distributed exactly.
     """
-    params = contract.params
-    if ledger.time.label == "T2":
+    params, label = contract.params, ledger.time.label
+    if label == "T2":
         if not refund_applies(contract):
             raise ValueError("parties reached agreement; the refund path does not apply")
-        dist = [
-            (params.addr_client, contract.client_deposited),
-            (params.addr_server, contract.server_deposited),
-        ]
     else:
         require_time(ledger.time, "L")
         if refund_applies(contract):
             raise RefundPath("server never agreed, or a party under-deposited")
-        cp = _agreed(opening_cp, CpStatement, params.sap_cp, contract, ledger)
-        if cp is None:
-            raise BadOpening("coin statement opening rejected")
-        c = contract.counters
-        paid = cp.o * (cp.z - c.server_faults)
-        client_l = cp.l * (c.client_faults + c.client_unneeded_disputes)
-        server_l = cp.l * (c.server_faults + c.server_unneeded_disputes)
-        coin_client = contract.client_deposited - paid - client_l
-        coin_server = contract.server_deposited + paid - server_l
-        if params.arbiterless:
-            dist = [
-                (params.addr_client, coin_client + server_l),
-                (params.addr_server, coin_server + client_l),
-            ]
-        else:
-            dist = [
-                (params.addr_client, coin_client),
-                (params.addr_server, coin_server),
-                (params.addr_arbiter, client_l + server_l),
-            ]
-    if ledger.time.label not in contract.pay_requests:
-        raise PayNotRequested(f"no pay request posted at {ledger.time.label}")
+    if label not in contract.pay_requests:
+        raise PayNotRequested(f"no pay request posted at {label}")
+    if label == "T2":
+        return ledger.execute_payout(contract, [
+            (params.addr_client, contract.client_deposited),
+            (params.addr_server, contract.server_deposited),
+        ])
+    openings = (Opening(p[:_CP_LEN], p[_CP_LEN:]) for p in contract.pay_requests[label])
+    agreed = (_agreed(o, CpStatement, params.sap_cp, contract, ledger) for o in openings)
+    cp = next(filter(None, agreed), None)  # the first, in posted order
+    if cp is None:
+        raise BadOpening("no pay request opens the agreed coin statement")
+    c = contract.counters
+    paid = cp.o * (cp.z - c.server_faults)
+    client_l = cp.l * (c.client_faults + c.client_unneeded_disputes)
+    server_l = cp.l * (c.server_faults + c.server_unneeded_disputes)
+    coin_client = contract.client_deposited - paid - client_l
+    coin_server = contract.server_deposited + paid - server_l
+    if params.arbiterless:
+        dist = [
+            (params.addr_client, coin_client + server_l),
+            (params.addr_server, coin_server + client_l),
+        ]
+    else:
+        dist = [
+            (params.addr_client, coin_client),
+            (params.addr_server, coin_server),
+            (params.addr_arbiter, client_l + server_l),
+        ]
     return ledger.execute_payout(contract, dist)
 
 

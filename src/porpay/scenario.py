@@ -291,7 +291,7 @@ def run(spec: ScenarioSpec) -> dict:
             client.post_query(j, ledger)
             _goto(ledger, schedule, f"G{j}.2")
             b_j = server.prove_cycle(j, ledger)
-            verdict, complaint = client.verify_cycle(j, ledger)
+            verdict, complaint = client.verify_cycle(j)
             cycles.append(
                 {
                     "j": j,
@@ -325,12 +325,9 @@ def run(spec: ScenarioSpec) -> dict:
 
         _goto(ledger, schedule, "L")
     client.request_payout(ledger)
-    if variant == ARBITER:
-        actual = protocol.payout_arbiter_variant(ledger, contract, client.opening_cp)
-    else:
-        actual = protocol.payout_arbiterless_variant(
-            ledger, contract, client.opening_cp
-        )
+    pay = (protocol.payout_arbiter_variant if variant == ARBITER
+           else protocol.payout_arbiterless_variant)
+    actual = pay(ledger, contract)
     expected = expected_payout(
         variant,
         contract.counters,

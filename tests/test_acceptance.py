@@ -334,8 +334,8 @@ class TestHonestPartyCatalogue:
         """``Client.verify_cycle`` for a client that keeps back its complaint
         about a cycle its own invalid query spoiled."""
 
-        def verify(client, j, ledger):
-            verdict, complaint = verify_cycle(client, j, ledger)
+        def verify(client, j):
+            verdict, complaint = verify_cycle(client, j)
             own_fault = ("invalid_query", j) in client.script
             if complaint is not None and not verdict.accepted and own_fault:
                 client.complaints.remove(complaint)

@@ -425,10 +425,10 @@ class TestServerInit:
         ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
         if label == "L":
             with pytest.raises(protocol.RefundPath):
-                protocol.payout(ledger, contract, handoff.opening_cp)
+                protocol.payout(ledger, contract)
             assert contract.escrow == 7
         else:
-            assert protocol.payout(ledger, contract, handoff.opening_cp) == {
+            assert protocol.payout(ledger, contract) == {
                 "client": 1, "server": 6}
             assert ledger.balances() == {"client": 100, "server": 100, "arbiter": 0}
 
@@ -461,7 +461,7 @@ class TestServerInit:
         assert (contract.a_flag, contract.server_deposited) == (0, 0)
         goto(ledger, contract, "T2")
         ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
-        protocol.payout(ledger, contract, opening_cp)
+        protocol.payout(ledger, contract)
         assert ledger.balances() == {"client": 2 * half, "server": 2 * half}
 
     def test_unframeable_block_payload_refunds(self):
@@ -476,7 +476,7 @@ class TestServerInit:
         assert contract.server_deposited == 0
         goto(ledger, contract, "T2")
         ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
-        protocol.payout_arbiter_variant(ledger, contract, handoff.opening_cp)
+        protocol.payout_arbiter_variant(ledger, contract)
         assert ledger.balances() == {"client": 100, "server": 100, "arbiter": 0}
 
     @pytest.mark.parametrize(
@@ -511,7 +511,7 @@ class TestServerInit:
         assert contract.server_deposited == 0
         goto(ledger, contract, "T2")
         ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
-        protocol.payout_arbiter_variant(ledger, contract, handoff.opening_cp)
+        protocol.payout_arbiter_variant(ledger, contract)
         balances = ledger.balances()
         assert (balances["client"], balances["server"], balances["arbiter"]) == (100, 100, 0)
         assert ledger.total_supply() == genesis_supply
@@ -557,7 +557,7 @@ class TestServerInit:
         assert contract.server_deposited == 0
         goto(ledger, contract, "T2")
         ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
-        protocol.payout_arbiter_variant(ledger, contract, handoff.opening_cp)
+        protocol.payout_arbiter_variant(ledger, contract)
         assert ledger.balances() == {"client": 100, "server": 100, "arbiter": 0}
 
     @pytest.mark.parametrize(
@@ -579,7 +579,7 @@ class TestServerInit:
         if a == 0:
             goto(ledger, contract, "T2")
             ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
-            protocol.payout_arbiter_variant(ledger, contract, handoff.opening_cp)
+            protocol.payout_arbiter_variant(ledger, contract)
             assert ledger.balances() == {"client": 100, "server": 100, "arbiter": 0}
             assert ledger.total_supply() == genesis_supply
 
@@ -608,7 +608,7 @@ class TestServerInit:
         assert sap_verify(opening, addr_c, server.addr, contract.params.sap_qp, ledger)
         goto(ledger, contract, "T2")
         ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
-        PAYOUT[variant](ledger, contract, handoff.opening_cp)
+        PAYOUT[variant](ledger, contract)
         refunded = {"client": 100, "server": 100}
         if variant == ARBITER:
             refunded["arbiter"] = 0
@@ -642,7 +642,7 @@ class TestServerInit:
         assert (contract.a_flag, contract.server_deposited) == (0, 0)
         goto(ledger, contract, "T2")
         ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
-        protocol.payout_arbiter_variant(ledger, contract, handoff.opening_cp)
+        protocol.payout_arbiter_variant(ledger, contract)
         assert ledger.balances() == {"client": 100, "server": 100, "arbiter": 0}
 
     @pytest.mark.parametrize("field", ["opening_qp", "opening_cp"])
@@ -661,7 +661,6 @@ class TestServerInit:
         # Opening is refused before it is read, the other agreement still
         # runs, the server answers a = 0, and T2 refunds every deposit
         ledger, addr_c, server, handoff = self.hand_built()
-        client_opening_cp = handoff.opening_cp
         handoff = dataclasses.replace(
             handoff, **{field: replace(getattr(handoff, field))}
         )
@@ -675,9 +674,29 @@ class TestServerInit:
         assert ledger.session(other).g_server is not None
         goto(ledger, contract, "T2")
         ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
-        protocol.payout_arbiter_variant(ledger, contract, client_opening_cp)
+        protocol.payout_arbiter_variant(ledger, contract)
         assert ledger.balances() == {"client": 100, "server": 100, "arbiter": 0}
         assert ledger.total_supply() == genesis_supply
+
+    @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
+    def test_refusing_server_requests_the_refund(self, variant):
+        # a server that refused a handoff whose cp opening is not an Opening
+        # keeps no opening: its PAY is empty bytes, and the T2 refund, which
+        # reads no PAY payload, pays
+        ledger, addr_c, server, handoff = self.hand_built(variant=variant)
+        handoff = dataclasses.replace(handoff, opening_cp=None)
+        contract = handoff.contract
+        goto(ledger, contract, "T1")
+        assert server.init(handoff, ledger) == 0
+        assert server.opening_cp is None
+        goto(ledger, contract, "T2")
+        server.request_payout(ledger)
+        assert contract.pay_requests == {"T2": [b""]}
+        assert PAYOUT[variant](ledger, contract) == {"client": 21, "server": 0}
+        refunded = {"client": 100, "server": 100}
+        if variant == ARBITER:
+            refunded["arbiter"] = 0
+        assert ledger.balances() == refunded
 
     @pytest.mark.parametrize(
         "convert",
@@ -701,7 +720,7 @@ class TestServerInit:
         assert server.tree is None
         goto(ledger, contract, "T2")
         ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
-        protocol.payout_arbiter_variant(ledger, contract, handoff.opening_cp)
+        protocol.payout_arbiter_variant(ledger, contract)
         assert ledger.balances() == {"client": 100, "server": 100, "arbiter": 0}
 
     def test_phi_above_m_refunds(self):
@@ -721,9 +740,14 @@ class TestServerInit:
         assert (contract.a_flag, contract.server_deposited) == (0, 0)
         goto(ledger, contract, "T2")
         ledger.post(contract, protocol.LedgerMessage(addr_c, protocol.MsgKind.PAY, b"pay"))
-        protocol.payout_arbiter_variant(ledger, contract, handoff.opening_cp)
+        protocol.payout_arbiter_variant(ledger, contract)
         assert ledger.balances() == {"client": 100, "server": 100, "arbiter": 0}
         assert ledger.total_supply() == genesis_supply
+
+
+def post_pay(run, party, payload):
+    """``party`` posts PAY with ``payload``, whatever its own opening."""
+    run.ledger.post(run.contract, protocol.LedgerMessage(party.addr, protocol.MsgKind.PAY, payload))
 
 
 class HonestRun:
@@ -748,7 +772,7 @@ class HonestRun:
                 self.client.post_query(j, self.ledger)
                 goto(self.ledger, self.contract, f"G{j}.2")
                 self.b[j] = self.server.prove_cycle(j, self.ledger)
-                verdict, _ = self.client.verify_cycle(j, self.ledger)
+                verdict, _ = self.client.verify_cycle(j)
                 self.verdicts[j] = verdict
 
     def resolve(self):
@@ -770,9 +794,7 @@ class TestHonestRuns:
         assert run.contract.counters == Counters()
         goto(run.ledger, run.contract, "L")
         run.client.request_payout(run.ledger)
-        payout = protocol.payout_arbiter_variant(
-            run.ledger, run.contract, run.client.opening_cp
-        )
+        payout = protocol.payout_arbiter_variant(run.ledger, run.contract)
         coin_c = run.contract.client_deposited
         coin_s = run.contract.server_deposited
         assert payout == {
@@ -825,7 +847,7 @@ class TestHonestRuns:
             client.post_query(1, ledger)
             goto(ledger, contract, "G1.2")
             assert server.prove_cycle(1, ledger) == 0
-            client.verify_cycle(1, ledger)
+            client.verify_cycle(1)
         assert 1 in contract.proofs
         assert taken() == 0
 
@@ -1421,9 +1443,7 @@ class TestArbiterResolution:
     def pay(run):
         goto(run.ledger, run.contract, "L")
         run.client.request_payout(run.ledger)
-        return protocol.payout_arbiter_variant(
-            run.ledger, run.contract, run.client.opening_cp
-        )
+        return protocol.payout_arbiter_variant(run.ledger, run.contract)
 
     def test_second_server_pass_is_refused(self):
         script = frozenset({("invalid_query", 1)})
@@ -1507,9 +1527,7 @@ class TestArbiterlessResolution:
         )
         goto(run.ledger, run.contract, "L")
         run.client.request_payout(run.ledger)
-        payout = protocol.payout_arbiterless_variant(
-            run.ledger, run.contract, run.client.opening_cp
-        )
+        payout = protocol.payout_arbiterless_variant(run.ledger, run.contract)
         # z=3, o=5, l=2: client 21-10+2, server 6+10-2
         assert payout == {"client": 13, "server": 14}
 
@@ -1522,9 +1540,7 @@ class TestArbiterlessResolution:
         assert run.contract.counters == Counters(server_faults=1)
         goto(run.ledger, run.contract, "L")
         run.client.request_payout(run.ledger)
-        payout = protocol.payout_arbiterless_variant(
-            run.ledger, run.contract, run.client.opening_cp
-        )
+        payout = protocol.payout_arbiterless_variant(run.ledger, run.contract)
         assert payout == {"client": 13, "server": 14}
 
 
@@ -1608,7 +1624,7 @@ class TestMisShapedProof:
 
         goto(ledger, contract, "L")
         run.client.request_payout(ledger)
-        payout = PAYOUT[variant](ledger, contract, run.client.opening_cp)
+        payout = PAYOUT[variant](ledger, contract)
         assert payout == expected_payout(
             variant, contract.counters, z=2, o=5, l=2,
             client_deposit=contract.client_deposited,
@@ -1642,9 +1658,7 @@ class TestHostileComplaintPosts:
                                client_post and client_post(run))
         goto(ledger, contract, "L")
         run.client.request_payout(ledger)
-        payout = protocol.payout_arbiterless_variant(
-            ledger, contract, run.client.opening_cp
-        )
+        payout = protocol.payout_arbiterless_variant(ledger, contract)
         assert ledger.total_supply() == start
         assert contract.escrow == 0
         assert sum(payout.values()) == (
@@ -1833,7 +1847,7 @@ class TestHostileComplaintPosts:
 
         goto(ledger, contract, "L")
         run.client.request_payout(ledger)
-        payout = PAYOUT[variant](ledger, contract, run.client.opening_cp)
+        payout = PAYOUT[variant](ledger, contract)
         assert ledger.total_supply() == start
         assert contract.escrow == 0
         assert sum(payout.values()) == (
@@ -1866,7 +1880,7 @@ class TestPayoutGuards:
         assert protocol.refund_applies(contract)
         goto(ledger, contract, "T2")
         client.request_payout(ledger)
-        payout = PAYOUT[variant](ledger, contract, client.opening_cp)
+        payout = PAYOUT[variant](ledger, contract)
         assert payout == {"client": contract.client_deposited,
                           "server": contract.server_deposited}
         assert ledger.total_supply() == genesis_supply
@@ -1880,16 +1894,18 @@ class TestPayoutGuards:
         server.init(handoff, ledger)
         goto(ledger, handoff.contract, "L")
         with pytest.raises(protocol.RefundPath):
-            protocol.payout_arbiter_variant(ledger, handoff.contract,
-                                            client.opening_cp)
+            protocol.payout_arbiter_variant(ledger, handoff.contract)
 
     def test_bad_opening_rejected(self):
+        # the client's PAY carries the agreed cp statement under randomness
+        # that opens neither commitment
         config = make_config(z=2)
         run = HonestRun(config)
         goto(run.ledger, run.contract, "L")
-        bogus = Opening(run.client.opening_cp.statement, bytes(16))
+        bogus = run.client.opening_cp.statement + bytes(16)
+        post_pay(run, run.client, bogus)
         with pytest.raises(protocol.BadOpening):
-            protocol.payout_arbiter_variant(run.ledger, run.contract, bogus)
+            protocol.payout_arbiter_variant(run.ledger, run.contract)
 
     @pytest.mark.parametrize("variant, name", [
         (ARBITER, "payout_arbiter_variant"),
@@ -1900,10 +1916,10 @@ class TestPayoutGuards:
         run = HonestRun(make_config(z=2), variant=variant)
         goto(run.ledger, run.contract, "L")
         with pytest.raises(protocol.PayNotRequested):
-            payout(run.ledger, run.contract, run.client.opening_cp)
+            payout(run.ledger, run.contract)
         assert run.contract.escrow > 0 and not run.contract.paid_out
         run.server.request_payout(run.ledger)
-        payout(run.ledger, run.contract, run.client.opening_cp)
+        payout(run.ledger, run.contract)
         assert run.contract.escrow == 0
 
     @staticmethod
@@ -1927,7 +1943,7 @@ class TestPayoutGuards:
         goto(ledger, contract, "T2")
         client.request_payout(ledger)
         self.assert_refused(
-            lambda: PAYOUT[variant](ledger, contract, client.opening_cp),
+            lambda: PAYOUT[variant](ledger, contract),
             ledger, contract, ValueError,
         )
 
@@ -1936,20 +1952,27 @@ class TestPayoutGuards:
         run = HonestRun(make_config(z=2), variant=variant)
         goto(run.ledger, run.contract, "K6")
         self.assert_refused(
-            lambda: PAYOUT[variant](run.ledger, run.contract, run.client.opening_cp),
+            lambda: PAYOUT[variant](run.ledger, run.contract),
             run.ledger, run.contract, OutOfWindow,
         )
 
     @staticmethod
-    def settle_corrupt_cycle(variant):
+    def corrupt_cycle_at_l(variant):
         """A z = 2 session whose server corrupts cycle 1, resolved the
-        variant's way, at L with the client's pay request posted."""
+        variant's way, at L with no pay request posted yet."""
         run = HonestRun(make_config(z=2), variant=variant,
                         server_script=frozenset({("corrupt_block", 1)}))
         run.resolve()
         goto(run.ledger, run.contract, "L")
-        run.client.request_payout(run.ledger)
         return run
+
+    # its payout: deposits 14 and 4; the client pays o = 5 for the one
+    # honest cycle, and the server's l = 2 goes to the arbiter, or without
+    # one to the client
+    CORRUPT_CYCLE_PAYOUT = {
+        ARBITER: {"client": 9, "server": 7, "arbiter": 2},
+        ARBITERLESS: {"client": 11, "server": 7},
+    }
 
     def test_one_payout_under_both_names(self):
         assert protocol.payout_arbiter_variant is protocol.payout
@@ -1959,16 +1982,44 @@ class TestPayoutGuards:
     @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
     def test_either_name_pays_by_the_contract_variant(self, variant, name):
         # the contract states the variant; the name called does not
-        run = self.settle_corrupt_cycle(variant)
+        run = self.corrupt_cycle_at_l(variant)
         assert run.contract.counters == Counters(server_faults=1)
-        # deposits 14 and 4; the client pays o = 5 for the one honest cycle,
-        # and the server's l = 2 goes to the arbiter, or without one to the
-        # client
-        want = {
-            ARBITER: {"client": 9, "server": 7, "arbiter": 2},
-            ARBITERLESS: {"client": 11, "server": 7},
-        }[variant]
-        assert PAYOUT[name](run.ledger, run.contract, run.client.opening_cp) == want
+        run.client.request_payout(run.ledger)
+        assert PAYOUT[name](run.ledger, run.contract) == self.CORRUPT_CYCLE_PAYOUT[variant]
+
+    # PAY bytes that open no agreed cp statement, for the server to post:
+    # bytes of the opening's length, none, and the qp opening's
+    HOSTILE_PAY = {
+        "garbage": lambda run: bytes(range(CpStatement._LAYOUT.size + 16)),
+        "empty": lambda run: b"",
+        "qp-opening": lambda run: (run.server.opening_qp.statement
+                                   + run.server.opening_qp.randomness),
+    }
+
+    @pytest.mark.parametrize("hostile", HOSTILE_PAY.values(), ids=HOSTILE_PAY.keys())
+    @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
+    def test_hostile_pay_does_not_block_a_valid_one(self, variant, hostile):
+        # the payout reads past the server's PAY to the client's valid one,
+        # and pays as it would without the server's
+        run = self.corrupt_cycle_at_l(variant)
+        post_pay(run, run.server, hostile(run))
+        run.client.request_payout(run.ledger)
+        assert PAYOUT[variant](run.ledger, run.contract) == self.CORRUPT_CYCLE_PAYOUT[variant]
+        assert run.contract.escrow == 0
+
+    @pytest.mark.parametrize("hostile", HOSTILE_PAY.values(), ids=HOSTILE_PAY.keys())
+    @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
+    def test_hostile_pay_alone_is_refused(self, variant, hostile):
+        # with no PAY that opens the agreed cp statement nothing moves, and
+        # a valid PAY posted later at L still pays
+        run = self.corrupt_cycle_at_l(variant)
+        post_pay(run, run.server, hostile(run))
+        self.assert_refused(
+            lambda: PAYOUT[variant](run.ledger, run.contract),
+            run.ledger, run.contract, protocol.BadOpening,
+        )
+        run.client.request_payout(run.ledger)
+        assert PAYOUT[variant](run.ledger, run.contract) == self.CORRUPT_CYCLE_PAYOUT[variant]
 
     @pytest.mark.parametrize("name", PAYOUT)
     @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
@@ -1982,32 +2033,11 @@ class TestPayoutGuards:
         assert server.init(handoff, ledger) == 0
         goto(ledger, contract, "T2")
         client.request_payout(ledger)
-        assert PAYOUT[name](ledger, contract, client.opening_cp) == {
+        # the refund reads no PAY payload, so the client's shows no opening
+        assert contract.pay_requests == {"T2": [b""]}
+        assert PAYOUT[name](ledger, contract) == {
             "client": 14, "server": 0,
         }
-
-    @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
-    @pytest.mark.parametrize("opening", [
-        Opening("text", bytes(16)), Opening(b"x", None),
-    ], ids=["str-statement", "none-randomness"])
-    def test_opening_not_bytes_rejected(self, variant, opening):
-        run = HonestRun(make_config(z=2), variant=variant)
-        goto(run.ledger, run.contract, "L")
-        run.client.request_payout(run.ledger)
-        self.assert_refused(
-            lambda: PAYOUT[variant](run.ledger, run.contract, opening),
-            run.ledger, run.contract, protocol.BadOpening,
-        )
-
-    @pytest.mark.parametrize("variant", [ARBITER, ARBITERLESS])
-    def test_missing_opening_rejected(self, variant):
-        run = HonestRun(make_config(z=2), variant=variant)
-        goto(run.ledger, run.contract, "L")
-        run.client.request_payout(run.ledger)
-        self.assert_refused(
-            lambda: PAYOUT[variant](run.ledger, run.contract, None),
-            run.ledger, run.contract, protocol.BadOpening,
-        )
 
     def test_refund_needs_pay_request(self):
         config = make_config(z=2)
@@ -2019,9 +2049,9 @@ class TestPayoutGuards:
         assert server.init(handoff, ledger) == 0
         goto(ledger, contract, "T2")
         with pytest.raises(protocol.PayNotRequested):
-            protocol.payout_arbiter_variant(ledger, contract, client.opening_cp)
+            protocol.payout_arbiter_variant(ledger, contract)
         client.request_payout(ledger)
-        assert protocol.payout_arbiter_variant(ledger, contract, client.opening_cp) == {
+        assert protocol.payout_arbiter_variant(ledger, contract) == {
             "client": 14, "server": 0,
         }
 

@@ -472,14 +472,14 @@ class TestTraceGolden:
     becomes each party's randomness."""
 
     DIGESTS = {
-        "arbiter": "5ea48ff401d9b99ca7cdb32e89d3e8bde201be26fa34373f4481a03bc5ea79d5",
-        "arbiterless": "22bd492f64f0d635013e75a73ff099e7a211399fecb0f16db94c433f3c68ea21",
+        "arbiter": "8b13c86231712c3c1e2f0f88dec4b119595143770fe916bbddd879d5a606fb09",
+        "arbiterless": "95d796fa6ac66997fe2d398a4b91de7130b1ccd3c582df169e93729205cc1c29",
     }
     # the server draws one 16-byte key per dummy vector (crypto.sample_unit),
     # so every nonce it draws after its first dummy shows here
     DISPUTED_DIGESTS = {
-        "arbiter": "b492ee0dc46d9a09b7f261b9c167a10442a9e20471f0b7f02ee4aaed77b2cc8c",
-        "arbiterless": "62d851d7c9e690728938521a045d8f0466d9b8344048541e24f4925928f2a837",
+        "arbiter": "53f56204d2b179d3c999502189bb06a4430dead70f269769d2fa8e3bbbff3062",
+        "arbiterless": "b446b799bdc8d85ead63a335218f302ccd0cde13f89b2177141d483ec4866a3b",
     }
 
     @staticmethod
